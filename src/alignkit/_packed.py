@@ -1,4 +1,4 @@
-"""Vectorized E-step machinery shared by the Model 1 family.
+"""The lexical EM engine shared by Model 1, Model 2 and the HMM.
 
 A table's entries are laid out in canonical (e, f) order as one flat
 parameter vector theta. For every sentence pair we precompute the slot
@@ -6,17 +6,23 @@ index of each (target row, source position) cell, so an E-step is a
 gather, a column normalization, and a bincount scatter per chunk of
 pairs.
 
-Expected counts are accumulated per fixed-size chunk and the chunk
-results are merged in ascending chunk order. The chunk size never
-depends on the worker count, so results are bitwise identical no matter
-how many processes run the chunks.
+A training run packs its corpus once, in a ChunkRunner. The runner maps
+a module-level chunk function (lexical_step's E-step here, hmm.py's
+Baum-Welch pass) over fixed-size chunks of pairs, in process or on one
+fork pool started on first use and kept for the whole run; where fork is
+unavailable the chunks run in process. Results come back, and are merged,
+in ascending chunk order. The chunk size never depends on the worker
+count, so the merges add the same partial sums in the same order and
+results are bitwise identical no matter how many processes run the
+chunks. run_em is the one iteration loop and writes the per-iteration
+log-likelihood line.
 """
 
 from __future__ import annotations
 
 import math
-from multiprocessing import get_context
-from typing import Optional, Protocol
+import multiprocessing
+from typing import Callable, Optional, Protocol, TextIO
 
 import numpy as np
 
@@ -112,9 +118,9 @@ def chunk_bounds(n_pairs: int) -> list[tuple[int, int]]:
 
 def _chunk_counts(
     packed: PackedCorpus,
-    theta: np.ndarray,
     lo: int,
     hi: int,
+    theta: np.ndarray,
     prior: Optional[PriorProvider],
     log_eps: float,
 ) -> tuple[np.ndarray, float]:
@@ -154,39 +160,33 @@ def _chunk_counts(
     return counts[: packed.n_slots], ll
 
 
-_POOL_STATE: tuple | None = None
+_WORKER_PACKED: Optional[PackedCorpus] = None  # set in each pool worker
 
 
-def _pool_init(packed, prior, log_eps):
-    global _POOL_STATE
-    _POOL_STATE = (packed, prior, log_eps)
+def _worker_init(packed: PackedCorpus) -> None:
+    global _WORKER_PACKED
+    _WORKER_PACKED = packed
 
 
-def _pool_chunk(args):
-    lo, hi, theta = args
-    packed, prior, log_eps = _POOL_STATE
-    return _chunk_counts(packed, theta, lo, hi, prior, log_eps)
+def _worker_chunk(task):
+    fn, lo, hi, args = task
+    return fn(_WORKER_PACKED, lo, hi, *args)
 
 
-class EStepRunner:
-    """Runs chunked E-steps, optionally over a process pool.
+class ChunkRunner:
+    """Packs a bitext once and maps chunk functions over its fixed chunks.
 
     The pool is created lazily on the first parallel call and must be
     closed via the context-manager protocol or close().
     """
 
     def __init__(
-        self,
-        packed: PackedCorpus,
-        prior: Optional[PriorProvider] = None,
-        log_eps: float = 0.0,
-        jobs: int = 1,
+        self, bitext: Bitext, table: TranslationTable, use_null: bool, jobs: int = 1
     ):
-        self.packed = packed
-        self.prior = prior
-        self.log_eps = log_eps
-        self.jobs = max(1, jobs)
-        self.bounds = chunk_bounds(len(packed))
+        self.packed = PackedCorpus(bitext, table, use_null)
+        self.bounds = chunk_bounds(len(self.packed))
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        self.jobs = jobs if jobs > 1 and len(self.bounds) > 1 and fork else 1
         self._pool = None
 
     def __enter__(self):
@@ -201,26 +201,74 @@ class EStepRunner:
             self._pool.join()
             self._pool = None
 
-    def expected_counts(self, theta: np.ndarray) -> tuple[np.ndarray, float]:
-        if self.jobs > 1 and len(self.bounds) > 1:
-            if self._pool is None:
-                ctx = get_context("fork")
-                self._pool = ctx.Pool(
-                    processes=self.jobs,
-                    initializer=_pool_init,
-                    initargs=(self.packed, self.prior, self.log_eps),
-                )
-            tasks = [(lo, hi, theta) for lo, hi in self.bounds]
-            chunksize = max(1, len(tasks) // self.jobs)
-            results = self._pool.map(_pool_chunk, tasks, chunksize=chunksize)
-        else:
-            results = [
-                _chunk_counts(self.packed, theta, lo, hi, self.prior, self.log_eps)
-                for lo, hi in self.bounds
-            ]
-        total = np.zeros(self.packed.n_slots)
-        ll = 0.0
-        for counts, part_ll in results:  # ascending chunk order
-            total += counts
-            ll += part_ll
-        return total, ll
+    def map(self, fn: Callable, *args) -> list:
+        """fn(packed, lo, hi, *args) for every chunk, in ascending chunk order.
+
+        fn must be a module-level function, so that a worker can unpickle it.
+        """
+        if self.jobs == 1:
+            return [fn(self.packed, lo, hi, *args) for lo, hi in self.bounds]
+        if self._pool is None:
+            # Workers inherit the packed corpus through fork; only the
+            # per-call arguments are pickled.
+            self._pool = multiprocessing.get_context("fork").Pool(
+                processes=self.jobs, initializer=_worker_init, initargs=(self.packed,)
+            )
+        tasks = [(fn, lo, hi, args) for lo, hi in self.bounds]
+        return self._pool.map(
+            _worker_chunk, tasks, chunksize=max(1, len(tasks) // self.jobs)
+        )
+
+
+def run_em(step: Callable, state, iterations: int, log_to: Optional[TextIO] = None):
+    """Apply step(state) -> (state, ll) `iterations` times; returns the final
+    state and the trace of each step's input log-likelihood, which is also
+    logged to log_to when given."""
+    trace: list[float] = []
+    for it in range(iterations):
+        state, ll = step(state)
+        trace.append(ll)
+        if log_to is not None:
+            log_to.write(f"iteration {it + 1}: log-likelihood {ll:.6f}\n")
+    return state, trace
+
+
+def lexical_step(
+    runner: ChunkRunner,
+    theta: np.ndarray,
+    floor: float,
+    prior: Optional[PriorProvider] = None,
+    log_eps: float = 0.0,
+) -> tuple[np.ndarray, float]:
+    """One lexical EM step, Model 1 without a prior and Model 2 with one:
+    the re-estimated theta and the log-likelihood of the input theta."""
+    counts = np.zeros(runner.packed.n_slots)
+    ll = 0.0
+    for part_counts, part_ll in runner.map(_chunk_counts, theta, prior, log_eps):
+        counts += part_counts
+        ll += part_ll
+    return runner.packed.normalize_counts(counts, floor), ll
+
+
+def train_lexical(
+    bitext: Bitext,
+    table: TranslationTable,
+    use_null: bool,
+    iterations: int,
+    floor: float,
+    epsilon: float,
+    prior: Optional[PriorProvider] = None,
+    jobs: int = 1,
+    log_to: Optional[TextIO] = None,
+) -> tuple[TranslationTable, list[float]]:
+    """Lexical EM from `table`; returns the final table and the trace."""
+    log_eps = math.log(epsilon)
+    with ChunkRunner(bitext, table, use_null, jobs) as runner:
+        packed = runner.packed
+        theta, trace = run_em(
+            lambda theta: lexical_step(runner, theta, floor, prior, log_eps),
+            packed.theta_from(table),
+            iterations,
+            log_to,
+        )
+    return packed.table_from(theta), trace

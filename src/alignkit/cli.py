@@ -178,15 +178,14 @@ def cmd_train(args) -> int:
 
 
 def _load_any_model(path: str):
-    lines = _read_lines(path)
-    table, trailer = read_ttable(lines)
+    table, trailer = read_ttable(_read_lines(path))
     if not trailer:
         return "model1", table
     kind = trailer[0].split("\t", 1)[0]
     if kind == model2.DIAG_TRAILER:
-        return "model2", model2.load_model(lines)
+        return "model2", model2.model_from(table, trailer)
     if kind == hmm.HMM_TRAILER:
-        return "hmm", hmm.load_model(lines)
+        return "hmm", hmm.model_from(table, trailer)
     raise DataFormatError(f"{path}: unrecognized model trailer {kind!r}")
 
 

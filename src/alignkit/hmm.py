@@ -25,17 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Optional, TextIO
 
 import numpy as np
 
 from . import model1
-from ._packed import PackedCorpus, chunk_bounds
+from ._packed import ChunkRunner, PackedCorpus, lexical_step, run_em
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError, NumericError
-from .model1 import Model1Config
 from .ttable import NULL_ID, TranslationTable, read_ttable, write_ttable
 
 HMM_TRAILER = "hmm"
@@ -293,11 +291,10 @@ def _pair_emissions(theta, idx, rows, m, use_null):
 
 def _bw_chunk(
     packed: PackedCorpus,
-    theta: np.ndarray,
-    jumps: JumpTable,
-    use_null: bool,
     lo: int,
     hi: int,
+    theta: np.ndarray,
+    jumps: JumpTable,
 ) -> tuple[np.ndarray, dict[int, np.ndarray], float]:
     """Expected lexicon and jump statistics for pairs [lo, hi).
 
@@ -306,6 +303,7 @@ def _bw_chunk(
     NULL-companion departures pooled, since both jump from the same
     remembered position).
     """
+    use_null = packed.use_null
     trans_cache: dict[int, np.ndarray] = {}
     pi_cache: dict[int, np.ndarray] = {}
     idx_parts: list[np.ndarray] = []
@@ -355,20 +353,6 @@ def _bw_chunk(
     return counts, jump_stats, ll
 
 
-_BW_STATE: tuple | None = None
-
-
-def _bw_pool_init(packed, use_null):
-    global _BW_STATE
-    _BW_STATE = (packed, use_null)
-
-
-def _bw_pool_chunk(args):
-    lo, hi, theta, jumps = args
-    packed, use_null = _BW_STATE
-    return _bw_chunk(packed, theta, jumps, use_null, lo, hi)
-
-
 def _jump_objective(q: np.ndarray, jump_stats: dict[int, np.ndarray], w: int) -> float:
     """EM auxiliary objective for the jump block (constants dropped)."""
     logq = np.log(q)
@@ -412,25 +396,20 @@ def baum_welch_step(
 ) -> tuple[HmmParams, float]:
     """One forward-backward pass over the corpus; returns updated params and
     the corpus log-likelihood (sum of log partition values) of the input."""
-    packed = PackedCorpus(bitext, params.table, params.use_null)
-    theta = packed.theta_from(params.table)
-    new_theta, jumps, ll = _bw_iteration(packed, theta, params.jumps, config, jobs, None)
-    return HmmParams(table=packed.table_from(new_theta), jumps=jumps, use_null=params.use_null), ll
+    with ChunkRunner(bitext, params.table, params.use_null, jobs) as runner:
+        packed = runner.packed
+        (theta, jumps), ll = _bw_iteration(
+            runner, packed.theta_from(params.table), params.jumps, config.floor
+        )
+    return HmmParams(table=packed.table_from(theta), jumps=jumps, use_null=params.use_null), ll
 
 
-def _bw_iteration(packed, theta, jumps, config, jobs, pool):
-    bounds = chunk_bounds(len(packed))
-    if pool is not None and len(bounds) > 1:
-        tasks = [(lo, hi, theta, jumps) for lo, hi in bounds]
-        results = pool.map(_bw_pool_chunk, tasks, chunksize=max(1, len(tasks) // max(jobs, 1)))
-    else:
-        results = [
-            _bw_chunk(packed, theta, jumps, config.use_null, lo, hi) for lo, hi in bounds
-        ]
-    counts = np.zeros(packed.n_slots)
+def _bw_iteration(runner: ChunkRunner, theta, jumps, floor):
+    """One Baum-Welch EM step: ((new theta, new jumps), ll of the input)."""
+    counts = np.zeros(runner.packed.n_slots)
     jump_stats: dict[int, np.ndarray] = {}
     ll = 0.0
-    for chunk_counts, chunk_stats, chunk_ll in results:  # ascending chunk order
+    for chunk_counts, chunk_stats, chunk_ll in runner.map(_bw_chunk, theta, jumps):
         counts += chunk_counts
         for n in sorted(chunk_stats):
             acc = jump_stats.get(n)
@@ -439,9 +418,8 @@ def _bw_iteration(packed, theta, jumps, config, jobs, pool):
             else:
                 acc += chunk_stats[n]
         ll += chunk_ll
-    new_theta = packed.normalize_counts(counts, config.floor)
-    new_jumps = _reestimate_jumps(jumps, jump_stats, config.floor)
-    return new_theta, new_jumps, ll
+    new_theta = runner.packed.normalize_counts(counts, floor)
+    return (new_theta, _reestimate_jumps(jumps, jump_stats, floor)), ll
 
 
 def train(
@@ -451,39 +429,23 @@ def train(
     quiet: bool = True,
     log_to: Optional[TextIO] = None,
 ) -> tuple[HmmParams, list[float]]:
-    """Initialize the lexical table with a few Model 1 iterations and uniform
-    jumps, then run Baum-Welch. With iterations=0 the initialized params are
-    returned untouched."""
-    m1_config = Model1Config(
-        iterations=config.model1_iterations,
-        use_null=config.use_null,
-        epsilon=config.epsilon,
-        floor=config.floor,
-    )
-    table, _ = model1.train(bitext, m1_config, jobs=jobs)
-    jumps = uniform_jumps(config.w, config.p0)
-    params = HmmParams(table=table, jumps=jumps, use_null=config.use_null)
-    trace: list[float] = []
-    if config.iterations == 0:
-        return params, trace
-    packed = PackedCorpus(bitext, table, config.use_null)
-    theta = packed.theta_from(table)
-    pool = None
-    try:
-        if jobs > 1 and len(chunk_bounds(len(packed))) > 1:
-            ctx = get_context("fork")
-            pool = ctx.Pool(
-                processes=jobs, initializer=_bw_pool_init, initargs=(packed, config.use_null)
-            )
-        for it in range(config.iterations):
-            theta, jumps, ll = _bw_iteration(packed, theta, jumps, config, jobs, pool)
-            trace.append(ll)
-            if not quiet and log_to is not None:
-                log_to.write(f"iteration {it + 1}: log-likelihood {ll:.6f}\n")
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    """Warm up the lexical table with a few silent Model 1 iterations and
+    uniform jumps, then run Baum-Welch on the same packed corpus and
+    workers. With iterations=0 the warmed-up params are returned."""
+    table = model1.init_uniform(bitext, config.use_null)
+    with ChunkRunner(bitext, table, config.use_null, jobs) as runner:
+        packed = runner.packed
+        theta, _ = run_em(
+            lambda theta: lexical_step(runner, theta, config.floor),
+            packed.theta_from(table),
+            config.model1_iterations,
+        )
+        (theta, jumps), trace = run_em(
+            lambda state: _bw_iteration(runner, *state, config.floor),
+            (theta, uniform_jumps(config.w, config.p0)),
+            config.iterations,
+            None if quiet else log_to,
+        )
     return HmmParams(table=packed.table_from(theta), jumps=jumps, use_null=config.use_null), trace
 
 
@@ -502,7 +464,11 @@ def save_model(out: TextIO, params: HmmParams) -> None:
 
 
 def load_model(lines) -> HmmParams:
-    table, trailer = read_ttable(lines)
+    return model_from(*read_ttable(lines))
+
+
+def model_from(table: TranslationTable, trailer: list[str]) -> HmmParams:
+    """HMM parameters from a parsed model file's table and trailer."""
     if not trailer or not trailer[0].startswith(HMM_TRAILER + "\t"):
         raise DataFormatError("HMM model file must carry an 'hmm' trailer")
     head = trailer[0].split("\t")

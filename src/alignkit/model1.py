@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
-from ._packed import EStepRunner, PackedCorpus
+from ._packed import train_lexical
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError
@@ -75,10 +75,10 @@ def em_step(
 ) -> tuple[TranslationTable, float]:
     """One EM iteration; returns the re-estimated table and the corpus
     log-likelihood of the *input* table."""
-    packed = PackedCorpus(bitext, table, config.use_null)
-    with EStepRunner(packed, log_eps=math.log(config.epsilon), jobs=jobs) as runner:
-        counts, ll = runner.expected_counts(packed.theta_from(table))
-    return packed.table_from(packed.normalize_counts(counts, config.floor)), ll
+    table, (ll,) = train_lexical(
+        bitext, table, config.use_null, 1, config.floor, config.epsilon, jobs=jobs
+    )
+    return table, ll
 
 
 def train(
@@ -91,17 +91,10 @@ def train(
     """EM from the uniform initializer; returns the final table and the
     per-iteration log-likelihood trace (evaluated before each update)."""
     table = init_uniform(bitext, config.use_null)
-    packed = PackedCorpus(bitext, table, config.use_null)
-    theta = packed.theta_from(table)
-    trace: list[float] = []
-    with EStepRunner(packed, log_eps=math.log(config.epsilon), jobs=jobs) as runner:
-        for it in range(config.iterations):
-            counts, ll = runner.expected_counts(theta)
-            theta = packed.normalize_counts(counts, config.floor)
-            trace.append(ll)
-            if not quiet and log_to is not None:
-                log_to.write(f"iteration {it + 1}: log-likelihood {ll:.6f}\n")
-    return packed.table_from(theta), trace
+    return train_lexical(
+        bitext, table, config.use_null, config.iterations, config.floor,
+        config.epsilon, jobs=jobs, log_to=None if quiet else log_to,
+    )
 
 
 def posterior_align(

@@ -21,7 +21,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from ._packed import EStepRunner, PackedCorpus
+from ._packed import train_lexical
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError
@@ -116,12 +116,10 @@ def em_step(
     log eps + sum_j log sum_i p(i | j, m, n) t(f_j | e_i) per pair.
     """
     prior = params.prior
-    packed = PackedCorpus(bitext, params.table, prior.use_null)
-    with EStepRunner(
-        packed, prior=prior, log_eps=math.log(config.epsilon), jobs=jobs
-    ) as runner:
-        counts, ll = runner.expected_counts(packed.theta_from(params.table))
-    table = packed.table_from(packed.normalize_counts(counts, config.floor))
+    table, (ll,) = train_lexical(
+        bitext, params.table, prior.use_null, 1, config.floor, config.epsilon,
+        prior, jobs,
+    )
     return Model2Params(table=table, prior=prior), ll
 
 
@@ -134,19 +132,11 @@ def train(
 ) -> tuple[Model2Params, list[float]]:
     prior = config.prior()
     table = init_uniform(bitext, use_null=prior.use_null)
-    packed = PackedCorpus(bitext, table, prior.use_null)
-    theta = packed.theta_from(table)
-    trace: list[float] = []
-    with EStepRunner(
-        packed, prior=prior, log_eps=math.log(config.epsilon), jobs=jobs
-    ) as runner:
-        for it in range(config.iterations):
-            counts, ll = runner.expected_counts(theta)
-            theta = packed.normalize_counts(counts, config.floor)
-            trace.append(ll)
-            if not quiet and log_to is not None:
-                log_to.write(f"iteration {it + 1}: log-likelihood {ll:.6f}\n")
-    return Model2Params(table=packed.table_from(theta), prior=prior), trace
+    table, trace = train_lexical(
+        bitext, table, prior.use_null, config.iterations, config.floor,
+        config.epsilon, prior, jobs, None if quiet else log_to,
+    )
+    return Model2Params(table=table, prior=prior), trace
 
 
 def align(
@@ -187,7 +177,11 @@ def save_model(out: TextIO, params: Model2Params) -> None:
 
 
 def load_model(lines) -> Model2Params:
-    table, trailer = read_ttable(lines)
+    return model_from(*read_ttable(lines))
+
+
+def model_from(table: TranslationTable, trailer: list[str]) -> Model2Params:
+    """Model 2 parameters from a parsed model file's table and trailer."""
     if len(trailer) != 1 or not trailer[0].startswith(DIAG_TRAILER + "\t"):
         raise DataFormatError("diagonal model file must end with a 'diag' trailer")
     parts = trailer[0].split("\t")

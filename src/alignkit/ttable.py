@@ -54,22 +54,6 @@ class TranslationTable:
                 worst = max(worst, abs(sum(row.values()) - 1.0))
         return worst
 
-    @classmethod
-    def from_counts(
-        cls, counts: dict[int, dict[int, float]], floor: float = 0.0
-    ) -> "TranslationTable":
-        """Normalize per-row expected counts into probabilities.
-
-        Counts are floored at `floor` before normalizing, so a row never
-        carries an exact zero once it has been re-estimated.
-        """
-        rows: dict[int, dict[int, float]] = {}
-        for e, crow in counts.items():
-            floored = {f: max(c, floor) for f, c in crow.items()}
-            total = sum(floored.values())
-            rows[e] = {f: c / total for f, c in floored.items()}
-        return cls(rows)
-
 
 def write_ttable(out: TextIO, table: TranslationTable, trailer: Iterable[str] = ()) -> None:
     out.write(HEADER + "\n")

@@ -439,10 +439,13 @@ class TestDeterminism:
             outputs.append(read(model))
         assert outputs[0] == outputs[1]
 
-    def test_worker_count_does_not_change_the_model(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["model1", "model2", "hmm"])
+    def test_worker_count_does_not_change_the_model(self, tmp_path, kind):
+        # More pairs than CHUNK_PAIRS, so that --jobs 2 runs a process pool.
         bitext = tmp_path / "corpus.txt"
         assert cli.main([
-            "synth", "--pairs", "60", "--vocab-size", "40", "--seed", "3",
+            "synth", "--pairs", "1100", "--vocab-size", "40", "--seed", "3",
+            "--min-len", "2", "--max-len", "5",
             "--output-bitext", str(bitext),
             "--output-gold", str(tmp_path / "gold.txt"),
         ]) == 0
@@ -450,8 +453,8 @@ class TestDeterminism:
         for jobs, name in (("1", "j1"), ("2", "j2")):
             model = tmp_path / name
             assert cli.main([
-                "train", "--bitext", str(bitext), "--output", str(model),
-                "--iters", "3", "--quiet", "--jobs", jobs,
+                "train", "--model", kind, "--bitext", str(bitext),
+                "--output", str(model), "--iters", "2", "--quiet", "--jobs", jobs,
             ]) == 0
             outputs.append(read(model))
         assert outputs[0] == outputs[1]

@@ -1,10 +1,12 @@
 import io
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
 import oracles
+from alignkit._packed import CHUNK_PAIRS
 from alignkit.alignment import to_set
 from alignkit.corpus import SentencePair, load_bitext
 from alignkit.errors import ConfigError, NumericError
@@ -244,3 +246,18 @@ class TestModelFile:
         lines = ["alignkit-ttable v1", "1\t2\t1.0", "diag\t4.0\t0.08"]
         with pytest.raises(DataFormatError):
             load_model(lines)
+
+
+class TestWorkers:
+    def test_chunks_run_in_process_where_fork_is_unavailable(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        bt = random_id_bitext(rng, n_pairs=CHUNK_PAIRS + 100, vocab=30, max_len=5)
+        config = Model1Config(iterations=2)
+        table1, trace1 = train(bt, config, jobs=1)
+
+        # As on Windows: fork is neither listed nor obtainable.
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delitem(multiprocessing.context._concrete_contexts, "fork")
+        table2, trace2 = train(bt, config, jobs=2)
+        assert table2.rows == table1.rows
+        assert trace2 == trace1

@@ -24,13 +24,6 @@ class TestTranslationTable:
         table = TranslationTable({2: {5: 0.5, 1: 0.5}, NULL_ID: {9: 1.0}})
         assert list(table.entries()) == [(NULL_ID, 9, 1.0), (2, 1, 0.5), (2, 5, 0.5)]
 
-    def test_from_counts_floors_then_normalizes(self):
-        table = TranslationTable.from_counts({1: {10: 3.0, 11: 1.0}}, floor=1e-12)
-        assert table.prob(1, 10) == pytest.approx(0.75, abs=0)
-        assert table.prob(1, 11) == pytest.approx(0.25, abs=0)
-        zeroed = TranslationTable.from_counts({1: {10: 0.0, 11: 1.0}}, floor=0.5)
-        assert zeroed.prob(1, 10) == pytest.approx(1 / 3)
-
     def test_row_sum_error(self):
         assert TranslationTable({1: {2: 0.5, 3: 0.5}}).row_sum_error() == 0.0
         assert TranslationTable({1: {2: 0.7}}).row_sum_error() == pytest.approx(0.3)
