@@ -1,10 +1,9 @@
 """The lexical EM engine shared by Model 1, Model 2 and the HMM.
 
-A table's entries are laid out in canonical (e, f) order as one flat
-parameter vector theta. For every sentence pair we precompute the slot
-index of each (target row, source position) cell, so an E-step is a
-gather, a column normalization, and a bincount scatter per chunk of
-pairs.
+Training runs on the table's flat parameter vector theta (see
+ttable.py). For every sentence pair we precompute the slot index of
+each (target row, source position) cell, so an E-step is a gather, a
+column normalization, and a bincount scatter per chunk of pairs.
 
 A training run packs its corpus once, in a ChunkRunner. The runner maps
 a module-level chunk function (lexical_step's E-step here, hmm.py's
@@ -22,11 +21,12 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from itertools import chain
 from typing import Callable, Optional, Protocol, TextIO
 
 import numpy as np
 
-from .corpus import Bitext
+from .corpus import Bitext, SentencePair
 from .errors import NumericError
 from .ttable import NULL_ID, TranslationTable
 
@@ -37,79 +37,53 @@ class PriorProvider(Protocol):
     def matrix(self, m: int, n: int, use_null: bool) -> np.ndarray: ...
 
 
+def pair_rows(pair: SentencePair, use_null: bool) -> tuple[int, ...]:
+    """The pair's target ids, then NULL_ID when NULL is on."""
+    return (*pair.target_ids, NULL_ID) if use_null else pair.target_ids
+
+
+def corpus_cells(pairs: list[SentencePair], use_null: bool):
+    """(e, f) ids of each pair's (target row, source position) cells, row-major
+    with the NULL row last, pair after pair; and each pair's rows and m."""
+    ms = np.fromiter((pair.m for pair in pairs), np.int64, len(pairs))
+    rows = np.fromiter((pair.n + use_null for pair in pairs), np.int64, len(pairs))
+    tgt = np.fromiter(chain.from_iterable(pair_rows(p, use_null) for p in pairs), np.int64)
+    src = np.fromiter(chain.from_iterable(pair.source_ids for pair in pairs), np.int64)
+    row_m = np.repeat(ms, rows)  # source length behind each target row
+    es = np.repeat(tgt, row_m)
+    # Cell c of a row reads its pair's source token c - (the row's first cell).
+    shift = np.repeat(np.cumsum(ms) - ms, rows) - (np.cumsum(row_m) - row_m)
+    fs = src[np.repeat(shift, row_m) + np.arange(len(es))]
+    return es, fs, rows, ms
+
+
 class PackedCorpus:
-    """Per-pair slot indices of a bitext against a fixed table support."""
+    """Per-pair slot indices of a bitext into a fixed table's flat arrays."""
 
     def __init__(self, bitext: Bitext, table: TranslationTable, use_null: bool):
         self.use_null = use_null
-        row_slots: dict[int, dict[int, int]] = {}
-        row_keys: list[int] = []
-        row_starts: list[int] = []
-        slot = 0
-        for e in sorted(table.rows):
-            fs = sorted(table.rows[e])
-            row_keys.append(e)
-            row_starts.append(slot)
-            row_slots[e] = {f: slot + k for k, f in enumerate(fs)}
-            slot += len(fs)
-        self.n_slots = slot
-        self.miss = slot  # uncovered cells gather probability 0.0
-        self.row_keys = row_keys
-        self.row_starts = np.asarray(row_starts, dtype=np.int64)
-        self.row_fs = {e: sorted(table.rows[e]) for e in row_keys}
-
-        empty: dict[int, int] = {}
         self.pairs = bitext.pairs
-        self.pair_idx: list[np.ndarray] = []
-        self.pair_shape: list[tuple[int, int]] = []
-        miss = self.miss
-        for pair in bitext.pairs:
-            src = pair.source_ids
-            rows: list[int] = list(pair.target_ids)
-            if use_null:
-                rows.append(NULL_ID)
-            cells: list[int] = []
-            for e in rows:
-                srow = row_slots.get(e, empty)
-                get = srow.get
-                cells.extend(get(f, miss) for f in src)
-            idx = np.asarray(cells, dtype=np.int64)
-            self.pair_idx.append(idx)
-            self.pair_shape.append((len(rows), pair.m))
+        self.n_slots = len(table)
+        self.row_starts = table.row_starts
+        es, fs, rows, ms = corpus_cells(bitext.pairs, use_null)
+        self.pair_idx = np.split(table.slots(es, fs), np.cumsum(rows * ms))[:-1]
+        self.pair_shape = list(zip(rows.tolist(), ms.tolist()))
 
     def __len__(self) -> int:
         return len(self.pair_idx)
 
-    def theta_from(self, table: TranslationTable) -> np.ndarray:
-        theta = np.empty(self.n_slots + 1)
-        pos = 0
-        for e in self.row_keys:
-            row = table.rows[e]
-            for f in self.row_fs[e]:
-                theta[pos] = row[f]
-                pos += 1
-        theta[self.miss] = 0.0
-        return theta
-
-    def table_from(self, theta: np.ndarray) -> TranslationTable:
-        rows: dict[int, dict[int, float]] = {}
-        values = theta.tolist()
-        pos = 0
-        for e in self.row_keys:
-            fs = self.row_fs[e]
-            rows[e] = dict(zip(fs, values[pos : pos + len(fs)]))
-            pos += len(fs)
-        return TranslationTable(rows)
+    def scatter(self, lo: int, hi: int, weights: list[np.ndarray]) -> np.ndarray:
+        """Per-slot sums of pairs [lo, hi)'s flattened cell weights, miss slot dropped."""
+        idx = np.concatenate(self.pair_idx[lo:hi])
+        counts = np.bincount(idx, np.concatenate(weights), minlength=self.n_slots + 1)
+        return counts[: self.n_slots]
 
     def normalize_counts(self, counts: np.ndarray, floor: float) -> np.ndarray:
         """M-step: floor expected counts, renormalize each target row."""
         floored = np.maximum(counts, floor)
         row_sums = np.add.reduceat(floored, self.row_starts)
-        lengths = np.diff(np.append(self.row_starts, self.n_slots))
-        theta = np.empty(self.n_slots + 1)
-        theta[: self.n_slots] = floored / np.repeat(row_sums, lengths)
-        theta[self.miss] = 0.0
-        return theta
+        lengths = np.diff(self.row_starts, append=self.n_slots)
+        return np.append(floored / np.repeat(row_sums, lengths), 0.0)
 
 
 def chunk_bounds(n_pairs: int) -> list[tuple[int, int]]:
@@ -126,13 +100,11 @@ def _chunk_counts(
 ) -> tuple[np.ndarray, float]:
     """Expected counts and log-likelihood contribution of pairs [lo, hi)."""
     ll = 0.0
-    idx_parts: list[np.ndarray] = []
     gamma_parts: list[np.ndarray] = []
     use_null = packed.use_null
     for k in range(lo, hi):
-        idx = packed.pair_idx[k]
         rows, m = packed.pair_shape[k]
-        probs = theta[idx].reshape(rows, m)
+        probs = theta[packed.pair_idx[k]].reshape(rows, m)
         if prior is not None:
             n = rows - 1 if use_null else rows
             probs = probs * prior.matrix(m, n, use_null)
@@ -148,16 +120,8 @@ def _chunk_counts(
         ll += float(np.log(denom).sum()) + log_eps
         if prior is None:
             ll -= m * math.log(rows)
-        idx_parts.append(idx)
         gamma_parts.append(gamma.reshape(-1))
-    if not idx_parts:
-        return np.zeros(packed.n_slots), ll
-    counts = np.bincount(
-        np.concatenate(idx_parts),
-        weights=np.concatenate(gamma_parts),
-        minlength=packed.n_slots + 1,
-    )
-    return counts[: packed.n_slots], ll
+    return packed.scatter(lo, hi, gamma_parts), ll
 
 
 _WORKER_PACKED: Optional[PackedCorpus] = None  # set in each pool worker
@@ -264,11 +228,6 @@ def train_lexical(
     """Lexical EM from `table`; returns the final table and the trace."""
     log_eps = math.log(epsilon)
     with ChunkRunner(bitext, table, use_null, jobs) as runner:
-        packed = runner.packed
-        theta, trace = run_em(
-            lambda theta: lexical_step(runner, theta, floor, prior, log_eps),
-            packed.theta_from(table),
-            iterations,
-            log_to,
-        )
-    return packed.table_from(theta), trace
+        step = lambda theta: lexical_step(runner, theta, floor, prior, log_eps)
+        theta, trace = run_em(step, table.theta, iterations, log_to)
+    return table.with_probs(theta[:-1]), trace

@@ -178,14 +178,22 @@ def cmd_train(args) -> int:
 
 
 def _load_any_model(path: str):
+    """The decoder of the model file at path, pair -> AlignmentFunction."""
     table, trailer = read_ttable(_read_lines(path))
+    e, total = table.worst_row()
+    if abs(total - 1.0) > 1e-9:
+        raise DataFormatError(
+            f"{path}: the probabilities of target id {e} sum to {total!r}, not 1"
+        )
     if not trailer:
-        return "model1", table
+        return lambda pair: model1.posterior_align(pair, table)
     kind = trailer[0].split("\t", 1)[0]
     if kind == model2.DIAG_TRAILER:
-        return "model2", model2.model_from(table, trailer)
+        params = model2.model_from(table, trailer)
+        return lambda pair: model2.align(pair, params)
     if kind == hmm.HMM_TRAILER:
-        return "hmm", hmm.model_from(table, trailer)
+        params = hmm.model_from(table, trailer)
+        return lambda pair: hmm.viterbi_decode(pair, params)
     raise DataFormatError(f"{path}: unrecognized model trailer {kind!r}")
 
 
@@ -202,19 +210,13 @@ def _load_vocab(explicit: str | None, default_path: str, language: str) -> Vocab
 
 
 def cmd_align(args) -> int:
-    kind, model = _load_any_model(args.model_file)
+    decode = _load_any_model(args.model_file)
     source_vocab = _load_vocab(
         args.source_vocab, args.model_file + ".source-vocab", "source"
     )
     target_vocab = _load_vocab(
         args.target_vocab, args.model_file + ".target-vocab", "target"
     )
-    if kind == "model1":
-        decode = lambda pair: model1.posterior_align(pair, model)
-    elif kind == "model2":
-        decode = lambda pair: model2.align(pair, model)
-    else:
-        decode = lambda pair: hmm.viterbi_decode(pair, model)
 
     unknown = 0
     empty = 0
@@ -542,7 +544,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
 
 def _coerce(action: argparse.Action, value: str, where: str):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+    if action.nargs == 0:  # a store_true / store_false flag
         lowered = value.lower()
         if lowered in ("1", "true", "yes", "on"):
             return action.const

@@ -30,7 +30,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from . import model1
-from ._packed import ChunkRunner, PackedCorpus, lexical_step, run_em
+from ._packed import ChunkRunner, PackedCorpus, lexical_step, pair_rows, run_em
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError, NumericError
@@ -141,19 +141,23 @@ def _initial_probs(n: int, p0: float, use_null: bool) -> np.ndarray:
     return pi
 
 
-def _emission_matrix(
-    pair: SentencePair, table: TranslationTable, use_null: bool, floor: float
-) -> np.ndarray:
-    m, n = pair.m, pair.n
-    states = 2 * n if use_null else n
-    emit = np.empty((states, m))
-    for i, e in enumerate(pair.target_ids):
-        row = table.rows.get(e, {})
-        emit[i] = [max(row.get(f, 0.0), floor) for f in pair.source_ids]
-    if use_null:
-        nrow = table.rows.get(NULL_ID, {})
-        emit[n:] = [max(nrow.get(f, 0.0), floor) for f in pair.source_ids]
-    return emit
+def _pair_emissions(probs: np.ndarray, use_null: bool) -> np.ndarray:
+    """(states, m) emissions from a pair's (rows, m) lexical probabilities,
+    NULL row last: with NULL on, each NULL companion emits the NULL row."""
+    if not use_null:
+        return probs
+    return np.vstack([probs[:-1], np.repeat(probs[-1:], len(probs) - 1, axis=0)])
+
+
+def _pair_model(pair: SentencePair, params: HmmParams, floor: float):
+    """Floored emissions, transitions and initial probabilities of a pair."""
+    use_null = params.use_null
+    probs = params.table.grid(pair_rows(pair, use_null), pair.source_ids, floor)
+    return (
+        _pair_emissions(probs, use_null),
+        _transition_matrix(pair.n, params.jumps, use_null),
+        _initial_probs(pair.n, params.jumps.p0, use_null),
+    )
 
 
 def _scaled_forward(
@@ -193,9 +197,7 @@ def log_forward(
 ) -> float:
     """log of the total probability of the source sentence, summed over all
     state paths. Lexical lookups are floored, so the value is finite."""
-    emit = _emission_matrix(pair, params.table, params.use_null, floor)
-    trans = _transition_matrix(pair.n, params.jumps, params.use_null)
-    pi = _initial_probs(pair.n, params.jumps.p0, params.use_null)
+    emit, trans, pi = _pair_model(pair, params, floor)
     _, scales = _scaled_forward(emit, trans, pi)
     return float(np.log(scales).sum())
 
@@ -211,17 +213,12 @@ def forward_backward(
     are the target positions; with NULL on, states n..2n-1 are the NULL
     companions of positions 0..n-1.
     """
-    emit = _emission_matrix(pair, params.table, params.use_null, floor)
-    trans = _transition_matrix(pair.n, params.jumps, params.use_null)
-    pi = _initial_probs(pair.n, params.jumps.p0, params.use_null)
+    emit, trans, pi = _pair_model(pair, params, floor)
     alphas, scales = _scaled_forward(emit, trans, pi)
     betas = _scaled_backward(emit, trans, scales)
     gamma = alphas * betas
-    m, states = alphas.shape
-    xi = np.empty((max(m - 1, 0), states, states))
-    for j in range(m - 1):
-        weighted = emit[:, j + 1] * betas[j + 1] / scales[j + 1]
-        xi[j] = alphas[j][:, None] * trans * weighted[None, :]
+    weighted = emit[:, 1:].T * betas[1:] / scales[1:, None]
+    xi = alphas[:-1, :, None] * trans * weighted[:, None, :]
     return gamma, xi, float(np.log(scales).sum())
 
 
@@ -230,13 +227,16 @@ def viterbi_decode(
 ) -> AlignmentFunction:
     """Most probable state path; ties break toward the smaller state index
     at every backpointer, so real positions beat their NULL companions."""
-    emit = _emission_matrix(pair, params.table, params.use_null, floor)
-    trans = _transition_matrix(pair.n, params.jumps, params.use_null)
-    pi = _initial_probs(pair.n, params.jumps.p0, params.use_null)
-    return _viterbi(pair.n, emit, trans, pi)
+    return _viterbi(pair.n, *_pair_model(pair, params, floor))[0]
 
 
-def _viterbi(n: int, emit, trans, pi) -> AlignmentFunction:
+def viterbi_score(pair: SentencePair, params: HmmParams, floor: float = 1e-12) -> float:
+    """Log probability of the single best state path."""
+    return _viterbi(pair.n, *_pair_model(pair, params, floor))[1]
+
+
+def _viterbi(n: int, emit, trans, pi) -> tuple[AlignmentFunction, float]:
+    """The best state path as an alignment, and its log probability."""
     with np.errstate(divide="ignore"):
         log_e = np.log(emit)
         log_t = np.log(trans)
@@ -256,37 +256,11 @@ def _viterbi(n: int, emit, trans, pi) -> AlignmentFunction:
         if j > 0:
             state = int(pointers[j, state])
     targets = tuple(s if s < n else None for s in path)
-    return AlignmentFunction(targets=targets, n=n)
-
-
-def viterbi_score(pair: SentencePair, params: HmmParams, floor: float = 1e-12) -> float:
-    """Log probability of the single best state path."""
-    emit = _emission_matrix(pair, params.table, params.use_null, floor)
-    trans = _transition_matrix(pair.n, params.jumps, params.use_null)
-    pi = _initial_probs(pair.n, params.jumps.p0, params.use_null)
-    with np.errstate(divide="ignore"):
-        log_e = np.log(emit)
-        log_t = np.log(trans)
-        log_pi = np.log(pi)
-    delta = log_pi + log_e[:, 0]
-    for j in range(1, pair.m):
-        delta = np.max(delta[:, None] + log_t, axis=0) + log_e[:, j]
-    return float(np.max(delta))
+    return AlignmentFunction(targets=targets, n=n), float(delta[path[-1]])
 
 
 # ---------------------------------------------------------------------------
 # Baum-Welch training
-
-
-def _pair_emissions(theta, idx, rows, m, use_null):
-    probs = theta[idx].reshape(rows, m)
-    if not use_null:
-        return probs, rows
-    n = rows - 1
-    emit = np.empty((2 * n, m))
-    emit[:n] = probs[:n]
-    emit[n:] = probs[n]
-    return emit, n
 
 
 def _bw_chunk(
@@ -306,14 +280,13 @@ def _bw_chunk(
     use_null = packed.use_null
     trans_cache: dict[int, np.ndarray] = {}
     pi_cache: dict[int, np.ndarray] = {}
-    idx_parts: list[np.ndarray] = []
     weight_parts: list[np.ndarray] = []
     jump_stats: dict[int, np.ndarray] = {}
     ll = 0.0
     for k in range(lo, hi):
-        idx = packed.pair_idx[k]
         rows, m = packed.pair_shape[k]
-        emit, n = _pair_emissions(theta, idx, rows, m, use_null)
+        n = rows - 1 if use_null else rows
+        emit = _pair_emissions(theta[packed.pair_idx[k]].reshape(rows, m), use_null)
         trans = trans_cache.get(n)
         if trans is None:
             trans = trans_cache[n] = _transition_matrix(n, jumps, use_null)
@@ -327,7 +300,6 @@ def _bw_chunk(
         weights[:n] = gamma[:, :n].T
         if use_null:
             weights[n] = gamma[:, n:].sum(axis=1)
-        idx_parts.append(idx)
         weight_parts.append(weights.reshape(-1))
 
         if m > 1:
@@ -342,15 +314,7 @@ def _bw_chunk(
                     acc += xi[n:, :n]
                 else:
                     acc += xi
-    if idx_parts:
-        counts = np.bincount(
-            np.concatenate(idx_parts),
-            weights=np.concatenate(weight_parts),
-            minlength=packed.n_slots + 1,
-        )[: packed.n_slots]
-    else:
-        counts = np.zeros(packed.n_slots)
-    return counts, jump_stats, ll
+    return packed.scatter(lo, hi, weight_parts), jump_stats, ll
 
 
 def _jump_objective(q: np.ndarray, jump_stats: dict[int, np.ndarray], w: int) -> float:
@@ -396,12 +360,10 @@ def baum_welch_step(
 ) -> tuple[HmmParams, float]:
     """One forward-backward pass over the corpus; returns updated params and
     the corpus log-likelihood (sum of log partition values) of the input."""
-    with ChunkRunner(bitext, params.table, params.use_null, jobs) as runner:
-        packed = runner.packed
-        (theta, jumps), ll = _bw_iteration(
-            runner, packed.theta_from(params.table), params.jumps, config.floor
-        )
-    return HmmParams(table=packed.table_from(theta), jumps=jumps, use_null=params.use_null), ll
+    table = params.table
+    with ChunkRunner(bitext, table, params.use_null, jobs) as runner:
+        (theta, jumps), ll = _bw_iteration(runner, table.theta, params.jumps, config.floor)
+    return HmmParams(table.with_probs(theta[:-1]), jumps, params.use_null), ll
 
 
 def _bw_iteration(runner: ChunkRunner, theta, jumps, floor):
@@ -434,19 +396,15 @@ def train(
     workers. With iterations=0 the warmed-up params are returned."""
     table = model1.init_uniform(bitext, config.use_null)
     with ChunkRunner(bitext, table, config.use_null, jobs) as runner:
-        packed = runner.packed
-        theta, _ = run_em(
-            lambda theta: lexical_step(runner, theta, config.floor),
-            packed.theta_from(table),
-            config.model1_iterations,
-        )
+        warm_up = lambda theta: lexical_step(runner, theta, config.floor)
+        theta, _ = run_em(warm_up, table.theta, config.model1_iterations)
         (theta, jumps), trace = run_em(
             lambda state: _bw_iteration(runner, *state, config.floor),
             (theta, uniform_jumps(config.w, config.p0)),
             config.iterations,
             None if quiet else log_to,
         )
-    return HmmParams(table=packed.table_from(theta), jumps=jumps, use_null=config.use_null), trace
+    return HmmParams(table.with_probs(theta[:-1]), jumps, config.use_null), trace
 
 
 def align_corpus(
@@ -494,5 +452,5 @@ def model_from(table: TranslationTable, trailer: list[str]) -> HmmParams:
         seen += 1
     if seen != 2 * w + 1:
         raise DataFormatError(f"expected {2 * w + 1} jump buckets, found {seen}")
-    use_null = NULL_ID in table.rows
-    return HmmParams(table=table, jumps=JumpTable(w=w, probs=probs, p0=p0), use_null=use_null)
+    jumps = JumpTable(w=w, probs=probs, p0=p0)
+    return HmmParams(table=table, jumps=jumps, use_null=NULL_ID in table.row_ids)

@@ -19,11 +19,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
-from ._packed import train_lexical
+import numpy as np
+
+from ._packed import corpus_cells, pair_rows, train_lexical
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
-from .errors import ConfigError
-from .ttable import NULL_ID, TranslationTable, read_ttable, write_ttable
+from .errors import ConfigError, DataFormatError
+from .ttable import NULL_ID, TranslationTable, distinct_sorted, read_ttable, write_ttable
 
 
 @dataclass(frozen=True)
@@ -48,23 +50,14 @@ def init_uniform(bitext: Bitext, use_null: bool = True) -> TranslationTable:
     The NULL row, when enabled, co-occurs with every source id observed
     in the corpus.
     """
-    support: dict[int, set[int]] = {}
-    all_f: set[int] = set()
-    for pair in bitext.pairs:
-        fs = set(pair.source_ids)
-        all_f.update(fs)
-        for e in pair.target_ids:
-            seen = support.get(e)
-            if seen is None:
-                support[e] = set(fs)
-            else:
-                seen.update(fs)
-    if use_null:
-        support[NULL_ID] = all_f
-    rows = {
-        e: dict.fromkeys(fs, 1.0 / len(fs)) for e, fs in support.items() if fs
-    }
-    return TranslationTable(rows)
+    es, fs, _, _ = corpus_cells(bitext.pairs, use_null)
+    e_ids, f_ids = distinct_sorted(es), distinct_sorted(fs)
+    keys = np.searchsorted(e_ids, es) * len(f_ids) + np.searchsorted(f_ids, fs)
+    row, col = np.divmod(distinct_sorted(keys), len(f_ids))
+    sizes = np.bincount(row)
+    return TranslationTable.from_arrays(
+        e_ids[row], f_ids[col], np.repeat(1.0 / sizes, sizes)
+    )
 
 
 def em_step(
@@ -110,22 +103,21 @@ def posterior_align(
     row's presence in the table decides whether NULL competes.
     """
     if use_null is None:
-        use_null = NULL_ID in table.rows
-    null_row = table.rows.get(NULL_ID, {})
-    targets: list[int | None] = []
-    for f in pair.source_ids:
-        best_i = 0
-        best_p = -1.0
-        for i, e in enumerate(pair.target_ids):
-            p = table.prob(e, f, floor)
-            if p > best_p:
-                best_p = p
-                best_i = i
-        if use_null and max(null_row.get(f, 0.0), floor) > best_p:
-            targets.append(None)
-        else:
-            targets.append(best_i)
-    return AlignmentFunction(targets=tuple(targets), n=pair.n)
+        use_null = NULL_ID in table.row_ids
+    scores = table.grid(pair_rows(pair, use_null), pair.source_ids, floor)
+    return best_targets(scores, pair.n, use_null)
+
+
+def best_targets(scores: np.ndarray, n: int, use_null: bool) -> AlignmentFunction:
+    """Per source column, the best of the n target rows of scores, the
+    smaller position winning ties; with use_null, row n (NULL) takes the
+    column only when it scores strictly higher."""
+    best = scores[:n].argmax(axis=0)
+    targets = best.tolist()
+    if use_null:
+        null_wins = scores[n] > scores[:n].max(axis=0)
+        targets = [None if wins else i for i, wins in zip(targets, null_wins.tolist())]
+    return AlignmentFunction(targets=tuple(targets), n=n)
 
 
 def sentence_log_prob(
@@ -133,16 +125,9 @@ def sentence_log_prob(
 ) -> float:
     """log p(F | E) with the alignment marginalized out; lookups are floored,
     so the value is finite for any pair."""
-    n_choices = pair.n + 1 if config.use_null else pair.n
-    total = math.log(config.epsilon) - pair.m * math.log(n_choices)
-    for f in pair.source_ids:
-        acc = 0.0
-        for e in pair.target_ids:
-            acc += table.prob(e, f, config.floor)
-        if config.use_null:
-            acc += table.prob(NULL_ID, f, config.floor)
-        total += math.log(acc)
-    return total
+    probs = table.grid(pair_rows(pair, config.use_null), pair.source_ids, config.floor)
+    total = float(np.log(probs.sum(axis=0)).sum())
+    return total + math.log(config.epsilon) - pair.m * math.log(len(probs))
 
 
 def align_corpus(
@@ -158,7 +143,5 @@ def save_model(out: TextIO, table: TranslationTable) -> None:
 def load_model(lines) -> TranslationTable:
     table, trailer = read_ttable(lines)
     if trailer:
-        from .errors import DataFormatError
-
         raise DataFormatError(f"unexpected trailer in lexical model: {trailer[0]!r}")
     return table

@@ -21,12 +21,12 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from ._packed import train_lexical
+from ._packed import pair_rows, train_lexical
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError
-from .model1 import init_uniform
-from .ttable import NULL_ID, TranslationTable, read_ttable, write_ttable
+from .model1 import best_targets, init_uniform
+from .ttable import TranslationTable, read_ttable, write_ttable
 
 DIAG_TRAILER = "diag"
 
@@ -144,25 +144,9 @@ def align(
 ) -> AlignmentFunction:
     """argmax_i p(i | j, m, n) t(f_j | e_i) per source position; ties to the
     smaller target position, NULL losing all ties."""
-    prior = params.prior
-    table = params.table
-    m, n = pair.m, pair.n
-    pmat = prior.matrix(m, n, prior.use_null)
-    null_row = table.rows.get(NULL_ID, {})
-    targets: list[int | None] = []
-    for j, f in enumerate(pair.source_ids):
-        best_i = 0
-        best_p = -1.0
-        for i, e in enumerate(pair.target_ids):
-            p = pmat[i, j] * table.prob(e, f, floor)
-            if p > best_p:
-                best_p = p
-                best_i = i
-        if prior.use_null and prior.p0 * max(null_row.get(f, 0.0), floor) > best_p:
-            targets.append(None)
-        else:
-            targets.append(best_i)
-    return AlignmentFunction(targets=tuple(targets), n=n)
+    prior, use_null = params.prior, params.prior.use_null
+    lexical = params.table.grid(pair_rows(pair, use_null), pair.source_ids, floor)
+    return best_targets(prior.matrix(pair.m, pair.n, use_null) * lexical, pair.n, use_null)
 
 
 def align_corpus(

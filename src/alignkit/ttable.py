@@ -1,20 +1,30 @@
 """Sparse conditional translation table t(f | e) shared by all aligners.
 
 Rows are keyed by target id e (NULL_ID = -1 for the empty target word),
-each row a dict of source id f -> probability. Rows sum to 1 and only
-contain (e, f) pairs that co-occurred in training (the NULL row co-occurs
-with everything).
+each row a distribution over the source ids f that co-occurred with e in
+training (the NULL row co-occurs with everything).
+
+The table is flat. The arrays `es`, `fs` and `theta` hold its entries in
+canonical (e, f) order; row `row_ids[r]` starts at entry `row_starts[r]`.
+`theta` ends with one more slot, the miss slot, holding 0.0. `slots`
+maps (e, f) cells to entry positions, and cells the table lacks to the
+miss slot, so packing, training and decoding all read t(f | e) as the
+gather `theta[table.slots(es, fs)]`.
 
 Text format, used as the base of every model file:
 
     alignkit-ttable v1
-    e_id<TAB>f_id<TAB>prob        # sorted by (e_id, f_id), NULL as -1
+    e_id<TAB>f_id<TAB>prob        # sorted by (e_id, f_id), no repeats, NULL as -1
     ... optional model-specific trailer lines ...
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, TextIO
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, TextIO
+
+import numpy as np
 
 from .errors import DataFormatError
 
@@ -22,78 +32,181 @@ NULL_ID = -1
 
 HEADER = "alignkit-ttable v1"
 
+_ROW_DTYPE = [("e", np.int64), ("f", np.int64), ("p", np.float64)]
+_WRITE_BATCH = 1 << 16
+
+
+def distinct_sorted(ids: np.ndarray) -> np.ndarray:
+    """Sorted distinct ids (np.unique hashes integers, many times slower)."""
+    ids = np.sort(ids)
+    return ids[np.diff(ids, prepend=ids[:1] - 1) != 0]
+
+
+def _rank(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each id in sorted_ids, and whether the id is there."""
+    pos = np.searchsorted(sorted_ids, ids)
+    return pos, sorted_ids[np.minimum(pos, len(sorted_ids) - 1)] == ids
+
 
 class TranslationTable:
-    def __init__(self, rows: dict[int, dict[int, float]]):
-        self.rows = rows
+    def __init__(self, rows: Mapping[int, Mapping[int, float]]):
+        """A table from literal rows {e: {f: prob}}."""
+        cells = sorted((e, f, p) for e, row in rows.items() for f, p in row.items())
+        self._setup(*(zip(*cells) if cells else ((), (), ())))
+
+    @classmethod
+    def from_arrays(cls, es, fs, probs) -> TranslationTable:
+        """A table from entries already in canonical (e, f) order, without repeats."""
+        table = cls.__new__(cls)
+        table._setup(es, fs, probs)
+        return table
+
+    def _setup(self, es, fs, probs) -> None:
+        self.es = np.ascontiguousarray(es, dtype=np.int64)
+        self.fs = np.ascontiguousarray(fs, dtype=np.int64)
+        self.theta = np.append(np.asarray(probs, dtype=np.float64), 0.0)
+        row_start = np.diff(self.es, prepend=self.es[:1] - 1) != 0
+        self.row_starts = np.flatnonzero(row_start)
+        self.row_ids = self.es[self.row_starts]
+        # Cells are keyed by (row rank, source rank), which cannot overflow
+        # whatever the ids are; slots() guards ids that have no rank.
+        self._f_ids = distinct_sorted(self.fs)
+        row_rank = np.cumsum(row_start) - 1
+        self._keys = row_rank * len(self._f_ids) + np.searchsorted(self._f_ids, self.fs)
+        for array in (self.es, self.fs, self.theta):
+            array.flags.writeable = False
+
+    def with_probs(self, probs: np.ndarray) -> TranslationTable:
+        """The same support with new probabilities, in entry order."""
+        return TranslationTable.from_arrays(self.es, self.fs, probs)
+
+    def slots(self, es, fs) -> np.ndarray:
+        """Entry position of each cell (e, f), es broadcast against fs; a
+        cell not in the table maps to the miss slot len(self)."""
+        es = np.asarray(es, dtype=np.int64)
+        fs = np.asarray(fs, dtype=np.int64)
+        miss = len(self)
+        if not miss:
+            return np.zeros(np.broadcast_shapes(es.shape, fs.shape), dtype=np.int64)
+        row, row_known = _rank(self.row_ids, es)
+        col, col_known = _rank(self._f_ids, fs)
+        # Without the guards an unknown id would take the rank of the next
+        # known one, and a source id past the last would alias into row + 1.
+        keys = row * len(self._f_ids) + col
+        del row, col
+        slot = np.minimum(np.searchsorted(self._keys, keys), miss - 1)
+        found = row_known & col_known & (self._keys[slot] == keys)
+        return np.where(found, slot, miss)
+
+    def grid(self, targets, sources, floor: float = 0.0) -> np.ndarray:
+        """max(t(f | e), floor) with e over targets (rows), f over sources."""
+        slots = self.slots(np.asarray(targets)[:, None], np.asarray(sources)[None, :])
+        return np.maximum(self.theta[slots], floor)
 
     def prob(self, e: int, f: int, floor: float = 0.0) -> float:
-        row = self.rows.get(e)
-        if row is None:
-            return floor
-        return max(row.get(f, 0.0), floor)
+        return max(float(self.theta[self.slots(e, f)]), floor)
 
     def row(self, e: int) -> dict[int, float]:
-        return self.rows.get(e, {})
+        keep = self.es == e
+        return dict(zip(self.fs[keep].tolist(), self.theta[:-1][keep].tolist()))
+
+    @cached_property
+    def rows(self) -> Mapping[int, Mapping[int, float]]:
+        """Read-only {e: {f: prob}} view of the table."""
+        bounds = np.append(self.row_starts, len(self)).tolist()
+        fs, probs = self.fs.tolist(), self.theta.tolist()
+        return MappingProxyType({
+            e: MappingProxyType(dict(zip(fs[lo:hi], probs[lo:hi])))
+            for e, lo, hi in zip(self.row_ids.tolist(), bounds, bounds[1:])
+        })
 
     def __len__(self) -> int:
-        return sum(len(row) for row in self.rows.values())
+        return len(self.es)
 
     def entries(self) -> Iterator[tuple[int, int, float]]:
         """Yield (e, f, prob) sorted by (e, f); the canonical entry order."""
-        for e in sorted(self.rows):
-            row = self.rows[e]
-            for f in sorted(row):
-                yield e, f, row[f]
+        return zip(self.es.tolist(), self.fs.tolist(), self.theta[:-1].tolist())
+
+    def worst_row(self) -> tuple[int | None, float]:
+        """(e, row sum) of the row summing farthest from 1; (None, 1.0) if empty."""
+        if not len(self):
+            return None, 1.0
+        sums = np.add.reduceat(self.theta[:-1], self.row_starts)
+        r = int(np.argmax(np.abs(sums - 1.0)))
+        return int(self.row_ids[r]), float(sums[r])
 
     def row_sum_error(self) -> float:
-        """Largest |sum(row) - 1| over all rows; used by tests and checks."""
-        worst = 0.0
-        for row in self.rows.values():
-            if row:
-                worst = max(worst, abs(sum(row.values()) - 1.0))
-        return worst
+        """Largest |sum(row) - 1| over all rows."""
+        return abs(self.worst_row()[1] - 1.0)
 
 
 def write_ttable(out: TextIO, table: TranslationTable, trailer: Iterable[str] = ()) -> None:
     out.write(HEADER + "\n")
-    for e, f, p in table.entries():
-        out.write(f"{e}\t{f}\t{p!r}\n")
-    for line in trailer:
-        out.write(line + "\n")
+    line = "{}\t{}\t{!r}\n".format
+    for lo in range(0, len(table), _WRITE_BATCH):
+        part = slice(lo, lo + _WRITE_BATCH)
+        out.write("".join(map(
+            line, table.es[part].tolist(), table.fs[part].tolist(), table.theta[part].tolist()
+        )))
+    for text in trailer:
+        out.write(text + "\n")
 
 
 def read_ttable(lines: Iterable[str]) -> tuple[TranslationTable, list[str]]:
-    """Parse a model file; returns the table and any trailer lines."""
-    it = iter(lines)
-    try:
-        first = next(it).rstrip("\n")
-    except StopIteration:
-        raise DataFormatError("empty model file") from None
-    if first != HEADER:
+    """Parse a model file; returns the table and any trailer lines.
+
+    Blank lines are skipped. The trailer is the run of lines at the end
+    whose first field is not an integer; all lines before it are rows.
+    """
+    lines = [raw.rstrip("\n") for raw in lines]
+    if not lines:
+        raise DataFormatError("empty model file")
+    if lines[0] != HEADER:
         raise DataFormatError(f"model file must start with {HEADER!r}")
-    rows: dict[int, dict[int, float]] = {}
-    trailer: list[str] = []
-    for lineno, raw in enumerate(it, start=2):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if parts and not _is_int(parts[0]):
-            trailer.append(line)
-            continue
-        if trailer:
-            raise DataFormatError(f"model line {lineno}: table row after trailer")
-        if len(parts) != 3:
-            raise DataFormatError(f"model line {lineno}: expected e, f, prob")
+    end = len(lines)
+    while end > 1 and (not lines[end - 1] or not _is_int(lines[end - 1].split("\t", 1)[0])):
+        end -= 1
+    trailer = [line for line in lines[end:] if line]
+    block = lines[1:end]
+    try:
+        entries = _parse_rows(block)
+    except ValueError:
+        raise _first_row_error(block) from None
+    e, f, p = entries["e"], entries["f"], entries["p"]
+    ok = (p >= 0.0) & (p <= 1.0)
+    ok[1:] &= (e[1:] > e[:-1]) | ((e[1:] == e[:-1]) & (f[1:] > f[:-1]))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        where = f"model line {np.flatnonzero([bool(line) for line in block])[k] + 2}"
+        if not 0.0 <= p[k] <= 1.0:
+            raise DataFormatError(f"{where}: probability {float(p[k])} out of range")
+        raise DataFormatError(f"{where}: ({e[k]}, {f[k]}) is not after ({e[k-1]}, {f[k-1]})")
+    return TranslationTable.from_arrays(e, f, p), trailer
+
+
+def _parse_rows(block: list[str]) -> np.ndarray:
+    """e, f, p records of `e<TAB>f<TAB>p` lines; blank lines are skipped."""
+    if not any(block):
+        return np.empty(0, dtype=_ROW_DTYPE)
+    return np.loadtxt(block, delimiter="\t", dtype=_ROW_DTYPE, comments=None, ndmin=1)
+
+
+def _first_row_error(block: list[str]) -> DataFormatError:
+    """The error naming the first line of block that _parse_rows rejects."""
+    lo, hi = 0, len(block)  # block[:lo] parses and block[lo:hi] does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            e, f, p = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise DataFormatError(f"model line {lineno}: {exc}") from exc
-        if p < 0.0 or p > 1.0 or p != p:
-            raise DataFormatError(f"model line {lineno}: probability {p} out of range")
-        rows.setdefault(e, {})[f] = p
-    return TranslationTable(rows), trailer
+            _parse_rows(block[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    if not _is_int(block[lo].split("\t", 1)[0]):  # a trailer line; table rows follow
+        lo = next(k for k in range(lo + 1, len(block)) if _is_int(block[k].split("\t", 1)[0]))
+        return DataFormatError(f"model line {lo + 2}: table row after trailer")
+    return DataFormatError(
+        f"model line {lo + 2}: expected e<TAB>f<TAB>prob (int, int, float), got {block[lo]!r}"
+    )
 
 
 def _is_int(text: str) -> bool:

@@ -192,6 +192,55 @@ def hmm_enumerate(
 
 
 # --------------------------------------------------------------------------
+# Decoding
+
+
+def _first_best(scores, null_score):
+    """Index of the first maximum of scores; None when null_score (if any)
+    beats that maximum strictly."""
+    best_i = 0
+    best_p = -1.0
+    for i, p in enumerate(scores):
+        if p > best_p:
+            best_i, best_p = i, p
+    if null_score is not None and null_score > best_p:
+        return None
+    return best_i
+
+
+def model1_argmax(source, target, table, use_null: bool, floor: float = 1e-12):
+    """Per source word, the target position with the largest t(f | e),
+    smaller positions winning ties; NULL (None) only when strictly larger."""
+    return [
+        _first_best(
+            [tprob(table, e, f, floor) for e in target],
+            tprob(table, NULL, f, floor) if use_null else None,
+        )
+        for f in source
+    ]
+
+
+def model2_argmax(source, target, table, prior, use_null: bool, floor: float = 1e-12):
+    """model1_argmax with each score weighted by prior(j, i), the
+    probability of target position i (0 for NULL) at source position j,
+    both 1-based."""
+    return [
+        _first_best(
+            [prior(j, i) * tprob(table, e, f, floor) for i, e in enumerate(target, 1)],
+            prior(j, 0) * tprob(table, NULL, f, floor) if use_null else None,
+        )
+        for j, f in enumerate(source, start=1)
+    ]
+
+
+def hmm_emissions(source, target, table, use_null: bool, floor: float = 1e-12):
+    """emit[s][j] = t(f_j | e) of each state s, in _hmm_pieces' state order."""
+    n = len(target)
+    rows = list(target) + ([NULL] * n if use_null else [])
+    return [[tprob(table, e, f, floor) for f in source] for e in rows]
+
+
+# --------------------------------------------------------------------------
 # Phrase extraction
 
 

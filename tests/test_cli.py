@@ -186,6 +186,19 @@ class TestAlign:
         assert len(read(out).splitlines()) == 1
         assert any("out of vocabulary" in r.message for r in caplog.records)
 
+    def test_row_not_summing_to_one_is_a_data_error(self, toy_model, capsys):
+        bitext, model = toy_model
+        lines = read(model).splitlines()
+        e = lines[1].split("\t")[0]
+        for k, line in enumerate(lines[1:], start=1):
+            row_e, f, p = line.split("\t")
+            if row_e == e:
+                lines[k] = f"{row_e}\t{f}\t{float(p) / 2!r}"
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main(["align", "--model-file", str(model), "--bitext", str(bitext)])
+        assert code == 2
+        assert f"target id {e} sum to" in capsys.readouterr().err
+
     def test_missing_vocabulary_sidecar_is_explained(self, toy_model, tmp_path, capsys):
         bitext, model = toy_model
         (tmp_path / "toy.model.source-vocab").unlink()

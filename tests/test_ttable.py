@@ -63,3 +63,51 @@ class TestModelFileFormat:
     def test_malformed_row_is_rejected(self):
         with pytest.raises(DataFormatError):
             read_ttable(["alignkit-ttable v1", "1\t2"])
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["1\t2\t0.5", "1\t2\t0.5"], "model line 3: \\(1, 2\\) is not after \\(1, 2\\)"),
+            (["1\t3\t0.5", "1\t2\t0.5"], "model line 3: \\(1, 2\\) is not after \\(1, 3\\)"),
+            (["2\t1\t0.5", "", "1\t2\t0.5"], "model line 4: \\(1, 2\\) is not after \\(2, 1\\)"),
+        ],
+    )
+    def test_rows_must_be_sorted_without_repeats(self, rows, message):
+        with pytest.raises(DataFormatError, match=message):
+            read_ttable(["alignkit-ttable v1"] + rows)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1\t2", "model line 4: expected e<TAB>f<TAB>prob"),
+            ("1\tx\t0.5", "model line 4: expected e<TAB>f<TAB>prob"),
+            ("1\t3\t0.5x", "model line 4: expected e<TAB>f<TAB>prob"),
+            ("1\t3_0\t0.5", "model line 4: expected e<TAB>f<TAB>prob"),
+            ("1\t99999999999999999999\t0.5", "model line 4: expected e<TAB>f<TAB>prob"),
+            ("1\t3\t0.5", "model line 5: table row after trailer"),
+            ("1\t3\t2.5", "model line 4: probability 2.5 out of range"),
+        ],
+    )
+    def test_bad_row_names_its_line(self, bad, message):
+        lines = ["alignkit-ttable v1", "1\t1\t0.5", "", bad, "1\t4\t0.5", "diag\t4.0\t0.08"]
+        if "trailer" in message:
+            lines[3:4] = ["diag\t4.0\t0.08", bad]
+        with pytest.raises(DataFormatError, match=message):
+            read_ttable(lines)
+
+
+class TestSlots:
+    def test_ids_outside_the_table_miss_instead_of_aliasing(self):
+        table = TranslationTable({1: {0: 0.6, 5: 0.4}, 2: {0: 0.3, 5: 0.7}})
+        # Unguarded, each of these would alias into an entry: a source id
+        # past the last into the next row, the others into a neighbour.
+        cells = [(1, 7), (1, -3), (1, 3), (0, 0), (-1, 5), (3, 0)]
+        es, fs = zip(*cells)
+        assert table.slots(es, fs).tolist() == [len(table)] * len(cells)
+        assert [table.prob(e, f, floor=1e-12) for e, f in cells] == [1e-12] * len(cells)
+        assert table.slots([1, 2, 2], [5, 0, 5]).tolist() == [1, 2, 3]
+
+    def test_empty_table_misses_everything(self):
+        table, trailer = read_ttable(["alignkit-ttable v1"])
+        assert len(table) == 0 and trailer == []
+        assert table.grid([1, NULL_ID], [3, 4], floor=0.5).tolist() == [[0.5, 0.5]] * 2
