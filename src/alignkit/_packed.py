@@ -13,12 +13,14 @@ unavailable the chunks run in process. Results come back, and are merged,
 in ascending chunk order. The chunk size never depends on the worker
 count, so the merges add the same partial sums in the same order and
 results are bitwise identical no matter how many processes run the
-chunks. run_em is the one iteration loop and writes the per-iteration
-log-likelihood line.
+chunks. run_em is the one iteration loop: it writes the per-iteration
+log-likelihood line and warns when an iteration lowers the likelihood,
+which EM never does.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import multiprocessing
 from itertools import chain
@@ -31,6 +33,9 @@ from .errors import NumericError
 from .ttable import NULL_ID, TranslationTable
 
 CHUNK_PAIRS = 1024
+MONOTONE_SLACK = 1e-9  # rounding allowance before a likelihood drop is reported
+
+log = logging.getLogger(__name__)
 
 
 class PriorProvider(Protocol):
@@ -191,6 +196,11 @@ def run_em(step: Callable, state, iterations: int, log_to: Optional[TextIO] = No
     trace: list[float] = []
     for it in range(iterations):
         state, ll = step(state)
+        if trace and ll < trace[-1] - MONOTONE_SLACK:
+            log.warning(
+                "iteration %d: log-likelihood %.6f is below iteration %d's %.6f",
+                it + 1, ll, it, trace[-1],
+            )
         trace.append(ll)
         if log_to is not None:
             log_to.write(f"iteration {it + 1}: log-likelihood {ll:.6f}\n")

@@ -56,7 +56,7 @@ class JumpTable:
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.shape != (2 * self.w + 1,):
             raise ConfigError("jump table must cover exactly 2w + 1 buckets")
-        if (self.probs < 0.0).any() or abs(self.probs.sum() - 1.0) > 1e-9:
+        if not (self.probs >= 0.0).all() or not abs(self.probs.sum() - 1.0) <= 1e-9:
             raise ConfigError("jump probabilities must be a distribution")
 
     def prob(self, d: int) -> float:
@@ -163,33 +163,41 @@ def _pair_model(pair: SentencePair, params: HmmParams, floor: float):
 def _scaled_forward(
     emit: np.ndarray, trans: np.ndarray, pi: np.ndarray, pair_no: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled forward variables, one (states,) row per source position, and
+    the scales: alphas[j] sums to 1 and the product of scales is Z."""
     states, m = emit.shape
+    rows = emit.T.copy()  # contiguous per-position emissions
     alphas = np.empty((m, states))
     scales = np.empty(m)
-    a = pi * emit[:, 0]
     for j in range(m):
+        a = alphas[j]
         if j > 0:
-            a = (a @ trans) * emit[:, j]
+            np.matmul(alphas[j - 1], trans, out=a)
+            a *= rows[j]
+        else:
+            np.multiply(pi, rows[0], out=a)
         c = a.sum()
         if not c > 0.0 or not math.isfinite(c):
             raise NumericError(f"pair {pair_no}: forward scaling underflow at position {j}")
-        a = a / c
-        alphas[j] = a
+        a /= c
         scales[j] = c
     return alphas, scales
 
 
 def _scaled_backward(
     emit: np.ndarray, trans: np.ndarray, scales: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled backward variables, and weighted[j] = emit[:, j] * betas[j] /
+    scales[j], the arrival factor of the transition posteriors into j."""
     states, m = emit.shape
+    weighted = emit.T / scales[:, None]
     betas = np.empty((m, states))
-    b = np.ones(states)
-    betas[m - 1] = b
-    for j in range(m - 2, -1, -1):
-        b = trans @ (emit[:, j + 1] * b) / scales[j + 1]
-        betas[j] = b
-    return betas
+    betas[m - 1] = 1.0
+    for j in range(m - 1, 0, -1):
+        weighted[j] *= betas[j]
+        np.matmul(trans, weighted[j], out=betas[j - 1])
+    weighted[0] *= betas[0]
+    return betas, weighted
 
 
 def log_forward(
@@ -215,10 +223,9 @@ def forward_backward(
     """
     emit, trans, pi = _pair_model(pair, params, floor)
     alphas, scales = _scaled_forward(emit, trans, pi)
-    betas = _scaled_backward(emit, trans, scales)
+    betas, weighted = _scaled_backward(emit, trans, scales)
     gamma = alphas * betas
-    weighted = emit[:, 1:].T * betas[1:] / scales[1:, None]
-    xi = alphas[:-1, :, None] * trans * weighted[:, None, :]
+    xi = alphas[:-1, :, None] * trans * weighted[1:, None, :]
     return gamma, xi, float(np.log(scales).sum())
 
 
@@ -275,7 +282,14 @@ def _bw_chunk(
     Jump statistics are per sentence length n: a (n, n) matrix of expected
     transition counts from position row+1 to position col+1 (real and
     NULL-companion departures pooled, since both jump from the same
-    remembered position).
+    remembered position). Summed over source positions, the transition
+    posteriors of a pair are one product,
+
+        sum_j xi_j[s, t] = trans[s, t] * sum_j alphas[j, s] * weighted[j + 1, t]
+                         = ((alphas[:-1].T @ weighted[1:]) * trans)[s, t],
+
+    with weighted from _scaled_backward; only arrivals at real positions
+    (t < n) are counted.
     """
     use_null = packed.use_null
     trans_cache: dict[int, np.ndarray] = {}
@@ -292,7 +306,7 @@ def _bw_chunk(
             trans = trans_cache[n] = _transition_matrix(n, jumps, use_null)
             pi_cache[n] = _initial_probs(n, jumps.p0, use_null)
         alphas, scales = _scaled_forward(emit, trans, pi_cache[n], pair_no=k + 1)
-        betas = _scaled_backward(emit, trans, scales)
+        betas, weighted = _scaled_backward(emit, trans, scales)
         gamma = alphas * betas
         ll += float(np.log(scales).sum())
 
@@ -303,17 +317,14 @@ def _bw_chunk(
         weight_parts.append(weights.reshape(-1))
 
         if m > 1:
+            xi = (alphas[:-1].T @ weighted[1:, :n]) * trans[:, :n]
+            if use_null:
+                xi = xi[:n] + xi[n:]
             acc = jump_stats.get(n)
             if acc is None:
-                acc = jump_stats[n] = np.zeros((n, n))
-            for j in range(m - 1):
-                weighted = emit[:, j + 1] * betas[j + 1] / scales[j + 1]
-                xi = alphas[j][:, None] * trans * weighted[None, :]
-                if use_null:
-                    acc += xi[:n, :n]
-                    acc += xi[n:, :n]
-                else:
-                    acc += xi
+                jump_stats[n] = xi
+            else:
+                acc += xi
     return packed.scatter(lo, hi, weight_parts), jump_stats, ll
 
 
@@ -436,8 +447,12 @@ def model_from(table: TranslationTable, trailer: list[str]) -> HmmParams:
         w, p0 = int(head[1]), float(head[2])
     except ValueError as exc:
         raise DataFormatError(f"malformed 'hmm' trailer: {exc}") from exc
+    if w < 1:
+        raise DataFormatError(f"bad 'hmm' trailer: jump window must be >= 1, got {w}")
+    if len(trailer) - 1 != 2 * w + 1:
+        raise DataFormatError(f"expected {2 * w + 1} jump buckets, found {len(trailer) - 1}")
     probs = np.zeros(2 * w + 1)
-    seen = 0
+    seen = set()
     for line in trailer[1:]:
         parts = line.split("\t")
         if len(parts) != 3 or parts[0] != JUMP_TRAILER:
@@ -448,9 +463,12 @@ def model_from(table: TranslationTable, trailer: list[str]) -> HmmParams:
             raise DataFormatError(f"malformed jump line: {exc}") from exc
         if not -w <= d <= w:
             raise DataFormatError(f"jump bucket {d} outside window {w}")
+        if d in seen:
+            raise DataFormatError(f"jump bucket {d} repeated")
+        seen.add(d)
         probs[d + w] = p
-        seen += 1
-    if seen != 2 * w + 1:
-        raise DataFormatError(f"expected {2 * w + 1} jump buckets, found {seen}")
-    jumps = JumpTable(w=w, probs=probs, p0=p0)
+    try:
+        jumps = JumpTable(w=w, probs=probs, p0=p0)
+    except ConfigError as exc:
+        raise DataFormatError(f"bad 'hmm' trailer: {exc}") from None
     return HmmParams(table=table, jumps=jumps, use_null=NULL_ID in table.row_ids)

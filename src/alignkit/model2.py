@@ -37,8 +37,8 @@ class DiagonalPrior:
     p0: float = 0.08
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ConfigError(f"tension must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError(f"tension must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.p0 < 1.0:
             raise ConfigError(f"null mass must be in [0, 1), got {self.p0}")
 
@@ -175,4 +175,8 @@ def model_from(table: TranslationTable, trailer: list[str]) -> Model2Params:
         lam, p0 = float(parts[1]), float(parts[2])
     except ValueError as exc:
         raise DataFormatError(f"malformed 'diag' trailer: {exc}") from exc
-    return Model2Params(table=table, prior=DiagonalPrior(lam, p0))
+    try:
+        prior = DiagonalPrior(lam, p0)
+    except ConfigError as exc:
+        raise DataFormatError(f"bad 'diag' trailer: {exc}") from None
+    return Model2Params(table=table, prior=prior)

@@ -142,14 +142,20 @@ class TranslationTable:
 
 def write_ttable(out: TextIO, table: TranslationTable, trailer: Iterable[str] = ()) -> None:
     out.write(HEADER + "\n")
-    line = "{}\t{}\t{!r}\n".format
+    # Batches bound the memory the formatted strings take.
     for lo in range(0, len(table), _WRITE_BATCH):
         part = slice(lo, lo + _WRITE_BATCH)
-        out.write("".join(map(
-            line, table.es[part].tolist(), table.fs[part].tolist(), table.theta[part].tolist()
-        )))
+        es, fs = _id_strings(table.es[part]), _id_strings(table.fs[part])
+        probs = map(repr, table.theta[part].tolist())
+        out.write("\n".join(map("\t".join, zip(es, fs, probs))) + "\n")
     for text in trailer:
         out.write(text + "\n")
+
+
+def _id_strings(ids: np.ndarray) -> list[str]:
+    """str of each id, formatting each distinct id once."""
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    return np.array(list(map(str, distinct.tolist())), dtype=object)[inverse].tolist()
 
 
 def read_ttable(lines: Iterable[str]) -> tuple[TranslationTable, list[str]]:

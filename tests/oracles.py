@@ -157,6 +157,20 @@ def _hmm_pieces(target, jumps, w: int, p0: float, use_null: bool, table, floor):
     return states, pi, trans, emit
 
 
+def _hmm_paths(source, target, table, jumps, w, p0, use_null, floor):
+    """Every state sequence in lexicographic order with its joint probability."""
+    states, pi, trans, emit = _hmm_pieces(
+        target, jumps, w, p0, use_null, table, floor
+    )
+    weights = []
+    for seq in itertools.product(states, repeat=len(source)):
+        p = pi(seq[0]) * emit(seq[0], source[0])
+        for prev, cur, f in zip(seq, seq[1:], source[1:]):
+            p *= trans(prev, cur) * emit(cur, f)
+        weights.append((seq, p))
+    return weights
+
+
 def hmm_enumerate(
     source, target, table, jumps, w: int, p0: float, use_null: bool,
     floor: float = 1e-12,
@@ -167,21 +181,14 @@ def hmm_enumerate(
     Sequences are scored in lexicographic state order and the best path
     keeps the first maximum, mirroring a smallest-index tie-break.
     """
-    states, pi, trans, emit = _hmm_pieces(
-        target, jumps, w, p0, use_null, table, floor
-    )
+    weights = _hmm_paths(source, target, table, jumps, w, p0, use_null, floor)
     n = len(target)
     z = 0.0
     best_p = -1.0
     best_seq = None
     gammas = [dict() for _ in source]
-    weights = []
-    for seq in itertools.product(states, repeat=len(source)):
-        p = pi(seq[0]) * emit(seq[0], source[0])
-        for prev, cur, f in zip(seq, seq[1:], source[1:]):
-            p *= trans(prev, cur) * emit(cur, f)
+    for seq, p in weights:
         z += p
-        weights.append((seq, p))
         if p > best_p:
             best_p, best_seq = p, seq
     for seq, p in weights:
@@ -189,6 +196,30 @@ def hmm_enumerate(
             gammas[j][s] = gammas[j].get(s, 0.0) + p / z
     best_path = [s if s < n else None for s in best_seq]
     return math.log(z), gammas, best_path, math.log(best_p)
+
+
+def hmm_expected_counts(
+    source, target, table, jumps, w: int, p0: float, use_null: bool,
+    floor: float = 1e-12,
+):
+    """Baum-Welch statistics of one pair by enumeration: (lexical counts
+    {(e, f): expected emissions of f from e, NULL as e = -1}, jump counts
+    [from][to] over 0-based positions, log Z). A jump is counted only when
+    it arrives at a real position, and a NULL companion departs from the
+    position it remembers."""
+    weights = _hmm_paths(source, target, table, jumps, w, p0, use_null, floor)
+    n = len(target)
+    z = sum(p for _, p in weights)
+    lexical: dict = {}
+    jump_counts = [[0.0] * n for _ in range(n)]
+    for seq, p in weights:
+        for s, f in zip(seq, source):
+            key = (target[s] if s < n else NULL, f)
+            lexical[key] = lexical.get(key, 0.0) + p / z
+        for prev, cur in zip(seq, seq[1:]):
+            if cur < n:
+                jump_counts[prev if prev < n else prev - n][cur] += p / z
+    return lexical, jump_counts, math.log(z)
 
 
 # --------------------------------------------------------------------------

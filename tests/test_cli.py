@@ -81,6 +81,13 @@ class TestTrain:
         assert code == 0
         assert "log-likelihood" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["model1", "model2", "hmm"])
+    def test_training_reports_no_likelihood_drop(self, tmp_path, caplog, kind):
+        with caplog.at_level(logging.WARNING):
+            code, _ = self.train_toy(tmp_path, "--model", kind, "--iters", "5")
+        assert code == 0
+        assert not [r for r in caplog.records if "is below iteration" in r.getMessage()]
+
     def test_flat_model2_matches_model1(self, tmp_path):
         bitext = tmp_path / "toy.txt"
         bitext.write_text(TOY, encoding="utf-8")
@@ -359,6 +366,22 @@ class TestExitCodes:
         assert cli.main([
             "align", "--model-file", str(tmp_path / "junk.model"), "--bitext", "-",
         ]) == 2
+
+
+    def test_out_of_range_model_parameter_is_a_data_error(self, tmp_path, capsys):
+        bitext = tmp_path / "toy.txt"
+        bitext.write_text(TOY, encoding="utf-8")
+        model = tmp_path / "toy.hmm"
+        assert cli.main([
+            "train", "--model", "hmm", "--bitext", str(bitext), "--output", str(model),
+            "--iters", "1", "--quiet",
+        ]) == 0
+        text = read(model)
+        model.write_text(text.replace("\nhmm\t5\t0.2\n", "\nhmm\t5\t1.5\n"), encoding="utf-8")
+        assert read(model) != text
+        code = cli.main(["align", "--model-file", str(model), "--bitext", str(bitext)])
+        assert code == 2
+        assert "'hmm' trailer" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -6,12 +6,14 @@ import pytest
 
 import oracles
 from alignkit import model1
+from alignkit._packed import PackedCorpus
 from alignkit.corpus import SentencePair, load_bitext
 from alignkit.errors import ConfigError, DataFormatError, NumericError
 from alignkit.hmm import (
     HmmConfig,
     HmmParams,
     JumpTable,
+    _bw_chunk,
     _initial_probs,
     _transition_matrix,
     align_corpus,
@@ -369,6 +371,54 @@ class TestBaumWelch:
                 assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+class TestBaumWelchStatistics:
+    """_bw_chunk's expected counts against enumeration over state paths."""
+
+    @staticmethod
+    def random_chunk(rng, use_null, p0):
+        shapes = [(1, int(rng.integers(1, 4))), (int(rng.integers(1, 4)), 1)]
+        shapes += [tuple(int(x) for x in rng.integers(1, 4, size=2)) for _ in range(3)]
+        id_pairs = [
+            ([int(x) for x in rng.integers(1, 5, size=m)],
+             [int(x) for x in rng.integers(1, 5, size=n)])
+            for m, n in shapes
+        ]
+        bitext = make_bitext(id_pairs)
+        table, flat = random_table(rng, range(1, 5), range(1, 5), include_null=use_null)
+        jumps = random_jumps(rng, w=int(rng.integers(1, 3)), p0=p0)
+        return bitext, table, flat, jumps
+
+    @pytest.mark.parametrize("use_null, p0", [(False, 0.0), (True, 0.3), (True, 0.0)])
+    def test_counts_jumps_and_likelihood_match_enumeration(self, use_null, p0):
+        rng = np.random.default_rng(69)
+        for _ in range(15):
+            bitext, table, flat, jumps = self.random_chunk(rng, use_null, p0)
+            packed = PackedCorpus(bitext, table, use_null)
+            counts, jump_stats, ll = _bw_chunk(packed, 0, len(packed), table.theta, jumps)
+
+            ref_counts: dict = {}
+            ref_jumps: dict = {}
+            ref_ll = 0.0
+            for pair in bitext.pairs:
+                lexical, jump_counts, log_z = oracles.hmm_expected_counts(
+                    pair.source_ids, pair.target_ids, flat, list(jumps.probs),
+                    jumps.w, jumps.p0, use_null, floor=0.0,
+                )
+                for key, c in lexical.items():
+                    ref_counts[key] = ref_counts.get(key, 0.0) + c
+                acc = ref_jumps.setdefault(pair.n, np.zeros((pair.n, pair.n)))
+                acc += np.array(jump_counts)
+                ref_ll += log_z
+
+            assert ll == pytest.approx(ref_ll, rel=1e-10)
+            expected = [ref_counts.get(key, 0.0) for key in zip(table.es, table.fs)]
+            np.testing.assert_allclose(counts, expected, rtol=1e-10, atol=1e-12)
+            assert set(jump_stats) <= set(ref_jumps)
+            for n, ref in ref_jumps.items():
+                got = jump_stats.get(n, np.zeros((n, n)))
+                np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+
+
 class TestTrain:
     def test_zero_iterations_returns_the_initializer(self):
         rng = np.random.default_rng(75)
@@ -454,3 +504,21 @@ class TestModelFile:
         bad_float = good.replace("jump\t0\t", "jump\tzero\t", 1)
         with pytest.raises(DataFormatError):
             load_model(io.StringIO(bad_float))
+
+        repeated = good.replace("jump\t1\t", "jump\t0\t")
+        with pytest.raises(DataFormatError, match="repeated"):
+            load_model(io.StringIO(repeated))
+
+        # Parameters the trailer carries are outside input, like the table:
+        # out of range they are a data error, not a configuration error.
+        head = good[good.index("hmm\t"):]
+        for bad_head in [
+            head.replace("hmm\t1\t0.2", "hmm\t1\t1.5"),
+            head.replace("jump\t1\t0.3333333333333333", "jump\t1\t0.5"),
+            head.replace("jump\t1\t0.3333333333333333", "jump\t1\tnan"),
+            "hmm\t0\t0.2\njump\t0\t1.0\n",
+            "hmm\t-1\t0.2\n",
+        ]:
+            assert bad_head != head
+            with pytest.raises(DataFormatError, match="'hmm' trailer"):
+                load_model(io.StringIO(good.replace(head, bad_head)))

@@ -1,4 +1,5 @@
 import io
+import logging
 import math
 import multiprocessing
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from alignkit._packed import CHUNK_PAIRS
+from alignkit._packed import CHUNK_PAIRS, run_em
 from alignkit.alignment import to_set
 from alignkit.corpus import SentencePair, load_bitext
 from alignkit.errors import ConfigError, NumericError
@@ -186,6 +187,18 @@ class TestTrain:
         t2, _ = train(shuffled, config)
         for e, f, p in t1.entries():
             assert t2.prob(e, f) == pytest.approx(p, abs=1e-12)
+
+
+class TestRunEm:
+    def test_a_falling_likelihood_is_reported(self, caplog):
+        trace = [-5.0, -4.0, -4.0 - 1e-10, -4.5, -3.0]
+        step = lambda k: (k + 1, trace[k])
+        with caplog.at_level(logging.WARNING):
+            state, got = run_em(step, 0, len(trace))
+        assert (state, got) == (len(trace), trace)
+        assert [r.getMessage() for r in caplog.records] == [
+            "iteration 4: log-likelihood -4.500000 is below iteration 3's -4.000000"
+        ]
 
 
 class TestPosteriorAlign:

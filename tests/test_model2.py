@@ -359,3 +359,7 @@ class TestModelFile:
         bad_float = good.rsplit("\t", 1)[0] + "\tnot-a-number\n"
         with pytest.raises(DataFormatError):
             load_model(io.StringIO(bad_float))
+        for bad_prior in ["diag\t4.0\t1.5", "diag\t-1.0\t0.08", "diag\tnan\t0.08"]:
+            bad = good.replace("diag\t4.0\t0.08", bad_prior)
+            with pytest.raises(DataFormatError, match="'diag' trailer"):
+                load_model(io.StringIO(bad))

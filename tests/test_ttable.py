@@ -3,7 +3,14 @@ import io
 import pytest
 
 from alignkit.errors import DataFormatError
-from alignkit.ttable import NULL_ID, TranslationTable, read_ttable, write_ttable
+from alignkit.ttable import (
+    _WRITE_BATCH,
+    HEADER,
+    NULL_ID,
+    TranslationTable,
+    read_ttable,
+    write_ttable,
+)
 
 
 def roundtrip(table: TranslationTable, trailer=()):
@@ -38,6 +45,23 @@ class TestModelFileFormat:
         assert trailer == []
         text2, _ = roundtrip(loaded)
         assert text2 == text
+
+    def test_bytes_match_a_per_entry_reference(self):
+        # Two one-entry rows, then three-entry rows, so that the row at the
+        # batch boundary straddles it; source ids repeat in every batch.
+        patterns = [{1: 5e-324, 4: 1e-12, 9: 1 - 1e-12}, {2: 1 / 3, 3: 1 / 3, 7: 1 / 3}]
+        rows = {NULL_ID: {5: 1.0}, 0: {8: 1.0}}
+        rows.update((e, patterns[e % 2]) for e in range(1, _WRITE_BATCH // 3 + 10))
+        table = TranslationTable(rows)
+        assert len(table) > _WRITE_BATCH
+        assert table.es[_WRITE_BATCH - 1] == table.es[_WRITE_BATCH]
+        buf = io.StringIO()
+        write_ttable(buf, table, ["diag\t4.0\t0.08"])
+        reference = "".join(f"{e}\t{f}\t{p!r}\n" for e, f, p in table.entries())
+        assert buf.getvalue() == f"{HEADER}\n{reference}diag\t4.0\t0.08\n"
+        empty = io.StringIO()
+        write_ttable(empty, TranslationTable({}))
+        assert empty.getvalue() == f"{HEADER}\n"
 
     def test_header_is_required(self):
         with pytest.raises(DataFormatError, match="alignkit-ttable"):
