@@ -63,16 +63,16 @@ def main(argv=None):
     print(f"combination: {args.heuristic}")
     print()
 
-    def run(name, train, decode_fwd, decode_rev):
+    def run(name, train, align_corpus):
         start = time.perf_counter()
         fwd_model = train(fwd_bt)
         rev_model = train(rev_bt)
         trained = time.perf_counter() - start
-        hyps = []
-        for pf, pr in zip(fwd_bt.pairs, rev_bt.pairs):
-            fwd = to_set(decode_fwd(pf, fwd_model))
-            rev = transpose(to_set(decode_rev(pr, rev_model)))
-            hyps.append(symmetrize(fwd, rev, args.heuristic))
+        hyps = [
+            symmetrize(to_set(fwd), transpose(to_set(rev)), args.heuristic)
+            for fwd, rev in zip(align_corpus(fwd_bt, fwd_model),
+                                align_corpus(rev_bt, rev_model))
+        ]
         report = evaluate_corpus(hyps, gold)
         print(f"{name:<8} AER {report.aer:.4f}  P {report.precision:.4f}  "
               f"R {report.recall:.4f}  F1 {report.f1:.4f}  "
@@ -83,16 +83,14 @@ def main(argv=None):
         lambda bt: model1.train(
             bt, model1.Model1Config(iterations=args.iterations), jobs=args.jobs
         )[0],
-        lambda p, t: model1.posterior_align(p, t),
-        lambda p, t: model1.posterior_align(p, t),
+        model1.align_corpus,
     )
     run(
         "model2",
         lambda bt: model2.train(
             bt, model2.Model2Config(iterations=args.iterations), jobs=args.jobs
         )[0],
-        lambda p, m: model2.align(p, m),
-        lambda p, m: model2.align(p, m),
+        model2.align_corpus,
     )
     run(
         "hmm",
@@ -102,8 +100,7 @@ def main(argv=None):
                           model1_iterations=args.hmm_init_iterations),
             jobs=args.jobs,
         )[0],
-        lambda p, m: hmm.viterbi_decode(p, m),
-        lambda p, m: hmm.viterbi_decode(p, m),
+        hmm.align_corpus,
     )
     return 0
 

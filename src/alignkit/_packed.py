@@ -3,7 +3,8 @@
 Training runs on the table's flat parameter vector theta (see
 ttable.py). For every sentence pair we precompute the slot index of
 each (target row, source position) cell, so an E-step is a gather, a
-column normalization, and a bincount scatter per chunk of pairs.
+column normalization, and a bincount scatter per chunk of pairs. The
+decoders read their pairs' blocks of t(f | e) from the same packing.
 
 A training run packs its corpus once, in a ChunkRunner. The runner maps
 a module-level chunk function (lexical_step's E-step here, hmm.py's
@@ -42,17 +43,13 @@ class PriorProvider(Protocol):
     def matrix(self, m: int, n: int, use_null: bool) -> np.ndarray: ...
 
 
-def pair_rows(pair: SentencePair, use_null: bool) -> tuple[int, ...]:
-    """The pair's target ids, then NULL_ID when NULL is on."""
-    return (*pair.target_ids, NULL_ID) if use_null else pair.target_ids
-
-
 def corpus_cells(pairs: list[SentencePair], use_null: bool):
     """(e, f) ids of each pair's (target row, source position) cells, row-major
     with the NULL row last, pair after pair; and each pair's rows and m."""
     ms = np.fromiter((pair.m for pair in pairs), np.int64, len(pairs))
     rows = np.fromiter((pair.n + use_null for pair in pairs), np.int64, len(pairs))
-    tgt = np.fromiter(chain.from_iterable(pair_rows(p, use_null) for p in pairs), np.int64)
+    null = (NULL_ID,) if use_null else ()
+    tgt = np.fromiter(chain.from_iterable(p.target_ids + null for p in pairs), np.int64)
     src = np.fromiter(chain.from_iterable(pair.source_ids for pair in pairs), np.int64)
     row_m = np.repeat(ms, rows)  # source length behind each target row
     es = np.repeat(tgt, row_m)
@@ -76,6 +73,10 @@ class PackedCorpus:
 
     def __len__(self) -> int:
         return len(self.pair_idx)
+
+    def block(self, k: int, theta: np.ndarray) -> np.ndarray:
+        """Pair k's (rows, m) block of theta: target rows, NULL last, by source words."""
+        return theta[self.pair_idx[k]].reshape(self.pair_shape[k])
 
     def scatter(self, lo: int, hi: int, weights: list[np.ndarray]) -> np.ndarray:
         """Per-slot sums of pairs [lo, hi)'s flattened cell weights, miss slot dropped."""
@@ -109,7 +110,7 @@ def _chunk_counts(
     use_null = packed.use_null
     for k in range(lo, hi):
         rows, m = packed.pair_shape[k]
-        probs = theta[packed.pair_idx[k]].reshape(rows, m)
+        probs = packed.block(k, theta)
         if prior is not None:
             n = rows - 1 if use_null else rows
             probs = probs * prior.matrix(m, n, use_null)

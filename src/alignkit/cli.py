@@ -39,7 +39,6 @@ from .corpus import (
     SEPARATOR,
     UNK_ID,
     UNK_TOKEN,
-    SentencePair,
     Vocabulary,
     load_bitext,
     parse_bitext_line,
@@ -178,7 +177,7 @@ def cmd_train(args) -> int:
 
 
 def _load_any_model(path: str):
-    """The decoder of the model file at path, pair -> AlignmentFunction."""
+    """The corpus decoder of the model file at path, Bitext -> alignments."""
     table, trailer = read_ttable(_read_lines(path))
     e, total = table.worst_row()
     if abs(total - 1.0) > 1e-9:
@@ -186,14 +185,14 @@ def _load_any_model(path: str):
             f"{path}: the probabilities of target id {e} sum to {total!r}, not 1"
         )
     if not trailer:
-        return lambda pair: model1.posterior_align(pair, table)
+        return lambda bitext: model1.align_corpus(bitext, table)
     kind = trailer[0].split("\t", 1)[0]
     if kind == model2.DIAG_TRAILER:
         params = model2.model_from(table, trailer)
-        return lambda pair: model2.align(pair, params)
+        return lambda bitext: model2.align_corpus(bitext, params)
     if kind == hmm.HMM_TRAILER:
         params = hmm.model_from(table, trailer)
-        return lambda pair: hmm.viterbi_decode(pair, params)
+        return lambda bitext: hmm.align_corpus(bitext, params)
     raise DataFormatError(f"{path}: unrecognized model trailer {kind!r}")
 
 
@@ -218,24 +217,18 @@ def cmd_align(args) -> int:
         args.target_vocab, args.model_file + ".target-vocab", "target"
     )
 
-    unknown = 0
-    empty = 0
-    with _open_in(args.bitext) as src, _open_out(args.output) as out:
-        for lineno, raw in enumerate(src, start=1):
-            src_text, tgt_text = parse_bitext_line(raw, lineno)
-            if args.reverse:
-                src_text, tgt_text = tgt_text, src_text
-            src_tokens = tokenize(src_text, args.lowercase)
-            tgt_tokens = tokenize(tgt_text, args.lowercase)
-            if not src_tokens or not tgt_tokens:
-                empty += 1
-                out.write("\n")
-                continue
-            source_ids = source_vocab.encode(src_tokens)
-            target_ids = target_vocab.encode(tgt_tokens)
-            unknown += source_ids.count(UNK_ID) + target_ids.count(UNK_ID)
-            pair = SentencePair(source_ids=source_ids, target_ids=target_ids)
-            out.write(format_pharaoh_line(to_set(decode(pair))) + "\n")
+    with _open_in(args.bitext) as src:
+        lines = list(src)
+    bitext = load_bitext(
+        lines, source_vocab, target_vocab, lowercase=args.lowercase, swap=args.reverse
+    )
+    links = [""] * len(lines)  # a line with an empty side stays blank
+    for lineno, alignment in zip(bitext.line_numbers, decode(bitext)):
+        links[lineno - 1] = format_pharaoh_line(to_set(alignment))
+    with _open_out(args.output) as out:
+        out.writelines(line + "\n" for line in links)
+    unknown = sum(p.source_ids.count(UNK_ID) + p.target_ids.count(UNK_ID) for p in bitext)
+    empty = len(lines) - len(bitext)
     if unknown:
         log.warning(
             "%d tokens were out of vocabulary and treated as %s", unknown, UNK_TOKEN
@@ -311,6 +304,8 @@ def _read_sized_alignments(
 
 
 def cmd_extract_phrases(args) -> int:
+    if args.max_len < 1:
+        raise ConfigError(f"--max-len must be >= 1, got {args.max_len}")
     records = _read_token_records(args.bitext)
     alignments = _read_sized_alignments(
         args.alignments, [(len(s), len(t)) for s, t in records], args.bitext

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import DataFormatError, DegeneratePairError
+from .errors import ConfigError, DataFormatError, DegeneratePairError
 
 log = logging.getLogger("alignkit")
 
@@ -58,7 +58,7 @@ class Vocabulary:
         ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
         if max_size is not None:
             if max_size < 1:
-                raise DataFormatError(f"vocabulary size must be >= 1, got {max_size}")
+                raise ConfigError(f"vocabulary size must be >= 1, got {max_size}")
             kept, dropped = ranked[:max_size], ranked[max_size:]
         else:
             kept, dropped = ranked, []
@@ -116,6 +116,8 @@ class Vocabulary:
                 raise DataFormatError(
                     f"vocabulary line {lineno}: ids must ascend from 1, got {idx}"
                 )
+            if parts[1] in vocab.token_to_id:
+                raise DataFormatError(f"vocabulary line {lineno}: repeated token {parts[1]!r}")
             vocab.token_to_id[parts[1]] = idx
             vocab.id_to_token.append(parts[1])
             vocab.frequency[idx] = count
@@ -149,8 +151,9 @@ class Bitext:
     """An encoded parallel corpus plus the vocabularies used to encode it."""
 
     pairs: list[SentencePair]
-    source_vocab: Vocabulary
-    target_vocab: Vocabulary
+    source_vocab: Vocabulary | None = None
+    target_vocab: Vocabulary | None = None
+    line_numbers: list[int] = field(default_factory=list)  # each pair's input line
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -212,10 +215,12 @@ def load_bitext(
     reverse alignment direction is trained without rewriting the corpus.
     """
     token_pairs = []
-    for _, src, trg in iter_token_pairs(lines, lowercase):
+    line_numbers = []
+    for lineno, src, trg in iter_token_pairs(lines, lowercase):
         if swap:
             src, trg = trg, src
         token_pairs.append((src, trg))
+        line_numbers.append(lineno)
     if source_vocab is None:
         source_vocab = Vocabulary.build(
             (src for src, _ in token_pairs), max_size=max_vocab, language="source"
@@ -227,7 +232,7 @@ def load_bitext(
     pairs = [
         encode_pair(src, trg, source_vocab, target_vocab) for src, trg in token_pairs
     ]
-    return Bitext(pairs=pairs, source_vocab=source_vocab, target_vocab=target_vocab)
+    return Bitext(pairs, source_vocab, target_vocab, line_numbers)
 
 
 def write_bitext_line(out: TextIO, source_tokens: Sequence[str], target_tokens: Sequence[str]) -> None:

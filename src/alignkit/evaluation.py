@@ -75,6 +75,8 @@ def parse_gold(lines: Iterable[str]) -> GoldAlignment:
             sid, src, trg = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError as exc:
             raise DataFormatError(f"gold line {lineno}: {exc}") from exc
+        if sid < 1:
+            raise DataFormatError(f"gold line {lineno}: sentence ids are 1-based")
         if src < 1 or trg < 1:
             raise DataFormatError(f"gold line {lineno}: positions are 1-based")
         flag = parts[3] if len(parts) == 4 else "S"

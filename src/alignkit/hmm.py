@@ -30,11 +30,11 @@ from typing import Optional, TextIO
 import numpy as np
 
 from . import model1
-from ._packed import ChunkRunner, PackedCorpus, lexical_step, pair_rows, run_em
+from ._packed import ChunkRunner, PackedCorpus, lexical_step, run_em
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError, NumericError
-from .ttable import NULL_ID, TranslationTable, read_ttable, write_ttable
+from .ttable import NULL_ID, TranslationTable, write_ttable
 
 HMM_TRAILER = "hmm"
 JUMP_TRAILER = "jump"
@@ -141,23 +141,29 @@ def _initial_probs(n: int, p0: float, use_null: bool) -> np.ndarray:
     return pi
 
 
-def _pair_emissions(probs: np.ndarray, use_null: bool) -> np.ndarray:
-    """(states, m) emissions from a pair's (rows, m) lexical probabilities,
-    NULL row last: with NULL on, each NULL companion emits the NULL row."""
-    if not use_null:
-        return probs
-    return np.vstack([probs[:-1], np.repeat(probs[-1:], len(probs) - 1, axis=0)])
+def _pair_models(packed: PackedCorpus, lo: int, hi: int, theta, jumps, floor=0.0):
+    """(n, emissions, transitions, initial probabilities) of pairs [lo, hi),
+    transitions built once per length n. Emissions are the floored block,
+    with the NULL row (last) repeated for each NULL companion state."""
+    use_null = packed.use_null
+    per_length: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for k in range(lo, hi):
+        emit = np.maximum(packed.block(k, theta), floor)
+        n = len(emit) - use_null
+        if use_null:
+            emit = np.vstack([emit[:-1], np.repeat(emit[-1:], n, axis=0)])
+        if n not in per_length:
+            per_length[n] = (
+                _transition_matrix(n, jumps, use_null),
+                _initial_probs(n, jumps.p0, use_null),
+            )
+        yield (n, emit, *per_length[n])
 
 
 def _pair_model(pair: SentencePair, params: HmmParams, floor: float):
     """Floored emissions, transitions and initial probabilities of a pair."""
-    use_null = params.use_null
-    probs = params.table.grid(pair_rows(pair, use_null), pair.source_ids, floor)
-    return (
-        _pair_emissions(probs, use_null),
-        _transition_matrix(pair.n, params.jumps, use_null),
-        _initial_probs(pair.n, params.jumps.p0, use_null),
-    )
+    packed = PackedCorpus(Bitext([pair]), params.table, params.use_null)
+    return next(_pair_models(packed, 0, 1, params.table.theta, params.jumps, floor))[1:]
 
 
 def _scaled_forward(
@@ -232,9 +238,8 @@ def forward_backward(
 def viterbi_decode(
     pair: SentencePair, params: HmmParams, floor: float = 1e-12
 ) -> AlignmentFunction:
-    """Most probable state path; ties break toward the smaller state index
-    at every backpointer, so real positions beat their NULL companions."""
-    return _viterbi(pair.n, *_pair_model(pair, params, floor))[0]
+    """align_corpus on the one pair."""
+    return align_corpus(Bitext([pair]), params, floor)[0]
 
 
 def viterbi_score(pair: SentencePair, params: HmmParams, floor: float = 1e-12) -> float:
@@ -292,20 +297,13 @@ def _bw_chunk(
     (t < n) are counted.
     """
     use_null = packed.use_null
-    trans_cache: dict[int, np.ndarray] = {}
-    pi_cache: dict[int, np.ndarray] = {}
     weight_parts: list[np.ndarray] = []
     jump_stats: dict[int, np.ndarray] = {}
     ll = 0.0
-    for k in range(lo, hi):
+    models = _pair_models(packed, lo, hi, theta, jumps)
+    for k, (n, emit, trans, pi) in enumerate(models, start=lo):
         rows, m = packed.pair_shape[k]
-        n = rows - 1 if use_null else rows
-        emit = _pair_emissions(theta[packed.pair_idx[k]].reshape(rows, m), use_null)
-        trans = trans_cache.get(n)
-        if trans is None:
-            trans = trans_cache[n] = _transition_matrix(n, jumps, use_null)
-            pi_cache[n] = _initial_probs(n, jumps.p0, use_null)
-        alphas, scales = _scaled_forward(emit, trans, pi_cache[n], pair_no=k + 1)
+        alphas, scales = _scaled_forward(emit, trans, pi, pair_no=k + 1)
         betas, weighted = _scaled_backward(emit, trans, scales)
         gamma = alphas * betas
         ll += float(np.log(scales).sum())
@@ -421,7 +419,12 @@ def train(
 def align_corpus(
     bitext: Bitext, params: HmmParams, floor: float = 1e-12
 ) -> list[AlignmentFunction]:
-    return [viterbi_decode(pair, params, floor) for pair in bitext.pairs]
+    """Most probable state path of every pair; ties break toward the smaller
+    state index at every backpointer, so real positions beat their NULL
+    companions."""
+    packed = PackedCorpus(bitext, params.table, params.use_null)
+    models = _pair_models(packed, 0, len(packed), params.table.theta, params.jumps, floor)
+    return [_viterbi(*model)[0] for model in models]
 
 
 def save_model(out: TextIO, params: HmmParams) -> None:
@@ -430,10 +433,6 @@ def save_model(out: TextIO, params: HmmParams) -> None:
     for d in range(-jumps.w, jumps.w + 1):
         trailer.append(f"{JUMP_TRAILER}\t{d}\t{float(jumps.probs[d + jumps.w])!r}")
     write_ttable(out, params.table, trailer)
-
-
-def load_model(lines) -> HmmParams:
-    return model_from(*read_ttable(lines))
 
 
 def model_from(table: TranslationTable, trailer: list[str]) -> HmmParams:

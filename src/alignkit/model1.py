@@ -21,7 +21,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from ._packed import corpus_cells, pair_rows, train_lexical
+from ._packed import PackedCorpus, PriorProvider, corpus_cells, train_lexical
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError
@@ -96,16 +96,8 @@ def posterior_align(
     floor: float = 1e-12,
     use_null: bool | None = None,
 ) -> AlignmentFunction:
-    """Per-position argmax alignment under the lexical table.
-
-    Ties go to the smaller target position; NULL never wins a tie. Pairs
-    absent from the table score `floor`. When `use_null` is None the NULL
-    row's presence in the table decides whether NULL competes.
-    """
-    if use_null is None:
-        use_null = NULL_ID in table.row_ids
-    scores = table.grid(pair_rows(pair, use_null), pair.source_ids, floor)
-    return best_targets(scores, pair.n, use_null)
+    """align_corpus on the one pair."""
+    return align_corpus(Bitext([pair]), table, floor, use_null)[0]
 
 
 def best_targets(scores: np.ndarray, n: int, use_null: bool) -> AlignmentFunction:
@@ -125,15 +117,30 @@ def sentence_log_prob(
 ) -> float:
     """log p(F | E) with the alignment marginalized out; lookups are floored,
     so the value is finite for any pair."""
-    probs = table.grid(pair_rows(pair, config.use_null), pair.source_ids, config.floor)
+    packed = PackedCorpus(Bitext([pair]), table, config.use_null)
+    probs = np.maximum(packed.block(0, table.theta), config.floor)
     total = float(np.log(probs.sum(axis=0)).sum())
     return total + math.log(config.epsilon) - pair.m * math.log(len(probs))
 
 
 def align_corpus(
-    bitext: Bitext, table: TranslationTable, floor: float = 1e-12
+    bitext: Bitext, table: TranslationTable, floor: float = 1e-12,
+    use_null: bool | None = None, prior: Optional[PriorProvider] = None,
 ) -> list[AlignmentFunction]:
-    return [posterior_align(pair, table, floor) for pair in bitext.pairs]
+    """best_targets of every pair under the lexical table, times the prior
+    when given (Model 2). Pairs absent from the table score `floor`. When
+    `use_null` is None the NULL row's presence in the table decides
+    whether NULL competes."""
+    if use_null is None:
+        use_null = NULL_ID in table.row_ids
+    packed = PackedCorpus(bitext, table, use_null)
+    alignments = []
+    for k, pair in enumerate(bitext.pairs):
+        scores = np.maximum(packed.block(k, table.theta), floor)
+        if prior is not None:
+            scores = prior.matrix(pair.m, pair.n, use_null) * scores
+        alignments.append(best_targets(scores, pair.n, use_null))
+    return alignments
 
 
 def save_model(out: TextIO, table: TranslationTable) -> None:

@@ -21,12 +21,13 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from ._packed import pair_rows, train_lexical
+from . import model1
+from ._packed import train_lexical
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError
-from .model1 import best_targets, init_uniform
-from .ttable import TranslationTable, read_ttable, write_ttable
+from .model1 import init_uniform
+from .ttable import TranslationTable, write_ttable
 
 DIAG_TRAILER = "diag"
 
@@ -142,26 +143,22 @@ def train(
 def align(
     pair: SentencePair, params: Model2Params, floor: float = 1e-12
 ) -> AlignmentFunction:
-    """argmax_i p(i | j, m, n) t(f_j | e_i) per source position; ties to the
-    smaller target position, NULL losing all ties."""
-    prior, use_null = params.prior, params.prior.use_null
-    lexical = params.table.grid(pair_rows(pair, use_null), pair.source_ids, floor)
-    return best_targets(prior.matrix(pair.m, pair.n, use_null) * lexical, pair.n, use_null)
+    """align_corpus on the one pair."""
+    return align_corpus(Bitext([pair]), params, floor)[0]
 
 
 def align_corpus(
     bitext: Bitext, params: Model2Params, floor: float = 1e-12
 ) -> list[AlignmentFunction]:
-    return [align(pair, params, floor) for pair in bitext.pairs]
+    """argmax_i p(i | j, m, n) t(f_j | e_i) per source position of every
+    pair; ties to the smaller target position, NULL losing all ties."""
+    prior = params.prior
+    return model1.align_corpus(bitext, params.table, floor, prior.use_null, prior)
 
 
 def save_model(out: TextIO, params: Model2Params) -> None:
     trailer = [f"{DIAG_TRAILER}\t{params.prior.lam!r}\t{params.prior.p0!r}"]
     write_ttable(out, params.table, trailer)
-
-
-def load_model(lines) -> Model2Params:
-    return model_from(*read_ttable(lines))
 
 
 def model_from(table: TranslationTable, trailer: list[str]) -> Model2Params:

@@ -98,11 +98,6 @@ class TranslationTable:
         found = row_known & col_known & (self._keys[slot] == keys)
         return np.where(found, slot, miss)
 
-    def grid(self, targets, sources, floor: float = 0.0) -> np.ndarray:
-        """max(t(f | e), floor) with e over targets (rows), f over sources."""
-        slots = self.slots(np.asarray(targets)[:, None], np.asarray(sources)[None, :])
-        return np.maximum(self.theta[slots], floor)
-
     def prob(self, e: int, f: int, floor: float = 0.0) -> float:
         return max(float(self.theta[self.slots(e, f)]), floor)
 

@@ -13,7 +13,7 @@ from alignkit.alignment import (
     symmetrize,
     transpose,
 )
-from alignkit.ttable import NULL_ID
+from alignkit.ttable import NULL_ID, read_ttable
 
 TOY = "das haus ||| the house\ndas buch ||| the book\n"
 
@@ -102,7 +102,7 @@ class TestTrain:
             "--model", "model2", "--lambda", "0", "--p0", "0", "--iters", "4",
         ]) == 0
         table1 = model1.load_model(read(m1).splitlines())
-        table2 = model2.load_model(read(m2).splitlines()).table
+        table2 = model2.model_from(*read_ttable(read(m2).splitlines())).table
         assert set(table1.rows) == set(table2.rows)
         for e, row in table1.rows.items():
             for f, p in row.items():
@@ -205,6 +205,20 @@ class TestAlign:
         code = cli.main(["align", "--model-file", str(model), "--bitext", str(bitext)])
         assert code == 2
         assert f"target id {e} sum to" in capsys.readouterr().err
+
+    def test_repeated_token_in_a_vocabulary_sidecar_is_a_data_error(
+        self, toy_model, tmp_path, capsys
+    ):
+        bitext, model = toy_model
+        sidecar = tmp_path / "toy.model.source-vocab"
+        lines = read(sidecar).splitlines()
+        token = lines[0].split("\t")[1]
+        idx, _, count = lines[1].split("\t")
+        lines[1] = f"{idx}\t{token}\t{count}"
+        sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main(["align", "--model-file", str(model), "--bitext", str(bitext)])
+        assert code == 2
+        assert f"vocabulary line 2: repeated token {token!r}" in capsys.readouterr().err
 
     def test_missing_vocabulary_sidecar_is_explained(self, toy_model, tmp_path, capsys):
         bitext, model = toy_model
@@ -367,6 +381,19 @@ class TestExitCodes:
             "align", "--model-file", str(tmp_path / "junk.model"), "--bitext", "-",
         ]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--max-vocab", "0", "--output", "m"], "vocabulary size must be >= 1"),
+        (["extract-phrases", "--max-len", "0", "--alignments", "toy.al"],
+         "--max-len must be >= 1"),
+    ], ids=["train-max-vocab", "extract-phrases-max-len"])
+    def test_out_of_range_size_flag_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "toy.txt").write_text(TOY, encoding="utf-8")
+        (tmp_path / "toy.al").write_text("0-0 1-1\n0-0 1-1\n", encoding="utf-8")
+        assert cli.main([*argv, "--bitext", "toy.txt"]) == 1
+        assert f"alignkit: error: {message}" in capsys.readouterr().err
 
     def test_out_of_range_model_parameter_is_a_data_error(self, tmp_path, capsys):
         bitext = tmp_path / "toy.txt"
@@ -442,7 +469,7 @@ class TestConfigFile:
             "train", "--config", str(cfg), "--bitext", str(bitext),
             "--output", str(model), "--model", "model2", "--iters", "3",
         ]) == 0
-        params = model2.load_model(read(model).splitlines())
+        params = model2.model_from(*read_ttable(read(model).splitlines()))
         assert params.prior.lam == 0.0
         assert params.prior.p0 == 0.0
 

@@ -72,6 +72,12 @@ class TestVocabulary:
         with pytest.raises(DataFormatError):
             Vocabulary.load(["1\ta\t2", "3\tb\t1"])
 
+    def test_load_rejects_a_repeated_token(self):
+        # Kept, the later id would overwrite the earlier one and silently
+        # change what every use of the token encodes to.
+        with pytest.raises(DataFormatError, match="vocabulary line 3: repeated token 'a'"):
+            Vocabulary.load(["1\ta\t2", "2\tb\t1", "3\ta\t1"])
+
 
 class TestBitextParsing:
     def test_separator_split_is_on_first_occurrence(self):

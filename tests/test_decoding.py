@@ -95,3 +95,95 @@ class TestIdsTheTableLacks:
         assert model2.align(pair, flat).targets == expected
         params = hmm.HmmParams(table, hmm.uniform_jumps(2, 0.0), use_null=False)
         assert hmm.viterbi_decode(pair, params).targets == expected
+
+
+def sparse_random_table(rng, include_null):
+    """Random distributions over about two thirds of the table's source ids,
+    as a TranslationTable and as the oracles' flat dict."""
+    flat = {}
+    for e in ((NULL_ID,) if include_null else ()) + TABLE_TARGETS:
+        keep = [f for f in TABLE_SOURCES if rng.random() < 2 / 3] or [TABLE_SOURCES[0]]
+        probs = rng.dirichlet(np.ones(len(keep)))
+        flat.update(((e, f), float(p)) for f, p in zip(keep, probs))
+    rows = {}
+    for (e, f), p in flat.items():
+        rows.setdefault(e, {})[f] = p
+    return TranslationTable(rows), flat
+
+
+def short_pair(rng):
+    """A pair small enough to enumerate. Source ids come from the table,
+    except that one pair in four has one id the table lacks; at floor 0
+    that word zeroes every path."""
+    source = [int(x) for x in rng.choice(TABLE_SOURCES, size=int(rng.integers(1, 5)))]
+    if rng.random() < 0.25:
+        outside = PAIR_SOURCES[len(TABLE_SOURCES):]
+        source[int(rng.integers(len(source)))] = int(rng.choice(outside))
+    target = tuple(int(x) for x in rng.choice(PAIR_TARGETS, size=int(rng.integers(1, 4))))
+    return SentencePair(source_ids=tuple(source), target_ids=target)
+
+
+def enumerated_best(pair, params, flat, floor):
+    """The best state-path probability by enumeration, and the alignments
+    of every path reaching it."""
+    jumps = params.jumps
+    paths = oracles._hmm_paths(
+        pair.source_ids, pair.target_ids, flat, list(jumps.probs), jumps.w,
+        jumps.p0, params.use_null, floor,
+    )
+    best = max(p for _, p in paths)
+    return best, [
+        [s if s < pair.n else None for s in seq]
+        for seq, p in paths if p >= best * (1 - 1e-9)
+    ]
+
+
+class TestCorpusDecoders:
+    """Each model's align_corpus decodes a whole corpus from one packing;
+    pair by pair its alignments must match the references. Target lengths
+    repeat within a corpus, so the HMM reuses transitions built for an
+    earlier pair of the same length."""
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-12])
+    @pytest.mark.parametrize("use_null", [True, False])
+    def test_lexical_decoders_match_the_references(self, use_null, floor):
+        rng = np.random.default_rng(71 + 2 * use_null + (floor > 0))
+        for _ in range(20):
+            table, flat = tie_heavy_table(rng, include_null=bool(rng.integers(2)))
+            pairs = [random_pair(rng) for _ in range(8)]
+            bitext = make_bitext([(p.source_ids, p.target_ids) for p in pairs])
+            prior = model2.DiagonalPrior(lam=float(rng.choice([0.0, 2.0])),
+                                         p0=0.25 if use_null else 0.0)
+            got1 = model1.align_corpus(bitext, table, floor, use_null=use_null)
+            got2 = model2.align_corpus(bitext, model2.Model2Params(table, prior), floor)
+            assert len(got1) == len(got2) == len(pairs)
+            for pair, a1, a2 in zip(pairs, got1, got2):
+                src, tgt = pair.source_ids, pair.target_ids
+                want = oracles.model1_argmax(src, tgt, flat, use_null, floor)
+                assert list(a1.targets) == want
+                pmat = prior.matrix(pair.m, pair.n, use_null)
+                weight = lambda j, i: pmat[i - 1 if i else pair.n, j - 1]
+                assert list(a2.targets) == oracles.model2_argmax(
+                    src, tgt, flat, weight, use_null, floor
+                )
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-12])
+    @pytest.mark.parametrize("use_null", [True, False])
+    def test_hmm_decoder_matches_enumeration(self, use_null, floor):
+        rng = np.random.default_rng(81 + 2 * use_null + (floor > 0))
+        for _ in range(8):
+            table, flat = sparse_random_table(rng, include_null=bool(rng.integers(2)))
+            jumps = hmm.JumpTable(w=2, probs=rng.dirichlet(np.ones(5)),
+                                  p0=0.2 if use_null else 0.0)
+            params = hmm.HmmParams(table, jumps, use_null)
+            pairs = [short_pair(rng) for _ in range(8)]
+            bitext = make_bitext([(p.source_ids, p.target_ids) for p in pairs])
+            got = hmm.align_corpus(bitext, params, floor)
+            assert len(got) == len(pairs)
+            for pair, alignment in zip(pairs, got):
+                best, best_paths = enumerated_best(pair, params, flat, floor)
+                assert list(alignment.targets) in best_paths
+                if best > 0.0 and len(best_paths) == 1:
+                    assert hmm.viterbi_score(pair, params, floor) == pytest.approx(
+                        np.log(best), rel=1e-9
+                    )

@@ -98,6 +98,11 @@ class TestParseGold:
         with pytest.raises(DataFormatError, match="1-based"):
             parse_gold(["1 0 1 S"])
 
+    @pytest.mark.parametrize("sid", ["0", "-2"])
+    def test_sentence_ids_are_one_based(self, sid):
+        with pytest.raises(DataFormatError, match="gold line 2: sentence ids are 1-based"):
+            parse_gold(["1 1 1 S", f"{sid} 1 1 S"])
+
     def test_errors_name_the_line(self):
         with pytest.raises(DataFormatError, match="line 1"):
             parse_gold(["1 x 1 S"])

@@ -19,15 +19,15 @@ from alignkit.hmm import (
     align_corpus,
     baum_welch_step,
     forward_backward,
-    load_model,
     log_forward,
+    model_from,
     save_model,
     train,
     uniform_jumps,
     viterbi_decode,
     viterbi_score,
 )
-from alignkit.ttable import NULL_ID, TranslationTable
+from alignkit.ttable import NULL_ID, TranslationTable, read_ttable
 from conftest import make_bitext, random_id_bitext, random_table
 
 
@@ -459,7 +459,7 @@ class TestModelFile:
         params, _ = train(bt, HmmConfig(iterations=3, w=3, p0=0.25))
         out = io.StringIO()
         save_model(out, params)
-        loaded = load_model(io.StringIO(out.getvalue()))
+        loaded = model_from(*read_ttable(io.StringIO(out.getvalue())))
         assert loaded.use_null is True
         assert loaded.jumps.w == 3
         assert loaded.jumps.p0 == 0.25
@@ -475,7 +475,7 @@ class TestModelFile:
         params, _ = train(bt, config)
         out = io.StringIO()
         save_model(out, params)
-        assert load_model(io.StringIO(out.getvalue())).use_null is False
+        assert model_from(*read_ttable(io.StringIO(out.getvalue()))).use_null is False
 
     def test_malformed_files_are_rejected(self):
         bt = make_bitext([((1,), (2,))])
@@ -488,26 +488,26 @@ class TestModelFile:
         plain = io.StringIO()
         model1.save_model(plain, table_only)
         with pytest.raises(DataFormatError):
-            load_model(io.StringIO(plain.getvalue()))
+            model_from(*read_ttable(io.StringIO(plain.getvalue())))
 
         missing_bucket = "".join(
             line for line in good.splitlines(keepends=True)
             if not line.startswith("jump\t0\t")
         )
         with pytest.raises(DataFormatError):
-            load_model(io.StringIO(missing_bucket))
+            model_from(*read_ttable(io.StringIO(missing_bucket)))
 
         out_of_window = good.replace("jump\t1\t", "jump\t9\t")
         with pytest.raises(DataFormatError):
-            load_model(io.StringIO(out_of_window))
+            model_from(*read_ttable(io.StringIO(out_of_window)))
 
         bad_float = good.replace("jump\t0\t", "jump\tzero\t", 1)
         with pytest.raises(DataFormatError):
-            load_model(io.StringIO(bad_float))
+            model_from(*read_ttable(io.StringIO(bad_float)))
 
         repeated = good.replace("jump\t1\t", "jump\t0\t")
         with pytest.raises(DataFormatError, match="repeated"):
-            load_model(io.StringIO(repeated))
+            model_from(*read_ttable(io.StringIO(repeated)))
 
         # Parameters the trailer carries are outside input, like the table:
         # out of range they are a data error, not a configuration error.
@@ -521,4 +521,4 @@ class TestModelFile:
         ]:
             assert bad_head != head
             with pytest.raises(DataFormatError, match="'hmm' trailer"):
-                load_model(io.StringIO(good.replace(head, bad_head)))
+                model_from(*read_ttable(io.StringIO(good.replace(head, bad_head))))

@@ -15,12 +15,12 @@ from alignkit.model2 import (
     align,
     align_corpus,
     em_step,
-    load_model,
+    model_from,
     prior_prob,
     save_model,
     train,
 )
-from alignkit.ttable import NULL_ID, TranslationTable
+from alignkit.ttable import NULL_ID, TranslationTable, read_ttable
 from conftest import make_bitext, random_id_bitext, random_table
 
 FLAT = DiagonalPrior(lam=0.0, p0=0.0)
@@ -331,7 +331,7 @@ class TestModelFile:
         params, _ = train(bt, Model2Config(iterations=3, lam=3.7, p0=0.11))
         out = io.StringIO()
         save_model(out, params)
-        loaded = load_model(io.StringIO(out.getvalue()))
+        loaded = model_from(*read_ttable(io.StringIO(out.getvalue())))
         assert loaded.prior.lam == 3.7
         assert loaded.prior.p0 == 0.11
         assert loaded.table.rows == params.table.rows
@@ -345,7 +345,7 @@ class TestModelFile:
         out = io.StringIO()
         model1.save_model(out, table)
         with pytest.raises(DataFormatError):
-            load_model(io.StringIO(out.getvalue()))
+            model_from(*read_ttable(io.StringIO(out.getvalue())))
 
     def test_malformed_trailer_is_rejected(self):
         bt = make_bitext([((1,), (2,))])
@@ -355,11 +355,11 @@ class TestModelFile:
         good = out.getvalue()
         bad_arity = good.replace("diag\t", "diag\t1.0\t")
         with pytest.raises(DataFormatError):
-            load_model(io.StringIO(bad_arity))
+            model_from(*read_ttable(io.StringIO(bad_arity)))
         bad_float = good.rsplit("\t", 1)[0] + "\tnot-a-number\n"
         with pytest.raises(DataFormatError):
-            load_model(io.StringIO(bad_float))
+            model_from(*read_ttable(io.StringIO(bad_float)))
         for bad_prior in ["diag\t4.0\t1.5", "diag\t-1.0\t0.08", "diag\tnan\t0.08"]:
             bad = good.replace("diag\t4.0\t0.08", bad_prior)
             with pytest.raises(DataFormatError, match="'diag' trailer"):
-                load_model(io.StringIO(bad))
+                model_from(*read_ttable(io.StringIO(bad)))

@@ -134,4 +134,5 @@ class TestSlots:
     def test_empty_table_misses_everything(self):
         table, trailer = read_ttable(["alignkit-ttable v1"])
         assert len(table) == 0 and trailer == []
-        assert table.grid([1, NULL_ID], [3, 4], floor=0.5).tolist() == [[0.5, 0.5]] * 2
+        assert table.slots([[1], [NULL_ID]], [3, 4]).tolist() == [[0, 0]] * 2
+        assert table.theta.tolist() == [0.0]
