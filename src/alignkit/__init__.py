@@ -2,6 +2,8 @@
 prior, first-order), symmetrization heuristics, alignment-error-rate
 evaluation, consistent phrase extraction, and annotation projection."""
 
+import importlib
+
 from .alignment import (
     AlignmentFunction,
     AlignmentSet,
@@ -22,15 +24,34 @@ from .errors import (
     NumericError,
 )
 from .evaluation import EvalReport, aer, evaluate_corpus, parse_gold, precision_recall
-from .hmm import HmmConfig, HmmParams
-from .model1 import Model1Config
-from .model2 import DiagonalPrior, Model2Config, Model2Params
 from .phrases import PhrasePair, build_phrase_table, extract_consistent_phrases
 from .projection import Span, project_spans, project_token_labels
-from .synth import SynthConfig, generate
-from .ttable import TranslationTable
 
 __version__ = "0.1.0"
+
+# Names from the modules that import numpy, resolved on use so that the
+# post stages, which import the package, never load numpy.
+_LAZY = {
+    "HmmConfig": "hmm",
+    "HmmParams": "hmm",
+    "Model1Config": "model1",
+    "DiagonalPrior": "model2",
+    "Model2Config": "model2",
+    "Model2Params": "model2",
+    "SynthConfig": "synth",
+    "generate": "synth",
+    "TranslationTable": "ttable",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "AlignmentFunction",

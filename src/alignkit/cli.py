@@ -23,7 +23,8 @@ import sys
 from contextlib import contextmanager
 from typing import TextIO
 
-from . import hmm, model1, model2
+# hmm, model1, model2, synth and ttable import numpy, so only the commands
+# that use them import them, and the post stages start without numpy.
 from .alignment import (
     AlignmentSet,
     format_pharaoh_line,
@@ -56,8 +57,6 @@ from .projection import (
     read_labeled,
     write_span_file,
 )
-from .synth import SynthConfig, generate, write_gold_wpt
-from .ttable import read_ttable
 
 log = logging.getLogger(__name__)
 
@@ -117,6 +116,8 @@ def _resolve_use_null(args) -> bool:
 
 
 def cmd_train(args) -> int:
+    from . import hmm, model1, model2
+
     with _open_in(args.bitext) as fh:
         bitext = load_bitext(
             fh, max_vocab=args.max_vocab, lowercase=args.lowercase, swap=args.reverse
@@ -178,6 +179,9 @@ def cmd_train(args) -> int:
 
 def _load_any_model(path: str):
     """The corpus decoder of the model file at path, Bitext -> alignments."""
+    from . import hmm, model1, model2
+    from .ttable import read_ttable
+
     table, trailer = read_ttable(_read_lines(path))
     e, total = table.worst_row()
     if abs(total - 1.0) > 1e-9:
@@ -206,6 +210,8 @@ def _load_vocab(explicit: str | None, default_path: str, language: str) -> Vocab
             f"vocabulary file {path} not found; train writes it next to the "
             f"model, or pass --source-vocab/--target-vocab"
         ) from None
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def cmd_align(args) -> int:
@@ -356,6 +362,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import SynthConfig, generate, write_gold_wpt
+
     config = SynthConfig(
         pairs=args.pairs,
         vocab_size=args.vocab_size,

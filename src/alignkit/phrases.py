@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence, TextIO
 
 from .alignment import AlignmentSet
@@ -36,42 +37,51 @@ class PhrasePair:
     tgt_end: int
 
 
-def extract_consistent_phrases(
-    alignment: AlignmentSet, max_len: int = 7
-) -> list[PhrasePair]:
+def _spans(alignment: AlignmentSet, max_len: int):
+    """Yield (j1, j2, i1, i2) for every consistent phrase pair, unordered.
+
+    first[j] and last[j] are the least and greatest target columns linked
+    to source row j, and lo[i] and hi[i] the least and greatest source
+    rows linked to target column i (n, -1, m and -1 when unaligned). The
+    target hull [i1, i2] grows with j2, and a rectangle is consistent
+    exactly when every column of its hull has lo and hi inside [j1, j2]."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     m, n = alignment.m, alignment.n
-    links = alignment.sorted_links()
-    aligned_targets = {i for _, i in links}
-    by_row: list[list[int]] = [[] for _ in range(m)]
-    for j, i in links:
-        by_row[j].append(i)
-
-    pairs: list[PhrasePair] = []
+    first, last = [n] * m, [-1] * m
+    lo, hi = [m] * n, [-1] * n
+    for j, i in alignment.links:
+        first[j], last[j] = min(first[j], i), max(last[j], i)
+        lo[i], hi[i] = min(lo[i], j), max(hi[i], j)
     for j1 in range(m):
+        i1, i2 = n, -1
         for j2 in range(j1, min(m, j1 + max_len)):
-            hull = [i for j in range(j1, j2 + 1) for i in by_row[j]]
-            if not hull:
+            if first[j2] < i1:
+                i1 = first[j2]
+            if last[j2] > i2:
+                i2 = last[j2]
+            if i2 < 0:
                 continue
-            i1, i2 = min(hull), max(hull)
-            if any(
-                i1 <= i <= i2 and not (j1 <= j <= j2) for j, i in links
-            ):
+            if i2 - i1 >= max_len:
+                break  # the hull only grows with j2
+            if min(lo[i1 : i2 + 1]) < j1:
+                break  # a hull column links above j1, for every later j2 too
+            if max(hi[i1 : i2 + 1]) > j2:
                 continue
-            lo = i1
-            while True:
-                hi = i2
-                while True:
-                    if hi - lo + 1 <= max_len:
-                        pairs.append(PhrasePair(j1, j2, lo, hi))
-                    hi += 1
-                    if hi >= n or hi in aligned_targets:
-                        break
-                lo -= 1
-                if lo < 0 or lo in aligned_targets:
-                    break
-    return sorted(pairs)
+            # Widen over unaligned target columns on either side.
+            start = i1
+            while start >= 0 and i2 - start < max_len and (start == i1 or hi[start] < 0):
+                end = i2
+                while end < n and end - start < max_len and (end == i2 or hi[end] < 0):
+                    yield j1, j2, start, end
+                    end += 1
+                start -= 1
+
+
+def extract_consistent_phrases(
+    alignment: AlignmentSet, max_len: int = 7
+) -> list[PhrasePair]:
+    return sorted(PhrasePair(*span) for span in _spans(alignment, max_len))
 
 
 @dataclass
@@ -96,12 +106,6 @@ class PhraseTable:
         total = self.tgt_marginals[tgt]
         return self.counts[(src, tgt)] / total if total else 0.0
 
-    def entries(self):
-        for src, tgt in sorted(self.counts):
-            yield src, tgt, self.forward(src, tgt), self.inverse(src, tgt), self.counts[
-                (src, tgt)
-            ]
-
 
 def build_phrase_table(
     records: Iterable[tuple[Sequence[str], Sequence[str], AlignmentSet]],
@@ -110,27 +114,31 @@ def build_phrase_table(
     """Accumulate phrase-pair counts over (source tokens, target tokens,
     alignment) records."""
     counts: Counter = Counter()
-    src_marginals: Counter = Counter()
-    tgt_marginals: Counter = Counter()
     for src_tokens, tgt_tokens, alignment in records:
         if alignment.m != len(src_tokens) or alignment.n != len(tgt_tokens):
             raise ValueError(
                 f"alignment dimensions {alignment.m}x{alignment.n} do not match "
                 f"sentence lengths {len(src_tokens)}x{len(tgt_tokens)}"
             )
-        for pp in extract_consistent_phrases(alignment, max_len=max_len):
-            src = tuple(src_tokens[pp.src_start : pp.src_end + 1])
-            tgt = tuple(tgt_tokens[pp.tgt_start : pp.tgt_end + 1])
-            counts[(src, tgt)] += 1
-            src_marginals[src] += 1
-            tgt_marginals[tgt] += 1
+        src, tgt = tuple(src_tokens), tuple(tgt_tokens)
+        counts.update(
+            (src[j1 : j2 + 1], tgt[i1 : i2 + 1])
+            for j1, j2, i1, i2 in _spans(alignment, max_len)
+        )
+    src_marginals: Counter = Counter()
+    tgt_marginals: Counter = Counter()
+    for (src, tgt), count in counts.items():
+        src_marginals[src] += count
+        tgt_marginals[tgt] += count
     return PhraseTable(counts, src_marginals, tgt_marginals)
 
 
 def write_phrase_table(table: PhraseTable, out: TextIO) -> None:
-    """One line per pair: `src ||| tgt ||| p(tgt|src) p(src|tgt) count`."""
-    for src, tgt, fwd, inv, count in table.entries():
-        out.write(
-            f"{' '.join(src)}{SEPARATOR}{' '.join(tgt)}{SEPARATOR}"
-            f"{fwd!r} {inv!r} {count}\n"
-        )
+    """One line per pair: `src ||| tgt ||| p(tgt|src) p(src|tgt) count`,
+    sorted by the (source, target) token tuples."""
+    src_totals, tgt_totals = table.src_marginals, table.tgt_marginals
+    out.writelines(
+        f"{' '.join(src)}{SEPARATOR}{' '.join(tgt)}{SEPARATOR}"
+        f"{count / src_totals[src]!r} {count / tgt_totals[tgt]!r} {count}\n"
+        for (src, tgt), count in sorted(table.counts.items(), key=itemgetter(0))
+    )

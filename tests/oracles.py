@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 NULL = -1
 
@@ -299,3 +300,22 @@ def phrase_pairs_brute(links, m: int, n: int, max_len: int):
                     if inside and not violated:
                         out.append((j1, j2, i1, i2))
     return sorted(out)
+
+
+def phrase_table_brute(records, max_len: int):
+    """(counts, source marginals, target marginals, written text) of the
+    phrase table over (source tokens, target tokens, links) records,
+    counting one extracted pair at a time."""
+    counts, src_totals, tgt_totals = Counter(), Counter(), Counter()
+    for src, tgt, links in records:
+        for j1, j2, i1, i2 in phrase_pairs_brute(links, len(src), len(tgt), max_len):
+            s, t = tuple(src[j1 : j2 + 1]), tuple(tgt[i1 : i2 + 1])
+            counts[(s, t)] += 1
+            src_totals[s] += 1
+            tgt_totals[t] += 1
+    lines = []
+    for s, t in sorted(counts):
+        count = counts[(s, t)]
+        fwd, inv = count / src_totals[s], count / tgt_totals[t]
+        lines.append(f"{' '.join(s)} ||| {' '.join(t)} ||| {fwd!r} {inv!r} {count}\n")
+    return counts, src_totals, tgt_totals, "".join(lines)

@@ -220,6 +220,18 @@ class TestAlign:
         assert code == 2
         assert f"vocabulary line 2: repeated token {token!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_vocabulary_error_names_the_sidecar(self, toy_model, tmp_path, capsys, side):
+        bitext, model = toy_model
+        sidecar = tmp_path / f"toy.model.{side}-vocab"
+        sidecar.write_text("1\tonly-two-fields\n", encoding="utf-8")
+        code = cli.main(["align", "--model-file", str(model), "--bitext", str(bitext)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{sidecar}: vocabulary line 1: expected 3 tab-separated fields" in err
+        other = "target" if side == "source" else "source"
+        assert f"{other}-vocab" not in err
+
     def test_missing_vocabulary_sidecar_is_explained(self, toy_model, tmp_path, capsys):
         bitext, model = toy_model
         (tmp_path / "toy.model.source-vocab").unlink()

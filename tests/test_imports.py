@@ -1,0 +1,102 @@
+"""The package and the post-stage commands load without numpy.
+
+Each check runs in a fresh interpreter, because the test process has
+long since imported numpy.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import alignkit
+from alignkit import hmm, model1, model2, synth, ttable
+
+SRC = str(Path(alignkit.__file__).resolve().parent.parent)
+
+
+def run_python(code: str, cwd=None) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.parametrize("module", ["alignkit", "alignkit.cli"])
+def test_import_does_not_load_numpy(module):
+    out = run_python(f"import sys, {module}; print('numpy' in sys.modules)")
+    assert out == "False\n"
+
+
+@pytest.fixture
+def toy_files(tmp_path):
+    files = {
+        "bitext.txt": "a b ||| x y\nc ||| z\n",
+        "fwd.al": "0-0 1-1\n0-0\n",
+        "rev.al": "0-0 1-1\n0-0\n",
+        "gold.wpt": "1 1 1 S\n1 2 2 S\n2 1 1 P\n",
+        "tags.txt": "a/X b/O\nc/O\n",
+        "spans.tsv": "1\t0\t1\tPER\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+POST_STAGES = {
+    "symmetrize": ["symmetrize", "--forward", "fwd.al", "--backward", "rev.al",
+                   "--heuristic", "grow-diag-final-and"],
+    "eval": ["eval", "--hypothesis", "fwd.al", "--gold", "gold.wpt", "--tsv"],
+    "extract-phrases": ["extract-phrases", "--bitext", "bitext.txt",
+                        "--alignments", "fwd.al"],
+    "project-tokens": ["project", "--bitext", "bitext.txt", "--alignments", "fwd.al",
+                       "--annotations", "tags.txt", "--layer", "tokens"],
+    "project-spans": ["project", "--bitext", "bitext.txt", "--alignments", "fwd.al",
+                      "--annotations", "spans.tsv", "--layer", "spans"],
+}
+
+
+@pytest.mark.parametrize("argv", POST_STAGES.values(), ids=POST_STAGES.keys())
+def test_post_stage_does_not_load_numpy(toy_files, argv):
+    out = run_python(
+        "import sys\n"
+        "from alignkit import cli\n"
+        f"code = cli.main({argv + ['--output', 'out.txt']!r})\n"
+        "print(code, 'numpy' in sys.modules)\n",
+        cwd=toy_files,
+    )
+    assert out == "0 False\n"
+    assert (toy_files / "out.txt").read_text(encoding="utf-8")
+
+
+def test_every_public_name_resolves_to_its_submodule_object():
+    for name in alignkit.__all__:
+        assert getattr(alignkit, name) is not None, name
+    assert alignkit.HmmConfig is hmm.HmmConfig
+    assert alignkit.HmmParams is hmm.HmmParams
+    assert alignkit.Model1Config is model1.Model1Config
+    assert alignkit.DiagonalPrior is model2.DiagonalPrior
+    assert alignkit.Model2Config is model2.Model2Config
+    assert alignkit.Model2Params is model2.Model2Params
+    assert alignkit.SynthConfig is synth.SynthConfig
+    assert alignkit.generate is synth.generate
+    assert alignkit.TranslationTable is ttable.TranslationTable
+
+
+def test_dir_lists_every_public_name_before_any_is_loaded():
+    out = run_python(
+        "import sys, alignkit\n"
+        "print(sorted(set(alignkit.__all__) - set(dir(alignkit))), 'numpy' in sys.modules)\n"
+    )
+    assert out == "[] False\n"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        alignkit.no_such_name

@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,23 @@ class TestExtraction:
         got = spans(extract_consistent_phrases(aset(links, m, n), max_len=max_len))
         assert got == oracles.phrase_pairs_brute(links, m, n, max_len)
 
+    @given(
+        data=st.data(),
+        m=st.integers(1, 9),
+        n=st.integers(1, 9),
+        max_len=st.integers(1, 10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rectangle_enumeration_over_the_whole_grid(self, data, m, n, max_len):
+        cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+        links = data.draw(st.one_of(
+            st.sets(cells, max_size=m * n),
+            st.builds(lambda j: {(j, i) for i in range(n)}, st.integers(0, m - 1)),
+            st.builds(lambda i: {(j, i) for j in range(m)}, st.integers(0, n - 1)),
+        ))
+        got = spans(extract_consistent_phrases(aset(links, m, n), max_len=max_len))
+        assert got == oracles.phrase_pairs_brute(links, m, n, max_len)
+
 
 class TestPhraseTable:
     def test_relative_frequencies(self):
@@ -142,3 +160,28 @@ class TestPhraseTable:
             "a b ||| x y ||| 1.0 1.0 1\n"
             "b ||| y ||| 1.0 1.0 1\n"
         )
+
+    def test_matches_per_pair_reference(self):
+        # Few distinct tokens, so phrases recur across records and the
+        # relative frequencies include inexact ratios such as 1/3 and 2/7.
+        rng = random.Random(61)
+        records, reference_records = [], []
+        for _ in range(50):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            src = [rng.choice("abc") for _ in range(m)]
+            tgt = [rng.choice("xyz") for _ in range(n)]
+            cells = [(j, i) for j in range(m) for i in range(n)]
+            links = set(rng.sample(cells, rng.randint(0, min(len(cells), 6))))
+            records.append((src, tgt, aset(links, m, n)))
+            reference_records.append((src, tgt, links))
+        counts, src_totals, tgt_totals, text = oracles.phrase_table_brute(
+            reference_records, max_len=4
+        )
+        table = build_phrase_table(records, max_len=4)
+        out = io.StringIO()
+        write_phrase_table(table, out)
+        assert out.getvalue() == text
+        assert table.counts == counts
+        assert table.src_marginals == src_totals
+        assert table.tgt_marginals == tgt_totals
+        assert repr(1 / 3) in text and repr(2 / 7) in text
