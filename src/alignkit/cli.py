@@ -21,6 +21,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import TextIO
 
 # hmm, model1, model2, synth and ttable import numpy, so only the commands
@@ -136,7 +137,7 @@ def cmd_train(args) -> int:
         table, _ = model1.train(
             bitext, config, jobs=args.jobs, quiet=args.quiet, log_to=log_to
         )
-        save = lambda out: model1.save_model(out, table)
+        save = lambda out: model1.save_model(out, table.pruned())
     elif args.model == "model2":
         config = model2.Model2Config(
             iterations=args.iters,
@@ -148,7 +149,9 @@ def cmd_train(args) -> int:
         params, _ = model2.train(
             bitext, config, jobs=args.jobs, quiet=args.quiet, log_to=log_to
         )
-        save = lambda out: model2.save_model(out, params)
+        save = lambda out: model2.save_model(
+            out, replace(params, table=params.table.pruned())
+        )
     else:
         config = hmm.HmmConfig(
             iterations=args.iters,
@@ -162,7 +165,10 @@ def cmd_train(args) -> int:
         params, _ = hmm.train(
             bitext, config, jobs=args.jobs, quiet=args.quiet, log_to=log_to
         )
-        save = lambda out: hmm.save_model(out, params)
+        save = lambda out: hmm.save_model(
+            out, replace(params, table=params.table.pruned())
+        )
+    # The saved table leaves out the entries that decode like missing ones.
     with _open_out(args.output) as out:
         save(out)
     if args.output != "-":
@@ -180,11 +186,11 @@ def cmd_train(args) -> int:
 def _load_any_model(path: str):
     """The corpus decoder of the model file at path, Bitext -> alignments."""
     from . import hmm, model1, model2
-    from .ttable import read_ttable
+    from .ttable import ROW_SUM_TOL, read_ttable
 
     table, trailer = read_ttable(_read_lines(path))
     e, total = table.worst_row()
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > ROW_SUM_TOL:
         raise DataFormatError(
             f"{path}: the probabilities of target id {e} sum to {total!r}, not 1"
         )
@@ -620,6 +626,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except BrokenPipeError:
         return 0
+    except UnicodeDecodeError as exc:
+        print(f"alignkit: error: input is not UTF-8: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"alignkit: error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,7 @@ objective does not decrease, which keeps the likelihood trace monotone.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
@@ -34,10 +35,13 @@ from ._packed import ChunkRunner, PackedCorpus, lexical_step, run_em
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError, NumericError
-from .ttable import NULL_ID, TranslationTable, write_ttable
+from .ttable import DECODE_FLOOR, NULL_ID, TranslationTable, write_ttable
 
 HMM_TRAILER = "hmm"
 JUMP_TRAILER = "jump"
+JUMP_HALVINGS = 50  # backtracking steps before jump re-estimation gives up
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(eq=False)
@@ -207,7 +211,7 @@ def _scaled_backward(
 
 
 def log_forward(
-    pair: SentencePair, params: HmmParams, floor: float = 1e-12
+    pair: SentencePair, params: HmmParams, floor: float = DECODE_FLOOR
 ) -> float:
     """log of the total probability of the source sentence, summed over all
     state paths. Lexical lookups are floored, so the value is finite."""
@@ -217,7 +221,7 @@ def log_forward(
 
 
 def forward_backward(
-    pair: SentencePair, params: HmmParams, floor: float = 1e-12
+    pair: SentencePair, params: HmmParams, floor: float = DECODE_FLOOR
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """State posteriors for one pair.
 
@@ -236,13 +240,15 @@ def forward_backward(
 
 
 def viterbi_decode(
-    pair: SentencePair, params: HmmParams, floor: float = 1e-12
+    pair: SentencePair, params: HmmParams, floor: float = DECODE_FLOOR
 ) -> AlignmentFunction:
     """align_corpus on the one pair."""
     return align_corpus(Bitext([pair]), params, floor)[0]
 
 
-def viterbi_score(pair: SentencePair, params: HmmParams, floor: float = 1e-12) -> float:
+def viterbi_score(
+    pair: SentencePair, params: HmmParams, floor: float = DECODE_FLOOR
+) -> float:
     """Log probability of the single best state path."""
     return _viterbi(pair.n, *_pair_model(pair, params, floor))[1]
 
@@ -342,7 +348,8 @@ def _reestimate_jumps(
     jumps: JumpTable, jump_stats: dict[int, np.ndarray], floor: float
 ) -> JumpTable:
     """Count-normalized jump update with backtracking toward the previous
-    distribution whenever the auxiliary objective would decrease."""
+    distribution whenever the auxiliary objective would decrease; after
+    JUMP_HALVINGS halvings it warns and returns the previous table itself."""
     if not jump_stats:
         return jumps
     w = jumps.w
@@ -354,10 +361,14 @@ def _reestimate_jumps(
     old = jumps.probs
     base = _jump_objective(old, jump_stats, w)
     step = cand
-    for _ in range(50):
+    for _ in range(JUMP_HALVINGS):
         if _jump_objective(step, jump_stats, w) >= base:
             return JumpTable(w=w, probs=step, p0=jumps.p0)
         step = 0.5 * step + 0.5 * old
+    log.warning(
+        "jump re-estimation lowered the EM objective after %d halvings; "
+        "kept the previous jump table", JUMP_HALVINGS,
+    )
     return jumps
 
 
@@ -417,7 +428,7 @@ def train(
 
 
 def align_corpus(
-    bitext: Bitext, params: HmmParams, floor: float = 1e-12
+    bitext: Bitext, params: HmmParams, floor: float = DECODE_FLOOR
 ) -> list[AlignmentFunction]:
     """Most probable state path of every pair; ties break toward the smaller
     state index at every backpointer, so real positions beat their NULL
@@ -466,6 +477,8 @@ def model_from(table: TranslationTable, trailer: list[str]) -> HmmParams:
             raise DataFormatError(f"jump bucket {d} repeated")
         seen.add(d)
         probs[d + w] = p
+    if probs[w] == 0.0:  # staying put is the only move in a one-word sentence
+        raise DataFormatError("bad 'hmm' trailer: jump bucket 0 has probability 0")
     try:
         jumps = JumpTable(w=w, probs=probs, p0=p0)
     except ConfigError as exc:

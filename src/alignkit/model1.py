@@ -25,7 +25,14 @@ from ._packed import PackedCorpus, PriorProvider, corpus_cells, train_lexical
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError
-from .ttable import NULL_ID, TranslationTable, distinct_sorted, read_ttable, write_ttable
+from .ttable import (
+    DECODE_FLOOR,
+    NULL_ID,
+    TranslationTable,
+    distinct_sorted,
+    read_ttable,
+    write_ttable,
+)
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ def train(
 def posterior_align(
     pair: SentencePair,
     table: TranslationTable,
-    floor: float = 1e-12,
+    floor: float = DECODE_FLOOR,
     use_null: bool | None = None,
 ) -> AlignmentFunction:
     """align_corpus on the one pair."""
@@ -124,7 +131,7 @@ def sentence_log_prob(
 
 
 def align_corpus(
-    bitext: Bitext, table: TranslationTable, floor: float = 1e-12,
+    bitext: Bitext, table: TranslationTable, floor: float = DECODE_FLOOR,
     use_null: bool | None = None, prior: Optional[PriorProvider] = None,
 ) -> list[AlignmentFunction]:
     """best_targets of every pair under the lexical table, times the prior

@@ -27,7 +27,7 @@ from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError
 from .model1 import init_uniform
-from .ttable import TranslationTable, write_ttable
+from .ttable import DECODE_FLOOR, TranslationTable, write_ttable
 
 DIAG_TRAILER = "diag"
 
@@ -141,14 +141,14 @@ def train(
 
 
 def align(
-    pair: SentencePair, params: Model2Params, floor: float = 1e-12
+    pair: SentencePair, params: Model2Params, floor: float = DECODE_FLOOR
 ) -> AlignmentFunction:
     """align_corpus on the one pair."""
     return align_corpus(Bitext([pair]), params, floor)[0]
 
 
 def align_corpus(
-    bitext: Bitext, params: Model2Params, floor: float = 1e-12
+    bitext: Bitext, params: Model2Params, floor: float = DECODE_FLOOR
 ) -> list[AlignmentFunction]:
     """argmax_i p(i | j, m, n) t(f_j | e_i) per source position of every
     pair; ties to the smaller target position, NULL losing all ties."""

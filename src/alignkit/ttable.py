@@ -16,6 +16,11 @@ Text format, used as the base of every model file:
     alignkit-ttable v1
     e_id<TAB>f_id<TAB>prob        # sorted by (e_id, f_id), no repeats, NULL as -1
     ... optional model-specific trailer lines ...
+
+Each row of a model file sums to 1 within ROW_SUM_TOL. Decoders score
+every cell at least DECODE_FLOOR, so an entry at or below it decodes
+exactly like a missing one; `pruned` drops such entries before `train`
+saves a model.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ from .errors import DataFormatError
 NULL_ID = -1
 
 HEADER = "alignkit-ttable v1"
+
+DECODE_FLOOR = 1e-12  # the least score a decoder gives any cell
+ROW_SUM_TOL = 1e-9  # how far from 1 a model file's row may sum
 
 _ROW_DTYPE = [("e", np.int64), ("f", np.int64), ("p", np.float64)]
 _WRITE_BATCH = 1 << 16
@@ -65,20 +73,38 @@ class TranslationTable:
         self.es = np.ascontiguousarray(es, dtype=np.int64)
         self.fs = np.ascontiguousarray(fs, dtype=np.int64)
         self.theta = np.append(np.asarray(probs, dtype=np.float64), 0.0)
-        row_start = np.diff(self.es, prepend=self.es[:1] - 1) != 0
-        self.row_starts = np.flatnonzero(row_start)
+        self.row_starts = np.flatnonzero(np.diff(self.es, prepend=self.es[:1] - 1))
         self.row_ids = self.es[self.row_starts]
-        # Cells are keyed by (row rank, source rank), which cannot overflow
-        # whatever the ids are; slots() guards ids that have no rank.
-        self._f_ids = distinct_sorted(self.fs)
-        row_rank = np.cumsum(row_start) - 1
-        self._keys = row_rank * len(self._f_ids) + np.searchsorted(self._f_ids, self.fs)
         for array in (self.es, self.fs, self.theta):
             array.flags.writeable = False
+
+    @cached_property
+    def _cell_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct source ids, and each entry's cell key. Cells
+        are keyed by (row rank, source rank), which cannot overflow whatever
+        the ids are; slots() guards ids that have no rank. Built on the first
+        lookup, so that a table that is only written never builds them."""
+        f_ids = distinct_sorted(self.fs)
+        lengths = np.diff(self.row_starts, append=len(self))
+        row_rank = np.repeat(np.arange(len(self.row_starts)), lengths)
+        return f_ids, row_rank * len(f_ids) + np.searchsorted(f_ids, self.fs)
 
     def with_probs(self, probs: np.ndarray) -> TranslationTable:
         """The same support with new probabilities, in entry order."""
         return TranslationTable.from_arrays(self.es, self.fs, probs)
+
+    def pruned(self) -> TranslationTable:
+        """The table without its entries at or below DECODE_FLOOR. A row whose
+        such entries carry more than ROW_SUM_TOL / 2 of mass keeps them all,
+        so that it still sums to 1 within ROW_SUM_TOL."""
+        probs = self.theta[:-1]
+        low = probs <= DECODE_FLOOR
+        if not low.any():
+            return self
+        low_mass = np.add.reduceat(np.where(low, probs, 0.0), self.row_starts)
+        lengths = np.diff(self.row_starts, append=len(self))
+        keep = ~(low & np.repeat(low_mass <= ROW_SUM_TOL / 2, lengths))
+        return TranslationTable.from_arrays(self.es[keep], self.fs[keep], probs[keep])
 
     def slots(self, es, fs) -> np.ndarray:
         """Entry position of each cell (e, f), es broadcast against fs; a
@@ -88,14 +114,15 @@ class TranslationTable:
         miss = len(self)
         if not miss:
             return np.zeros(np.broadcast_shapes(es.shape, fs.shape), dtype=np.int64)
+        f_ids, cell_keys = self._cell_keys
         row, row_known = _rank(self.row_ids, es)
-        col, col_known = _rank(self._f_ids, fs)
+        col, col_known = _rank(f_ids, fs)
         # Without the guards an unknown id would take the rank of the next
         # known one, and a source id past the last would alias into row + 1.
-        keys = row * len(self._f_ids) + col
+        keys = row * len(f_ids) + col
         del row, col
-        slot = np.minimum(np.searchsorted(self._keys, keys), miss - 1)
-        found = row_known & col_known & (self._keys[slot] == keys)
+        slot = np.minimum(np.searchsorted(cell_keys, keys), miss - 1)
+        found = row_known & col_known & (cell_keys[slot] == keys)
         return np.where(found, slot, miss)
 
     def prob(self, e: int, f: int, floor: float = 0.0) -> float:

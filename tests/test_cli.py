@@ -393,6 +393,17 @@ class TestExitCodes:
             "align", "--model-file", str(tmp_path / "junk.model"), "--bitext", "-",
         ]) == 2
 
+    @pytest.mark.parametrize("command", ["train", "align"])
+    def test_input_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"alignkit-ttable v1\n1\t1\t1.0\xff ||| x\n")
+        flag = "--bitext" if command == "train" else "--model-file"
+        argv = [command, flag, str(bad), "--output", str(tmp_path / "out")]
+        if command == "align":
+            argv += ["--bitext", "-"]
+        assert cli.main(argv) == 2
+        assert "alignkit: error: input is not UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, message", [
         (["train", "--max-vocab", "0", "--output", "m"], "vocabulary size must be >= 1"),
         (["extract-phrases", "--max-len", "0", "--alignments", "toy.al"],

@@ -1,11 +1,12 @@
 import io
+import logging
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from alignkit import model1
+from alignkit import hmm, model1
 from alignkit._packed import PackedCorpus
 from alignkit.corpus import SentencePair, load_bitext
 from alignkit.errors import ConfigError, DataFormatError, NumericError
@@ -15,6 +16,7 @@ from alignkit.hmm import (
     JumpTable,
     _bw_chunk,
     _initial_probs,
+    _reestimate_jumps,
     _transition_matrix,
     align_corpus,
     baum_welch_step,
@@ -371,6 +373,21 @@ class TestBaumWelch:
                 assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_jump_fallback_keeps_the_table_and_warns(self, monkeypatch, caplog):
+        jumps = uniform_jumps(w=2, p0=0.0)
+        stats = {3: np.arange(9.0).reshape(3, 3)}
+        with caplog.at_level(logging.WARNING, logger="alignkit.hmm"):
+            assert _reestimate_jumps(jumps, stats, 1e-12) is not jumps
+            assert not caplog.records
+            # Every candidate now scores below the previous table.
+            monkeypatch.setattr(
+                hmm, "_jump_objective", lambda q, *_: 0.0 if q is jumps.probs else -1.0
+            )
+            assert _reestimate_jumps(jumps, stats, 1e-12) is jumps
+        (record,) = caplog.records
+        assert "kept the previous jump table" in record.getMessage()
+
+
 class TestBaumWelchStatistics:
     """_bw_chunk's expected counts against enumeration over state paths."""
 
@@ -468,6 +485,16 @@ class TestModelFile:
         again = io.StringIO()
         save_model(again, loaded)
         assert again.getvalue() == out.getvalue()
+
+    def test_a_jump_table_that_never_stays_put_is_rejected(self):
+        # A one-word sentence can only stay put, so bucket 0 needs mass.
+        bt = make_bitext([((1,), (2,))])
+        params, _ = train(bt, HmmConfig(iterations=1, w=1))
+        params.jumps = JumpTable(w=1, probs=np.array([0.5, 0.0, 0.5]))
+        out = io.StringIO()
+        save_model(out, params)
+        with pytest.raises(DataFormatError, match="jump bucket 0 has probability 0"):
+            model_from(*read_ttable(io.StringIO(out.getvalue())))
 
     def test_null_usage_follows_the_table(self):
         bt = make_bitext([((1, 2), (3, 4))])
