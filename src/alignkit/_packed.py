@@ -35,6 +35,7 @@ from .ttable import NULL_ID, TranslationTable
 
 CHUNK_PAIRS = 1024
 MONOTONE_SLACK = 1e-9  # rounding allowance before a likelihood drop is reported
+MSTEP_FLOOR = 1e-12  # the least expected count an M-step renormalizes
 
 log = logging.getLogger(__name__)
 
@@ -84,9 +85,9 @@ class PackedCorpus:
         counts = np.bincount(idx, np.concatenate(weights), minlength=self.n_slots + 1)
         return counts[: self.n_slots]
 
-    def normalize_counts(self, counts: np.ndarray, floor: float) -> np.ndarray:
-        """M-step: floor expected counts, renormalize each target row."""
-        floored = np.maximum(counts, floor)
+    def normalize_counts(self, counts: np.ndarray) -> np.ndarray:
+        """M-step: floor expected counts at MSTEP_FLOOR, renormalize each target row."""
+        floored = np.maximum(counts, MSTEP_FLOOR)
         row_sums = np.add.reduceat(floored, self.row_starts)
         lengths = np.diff(self.row_starts, append=self.n_slots)
         return np.append(floored / np.repeat(row_sums, lengths), 0.0)
@@ -102,7 +103,6 @@ def _chunk_counts(
     hi: int,
     theta: np.ndarray,
     prior: Optional[PriorProvider],
-    log_eps: float,
 ) -> tuple[np.ndarray, float]:
     """Expected counts and log-likelihood contribution of pairs [lo, hi)."""
     ll = 0.0
@@ -123,7 +123,7 @@ def _chunk_counts(
                 "total probability under the table"
             )
         gamma = probs / denom
-        ll += float(np.log(denom).sum()) + log_eps
+        ll += float(np.log(denom).sum())
         if prior is None:
             ll -= m * math.log(rows)
         gamma_parts.append(gamma.reshape(-1))
@@ -209,20 +209,16 @@ def run_em(step: Callable, state, iterations: int, log_to: Optional[TextIO] = No
 
 
 def lexical_step(
-    runner: ChunkRunner,
-    theta: np.ndarray,
-    floor: float,
-    prior: Optional[PriorProvider] = None,
-    log_eps: float = 0.0,
+    runner: ChunkRunner, theta: np.ndarray, prior: Optional[PriorProvider] = None
 ) -> tuple[np.ndarray, float]:
     """One lexical EM step, Model 1 without a prior and Model 2 with one:
     the re-estimated theta and the log-likelihood of the input theta."""
     counts = np.zeros(runner.packed.n_slots)
     ll = 0.0
-    for part_counts, part_ll in runner.map(_chunk_counts, theta, prior, log_eps):
+    for part_counts, part_ll in runner.map(_chunk_counts, theta, prior):
         counts += part_counts
         ll += part_ll
-    return runner.packed.normalize_counts(counts, floor), ll
+    return runner.packed.normalize_counts(counts), ll
 
 
 def train_lexical(
@@ -230,15 +226,12 @@ def train_lexical(
     table: TranslationTable,
     use_null: bool,
     iterations: int,
-    floor: float,
-    epsilon: float,
     prior: Optional[PriorProvider] = None,
     jobs: int = 1,
     log_to: Optional[TextIO] = None,
 ) -> tuple[TranslationTable, list[float]]:
     """Lexical EM from `table`; returns the final table and the trace."""
-    log_eps = math.log(epsilon)
     with ChunkRunner(bitext, table, use_null, jobs) as runner:
-        step = lambda theta: lexical_step(runner, theta, floor, prior, log_eps)
+        step = lambda theta: lexical_step(runner, theta, prior)
         theta, trace = run_em(step, table.theta, iterations, log_to)
     return table.with_probs(theta[:-1]), trace

@@ -128,27 +128,16 @@ def cmd_train(args) -> int:
     use_null = _resolve_use_null(args)
     log_to = None if args.quiet else sys.stderr
     if args.model == "model1":
-        config = model1.Model1Config(
-            iterations=args.iters,
-            use_null=use_null,
-            epsilon=args.epsilon,
-            floor=args.floor,
-        )
-        table, _ = model1.train(
-            bitext, config, jobs=args.jobs, quiet=args.quiet, log_to=log_to
-        )
+        config = model1.Model1Config(iterations=args.iters, use_null=use_null)
+        table, _ = model1.train(bitext, config, jobs=args.jobs, log_to=log_to)
         save = lambda out: model1.save_model(out, table.pruned())
     elif args.model == "model2":
         config = model2.Model2Config(
             iterations=args.iters,
-            epsilon=args.epsilon,
-            floor=args.floor,
             lam=args.lam,
             p0=args.p0 if args.p0 is not None else 0.08,
         )
-        params, _ = model2.train(
-            bitext, config, jobs=args.jobs, quiet=args.quiet, log_to=log_to
-        )
+        params, _ = model2.train(bitext, config, jobs=args.jobs, log_to=log_to)
         save = lambda out: model2.save_model(
             out, replace(params, table=params.table.pruned())
         )
@@ -159,12 +148,8 @@ def cmd_train(args) -> int:
             w=args.w,
             p0=args.p0 if args.p0 is not None else 0.2,
             use_null=use_null,
-            epsilon=args.epsilon,
-            floor=args.floor,
         )
-        params, _ = hmm.train(
-            bitext, config, jobs=args.jobs, quiet=args.quiet, log_to=log_to
-        )
+        params, _ = hmm.train(bitext, config, jobs=args.jobs, log_to=log_to)
         save = lambda out: hmm.save_model(
             out, replace(params, table=params.table.pruned())
         )
@@ -454,8 +439,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
         default=5,
         help="lexical warm-up iterations before hmm training (default 5)",
     )
-    p.add_argument("--epsilon", type=float, default=1.0, help=argparse.SUPPRESS)
-    p.add_argument("--floor", type=float, default=1e-12, help=argparse.SUPPRESS)
     p.add_argument("--max-vocab", type=int, default=None, help="cap vocabulary size")
     p.add_argument("--lowercase", action="store_true", help="lowercase all tokens")
     p.add_argument(

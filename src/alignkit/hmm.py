@@ -31,7 +31,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from . import model1
-from ._packed import ChunkRunner, PackedCorpus, lexical_step, run_em
+from ._packed import MSTEP_FLOOR, ChunkRunner, PackedCorpus, lexical_step, run_em
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError, NumericError
@@ -63,9 +63,6 @@ class JumpTable:
         if not (self.probs >= 0.0).all() or not abs(self.probs.sum() - 1.0) <= 1e-9:
             raise ConfigError("jump probabilities must be a distribution")
 
-    def prob(self, d: int) -> float:
-        return float(self.probs[min(max(d, -self.w), self.w) + self.w])
-
 
 def uniform_jumps(w: int = 5, p0: float = 0.2) -> JumpTable:
     return JumpTable(w=w, probs=np.full(2 * w + 1, 1.0 / (2 * w + 1)), p0=p0)
@@ -85,8 +82,6 @@ class HmmConfig:
     w: int = 5
     p0: float = 0.2
     use_null: bool = True
-    epsilon: float = 1.0
-    floor: float = 1e-12
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -99,10 +94,6 @@ class HmmConfig:
             raise ConfigError(f"jump window must be >= 1, got {self.w}")
         if not 0.0 <= self.p0 < 1.0:
             raise ConfigError(f"null transition mass must be in [0, 1), got {self.p0}")
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0.0 < self.floor < 1.0:
-            raise ConfigError(f"floor must be in (0, 1), got {self.floor}")
 
 
 _CLIP_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -145,10 +136,12 @@ def _initial_probs(n: int, p0: float, use_null: bool) -> np.ndarray:
     return pi
 
 
-def _pair_models(packed: PackedCorpus, lo: int, hi: int, theta, jumps, floor=0.0):
+def _pair_models(packed: PackedCorpus, lo: int, hi: int, theta, jumps, floor):
     """(n, emissions, transitions, initial probabilities) of pairs [lo, hi),
-    transitions built once per length n. Emissions are the floored block,
-    with the NULL row (last) repeated for each NULL companion state."""
+    transitions built once per length n. Emissions are the block floored at
+    `floor`, with the NULL row (last) repeated for each NULL companion state.
+    Decoding floors at DECODE_FLOOR; Baum-Welch passes 0.0, since its M-step
+    entries may fall below DECODE_FLOOR and must be read as they are."""
     use_null = packed.use_null
     per_length: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in range(lo, hi):
@@ -164,10 +157,11 @@ def _pair_models(packed: PackedCorpus, lo: int, hi: int, theta, jumps, floor=0.0
         yield (n, emit, *per_length[n])
 
 
-def _pair_model(pair: SentencePair, params: HmmParams, floor: float):
-    """Floored emissions, transitions and initial probabilities of a pair."""
+def _pair_model(pair: SentencePair, params: HmmParams):
+    """Decoding emissions, transitions and initial probabilities of a pair."""
     packed = PackedCorpus(Bitext([pair]), params.table, params.use_null)
-    return next(_pair_models(packed, 0, 1, params.table.theta, params.jumps, floor))[1:]
+    theta = params.table.theta
+    return next(_pair_models(packed, 0, 1, theta, params.jumps, DECODE_FLOOR))[1:]
 
 
 def _scaled_forward(
@@ -210,51 +204,21 @@ def _scaled_backward(
     return betas, weighted
 
 
-def log_forward(
-    pair: SentencePair, params: HmmParams, floor: float = DECODE_FLOOR
-) -> float:
+def log_forward(pair: SentencePair, params: HmmParams) -> float:
     """log of the total probability of the source sentence, summed over all
     state paths. Lexical lookups are floored, so the value is finite."""
-    emit, trans, pi = _pair_model(pair, params, floor)
+    emit, trans, pi = _pair_model(pair, params)
     _, scales = _scaled_forward(emit, trans, pi)
     return float(np.log(scales).sum())
 
 
-def forward_backward(
-    pair: SentencePair, params: HmmParams, floor: float = DECODE_FLOOR
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """State posteriors for one pair.
-
-    Returns (gamma, xi, log_z): gamma[j, s] is the posterior of state s at
-    source position j and sums to 1 over s; xi[j] is the (states, states)
-    posterior of the transition from position j to j + 1. States 0..n-1
-    are the target positions; with NULL on, states n..2n-1 are the NULL
-    companions of positions 0..n-1.
-    """
-    emit, trans, pi = _pair_model(pair, params, floor)
-    alphas, scales = _scaled_forward(emit, trans, pi)
-    betas, weighted = _scaled_backward(emit, trans, scales)
-    gamma = alphas * betas
-    xi = alphas[:-1, :, None] * trans * weighted[1:, None, :]
-    return gamma, xi, float(np.log(scales).sum())
-
-
-def viterbi_decode(
-    pair: SentencePair, params: HmmParams, floor: float = DECODE_FLOOR
-) -> AlignmentFunction:
+def viterbi_decode(pair: SentencePair, params: HmmParams) -> AlignmentFunction:
     """align_corpus on the one pair."""
-    return align_corpus(Bitext([pair]), params, floor)[0]
+    return align_corpus(Bitext([pair]), params)[0]
 
 
-def viterbi_score(
-    pair: SentencePair, params: HmmParams, floor: float = DECODE_FLOOR
-) -> float:
-    """Log probability of the single best state path."""
-    return _viterbi(pair.n, *_pair_model(pair, params, floor))[1]
-
-
-def _viterbi(n: int, emit, trans, pi) -> tuple[AlignmentFunction, float]:
-    """The best state path as an alignment, and its log probability."""
+def _viterbi(n: int, emit, trans, pi) -> AlignmentFunction:
+    """The best state path as an alignment."""
     with np.errstate(divide="ignore"):
         log_e = np.log(emit)
         log_t = np.log(trans)
@@ -274,7 +238,7 @@ def _viterbi(n: int, emit, trans, pi) -> tuple[AlignmentFunction, float]:
         if j > 0:
             state = int(pointers[j, state])
     targets = tuple(s if s < n else None for s in path)
-    return AlignmentFunction(targets=targets, n=n), float(delta[path[-1]])
+    return AlignmentFunction(targets=targets, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +270,7 @@ def _bw_chunk(
     weight_parts: list[np.ndarray] = []
     jump_stats: dict[int, np.ndarray] = {}
     ll = 0.0
-    models = _pair_models(packed, lo, hi, theta, jumps)
+    models = _pair_models(packed, lo, hi, theta, jumps, 0.0)
     for k, (n, emit, trans, pi) in enumerate(models, start=lo):
         rows, m = packed.pair_shape[k]
         alphas, scales = _scaled_forward(emit, trans, pi, pair_no=k + 1)
@@ -344,9 +308,7 @@ def _jump_objective(q: np.ndarray, jump_stats: dict[int, np.ndarray], w: int) ->
     return total
 
 
-def _reestimate_jumps(
-    jumps: JumpTable, jump_stats: dict[int, np.ndarray], floor: float
-) -> JumpTable:
+def _reestimate_jumps(jumps: JumpTable, jump_stats: dict[int, np.ndarray]) -> JumpTable:
     """Count-normalized jump update with backtracking toward the previous
     distribution whenever the auxiliary objective would decrease; after
     JUMP_HALVINGS halvings it warns and returns the previous table itself."""
@@ -356,7 +318,7 @@ def _reestimate_jumps(
     buckets = np.zeros(2 * w + 1)
     for n in sorted(jump_stats):
         np.add.at(buckets, _clip_index(n, w), jump_stats[n])
-    cand = np.maximum(buckets, floor)
+    cand = np.maximum(buckets, MSTEP_FLOOR)
     cand = cand / cand.sum()
     old = jumps.probs
     base = _jump_objective(old, jump_stats, w)
@@ -379,14 +341,15 @@ def baum_welch_step(
     jobs: int = 1,
 ) -> tuple[HmmParams, float]:
     """One forward-backward pass over the corpus; returns updated params and
-    the corpus log-likelihood (sum of log partition values) of the input."""
+    the corpus log-likelihood (sum of log partition values) of the input.
+    config is not read: params hold the whole model."""
     table = params.table
     with ChunkRunner(bitext, table, params.use_null, jobs) as runner:
-        (theta, jumps), ll = _bw_iteration(runner, table.theta, params.jumps, config.floor)
+        (theta, jumps), ll = _bw_iteration(runner, table.theta, params.jumps)
     return HmmParams(table.with_probs(theta[:-1]), jumps, params.use_null), ll
 
 
-def _bw_iteration(runner: ChunkRunner, theta, jumps, floor):
+def _bw_iteration(runner: ChunkRunner, theta, jumps):
     """One Baum-Welch EM step: ((new theta, new jumps), ll of the input)."""
     counts = np.zeros(runner.packed.n_slots)
     jump_stats: dict[int, np.ndarray] = {}
@@ -400,42 +363,41 @@ def _bw_iteration(runner: ChunkRunner, theta, jumps, floor):
             else:
                 acc += chunk_stats[n]
         ll += chunk_ll
-    new_theta = runner.packed.normalize_counts(counts, floor)
-    return (new_theta, _reestimate_jumps(jumps, jump_stats, floor)), ll
+    new_theta = runner.packed.normalize_counts(counts)
+    return (new_theta, _reestimate_jumps(jumps, jump_stats)), ll
 
 
 def train(
     bitext: Bitext,
     config: HmmConfig,
     jobs: int = 1,
-    quiet: bool = True,
     log_to: Optional[TextIO] = None,
 ) -> tuple[HmmParams, list[float]]:
     """Warm up the lexical table with a few silent Model 1 iterations and
     uniform jumps, then run Baum-Welch on the same packed corpus and
-    workers. With iterations=0 the warmed-up params are returned."""
+    workers, writing its trace to log_to when given. With iterations=0
+    the warmed-up params are returned."""
     table = model1.init_uniform(bitext, config.use_null)
     with ChunkRunner(bitext, table, config.use_null, jobs) as runner:
-        warm_up = lambda theta: lexical_step(runner, theta, config.floor)
+        warm_up = lambda theta: lexical_step(runner, theta)
         theta, _ = run_em(warm_up, table.theta, config.model1_iterations)
         (theta, jumps), trace = run_em(
-            lambda state: _bw_iteration(runner, *state, config.floor),
+            lambda state: _bw_iteration(runner, *state),
             (theta, uniform_jumps(config.w, config.p0)),
             config.iterations,
-            None if quiet else log_to,
+            log_to,
         )
     return HmmParams(table.with_probs(theta[:-1]), jumps, config.use_null), trace
 
 
-def align_corpus(
-    bitext: Bitext, params: HmmParams, floor: float = DECODE_FLOOR
-) -> list[AlignmentFunction]:
+def align_corpus(bitext: Bitext, params: HmmParams) -> list[AlignmentFunction]:
     """Most probable state path of every pair; ties break toward the smaller
     state index at every backpointer, so real positions beat their NULL
     companions."""
     packed = PackedCorpus(bitext, params.table, params.use_null)
-    models = _pair_models(packed, 0, len(packed), params.table.theta, params.jumps, floor)
-    return [_viterbi(*model)[0] for model in models]
+    theta = params.table.theta
+    models = _pair_models(packed, 0, len(packed), theta, params.jumps, DECODE_FLOOR)
+    return [_viterbi(*model) for model in models]
 
 
 def save_model(out: TextIO, params: HmmParams) -> None:

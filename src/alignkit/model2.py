@@ -27,9 +27,10 @@ from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError
 from .model1 import init_uniform
-from .ttable import DECODE_FLOOR, TranslationTable, write_ttable
+from .ttable import TranslationTable, write_ttable
 
 DIAG_TRAILER = "diag"
+MAX_TENSION = 700.0  # exp(-lam * |h|) stays a normal float for |h| < 1
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class DiagonalPrior:
     p0: float = 0.08
 
     def __post_init__(self):
-        if not 0.0 <= self.lam < math.inf:
-            raise ConfigError(f"tension must be finite and >= 0, got {self.lam}")
+        if not 0.0 <= self.lam <= MAX_TENSION:
+            raise ConfigError(f"tension must be in [0, {MAX_TENSION:g}], got {self.lam}")
         if not 0.0 <= self.p0 < 1.0:
             raise ConfigError(f"null mass must be in [0, 1), got {self.p0}")
 
@@ -81,18 +82,12 @@ def prior_prob(j: int, i: int, m: int, n: int, prior: DiagonalPrior) -> float:
 @dataclass(frozen=True)
 class Model2Config:
     iterations: int = 5
-    epsilon: float = 1.0
-    floor: float = 1e-12
     lam: float = 4.0
     p0: float = 0.08
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0.0 < self.floor < 1.0:
-            raise ConfigError(f"floor must be in (0, 1), got {self.floor}")
         DiagonalPrior(self.lam, self.p0)  # reuse its range checks
 
     def prior(self) -> DiagonalPrior:
@@ -111,16 +106,15 @@ def em_step(
     config: Model2Config,
     jobs: int = 1,
 ) -> tuple[Model2Params, float]:
-    """One EM iteration over the lexical table; the prior stays fixed.
+    """One EM iteration over the lexical table under params.prior, which
+    stays fixed. config is not read: params hold the whole model.
 
     The returned log-likelihood sums, for the input parameters,
-    log eps + sum_j log sum_i p(i | j, m, n) t(f_j | e_i) per pair.
+    sum_j log sum_i p(i | j, m, n) t(f_j | e_i) per pair: alignkit fixes
+    the length constant eps = 1, so its log eps term is left out.
     """
     prior = params.prior
-    table, (ll,) = train_lexical(
-        bitext, params.table, prior.use_null, 1, config.floor, config.epsilon,
-        prior, jobs,
-    )
+    table, (ll,) = train_lexical(bitext, params.table, prior.use_null, 1, prior, jobs)
     return Model2Params(table=table, prior=prior), ll
 
 
@@ -128,32 +122,26 @@ def train(
     bitext: Bitext,
     config: Model2Config,
     jobs: int = 1,
-    quiet: bool = True,
     log_to: Optional[TextIO] = None,
 ) -> tuple[Model2Params, list[float]]:
     prior = config.prior()
     table = init_uniform(bitext, use_null=prior.use_null)
     table, trace = train_lexical(
-        bitext, table, prior.use_null, config.iterations, config.floor,
-        config.epsilon, prior, jobs, None if quiet else log_to,
+        bitext, table, prior.use_null, config.iterations, prior, jobs, log_to
     )
     return Model2Params(table=table, prior=prior), trace
 
 
-def align(
-    pair: SentencePair, params: Model2Params, floor: float = DECODE_FLOOR
-) -> AlignmentFunction:
+def align(pair: SentencePair, params: Model2Params) -> AlignmentFunction:
     """align_corpus on the one pair."""
-    return align_corpus(Bitext([pair]), params, floor)[0]
+    return align_corpus(Bitext([pair]), params)[0]
 
 
-def align_corpus(
-    bitext: Bitext, params: Model2Params, floor: float = DECODE_FLOOR
-) -> list[AlignmentFunction]:
+def align_corpus(bitext: Bitext, params: Model2Params) -> list[AlignmentFunction]:
     """argmax_i p(i | j, m, n) t(f_j | e_i) per source position of every
     pair; ties to the smaller target position, NULL losing all ties."""
     prior = params.prior
-    return model1.align_corpus(bitext, params.table, floor, prior.use_null, prior)
+    return model1.align_corpus(bitext, params.table, prior.use_null, prior)
 
 
 def save_model(out: TextIO, params: Model2Params) -> None:

@@ -26,6 +26,8 @@ import numpy as np
 from .alignment import AlignmentSet
 from .errors import ConfigError
 
+MAX_VOCAB = 2**63  # token ids are drawn as int64 values below vocab_size
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -40,8 +42,8 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.pairs < 1:
             raise ConfigError(f"pairs must be >= 1, got {self.pairs}")
-        if self.vocab_size < 1:
-            raise ConfigError(f"vocab_size must be >= 1, got {self.vocab_size}")
+        if not 1 <= self.vocab_size <= MAX_VOCAB:
+            raise ConfigError(f"vocab_size must be in [1, 2**63], got {self.vocab_size}")
         if not 1 <= self.min_len <= self.max_len:
             raise ConfigError(
                 f"need 1 <= min_len <= max_len, got [{self.min_len}, {self.max_len}]"
@@ -50,6 +52,8 @@ class SynthConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

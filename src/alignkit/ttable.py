@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Mapping, TextIO
 
 import numpy as np
 
@@ -125,12 +125,9 @@ class TranslationTable:
         found = row_known & col_known & (cell_keys[slot] == keys)
         return np.where(found, slot, miss)
 
-    def prob(self, e: int, f: int, floor: float = 0.0) -> float:
-        return max(float(self.theta[self.slots(e, f)]), floor)
-
-    def row(self, e: int) -> dict[int, float]:
-        keep = self.es == e
-        return dict(zip(self.fs[keep].tolist(), self.theta[:-1][keep].tolist()))
+    def prob(self, e: int, f: int) -> float:
+        """t(f | e); 0.0 for a cell the table lacks."""
+        return float(self.theta[self.slots(e, f)])
 
     @cached_property
     def rows(self) -> Mapping[int, Mapping[int, float]]:
@@ -145,10 +142,6 @@ class TranslationTable:
     def __len__(self) -> int:
         return len(self.es)
 
-    def entries(self) -> Iterator[tuple[int, int, float]]:
-        """Yield (e, f, prob) sorted by (e, f); the canonical entry order."""
-        return zip(self.es.tolist(), self.fs.tolist(), self.theta[:-1].tolist())
-
     def worst_row(self) -> tuple[int | None, float]:
         """(e, row sum) of the row summing farthest from 1; (None, 1.0) if empty."""
         if not len(self):
@@ -156,10 +149,6 @@ class TranslationTable:
         sums = np.add.reduceat(self.theta[:-1], self.row_starts)
         r = int(np.argmax(np.abs(sums - 1.0)))
         return int(self.row_ids[r]), float(sums[r])
-
-    def row_sum_error(self) -> float:
-        """Largest |sum(row) - 1| over all rows."""
-        return abs(self.worst_row()[1] - 1.0)
 
 
 def write_ttable(out: TextIO, table: TranslationTable, trailer: Iterable[str] = ()) -> None:

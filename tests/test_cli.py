@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from alignkit import cli, model1, model2
+from alignkit import cli, model2
 from alignkit.alignment import (
     harmonize_dims,
     parse_pharaoh_line,
@@ -50,6 +50,15 @@ class TestSynth:
         ])
         assert code == 0
         assert read(tmp_path / "gold.txt") == "0-0 1-1\n" * 3
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        code = cli.main([
+            "synth", "--pairs", "3", "--seed", "-1",
+            "--output-bitext", str(tmp_path / "bitext.txt"),
+            "--output-gold", str(tmp_path / "gold.txt"),
+        ])
+        assert code == 1
+        assert "alignkit: error: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -101,7 +110,7 @@ class TestTrain:
             "train", "--bitext", str(bitext), "--output", str(m2),
             "--model", "model2", "--lambda", "0", "--p0", "0", "--iters", "4",
         ]) == 0
-        table1 = model1.load_model(read(m1).splitlines())
+        table1, _ = read_ttable(read(m1).splitlines())
         table2 = model2.model_from(*read_ttable(read(m2).splitlines())).table
         assert set(table1.rows) == set(table2.rows)
         for e, row in table1.rows.items():
@@ -408,7 +417,14 @@ class TestExitCodes:
         (["train", "--max-vocab", "0", "--output", "m"], "vocabulary size must be >= 1"),
         (["extract-phrases", "--max-len", "0", "--alignments", "toy.al"],
          "--max-len must be >= 1"),
-    ], ids=["train-max-vocab", "extract-phrases-max-len"])
+        (["train", "--epsilon", "0.5", "--output", "m"],
+         "unrecognized arguments: --epsilon 0.5"),
+        (["train", "--floor", "1e-9", "--output", "m"],
+         "unrecognized arguments: --floor 1e-9"),
+        (["train", "--model", "model2", "--lambda", "1e25", "--output", "m"],
+         "tension must be in [0, 700], got 1e+25"),
+    ], ids=["train-max-vocab", "extract-phrases-max-len", "train-epsilon", "train-floor",
+            "train-lambda"])
     def test_out_of_range_size_flag_is_a_usage_error(
         self, tmp_path, capsys, monkeypatch, argv, message
     ):
@@ -463,13 +479,15 @@ class TestConfigFile:
     def test_unknown_keys_are_rejected(self, tmp_path, capsys):
         bitext = self.setup_corpus(tmp_path)
         cfg = tmp_path / "train.cfg"
-        cfg.write_text("iterations=7\n", encoding="utf-8")
-        code = cli.main([
-            "train", "--config", str(cfg), "--bitext", str(bitext),
-            "--output", str(tmp_path / "m"),
-        ])
-        assert code == 1
-        assert "unknown option" in capsys.readouterr().err
+        # epsilon and floor were options once; they are constants now.
+        for key in ("iterations", "epsilon", "floor"):
+            cfg.write_text(f"{key}=7\n", encoding="utf-8")
+            code = cli.main([
+                "train", "--config", str(cfg), "--bitext", str(bitext),
+                "--output", str(tmp_path / "m"),
+            ])
+            assert code == 1
+            assert f"unknown option {key!r}" in capsys.readouterr().err
 
     def test_boolean_values_and_flag_spellings(self, tmp_path):
         bitext = self.setup_corpus(tmp_path)
@@ -480,7 +498,7 @@ class TestConfigFile:
             "train", "--config", str(cfg), "--bitext", str(bitext),
             "--output", str(model),
         ]) == 0
-        table = model1.load_model(read(model).splitlines())
+        table, _ = read_ttable(read(model).splitlines())
         assert NULL_ID not in table.rows
 
     def test_alternate_spelling_reaches_renamed_destinations(self, tmp_path):

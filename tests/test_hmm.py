@@ -20,14 +20,12 @@ from alignkit.hmm import (
     _transition_matrix,
     align_corpus,
     baum_welch_step,
-    forward_backward,
     log_forward,
     model_from,
     save_model,
     train,
     uniform_jumps,
     viterbi_decode,
-    viterbi_score,
 )
 from alignkit.ttable import NULL_ID, TranslationTable, read_ttable
 from conftest import make_bitext, random_id_bitext, random_table
@@ -111,14 +109,6 @@ class TestJumpTable:
         with pytest.raises(ConfigError):
             uniform_jumps(w=2, p0=1.0)
 
-    def test_prob_clamps_displacements_to_the_window(self):
-        jumps = JumpTable(w=1, probs=np.array([0.2, 0.3, 0.5]), p0=0.0)
-        assert jumps.prob(-1) == 0.2
-        assert jumps.prob(0) == 0.3
-        assert jumps.prob(1) == 0.5
-        assert jumps.prob(-9) == 0.2
-        assert jumps.prob(9) == 0.5
-
     def test_uniform_jumps_are_a_distribution(self):
         jumps = uniform_jumps(w=5, p0=0.2)
         assert jumps.probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -136,10 +126,6 @@ class TestConfig:
             HmmConfig(w=0)
         with pytest.raises(ConfigError):
             HmmConfig(p0=1.0)
-        with pytest.raises(ConfigError):
-            HmmConfig(epsilon=0.0)
-        with pytest.raises(ConfigError):
-            HmmConfig(floor=0.0)
 
 
 class TestTransitions:
@@ -192,9 +178,7 @@ class TestLogForward:
         for i in range(n - 1):  # 0-based departure positions
             z = sum(probs[max(-w, min(w, k - i)) + w] for k in range(n))
             expected += math.log(probs[w + 1] / z)
-        assert log_forward(pair, params, floor=0.0) == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert log_forward(pair, params) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(62)
@@ -223,35 +207,27 @@ class TestLogForward:
 
 
 class TestForwardBackward:
+    """State posteriors, read from _bw_chunk's lexical counts: with distinct
+    source ids, each (e, f) count is one source position's posterior."""
+
+    @staticmethod
+    def lexical_counts(pair, params):
+        bitext = make_bitext([(pair.source_ids, pair.target_ids)])
+        packed = PackedCorpus(bitext, params.table, params.use_null)
+        return _bw_chunk(packed, 0, 1, params.table.theta, params.jumps)[0]
+
     def test_posteriors_sum_to_one(self):
+        # Each source position spreads a mass of 1 over the target rows.
         rng = np.random.default_rng(64)
         for use_null in (False, True):
             pair, params, _ = random_instance(rng, max_len=6, use_null=use_null)
-            gamma, _, _ = forward_backward(pair, params)
-            np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_matches_enumerated_posteriors(self):
-        rng = np.random.default_rng(65)
-        for use_null in (False, True):
-            for _ in range(25):
-                pair, params, flat = random_instance(rng, use_null=use_null)
-                gamma, _, log_z = forward_backward(pair, params)
-                ref_log_z, ref_gammas, _, _ = oracles.hmm_enumerate(
-                    pair.source_ids, pair.target_ids, flat,
-                    list(params.jumps.probs), params.jumps.w,
-                    params.jumps.p0, use_null,
-                )
-                assert log_z == pytest.approx(ref_log_z, rel=1e-8)
-                for j, ref in enumerate(ref_gammas):
-                    for s, p in ref.items():
-                        assert gamma[j, s] == pytest.approx(p, abs=1e-8)
+            assert self.lexical_counts(pair, params).sum() == pytest.approx(pair.m, abs=1e-9)
 
     def test_single_position_posterior_is_certain(self):
-        table = TranslationTable({5: {1: 0.4, 2: 0.6}})
+        table = TranslationTable({5: {1: 0.3, 2: 0.6, 3: 0.1}})
         params = HmmParams(table=table, jumps=uniform_jumps(), use_null=False)
-        pair = SentencePair(source_ids=(1, 2, 1), target_ids=(5,))
-        gamma, _, _ = forward_backward(pair, params)
-        np.testing.assert_allclose(gamma, 1.0, atol=1e-12)
+        pair = SentencePair(source_ids=(1, 2, 3), target_ids=(5,))
+        np.testing.assert_allclose(self.lexical_counts(pair, params), 1.0, atol=1e-12)
 
     def test_indistinguishable_states_share_mass_equally(self):
         n = 4
@@ -260,20 +236,9 @@ class TestForwardBackward:
         table = TranslationTable({e: {f: 1 / 3 for f in source} for e in target})
         params = HmmParams(table=table, jumps=uniform_jumps(w=n), use_null=False)
         pair = SentencePair(source_ids=source, target_ids=target)
-        gamma, _, _ = forward_backward(pair, params)
-        np.testing.assert_allclose(gamma, 1.0 / n, atol=1e-12)
-
-    def test_transition_posteriors_marginalize_to_state_posteriors(self):
-        rng = np.random.default_rng(66)
-        for use_null in (False, True):
-            pair, params, _ = random_instance(rng, max_len=6, use_null=use_null)
-            if pair.m < 2:
-                continue
-            gamma, xi, _ = forward_backward(pair, params)
-            for j in range(pair.m - 1):
-                assert xi[j].sum() == pytest.approx(1.0, abs=1e-9)
-                np.testing.assert_allclose(xi[j].sum(axis=1), gamma[j], atol=1e-9)
-                np.testing.assert_allclose(xi[j].sum(axis=0), gamma[j + 1], atol=1e-9)
+        counts = self.lexical_counts(pair, params)
+        assert len(counts) == n * len(source)
+        np.testing.assert_allclose(counts, 1.0 / n, atol=1e-12)
 
 
 class TestViterbi:
@@ -282,15 +247,12 @@ class TestViterbi:
         for use_null in (False, True):
             for _ in range(40):
                 pair, params, flat = random_instance(rng, use_null=use_null)
-                _, _, ref_path, ref_score = oracles.hmm_enumerate(
+                _, _, ref_path, _ = oracles.hmm_enumerate(
                     pair.source_ids, pair.target_ids, flat,
                     list(params.jumps.probs), params.jumps.w,
                     params.jumps.p0, use_null,
                 )
                 assert list(viterbi_decode(pair, params).targets) == ref_path
-                assert viterbi_score(pair, params) == pytest.approx(
-                    ref_score, rel=1e-8
-                )
 
     def test_deterministic_diagonal_decodes_identity(self):
         n = 4
@@ -299,7 +261,7 @@ class TestViterbi:
         table = TranslationTable({e: {f: 1.0} for f, e in zip(source, target)})
         params = HmmParams(table=table, jumps=uniform_jumps(), use_null=False)
         pair = SentencePair(source_ids=source, target_ids=target)
-        assert viterbi_decode(pair, params, floor=0.0).targets == tuple(range(n))
+        assert viterbi_decode(pair, params).targets == tuple(range(n))
 
     def test_single_target_position_takes_every_source_word(self):
         table = TranslationTable({5: {1: 0.5, 2: 0.5}})
@@ -315,15 +277,6 @@ class TestViterbi:
         params = HmmParams(table=table, jumps=uniform_jumps(w=n), use_null=False)
         pair = SentencePair(source_ids=source, target_ids=target)
         assert viterbi_decode(pair, params).targets == (0, 0)
-
-    def test_best_path_never_beats_the_total(self):
-        rng = np.random.default_rng(68)
-        for use_null in (False, True):
-            for _ in range(20):
-                pair, params, _ = random_instance(rng, max_len=6, use_null=use_null)
-                assert viterbi_score(pair, params) <= log_forward(
-                    pair, params
-                ) + 1e-12
 
 
 class TestBaumWelch:
@@ -377,13 +330,13 @@ class TestBaumWelch:
         jumps = uniform_jumps(w=2, p0=0.0)
         stats = {3: np.arange(9.0).reshape(3, 3)}
         with caplog.at_level(logging.WARNING, logger="alignkit.hmm"):
-            assert _reestimate_jumps(jumps, stats, 1e-12) is not jumps
+            assert _reestimate_jumps(jumps, stats) is not jumps
             assert not caplog.records
             # Every candidate now scores below the previous table.
             monkeypatch.setattr(
                 hmm, "_jump_objective", lambda q, *_: 0.0 if q is jumps.probs else -1.0
             )
-            assert _reestimate_jumps(jumps, stats, 1e-12) is jumps
+            assert _reestimate_jumps(jumps, stats) is jumps
         (record,) = caplog.records
         assert "kept the previous jump table" in record.getMessage()
 

@@ -46,8 +46,20 @@ class TestDiagonalPrior:
             DiagonalPrior(p0=1.0)
         with pytest.raises(ConfigError):
             DiagonalPrior(p0=-0.1)
+        for lam in (700.5, 1e25, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="tension"):
+                DiagonalPrior(lam=lam)
         assert DiagonalPrior(lam=0.0, p0=0.0).use_null is False
         assert DiagonalPrior(p0=0.08).use_null is True
+
+    def test_largest_tension_keeps_the_prior_finite(self):
+        # At tension 700 every weight exp(-lam * |h|), |h| < 1, is a normal
+        # float, so no column sums to 0 or loses mass to subnormals.
+        prior = DiagonalPrior(lam=700.0, p0=0.08)
+        for m, n in [(1, 1), (2, 3), (7, 2), (119, 120), (120, 119), (120, 120)]:
+            matrix = prior.matrix(m, n, True)
+            assert np.isfinite(matrix).all() and (matrix > 0.0).all()
+            np.testing.assert_allclose(matrix.sum(axis=0), 1.0, rtol=0, atol=1e-15)
 
     def test_zero_tension_is_uniform(self):
         for n in (1, 2, 5):
@@ -127,10 +139,6 @@ class TestConfig:
             Model2Config(lam=-1.0)
         with pytest.raises(ConfigError):
             Model2Config(p0=1.0)
-        with pytest.raises(ConfigError):
-            Model2Config(epsilon=0.0)
-        with pytest.raises(ConfigError):
-            Model2Config(floor=0.0)
 
 
 class TestEmStep:
@@ -152,7 +160,7 @@ class TestEmStep:
         start = model1.init_uniform(bt, use_null=False)
         params, ll = em_step(bt, Model2Params(table=start, prior=FLAT), flat_config())
         assert params.table.prob(2, 1) == 1.0
-        assert ll == pytest.approx(0.0, abs=1e-15)  # log eps + log(1 * 1)
+        assert ll == pytest.approx(0.0, abs=1e-15)  # log(1 * 1)
 
     def test_likelihood_matches_independent_summation(self):
         rng = np.random.default_rng(22)
@@ -180,7 +188,7 @@ class TestEmStep:
         rng = np.random.default_rng(23)
         for p0 in (0.0, 0.25):
             prior = DiagonalPrior(lam=2.0, p0=p0)
-            config = Model2Config(iterations=1, lam=2.0, p0=p0, epsilon=0.7)
+            config = Model2Config(iterations=1, lam=2.0, p0=p0)
             for _ in range(8):
                 m = int(rng.integers(1, 5))
                 n = int(rng.integers(1, 5))
@@ -192,9 +200,7 @@ class TestEmStep:
                     include_null=prior.use_null,
                 )
                 _, ll = em_step(bt, Model2Params(table=table, prior=prior), config)
-                expected = oracles.model2_enumerated_ll(
-                    source, target, flat, 2.0, p0, epsilon=0.7
-                )
+                expected = oracles.model2_enumerated_ll(source, target, flat, 2.0, p0)
                 assert ll == pytest.approx(expected, rel=1e-10)
 
     def test_rows_normalized_after_update(self):
@@ -359,7 +365,9 @@ class TestModelFile:
         bad_float = good.rsplit("\t", 1)[0] + "\tnot-a-number\n"
         with pytest.raises(DataFormatError):
             model_from(*read_ttable(io.StringIO(bad_float)))
-        for bad_prior in ["diag\t4.0\t1.5", "diag\t-1.0\t0.08", "diag\tnan\t0.08"]:
+        for bad_prior in [
+            "diag\t4.0\t1.5", "diag\t-1.0\t0.08", "diag\tnan\t0.08", "diag\t1e25\t0.08"
+        ]:
             bad = good.replace("diag\t4.0\t0.08", bad_prior)
             with pytest.raises(DataFormatError, match="'diag' trailer"):
                 model_from(*read_ttable(io.StringIO(bad)))

@@ -20,6 +20,10 @@ class TestConfig:
             SynthConfig(pairs=1, swap_rate=1.5)
         with pytest.raises(ConfigError):
             SynthConfig(pairs=1, insert_rate=-0.1)
+        with pytest.raises(ConfigError, match="seed"):
+            SynthConfig(pairs=1, seed=-1)
+        with pytest.raises(ConfigError, match="vocab_size"):
+            SynthConfig(pairs=1, vocab_size=2**63 + 1)
 
 
 class TestGenerate:

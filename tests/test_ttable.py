@@ -13,6 +13,11 @@ from alignkit.ttable import (
 )
 
 
+def entries(table: TranslationTable) -> list[tuple[int, int, float]]:
+    """(e, f, prob) of every entry, in the order of the table's rows."""
+    return [(e, f, p) for e, row in table.rows.items() for f, p in row.items()]
+
+
 def roundtrip(table: TranslationTable, trailer=()):
     buf = io.StringIO()
     write_ttable(buf, table, trailer)
@@ -24,16 +29,17 @@ class TestTranslationTable:
         table = TranslationTable({3: {7: 0.25}})
         assert table.prob(3, 7) == 0.25
         assert table.prob(3, 99) == 0.0
-        assert table.prob(3, 99, floor=1e-12) == 1e-12
-        assert table.prob(5, 7, floor=1e-12) == 1e-12
+        assert table.prob(5, 7) == 0.0
 
     def test_entries_sorted_by_target_then_source(self):
         table = TranslationTable({2: {5: 0.5, 1: 0.5}, NULL_ID: {9: 1.0}})
-        assert list(table.entries()) == [(NULL_ID, 9, 1.0), (2, 1, 0.5), (2, 5, 0.5)]
+        assert entries(table) == [(NULL_ID, 9, 1.0), (2, 1, 0.5), (2, 5, 0.5)]
 
     def test_row_sum_error(self):
-        assert TranslationTable({1: {2: 0.5, 3: 0.5}}).row_sum_error() == 0.0
-        assert TranslationTable({1: {2: 0.7}}).row_sum_error() == pytest.approx(0.3)
+        assert TranslationTable({1: {2: 0.5, 3: 0.5}}).worst_row() == (1, 1.0)
+        e, total = TranslationTable({1: {2: 0.5, 3: 0.5}, 4: {2: 0.7}}).worst_row()
+        assert e == 4 and total == pytest.approx(0.7)
+        assert TranslationTable({}).worst_row() == (None, 1.0)
 
 
 class TestModelFileFormat:
@@ -57,7 +63,7 @@ class TestModelFileFormat:
         assert table.es[_WRITE_BATCH - 1] == table.es[_WRITE_BATCH]
         buf = io.StringIO()
         write_ttable(buf, table, ["diag\t4.0\t0.08"])
-        reference = "".join(f"{e}\t{f}\t{p!r}\n" for e, f, p in table.entries())
+        reference = "".join(f"{e}\t{f}\t{p!r}\n" for e, f, p in entries(table))
         assert buf.getvalue() == f"{HEADER}\n{reference}diag\t4.0\t0.08\n"
         empty = io.StringIO()
         write_ttable(empty, TranslationTable({}))
@@ -128,7 +134,7 @@ class TestSlots:
         cells = [(1, 7), (1, -3), (1, 3), (0, 0), (-1, 5), (3, 0)]
         es, fs = zip(*cells)
         assert table.slots(es, fs).tolist() == [len(table)] * len(cells)
-        assert [table.prob(e, f, floor=1e-12) for e, f in cells] == [1e-12] * len(cells)
+        assert [table.prob(e, f) for e, f in cells] == [0.0] * len(cells)
         assert table.slots([1, 2, 2], [5, 0, 5]).tolist() == [1, 2, 3]
 
     def test_empty_table_misses_everything(self):
