@@ -14,7 +14,7 @@ import sys
 import time
 
 from alignkit import hmm, model1, model2
-from alignkit.alignment import symmetrize, to_set, transpose
+from alignkit.alignment import HEURISTICS, symmetrize, to_set, transpose
 from alignkit.corpus import load_bitext
 from alignkit.evaluation import GoldAlignment, evaluate_corpus
 from alignkit.synth import SynthConfig, generate
@@ -34,9 +34,7 @@ def parse_args(argv):
     parser.add_argument("--hmm-iterations", type=int, default=5)
     parser.add_argument("--hmm-init-iterations", type=int, default=5,
                         help="lexical warm-up iterations inside HMM training")
-    parser.add_argument("--heuristic", default="intersect",
-                        choices=("intersect", "union", "grow-diag-final",
-                                 "grow-diag-final-and"))
+    parser.add_argument("--heuristic", default="intersect", choices=HEURISTICS)
     parser.add_argument("--jobs", type=int, default=1)
     return parser.parse_args(argv)
 

@@ -156,7 +156,7 @@ class ChunkRunner:
         self.packed = PackedCorpus(bitext, table, use_null)
         self.bounds = chunk_bounds(len(self.packed))
         fork = "fork" in multiprocessing.get_all_start_methods()
-        self.jobs = jobs if jobs > 1 and len(self.bounds) > 1 and fork else 1
+        self.jobs = max(1, min(jobs, len(self.bounds))) if fork else 1
         self._pool = None
 
     def __enter__(self):

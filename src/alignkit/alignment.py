@@ -12,7 +12,9 @@ fields, 0-based; an empty line is an empty alignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO
+from functools import partial
+from itertools import repeat
+from typing import Callable, Iterable, Optional, TextIO
 
 from .errors import DataFormatError, DimensionMismatchError
 
@@ -149,19 +151,21 @@ def grow_diag_final(
     return AlignmentSet(links=frozenset(aligned), m=fwd.m, n=fwd.n)
 
 
+HEURISTICS: dict[str, Callable[[AlignmentSet, AlignmentSet], AlignmentSet]] = {
+    "intersect": intersect,
+    "union": union,
+    "grow-diag-final": grow_diag_final,
+    "grow-diag-final-and": partial(grow_diag_final, variant="final-and"),
+}
+
+
 def symmetrize(
     fwd: AlignmentSet, rev: AlignmentSet, heuristic: str = "grow-diag-final"
 ) -> AlignmentSet:
     """Apply a named symmetrization heuristic to a forward/reverse pair."""
-    if heuristic == "intersect":
-        return intersect(fwd, rev)
-    if heuristic == "union":
-        return union(fwd, rev)
-    if heuristic == "grow-diag-final":
-        return grow_diag_final(fwd, rev, variant="final")
-    if heuristic == "grow-diag-final-and":
-        return grow_diag_final(fwd, rev, variant="final-and")
-    raise DataFormatError(f"unknown symmetrization heuristic: {heuristic!r}")
+    if heuristic not in HEURISTICS:
+        raise DataFormatError(f"unknown symmetrization heuristic: {heuristic!r}")
+    return HEURISTICS[heuristic](fwd, rev)
 
 
 def parse_pharaoh_line(
@@ -191,10 +195,18 @@ def parse_pharaoh_line(
         raise DataFormatError(f"alignment line {lineno}: {exc}") from exc
 
 
-def read_pharaoh(lines: Iterable[str]) -> list[AlignmentSet]:
+def read_pharaoh(
+    lines: Iterable[str], sizes: Optional[Iterable[tuple[int, int]]] = None
+) -> list[AlignmentSet]:
+    """One alignment per line, over the (m, n) of sizes when given (one
+    per line; zip raises ValueError on a count mismatch), else over the
+    dimensions parse_pharaoh_line infers."""
+    dims = repeat((None, None)) if sizes is None else sizes
     return [
-        parse_pharaoh_line(raw.rstrip("\n"), lineno)
-        for lineno, raw in enumerate(lines, start=1)
+        parse_pharaoh_line(raw.rstrip("\n"), lineno, m, n)
+        for lineno, (raw, (m, n)) in enumerate(
+            zip(lines, dims, strict=sizes is not None), start=1
+        )
     ]
 
 

@@ -27,10 +27,10 @@ from typing import TextIO
 # hmm, model1, model2, synth and ttable import numpy, so only the commands
 # that use them import them, and the post stages start without numpy.
 from .alignment import (
+    HEURISTICS,
     AlignmentSet,
     format_pharaoh_line,
     harmonize_dims,
-    parse_pharaoh_line,
     read_pharaoh,
     symmetrize,
     to_set,
@@ -47,7 +47,7 @@ from .corpus import (
     tokenize,
     write_bitext_line,
 )
-from .errors import ConfigError, DataFormatError, NumericError
+from .errors import AlignkitError, ConfigError, DataFormatError
 from .evaluation import evaluate_corpus, format_report, parse_gold, write_report_tsv
 from .phrases import build_phrase_table, write_phrase_table
 from .projection import (
@@ -60,8 +60,6 @@ from .projection import (
 )
 
 log = logging.getLogger(__name__)
-
-HEURISTICS = ("intersect", "union", "grow-diag-final", "grow-diag-final-and")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,6 +95,32 @@ def _read_lines(path: str) -> list[str]:
         return fh.read().splitlines()
 
 
+def _check_count(path: str, count: int, partner: str, expected: int) -> None:
+    """Raise unless the file at path has as many records as its partner."""
+    if count != expected:
+        raise DataFormatError(
+            f"record {min(count, expected) + 1}: {path} has {count} lines "
+            f"but {partner} has {expected}"
+        )
+
+
+def _read_alignments(
+    path: str,
+    partner: tuple[str, int] | None = None,
+    sizes: list[tuple[int, int]] | None = None,
+) -> list[AlignmentSet]:
+    """Every alignment in the Pharaoh file at path. partner, a (file,
+    record count) pair, is a file it must match line for line, and sizes
+    holds each line's (m, n). Errors name the path."""
+    lines = _read_lines(path)
+    if partner is not None:
+        _check_count(path, len(lines), *partner)
+    try:
+        return read_pharaoh(lines, sizes)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
 def _default_jobs() -> int:
     return os.cpu_count() or 1
 
@@ -119,6 +143,8 @@ def _resolve_use_null(args) -> bool:
 def cmd_train(args) -> int:
     from . import hmm, model1, model2
 
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     with _open_in(args.bitext) as fh:
         bitext = load_bitext(
             fh, max_vocab=args.max_vocab, lowercase=args.lowercase, swap=args.reverse
@@ -242,24 +268,17 @@ def cmd_align(args) -> int:
 def cmd_symmetrize(args) -> int:
     if args.forward == "-" and args.backward == "-":
         raise ConfigError("only one of --forward/--backward may be stdin")
-    fwd_lines = _read_lines(args.forward)
-    rev_lines = _read_lines(args.backward)
-    if len(fwd_lines) != len(rev_lines):
-        raise DataFormatError(
-            f"{args.forward} has {len(fwd_lines)} lines but "
-            f"{args.backward} has {len(rev_lines)}"
-        )
+    forward = _read_alignments(args.forward)
+    backward = _read_alignments(args.backward, (args.forward, len(forward)))
     with _open_out(args.output) as out:
-        for lineno, (fraw, rraw) in enumerate(zip(fwd_lines, rev_lines), start=1):
-            fwd = parse_pharaoh_line(fraw, lineno)
-            rev = transpose(parse_pharaoh_line(rraw, lineno))
-            fwd, rev = harmonize_dims(fwd, rev)
+        for fwd, rev in zip(forward, backward):
+            fwd, rev = harmonize_dims(fwd, transpose(rev))
             out.write(format_pharaoh_line(symmetrize(fwd, rev, args.heuristic)) + "\n")
     return 0
 
 
 def cmd_eval(args) -> int:
-    hypotheses = read_pharaoh(_read_lines(args.hypothesis))
+    hypotheses = _read_alignments(args.hypothesis)
     with _open_in(args.gold) as fh:
         gold = parse_gold(fh)
     report = evaluate_corpus(hypotheses, gold)
@@ -285,27 +304,12 @@ def _read_token_records(path: str) -> list[tuple[list[str], list[str]]]:
     return records
 
 
-def _read_sized_alignments(
-    path: str, sizes: list[tuple[int, int]], against: str
-) -> list[AlignmentSet]:
-    lines = _read_lines(path)
-    if len(lines) != len(sizes):
-        raise DataFormatError(
-            f"record {min(len(lines), len(sizes)) + 1}: {path} has "
-            f"{len(lines)} lines but {against} has {len(sizes)}"
-        )
-    return [
-        parse_pharaoh_line(raw, lineno, m=m, n=n)
-        for lineno, (raw, (m, n)) in enumerate(zip(lines, sizes), start=1)
-    ]
-
-
 def cmd_extract_phrases(args) -> int:
     if args.max_len < 1:
         raise ConfigError(f"--max-len must be >= 1, got {args.max_len}")
     records = _read_token_records(args.bitext)
-    alignments = _read_sized_alignments(
-        args.alignments, [(len(s), len(t)) for s, t in records], args.bitext
+    alignments = _read_alignments(
+        args.alignments, (args.bitext, len(records)), [(len(s), len(t)) for s, t in records]
     )
     table = build_phrase_table(
         ((src, tgt, a) for (src, tgt), a in zip(records, alignments)),
@@ -318,17 +322,13 @@ def cmd_extract_phrases(args) -> int:
 
 def cmd_project(args) -> int:
     records = _read_token_records(args.bitext)
-    alignments = _read_sized_alignments(
-        args.alignments, [(len(s), len(t)) for s, t in records], args.bitext
+    alignments = _read_alignments(
+        args.alignments, (args.bitext, len(records)), [(len(s), len(t)) for s, t in records]
     )
     if args.layer == "tokens":
         with _open_in(args.annotations) as fh:
             annotated = read_labeled(fh)
-        if len(annotated) != len(records):
-            raise DataFormatError(
-                f"record {min(len(annotated), len(records)) + 1}: {args.annotations} "
-                f"has {len(annotated)} sentences but {args.bitext} has {len(records)}"
-            )
+        _check_count(args.annotations, len(annotated), args.bitext, len(records))
         projected = project_corpus(annotated, alignments)
         with _open_out(args.output) as out:
             for (_, tgt_tokens), tags in zip(records, projected):
@@ -598,15 +598,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except ConfigError as exc:
+    except AlignkitError as exc:
         print(f"alignkit: error: {exc}", file=sys.stderr)
-        return 1
-    except DataFormatError as exc:
-        print(f"alignkit: error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"alignkit: error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except BrokenPipeError:
         return 0
     except UnicodeDecodeError as exc:

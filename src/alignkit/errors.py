@@ -1,20 +1,26 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataFormatError
-(and subclasses) -> 2, NumericError -> 3.
+Each error carries the exit code the CLI ends with when it stops on it:
+ConfigError -> 1, DataFormatError (and subclasses) -> 2, NumericError -> 3.
 """
 
 
 class AlignkitError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code: int
+
 
 class ConfigError(AlignkitError):
     """Invalid configuration value (bad iteration count, tension, ...)."""
 
+    exit_code = 1
+
 
 class DataFormatError(AlignkitError):
     """Malformed input data; message names the offending line or record."""
+
+    exit_code = 2
 
 
 class DegeneratePairError(DataFormatError):
@@ -27,3 +33,5 @@ class DimensionMismatchError(DataFormatError):
 
 class NumericError(AlignkitError):
     """A numeric failure (zero normalizer, non-finite value) during training."""
+
+    exit_code = 3

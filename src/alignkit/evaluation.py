@@ -1,10 +1,10 @@
 """Alignment quality metrics against Sure/Possible gold annotations.
 
 AER = 1 - (|A n S| + |A n P|) / (|A| + |S|) over hypothesis links A, sure
-gold links S, and possible gold links P (S is always a subset of P;
-loading enforces it by unioning). Corpus-level numbers pool the four
-counts over sentences before applying the formulas (micro style), which
-in general differs from averaging per-sentence ratios.
+gold links S, and possible gold links P, where every sure link counts as
+possible (`LinkCounts.of` unions S into P). Corpus-level numbers pool the
+four counts over sentences before applying the formulas (micro style),
+which in general differs from averaging per-sentence ratios.
 
 Gold files use the WPT shared-task layout, one link per line:
 
@@ -22,30 +22,56 @@ from .alignment import AlignmentSet, Link
 from .errors import DataFormatError
 
 
+@dataclass(frozen=True)
+class LinkCounts:
+    """The four counts every metric is computed from: |A|, |S|, |A n S|
+    and |A n P|. Empty hypothesis or gold sides count as perfect."""
+
+    a_size: int
+    s_size: int
+    a_and_s: int
+    a_and_p: int
+
+    @classmethod
+    def of(
+        cls, a: Iterable[Link], sure: Iterable[Link], possible: Iterable[Link]
+    ) -> LinkCounts:
+        """Counts of hypothesis links a; sure links count as possible."""
+        a, sure = set(a), set(sure)
+        possible = set(possible) | sure
+        return cls(len(a), len(sure), len(a & sure), len(a & possible))
+
+    @property
+    def aer(self) -> float:
+        denom = self.a_size + self.s_size
+        return 1.0 - (self.a_and_s + self.a_and_p) / denom if denom else 0.0
+
+    @property
+    def precision(self) -> float:
+        """Judged against P."""
+        return self.a_and_p / self.a_size if self.a_size else 1.0
+
+    @property
+    def recall(self) -> float:
+        """Judged against S."""
+        return self.a_and_s / self.s_size if self.s_size else 1.0
+
+    @property
+    def f1(self) -> float:
+        p, r = self.precision, self.recall
+        return 2.0 * p * r / (p + r) if p + r > 0.0 else 0.0
+
+
 def aer(a: Iterable[Link], sure: Iterable[Link], possible: Iterable[Link]) -> float:
-    a, sure, possible = set(a), set(sure), set(possible)
-    possible |= sure
-    denom = len(a) + len(sure)
-    if denom == 0:
-        return 0.0
-    return 1.0 - (len(a & sure) + len(a & possible)) / denom
+    return LinkCounts.of(a, sure, possible).aer
 
 
 def precision_recall(
     a: Iterable[Link], sure: Iterable[Link], possible: Iterable[Link]
 ) -> tuple[float, float, float]:
-    """(precision, recall, F1); precision is judged against P, recall
-    against S. Empty hypothesis or gold sides count as perfect."""
-    a, sure, possible = set(a), set(sure), set(possible)
-    possible |= sure
-    precision = len(a & possible) / len(a) if a else 1.0
-    recall = len(a & sure) / len(sure) if sure else 1.0
-    f1 = (
-        2.0 * precision * recall / (precision + recall)
-        if precision + recall > 0.0
-        else 0.0
-    )
-    return precision, recall, f1
+    """(precision, recall, F1) of hypothesis links a."""
+    counts = LinkCounts.of(a, sure, possible)
+    return counts.precision, counts.recall, counts.f1
 
 
 @dataclass
@@ -88,37 +114,21 @@ def parse_gold(lines: Iterable[str]) -> GoldAlignment:
             sure.setdefault(sid, set()).add(link)
     gold = GoldAlignment()
     for sid in possible:
-        s = frozenset(sure.get(sid, set()))
-        gold.sentences[sid] = (s, frozenset(possible[sid]) | s)
+        gold.sentences[sid] = (frozenset(sure.get(sid, ())), frozenset(possible[sid]))
     return gold
 
 
-@dataclass
-class SentenceScore:
-    aer: float
-    precision: float
-    recall: float
-    f1: float
-    a_size: int
-    s_size: int
-    a_and_s: int
-    a_and_p: int
+@dataclass(frozen=True)
+class EvalReport(LinkCounts):
+    """Counts pooled over the matched sentences, with each sentence's own."""
 
-
-@dataclass
-class EvalReport:
-    per_sentence: dict[int, SentenceScore]
-    aer: float
-    precision: float
-    recall: float
-    f1: float
-    a_size: int
-    s_size: int
-    a_and_s: int
-    a_and_p: int
-    evaluated: int
+    per_sentence: dict[int, LinkCounts]
     skipped_hypotheses: list[int]  # hypothesis ids with no gold entry
     missing_hypotheses: list[int]  # gold ids with no hypothesis
+
+    @property
+    def evaluated(self) -> int:
+        return len(self.per_sentence)
 
 
 def evaluate_corpus(
@@ -135,59 +145,23 @@ def evaluate_corpus(
     """
     if not isinstance(hypotheses, Mapping):
         hypotheses = {k + 1: a for k, a in enumerate(hypotheses)}
-    per_sentence: dict[int, SentenceScore] = {}
-    totals = [0, 0, 0, 0]  # |A|, |S|, |A n S|, |A n P|
+    per_sentence: dict[int, LinkCounts] = {}
     skipped = []
     for sid in sorted(hypotheses):
         entry = gold.sentences.get(sid)
         if entry is None:
             skipped.append(sid)
-            continue
-        sure, possible = entry
-        links = set(hypotheses[sid].links)
-        counts = (
-            len(links),
-            len(sure),
-            len(links & sure),
-            len(links & possible),
-        )
-        p, r, f1 = precision_recall(links, sure, possible)
-        per_sentence[sid] = SentenceScore(
-            aer=aer(links, sure, possible),
-            precision=p,
-            recall=r,
-            f1=f1,
-            a_size=counts[0],
-            s_size=counts[1],
-            a_and_s=counts[2],
-            a_and_p=counts[3],
-        )
-        for k in range(4):
-            totals[k] += counts[k]
-    a_size, s_size, a_and_s, a_and_p = totals
-    denom = a_size + s_size
-    corpus_aer = 1.0 - (a_and_s + a_and_p) / denom if denom else 0.0
-    corpus_p = a_and_p / a_size if a_size else 1.0
-    corpus_r = a_and_s / s_size if s_size else 1.0
-    corpus_f1 = (
-        2.0 * corpus_p * corpus_r / (corpus_p + corpus_r)
-        if corpus_p + corpus_r > 0.0
-        else 0.0
-    )
-    missing = [sid for sid in gold.ids() if sid not in hypotheses]
+        else:
+            per_sentence[sid] = LinkCounts.of(hypotheses[sid].links, *entry)
+    counts = per_sentence.values()
     return EvalReport(
+        a_size=sum(c.a_size for c in counts),
+        s_size=sum(c.s_size for c in counts),
+        a_and_s=sum(c.a_and_s for c in counts),
+        a_and_p=sum(c.a_and_p for c in counts),
         per_sentence=per_sentence,
-        aer=corpus_aer,
-        precision=corpus_p,
-        recall=corpus_r,
-        f1=corpus_f1,
-        a_size=a_size,
-        s_size=s_size,
-        a_and_s=a_and_s,
-        a_and_p=a_and_p,
-        evaluated=len(per_sentence),
         skipped_hypotheses=skipped,
-        missing_hypotheses=missing,
+        missing_hypotheses=[sid for sid in gold.ids() if sid not in hypotheses],
     )
 
 

@@ -40,6 +40,10 @@ from .ttable import DECODE_FLOOR, NULL_ID, TranslationTable, write_ttable
 HMM_TRAILER = "hmm"
 JUMP_TRAILER = "jump"
 JUMP_HALVINGS = 50  # backtracking steps before jump re-estimation gives up
+# A jump longer than a sentence never occurs, so a window wider than the
+# longest sentence only adds empty buckets; the bound stops a mistyped --w
+# from allocating gigabytes for the 2w + 1 jump buckets.
+MAX_WINDOW = 1000
 
 log = logging.getLogger(__name__)
 
@@ -90,8 +94,8 @@ class HmmConfig:
             raise ConfigError(
                 f"initializer iterations must be >= 1, got {self.model1_iterations}"
             )
-        if self.w < 1:
-            raise ConfigError(f"jump window must be >= 1, got {self.w}")
+        if not 1 <= self.w <= MAX_WINDOW:
+            raise ConfigError(f"jump window must be in [1, {MAX_WINDOW}], got {self.w}")
         if not 0.0 <= self.p0 < 1.0:
             raise ConfigError(f"null transition mass must be in [0, 1), got {self.p0}")
 

@@ -125,12 +125,10 @@ def project_corpus(
         )
     out = []
     for k, (sentence, alignment) in enumerate(zip(annotated, alignments), start=1):
-        if len(sentence) != alignment.m:
-            raise DataFormatError(
-                f"record {k}: {len(sentence)} annotated tokens but the "
-                f"alignment has {alignment.m} source positions"
-            )
-        out.append(project_token_labels(sentence.tags, alignment))
+        try:
+            out.append(project_token_labels(sentence.tags, alignment))
+        except ValueError as exc:
+            raise DataFormatError(f"record {k}: {exc}") from exc
     return out
 
 

@@ -273,6 +273,18 @@ class TestSymmetrize:
         assert cli.main(["symmetrize", "--forward", "-", "--backward", "-"]) == 1
         assert "stdin" in capsys.readouterr().err
 
+    def test_bad_backward_line_names_the_file_and_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "fwd.txt").write_text("0-0 1-1\n0-0\n", encoding="utf-8")
+        (tmp_path / "rev.txt").write_text("0-0 1-1\n0-x\n", encoding="utf-8")
+        code = cli.main([
+            "symmetrize", "--forward", str(tmp_path / "fwd.txt"),
+            "--backward", str(tmp_path / "rev.txt"),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{tmp_path / 'rev.txt'}: alignment line 2: bad field '0-x'" in captured.err
+
     def test_line_count_mismatch_is_a_data_error(self, tmp_path, capsys):
         (tmp_path / "fwd.txt").write_text("0-0\n0-0\n", encoding="utf-8")
         (tmp_path / "rev.txt").write_text("0-0\n", encoding="utf-8")
@@ -423,8 +435,12 @@ class TestExitCodes:
          "unrecognized arguments: --floor 1e-9"),
         (["train", "--model", "model2", "--lambda", "1e25", "--output", "m"],
          "tension must be in [0, 700], got 1e+25"),
+        (["train", "--jobs", "0", "--output", "m"], "--jobs must be >= 1, got 0"),
+        (["train", "--jobs", "-3", "--output", "m"], "--jobs must be >= 1, got -3"),
+        (["train", "--model", "hmm", "--w", "99999999999999999999", "--output", "m"],
+         "jump window must be in [1, 1000], got 99999999999999999999"),
     ], ids=["train-max-vocab", "extract-phrases-max-len", "train-epsilon", "train-floor",
-            "train-lambda"])
+            "train-lambda", "train-jobs-0", "train-jobs-negative", "train-w"])
     def test_out_of_range_size_flag_is_a_usage_error(
         self, tmp_path, capsys, monkeypatch, argv, message
     ):
@@ -488,6 +504,17 @@ class TestConfigFile:
             ])
             assert code == 1
             assert f"unknown option {key!r}" in capsys.readouterr().err
+
+    def test_out_of_range_jobs_is_rejected(self, tmp_path, capsys):
+        bitext = self.setup_corpus(tmp_path)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("jobs=0\n", encoding="utf-8")
+        code = cli.main([
+            "train", "--config", str(cfg), "--bitext", str(bitext),
+            "--output", str(tmp_path / "m"),
+        ])
+        assert code == 1
+        assert "--jobs must be >= 1, got 0" in capsys.readouterr().err
 
     def test_boolean_values_and_flag_spellings(self, tmp_path):
         bitext = self.setup_corpus(tmp_path)

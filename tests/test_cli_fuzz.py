@@ -1,10 +1,11 @@
-"""Arbitrary text through every CLI reader that `align` does not use.
+"""Arbitrary text through every CLI reader but the model file's.
 
-Each case writes fuzzed text to one input file (Pharaoh lines, a WPT gold
-file, a span TSV, token/TAG annotations, or a --config file) and runs the
-command with valid files everywhere else. Whatever the text, the command
-must exit 0, 1 or 2 with no exception escaping cli.main. The model-file
-reader has its own fuzz test in test_model_files.py.
+Each case writes fuzzed text to one input file (a bitext, Pharaoh lines, a
+WPT gold file, a span TSV, token/TAG annotations, a vocabulary sidecar, or
+a --config file) and runs the command with valid files everywhere else.
+Whatever the text, no exception may escape cli.main, and the command must
+exit 0, 1 or 2; `train` and `align` may also exit 3, a numeric failure.
+The model-file reader has its own fuzz test in test_model_files.py.
 """
 
 import contextlib
@@ -24,7 +25,11 @@ FILES = {
     "spans.tsv": "1\t0\t1\tNP\n",
 }
 FUZZ = "fuzz.txt"
-PATHS = {*FILES, FUZZ, "out", "out.txt", "out.gold"}
+MODEL = "toy.model"
+PATHS = {
+    *FILES, FUZZ, MODEL, f"{MODEL}.source-vocab", f"{MODEL}.target-vocab",
+    "out", "out.txt", "out.gold", "out.model",
+}
 
 # Every path is given as a flag, so a config file cannot redirect a read
 # or a write; it can only change the options that are not paths.
@@ -76,14 +81,48 @@ KEYS = [
     "swap_rate", "insert_rate", "seed", "gold_format", "pairs", "bogus", "",
 ]
 
-fragments = st.lists(st.sampled_from(FRAGMENTS), max_size=16).map("".join)
-any_text = st.one_of(
-    fragments, st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
-)
-values = st.lists(st.sampled_from(FRAGMENTS), max_size=3).map("".join)
-config_line = st.builds("{}={}".format, st.sampled_from(KEYS), values)
-config_text = st.lists(config_line, max_size=4).map("\n".join)
-texts = st.one_of(config_text, any_text)
+
+def train(bitext="toy.txt"):
+    # A fuzzed corpus stays below CHUNK_PAIRS, so train runs in process.
+    return ["train", "--bitext", bitext, "--output", "out.model", "--jobs", "1", "--quiet"]
+
+
+def align(bitext="toy.txt", source=f"{MODEL}.source-vocab", target=f"{MODEL}.target-vocab"):
+    return [
+        "align", "--model-file", MODEL, "--bitext", bitext, "--output", "out",
+        "--source-vocab", source, "--target-vocab", target,
+    ]
+
+
+MODEL_READERS = {
+    "train-bitext": train(bitext=FUZZ),
+    "train-config": [*train(), "--config", FUZZ],
+    "align-bitext": align(bitext=FUZZ),
+    "align-source-vocab": align(source=FUZZ),
+    "align-target-vocab": align(target=FUZZ),
+    "align-config": [*align(), "--config", FUZZ],
+}
+MODEL_FRAGMENTS = [*FRAGMENTS, "hmm", "model2", ".", "das ||| the"]
+# iters, init_iters and jobs are left out: a huge value there is a long run
+# or many processes, not an error.
+MODEL_KEYS = [
+    "model", "w", "p0", "lambda", "lam", "use_null", "no_null", "max_vocab",
+    "lowercase", "reverse", "quiet", "source_vocab", "bogus", "",
+]
+
+
+def texts_from(fragment_list, keys):
+    fragments = st.lists(st.sampled_from(fragment_list), max_size=16).map("".join)
+    any_text = st.one_of(
+        fragments, st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+    )
+    values = st.lists(st.sampled_from(fragment_list), max_size=3).map("".join)
+    config_line = st.builds("{}={}".format, st.sampled_from(keys), values)
+    config_text = st.lists(config_line, max_size=4).map("\n".join)
+    return st.one_of(config_text, any_text)
+
+
+texts = texts_from(FRAGMENTS, KEYS)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +130,10 @@ def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-fuzz")
     for name, text in FILES.items():
         (root / name).write_text(text, encoding="utf-8")
+    assert cli.main([
+        "train", "--bitext", str(root / "toy.txt"), "--output", str(root / MODEL),
+        "--iters", "2", "--quiet",
+    ]) == 0
     return root
 
 
@@ -112,3 +155,12 @@ def test_any_input_exits_0_1_or_2(inputs, reader, text):
     code, err = run(inputs, READERS[reader], text)
     assert code in (0, 1, 2), err
 
+
+
+@pytest.mark.parametrize("reader", sorted(MODEL_READERS))
+@given(text=texts_from(MODEL_FRAGMENTS, MODEL_KEYS))
+@example(text="model=hmm\nw=99999999999999999999\n")  # a 2w + 1 jump table
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_train_and_align_inputs_exit_0_to_3(inputs, reader, text):
+    code, err = run(inputs, MODEL_READERS[reader], text)
+    assert code in (0, 1, 2, 3), err

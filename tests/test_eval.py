@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from alignkit.alignment import AlignmentSet
 from alignkit.errors import DataFormatError
 from alignkit.evaluation import (
+    GoldAlignment,
     aer,
     evaluate_corpus,
     format_report,
@@ -152,6 +153,17 @@ class TestEvaluateCorpus:
         assert report.missing_hypotheses == [4]
         assert report.evaluated == 1
         assert report.aer == 0.0  # only the matched sentence counts
+
+    def test_sure_links_count_as_possible_in_every_score(self):
+        # A hand-built gold need not list its sure links among the possible.
+        sure, possible = {(0, 0)}, set()
+        gold = GoldAlignment({1: (frozenset(sure), frozenset(possible))})
+        report = evaluate_corpus([aset({(0, 0)})], gold)
+        sentence = report.per_sentence[1]
+        p, r, f1 = precision_recall({(0, 0)}, sure, possible)
+        assert (report.aer, report.precision, report.recall, report.f1) == (
+            sentence.aer, sentence.precision, sentence.recall, sentence.f1
+        ) == (aer({(0, 0)}, sure, possible), p, r, f1) == (0.0, 1.0, 1.0, 1.0)
 
     def test_no_matches_yields_zero_denominator_defaults(self):
         gold = parse_gold(["9 1 1 S"])

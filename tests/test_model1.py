@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from alignkit import _packed
 from alignkit._packed import CHUNK_PAIRS, run_em
 from alignkit.alignment import to_set
 from alignkit.corpus import Bitext, SentencePair, load_bitext
@@ -232,6 +233,16 @@ class TestModelFile:
 
 
 class TestWorkers:
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        monkeypatch.setattr(_packed, "CHUNK_PAIRS", 2)
+        bt = make_bitext([([1], [1])] * 5)  # three chunks
+        table = init_uniform(bt, use_null=True)
+        # Only map() starts processes, so no worker runs here.
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        for jobs, workers in ((64, 3), (2, 2), (1, 1), (0, 1)):
+            with _packed.ChunkRunner(bt, table, True, jobs) as runner:
+                assert runner.jobs == (workers if fork else 1)
+
     def test_chunks_run_in_process_where_fork_is_unavailable(self, monkeypatch):
         rng = np.random.default_rng(11)
         bt = random_id_bitext(rng, n_pairs=CHUNK_PAIRS + 100, vocab=30, max_len=5)
