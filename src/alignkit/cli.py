@@ -73,11 +73,16 @@ class _Parser(argparse.ArgumentParser):
 
 @contextmanager
 def _open_in(path: str):
-    if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
+    """The UTF-8 text file at path, or stdin for "-"; bytes that do not
+    decode are a data error naming the path."""
+    try:
+        if path == "-":
+            yield sys.stdin
+        else:
+            with open(path, encoding="utf-8") as fh:
+                yield fh
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"input is not UTF-8: {path}: {exc}") from None
 
 
 @contextmanager
@@ -220,13 +225,14 @@ def _load_any_model(path: str):
 def _load_vocab(explicit: str | None, default_path: str, language: str) -> Vocabulary:
     path = explicit or default_path
     try:
-        with open(path, encoding="utf-8") as fh:
-            return Vocabulary.load(fh, language=language)
+        lines = _read_lines(path)
     except FileNotFoundError:
         raise DataFormatError(
             f"vocabulary file {path} not found; train writes it next to the "
             f"model, or pass --source-vocab/--target-vocab"
         ) from None
+    try:
+        return Vocabulary.load(lines, language=language)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
@@ -564,8 +570,7 @@ def _load_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
             actions.setdefault(opt.lstrip("-").replace("-", "_"), action)
     overrides = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = _read_lines(path)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     for lineno, raw in enumerate(lines, start=1):
@@ -603,9 +608,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     except BrokenPipeError:
         return 0
-    except UnicodeDecodeError as exc:
-        print(f"alignkit: error: input is not UTF-8: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"alignkit: error: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,24 @@ A NULL companion jumps onward relative to the remembered position. The
 initial distribution is uniform over positions, with mass p0 split
 uniformly over the NULL companions when NULL is on.
 
+Baum-Welch builds no transition matrix. A real state's row and its NULL
+companion's row agree on the real columns, both (1 - p0) q[clamp(i' - i)]
+/ Z_i, and the matrix Q[i, i'] = q[clamp(i' - i)] does not depend on n,
+so one Q serves every pair (a pair of length n reads its n x n corner).
+With c_j the forward scale at source position j, s_j = alpha_real[j] +
+alpha_null[j] and W_j = emit_j * beta_j / c_j:
+
+    alpha_real[j+1] = ((1 - p0) / Z * s_j) @ Q * e_real[j+1]    (then / c)
+    alpha_null[j+1] = p0 * s_j * e_NULL[j+1]                     (then / c)
+    beta[j]         = (1 - p0) / Z * (W_real[j+1] @ Q^T) + p0 * W_null[j+1]
+    xi counts       = sum_j ((1 - p0) / Z * s_j)^T W_real[j+1] * Q
+
+A real state and its NULL companion share one beta. So the E-step moves a
+whole group of similar-length pairs one source position at a time, one
+matrix product per step for the group, with every pair padded by zeros to
+the group's longest m and n. Decoding (Viterbi) still builds a transition
+matrix per sentence length.
+
 Because transitions renormalize per sentence length, the closed-form
 count-and-normalize jump update is not the exact M-step; re-estimation
 backtracks toward the previous jump distribution until the EM auxiliary
@@ -25,8 +43,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, TextIO
 
 import numpy as np
 
@@ -44,6 +62,7 @@ JUMP_HALVINGS = 50  # backtracking steps before jump re-estimation gives up
 # longest sentence only adds empty buckets; the bound stops a mistyped --w
 # from allocating gigabytes for the 2w + 1 jump buckets.
 MAX_WINDOW = 1000
+GROUP_CELLS = 1 << 16  # padded cells (pairs x longest m x longest n) of a Baum-Welch group
 
 log = logging.getLogger(__name__)
 
@@ -140,16 +159,15 @@ def _initial_probs(n: int, p0: float, use_null: bool) -> np.ndarray:
     return pi
 
 
-def _pair_models(packed: PackedCorpus, lo: int, hi: int, theta, jumps, floor):
-    """(n, emissions, transitions, initial probabilities) of pairs [lo, hi),
-    transitions built once per length n. Emissions are the block floored at
-    `floor`, with the NULL row (last) repeated for each NULL companion state.
-    Decoding floors at DECODE_FLOOR; Baum-Welch passes 0.0, since its M-step
-    entries may fall below DECODE_FLOOR and must be read as they are."""
+def _pair_models(packed: PackedCorpus, lo: int, hi: int, theta, jumps):
+    """(n, emissions, transitions, initial probabilities) of pairs [lo, hi)
+    for decoding, transitions built once per length n. Emissions are the
+    block floored at DECODE_FLOOR, with the NULL row (last) repeated for
+    each NULL companion state."""
     use_null = packed.use_null
     per_length: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in range(lo, hi):
-        emit = np.maximum(packed.block(k, theta), floor)
+        emit = np.maximum(packed.block(k, theta), DECODE_FLOOR)
         n = len(emit) - use_null
         if use_null:
             emit = np.vstack([emit[:-1], np.repeat(emit[-1:], n, axis=0)])
@@ -164,56 +182,153 @@ def _pair_models(packed: PackedCorpus, lo: int, hi: int, theta, jumps, floor):
 def _pair_model(pair: SentencePair, params: HmmParams):
     """Decoding emissions, transitions and initial probabilities of a pair."""
     packed = PackedCorpus(Bitext([pair]), params.table, params.use_null)
-    theta = params.table.theta
-    return next(_pair_models(packed, 0, 1, theta, params.jumps, DECODE_FLOOR))[1:]
+    return next(_pair_models(packed, 0, 1, params.table.theta, params.jumps))[1:]
 
 
-def _scaled_forward(
-    emit: np.ndarray, trans: np.ndarray, pi: np.ndarray, pair_no: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled forward variables, one (states,) row per source position, and
-    the scales: alphas[j] sums to 1 and the product of scales is Z."""
-    states, m = emit.shape
-    rows = emit.T.copy()  # contiguous per-position emissions
-    alphas = np.empty((m, states))
-    scales = np.empty(m)
-    for j in range(m):
-        a = alphas[j]
-        if j > 0:
-            np.matmul(alphas[j - 1], trans, out=a)
-            a *= rows[j]
-        else:
-            np.multiply(pi, rows[0], out=a)
-        c = a.sum()
-        if not c > 0.0 or not math.isfinite(c):
-            raise NumericError(f"pair {pair_no}: forward scaling underflow at position {j}")
-        a /= c
-        scales[j] = c
-    return alphas, scales
+class _Group(NamedTuple):
+    """Pairs laid out for the group passes, position-major.
+
+    The pairs run by descending m, so a step at source position j updates
+    the first active[j] of them, those with m > j. With N the longest
+    target, a pair has S = N states, or 2N with NULL (real positions, then
+    NULL companions). emit is (M, B, S) and pi (B, S); scale (B, N) holds
+    (1 - p0) / Z_i of each departure position i; q is the (N, N) jump
+    matrix q[clamp(i' - i)] that every pair shares. Cells past a pair's own
+    m or n are 0, so they add nothing to any sum or product.
+    """
+
+    pairs: list[int]  # corpus indices
+    ms: np.ndarray
+    active: list[int]
+    emit: np.ndarray
+    pi: np.ndarray
+    scale: np.ndarray
+    q: np.ndarray
+    p0: float  # 0.0 without NULL
+    use_null: bool
 
 
-def _scaled_backward(
-    emit: np.ndarray, trans: np.ndarray, scales: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled backward variables, and weighted[j] = emit[:, j] * betas[j] /
-    scales[j], the arrival factor of the transition posteriors into j."""
-    states, m = emit.shape
-    weighted = emit.T / scales[:, None]
-    betas = np.empty((m, states))
-    betas[m - 1] = 1.0
-    for j in range(m - 1, 0, -1):
-        weighted[j] *= betas[j]
-        np.matmul(trans, weighted[j], out=betas[j - 1])
-    weighted[0] *= betas[0]
+def _groups(packed: PackedCorpus, lo: int, hi: int, theta, jumps: JumpTable):
+    """Pairs [lo, hi) as _Groups, emissions read from theta as they are.
+
+    The pairs are sorted by descending m (ties in corpus order) and cut
+    wherever a group would pad past GROUP_CELLS cells; a pair alone is
+    always a group.
+    """
+    use_null = packed.use_null
+    p0 = jumps.p0 if use_null else 0.0
+    shapes = packed.pair_shape
+    order = sorted(range(lo, hi), key=lambda k: -shapes[k][1])
+    ns = {k: shapes[k][0] - use_null for k in order}
+    q = jumps.probs[_clip_index(max(ns.values()), jumps.w)]
+    scales = {}
+    for n in set(ns.values()):
+        z = q[:n, :n].sum(axis=1)
+        if (z <= 0.0).any():
+            raise NumericError("jump distribution assigns no mass to reachable positions")
+        scales[n] = (1.0 - p0) / z
+    start = width = 0
+    for i, k in enumerate(order):
+        wider = max(width, ns[k])
+        if i > start and (i + 1 - start) * shapes[order[start]][1] * wider > GROUP_CELLS:
+            yield _group(packed, order[start:i], width, theta, q, scales, p0)
+            start, wider = i, ns[k]
+        width = wider
+    yield _group(packed, order[start:], width, theta, q, scales, p0)
+
+
+def _group(packed, pairs, width, theta, q, scales, p0) -> _Group:
+    """The _Group of pairs sorted by descending m, targets at most width long."""
+    use_null = packed.use_null
+    b_count, m_max = len(pairs), packed.pair_shape[pairs[0]][1]
+    states = width * (1 + use_null)
+    emit = np.zeros((m_max, b_count, states))
+    pi = np.zeros((b_count, states))
+    scale = np.zeros((b_count, width))
+    ms = np.empty(b_count, dtype=np.int64)
+    for b, k in enumerate(pairs):
+        block = packed.block(k, theta)
+        rows, m = block.shape
+        n = rows - use_null
+        ms[b] = m
+        emit[:m, b, :n] = block[:n].T
+        pi[b, :n] = (1.0 - p0) / n
+        scale[b, :n] = scales[n]
+        if use_null:
+            emit[:m, b, width : width + n] = block[n, :, None]
+            pi[b, width : width + n] = p0 / n
+    active = b_count - np.cumsum(np.bincount(ms, minlength=m_max + 1))[:m_max]
+    return _Group(
+        pairs, ms, active.tolist(), emit, pi, scale, q[:width, :width], p0, use_null
+    )
+
+
+def _scaled_forward(g: _Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled forward variables alphas (M, B, S), each pair's row summing to
+    1 at each of its positions; inputs[j] = (alpha_real + alpha_null)[j] *
+    scale, the row that the shared q carries to position j + 1; and the
+    scales (M, B), whose product over a pair's positions is its Z. Unused
+    cells of alphas and inputs are 0 and of scales 1."""
+    m_max, b_count, states = g.emit.shape
+    n = len(g.q)
+    alphas = np.zeros((m_max, b_count, states))
+    inputs = np.zeros((m_max, b_count, n))
+    scales = np.ones((m_max, b_count))
+    # A failing pair turns its own row to NaN; it is named after the loop.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, b in enumerate(g.active):
+            a = alphas[j, :b]
+            if j == 0:
+                np.multiply(g.pi, g.emit[0], out=a)
+            else:
+                np.matmul(inputs[j - 1, :b], g.q, out=a[:, :n])
+                if g.use_null:
+                    np.multiply(total[:b], g.p0, out=a[:, n:])
+                a *= g.emit[j, :b]
+            c = a.sum(axis=1)
+            scales[j, :b] = c
+            a /= c[:, None]
+            total = a[:, :n] + a[:, n:] if g.use_null else a
+            np.multiply(total, g.scale[:b], out=inputs[j, :b])
+    bad = ~((scales > 0.0) & (scales < math.inf))
+    if bad.any():
+        failing = np.flatnonzero(bad.any(axis=0))
+        k, j = min((g.pairs[b], int(bad[:, b].argmax())) for b in failing)
+        raise NumericError(f"pair {k + 1}: forward scaling underflow at position {j}")
+    return alphas, inputs, scales
+
+
+def _scaled_backward(g: _Group, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled backward variables betas (M, B, N), one per position since a
+    real state and its NULL companion share their beta; and weighted[j] =
+    emit[j] * betas[j] / scales[j], the arrival factors into position j,
+    with the NULL half also times p0."""
+    m_max, b_count, states = g.emit.shape
+    n = len(g.q)
+    weighted = g.emit / scales[:, :, None]
+    if g.use_null:
+        weighted[:, :, n:] *= g.p0
+    halves = weighted.reshape(m_max, b_count, states // n, n)
+    betas = np.zeros((m_max, b_count, n))
+    betas[g.ms - 1, np.arange(b_count)] = 1.0
+    for j in range(m_max - 1, 0, -1):
+        b = g.active[j]
+        halves[j, :b] *= betas[j, :b, None]
+        beta = betas[j - 1, :b]
+        np.matmul(weighted[j, :b, :n], g.q.T, out=beta)
+        beta *= g.scale[:b]
+        if g.use_null:
+            beta += weighted[j, :b, n:]
     return betas, weighted
 
 
 def log_forward(pair: SentencePair, params: HmmParams) -> float:
     """log of the total probability of the source sentence, summed over all
     state paths. Lexical lookups are floored, so the value is finite."""
-    emit, trans, pi = _pair_model(pair, params)
-    _, scales = _scaled_forward(emit, trans, pi)
-    return float(np.log(scales).sum())
+    packed = PackedCorpus(Bitext([pair]), params.table, params.use_null)
+    theta = np.maximum(params.table.theta, DECODE_FLOOR)
+    (group,) = _groups(packed, 0, 1, theta, params.jumps)
+    return float(np.log(_scaled_forward(group)[2]).sum())
 
 
 def viterbi_decode(pair: SentencePair, params: HmmParams) -> AlignmentFunction:
@@ -261,42 +376,59 @@ def _bw_chunk(
     Jump statistics are per sentence length n: a (n, n) matrix of expected
     transition counts from position row+1 to position col+1 (real and
     NULL-companion departures pooled, since both jump from the same
-    remembered position). Summed over source positions, the transition
-    posteriors of a pair are one product,
+    remembered position). Summed over source positions, a group's
+    transition counts are one batched product,
 
-        sum_j xi_j[s, t] = trans[s, t] * sum_j alphas[j, s] * weighted[j + 1, t]
-                         = ((alphas[:-1].T @ weighted[1:]) * trans)[s, t],
+        sum_j xi_j[i, i'] = q[i, i'] * sum_j inputs[j, i] * weighted[j + 1, i'],
 
-    with weighted from _scaled_backward; only arrivals at real positions
-    (t < n) are counted.
+    with only arrivals at real positions counted. Each pair's lexical
+    weights, log-likelihood and jump statistics are merged in corpus order.
     """
     use_null = packed.use_null
-    weight_parts: list[np.ndarray] = []
+    weight_parts: list = [None] * (hi - lo)
+    pair_xi: list = [None] * (hi - lo)
+    pair_ll = [0.0] * (hi - lo)
+    for g in _groups(packed, lo, hi, theta, jumps):
+        try:
+            alphas, inputs, scales = _scaled_forward(g)
+        except NumericError:
+            # Name the first failing pair in corpus order, not group order.
+            for k in range(lo, hi):
+                for single in _groups(packed, k, k + 1, theta, jumps):
+                    _scaled_forward(single)
+            raise
+        betas, weighted = _scaled_backward(g, scales)
+        m_max, b_count, states = alphas.shape
+        n_max = len(g.q)
+        gamma = alphas.reshape(m_max, b_count, states // n_max, n_max) * betas[:, :, None]
+        null_mass = gamma[:, :, 1].sum(axis=2) if use_null else None
+        xi = np.matmul(
+            inputs[:-1].transpose(1, 2, 0), weighted[1:, :, :n_max].transpose(1, 0, 2)
+        )
+        xi *= g.q
+        log_scales = np.log(scales)
+        for b, k in enumerate(g.pairs):
+            rows, m = packed.pair_shape[k]
+            n = rows - use_null
+            weights = np.empty((rows, m))
+            weights[:n] = gamma[:m, b, 0, :n].T
+            if use_null:
+                weights[n] = null_mass[:m, b]
+            weight_parts[k - lo] = weights.reshape(-1)
+            pair_ll[k - lo] = float(log_scales[:m, b].sum())
+            if m > 1:
+                pair_xi[k - lo] = xi[b, :n, :n]
+
     jump_stats: dict[int, np.ndarray] = {}
     ll = 0.0
-    models = _pair_models(packed, lo, hi, theta, jumps, 0.0)
-    for k, (n, emit, trans, pi) in enumerate(models, start=lo):
-        rows, m = packed.pair_shape[k]
-        alphas, scales = _scaled_forward(emit, trans, pi, pair_no=k + 1)
-        betas, weighted = _scaled_backward(emit, trans, scales)
-        gamma = alphas * betas
-        ll += float(np.log(scales).sum())
-
-        weights = np.empty((rows, m))
-        weights[:n] = gamma[:, :n].T
-        if use_null:
-            weights[n] = gamma[:, n:].sum(axis=1)
-        weight_parts.append(weights.reshape(-1))
-
-        if m > 1:
-            xi = (alphas[:-1].T @ weighted[1:, :n]) * trans[:, :n]
-            if use_null:
-                xi = xi[:n] + xi[n:]
-            acc = jump_stats.get(n)
+    for part_ll, part_xi in zip(pair_ll, pair_xi):
+        ll += part_ll
+        if part_xi is not None:
+            acc = jump_stats.get(len(part_xi))
             if acc is None:
-                jump_stats[n] = xi
+                jump_stats[len(part_xi)] = part_xi.copy()
             else:
-                acc += xi
+                acc += part_xi
     return packed.scatter(lo, hi, weight_parts), jump_stats, ll
 
 
@@ -400,7 +532,7 @@ def align_corpus(bitext: Bitext, params: HmmParams) -> list[AlignmentFunction]:
     companions."""
     packed = PackedCorpus(bitext, params.table, params.use_null)
     theta = params.table.theta
-    models = _pair_models(packed, 0, len(packed), theta, params.jumps, DECODE_FLOOR)
+    models = _pair_models(packed, 0, len(packed), theta, params.jumps)
     return [_viterbi(*model) for model in models]
 
 

@@ -425,6 +425,27 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert "alignkit: error: input is not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reader", ["bitext", "source-vocab", "config"])
+    def test_input_that_is_not_utf8_is_named(self, tmp_path, capsys, reader):
+        corpus = tmp_path / "toy.txt"
+        corpus.write_text(TOY, encoding="utf-8")
+        model = tmp_path / "toy.model"
+        assert cli.main([
+            "train", "--bitext", str(corpus), "--output", str(model), "--iters", "1",
+        ]) == 0
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"das haus ||| the \xffhouse\n")
+        align = ["align", "--model-file", str(model), "--bitext"]
+        argv = {
+            "bitext": align + [str(bad)],
+            "source-vocab": align + [str(corpus), "--source-vocab", str(bad)],
+            "config": ["train", "--config", str(bad), "--bitext", str(corpus),
+                       "--output", str(tmp_path / "m")],
+        }[reader]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert f"alignkit: error: input is not UTF-8: {bad}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, message", [
         (["train", "--max-vocab", "0", "--output", "m"], "vocabulary size must be >= 1"),
         (["extract-phrases", "--max-len", "0", "--alignments", "toy.al"],

@@ -1,12 +1,13 @@
 import io
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from alignkit import hmm, model1
+from alignkit import _packed, hmm, model1
 from alignkit._packed import PackedCorpus
 from alignkit.corpus import SentencePair, load_bitext
 from alignkit.errors import ConfigError, DataFormatError, NumericError
@@ -82,6 +83,14 @@ def reference_log_forward(pair, params, flat, floor=1e-12):
             for t in states
         }
     return _log_sum(iter(log_a.values()))
+
+
+def leave_nan_in_freed_memory():
+    """Free NaN-filled buffers of every small size and a large one, so that
+    the next allocations may hand that memory out again uncleared."""
+    for size in (*range(1, 129), 1 << 19):
+        stale = [np.full(size, np.nan) for _ in range(8)]
+        del stale
 
 
 def _safe_log(x):
@@ -387,6 +396,102 @@ class TestBaumWelchStatistics:
             for n, ref in ref_jumps.items():
                 got = jump_stats.get(n, np.zeros((n, n)))
                 np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+
+
+class TestGroupedPasses:
+    """Baum-Welch runs each chunk's pairs in groups of similar m, padded to
+    the group's longest m and n; these cut one chunk into several groups."""
+
+    # Small enough to enumerate, m = 1 and n = 1 included.
+    SHAPES = [(1, 1), (3, 1), (1, 4), (4, 4), (2, 3), (4, 2), (1, 2), (3, 3), (2, 1), (4, 3)]
+
+    @classmethod
+    def random_chunk(cls, rng, use_null, p0):
+        # Longer pairs too, so that padded groups span more than one buffer size.
+        shapes = cls.SHAPES + [tuple(rng.integers(5, 13, size=2)) for _ in range(12)]
+        id_pairs = [
+            ([int(x) for x in rng.integers(1, 5, size=m)],
+             [int(x) for x in rng.integers(1, 5, size=n)])
+            for m, n in shapes
+        ]
+        table, flat = random_table(rng, range(1, 5), range(1, 5), include_null=use_null)
+        jumps = random_jumps(rng, w=int(rng.integers(1, 3)), p0=p0)
+        return make_bitext(id_pairs), table, flat, jumps
+
+    @pytest.mark.parametrize("use_null, p0", [(False, 0.0), (True, 0.3), (True, 0.0)])
+    def test_groups_match_single_pairs_and_enumeration(self, monkeypatch, use_null, p0):
+        monkeypatch.setattr(hmm, "GROUP_CELLS", 300)
+        rng = np.random.default_rng(81)
+        for _ in range(5):
+            bitext, table, flat, jumps = self.random_chunk(rng, use_null, p0)
+            packed = PackedCorpus(bitext, table, use_null)
+            groups = list(hmm._groups(packed, 0, len(packed), table.theta, jumps))
+            assert 4 <= len(groups) < len(packed)
+            assert any(len(set(g.ms.tolist())) > 1 for g in groups)
+            leave_nan_in_freed_memory()
+            counts, jump_stats, ll = _bw_chunk(packed, 0, len(packed), table.theta, jumps)
+            assert not np.isnan(counts).any()
+            assert not any(np.isnan(stats).any() for stats in jump_stats.values())
+
+            ref_counts = np.zeros_like(counts)
+            ref_jumps: dict = {}
+            ref_ll = 0.0
+            for k, pair in enumerate(bitext.pairs):
+                one_counts, one_jumps, one_ll = _bw_chunk(packed, k, k + 1, table.theta, jumps)
+                ref_counts += one_counts
+                for n, stats in one_jumps.items():
+                    ref_jumps[n] = ref_jumps.get(n, 0.0) + stats
+                ref_ll += one_ll
+                if k >= len(self.SHAPES):
+                    continue
+                _, enum_jumps, enum_ll = oracles.hmm_expected_counts(
+                    pair.source_ids, pair.target_ids, flat, list(jumps.probs),
+                    jumps.w, jumps.p0, use_null, floor=0.0,
+                )
+                assert one_ll == pytest.approx(enum_ll, rel=1e-10)
+                if pair.m > 1:
+                    np.testing.assert_allclose(
+                        one_jumps[pair.n], enum_jumps, rtol=1e-10, atol=1e-12
+                    )
+            assert ll == pytest.approx(ref_ll, rel=1e-12)
+            np.testing.assert_allclose(counts, ref_counts, rtol=1e-12, atol=1e-15)
+            assert sorted(jump_stats) == sorted(ref_jumps)
+            for n, ref in ref_jumps.items():
+                np.testing.assert_allclose(jump_stats[n], ref, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("use_null", [False, True])
+    @pytest.mark.parametrize("group_cells", [1, 1 << 16])
+    def test_underflow_names_the_first_failing_pair_in_corpus_order(
+        self, monkeypatch, use_null, group_cells
+    ):
+        # Source word 3 has no mass under any row. Pair 1 fails at position 1;
+        # pair 2 is longer, so it sorts, and with one-pair groups runs, first,
+        # and fails at position 0.
+        rows = {5: {1: 0.5, 2: 0.5}, 6: {1: 0.5, 2: 0.5}}
+        if use_null:
+            rows[NULL_ID] = {1: 1.0}
+        table = TranslationTable(rows)
+        bitext = make_bitext([((1, 3), (5,)), ((3, 1, 1, 1), (5, 6)), ((1, 2), (6, 5))])
+        params = HmmParams(table, uniform_jumps(2, 0.2 if use_null else 0.0), use_null)
+        config = HmmConfig(iterations=1, use_null=use_null)
+        monkeypatch.setattr(hmm, "GROUP_CELLS", group_cells)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as caught:
+                baum_welch_step(bitext, params, config)
+        assert str(caught.value) == "pair 1: forward scaling underflow at position 1"
+
+    def test_results_do_not_depend_on_jobs(self, monkeypatch):
+        # Seven-pair chunks, so that two workers share six chunks.
+        monkeypatch.setattr(_packed, "CHUNK_PAIRS", 7)
+        rng = np.random.default_rng(82)
+        bt = random_id_bitext(rng, n_pairs=40, vocab=12, max_len=8)
+        config = HmmConfig(iterations=3, model1_iterations=2)
+        one, trace_one = train(bt, config, jobs=1)
+        two, trace_two = train(bt, config, jobs=2)
+        assert trace_one == trace_two
+        np.testing.assert_array_equal(one.table.theta, two.table.theta)
+        np.testing.assert_array_equal(one.jumps.probs, two.jumps.probs)
 
 
 class TestTrain:
