@@ -30,8 +30,8 @@ alpha_null[j] and W_j = emit_j * beta_j / c_j:
 A real state and its NULL companion share one beta. So the E-step moves a
 whole group of similar-length pairs one source position at a time, one
 matrix product per step for the group, with every pair padded by zeros to
-the group's longest m and n. Decoding (Viterbi) still builds a transition
-matrix per sentence length.
+the group's longest m and n. Viterbi decoding walks the same groups, with
+each pair's log transitions read from its own length's matrix.
 
 Because transitions renormalize per sentence length, the closed-form
 count-and-normalize jump update is not the exact M-step; re-estimation
@@ -62,7 +62,7 @@ JUMP_HALVINGS = 50  # backtracking steps before jump re-estimation gives up
 # longest sentence only adds empty buckets; the bound stops a mistyped --w
 # from allocating gigabytes for the 2w + 1 jump buckets.
 MAX_WINDOW = 1000
-GROUP_CELLS = 1 << 16  # padded cells (pairs x longest m x longest n) of a Baum-Welch group
+GROUP_CELLS = 1 << 16  # cap on pairs x max(longest m, longest n) x longest n of an HMM group
 
 log = logging.getLogger(__name__)
 
@@ -150,41 +150,6 @@ def _transition_matrix(n: int, jumps: JumpTable, use_null: bool) -> np.ndarray:
     return trans
 
 
-def _initial_probs(n: int, p0: float, use_null: bool) -> np.ndarray:
-    if not use_null:
-        return np.full(n, 1.0 / n)
-    pi = np.empty(2 * n)
-    pi[:n] = (1.0 - p0) / n
-    pi[n:] = p0 / n
-    return pi
-
-
-def _pair_models(packed: PackedCorpus, lo: int, hi: int, theta, jumps):
-    """(n, emissions, transitions, initial probabilities) of pairs [lo, hi)
-    for decoding, transitions built once per length n. Emissions are the
-    block floored at DECODE_FLOOR, with the NULL row (last) repeated for
-    each NULL companion state."""
-    use_null = packed.use_null
-    per_length: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for k in range(lo, hi):
-        emit = np.maximum(packed.block(k, theta), DECODE_FLOOR)
-        n = len(emit) - use_null
-        if use_null:
-            emit = np.vstack([emit[:-1], np.repeat(emit[-1:], n, axis=0)])
-        if n not in per_length:
-            per_length[n] = (
-                _transition_matrix(n, jumps, use_null),
-                _initial_probs(n, jumps.p0, use_null),
-            )
-        yield (n, emit, *per_length[n])
-
-
-def _pair_model(pair: SentencePair, params: HmmParams):
-    """Decoding emissions, transitions and initial probabilities of a pair."""
-    packed = PackedCorpus(Bitext([pair]), params.table, params.use_null)
-    return next(_pair_models(packed, 0, 1, params.table.theta, params.jumps))[1:]
-
-
 class _Group(NamedTuple):
     """Pairs laid out for the group passes, position-major.
 
@@ -215,6 +180,8 @@ def _groups(packed: PackedCorpus, lo: int, hi: int, theta, jumps: JumpTable):
     wherever a group would pad past GROUP_CELLS cells; a pair alone is
     always a group.
     """
+    if lo == hi:
+        return
     use_null = packed.use_null
     p0 = jumps.p0 if use_null else 0.0
     shapes = packed.pair_shape
@@ -230,7 +197,8 @@ def _groups(packed: PackedCorpus, lo: int, hi: int, theta, jumps: JumpTable):
     start = width = 0
     for i, k in enumerate(order):
         wider = max(width, ns[k])
-        if i > start and (i + 1 - start) * shapes[order[start]][1] * wider > GROUP_CELLS:
+        longer = max(shapes[order[start]][1], wider)
+        if i > start and (i + 1 - start) * longer * wider > GROUP_CELLS:
             yield _group(packed, order[start:i], width, theta, q, scales, p0)
             start, wider = i, ns[k]
         width = wider
@@ -336,28 +304,48 @@ def viterbi_decode(pair: SentencePair, params: HmmParams) -> AlignmentFunction:
     return align_corpus(Bitext([pair]), params)[0]
 
 
-def _viterbi(n: int, emit, trans, pi) -> AlignmentFunction:
-    """The best state path as an alignment."""
+def _viterbi(g: _Group, log_t: np.ndarray) -> list[tuple]:
+    """Each pair's best state path as target positions, None at a NULL
+    companion. States are real positions i and companions N + i; log_t
+    (B, N, N) holds log p(i -> i') at [b, i', i], -inf past the pair's n.
+    Scores run destination-major; every backpointer keeps the first maximum
+    over (real, companion) predecessors, so real positions win ties."""
+    m_max, b_count, states = g.emit.shape
+    n = len(g.q)
     with np.errstate(divide="ignore"):
-        log_e = np.log(emit)
-        log_t = np.log(trans)
-        log_pi = np.log(pi)
-    states, m = emit.shape
-    delta = log_pi + log_e[:, 0]
-    pointers = np.empty((m, states), dtype=np.int64)
-    for j in range(1, m):
-        scores = delta[:, None] + log_t
-        best = np.argmax(scores, axis=0)  # first max: smaller state wins ties
-        delta = scores[best, np.arange(states)] + log_e[:, j]
-        pointers[j] = best
-    state = int(np.argmax(delta))
-    path = [0] * m
-    for j in range(m - 1, -1, -1):
-        path[j] = state
-        if j > 0:
-            state = int(pointers[j, state])
-    targets = tuple(s if s < n else None for s in path)
-    return AlignmentFunction(targets=targets, n=n)
+        log_e = np.log(g.emit)
+        log_p0 = np.log(g.p0)
+        delta = np.log(g.pi) + log_e[0]
+    pointers = np.empty((m_max, b_count, states), dtype=np.int64)
+    for j, b in enumerate(g.active[1:], 1):
+        d = delta[:b]
+        scores = d[:, None, :n] + log_t[:b]
+        best = scores.argmax(axis=2)
+        top = np.take_along_axis(scores, best[:, :, None], 2)[:, :, 0]
+        if g.use_null:
+            scores = d[:, None, n:] + log_t[:b]
+            companion = scores.argmax(axis=2)
+            jump = np.take_along_axis(scores, companion[:, :, None], 2)[:, :, 0]
+            better = jump > top
+            best[better] = companion[better] + n
+            top[better] = jump[better]
+            stay, move = d[:, :n] + log_p0, d[:, n:] + log_p0
+            better = move > stay
+            pointers[j, :b, n:] = np.arange(n) + n * better
+            d[:, n:] = np.where(better, move, stay) + log_e[j, :b, n:]
+        pointers[j, :b, :n] = best
+        d[:, :n] = top + log_e[j, :b, :n]
+    state = delta.argmax(axis=1)
+    paths = np.empty((b_count, m_max), dtype=np.int64)
+    for j in range(m_max - 1, -1, -1):
+        b = g.active[j]
+        paths[:b, j] = state[:b]
+        if j:
+            state[:b] = pointers[j, np.arange(b), state[:b]]
+    return [
+        tuple(s if s < n else None for s in paths[b, :m].tolist())
+        for b, m in enumerate(g.ms.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +515,27 @@ def train(
 
 
 def align_corpus(bitext: Bitext, params: HmmParams) -> list[AlignmentFunction]:
-    """Most probable state path of every pair; ties break toward the smaller
-    state index at every backpointer, so real positions beat their NULL
-    companions."""
+    """Most probable state path of every pair, decoded on the Baum-Welch
+    groups with lexical lookups floored at DECODE_FLOOR; ties break toward
+    the smaller state index at every backpointer, so real positions beat
+    their NULL companions."""
     packed = PackedCorpus(bitext, params.table, params.use_null)
-    theta = params.table.theta
-    models = _pair_models(packed, 0, len(packed), theta, params.jumps)
-    return [_viterbi(*model) for model in models]
+    theta = np.maximum(params.table.theta, DECODE_FLOOR)
+    jumps, use_null = params.jumps, params.use_null
+    log_rows: dict[int, np.ndarray] = {}  # per target length n, built once
+    aligned: list = [None] * len(packed)
+    for g in _groups(packed, 0, len(packed), theta, jumps):
+        width = len(g.q)
+        ns = [packed.pair_shape[k][0] - use_null for k in g.pairs]
+        log_t = np.full((len(ns), width, width), -math.inf)
+        for b, n in enumerate(ns):
+            if n not in log_rows:
+                with np.errstate(divide="ignore"):
+                    log_rows[n] = np.log(_transition_matrix(n, jumps, use_null)[:n, :n]).T
+            log_t[b, :n, :n] = log_rows[n]
+        for k, n, targets in zip(g.pairs, ns, _viterbi(g, log_t)):
+            aligned[k] = AlignmentFunction(targets=targets, n=n)
+    return aligned
 
 
 def save_model(out: TextIO, params: HmmParams) -> None:

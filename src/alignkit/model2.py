@@ -15,7 +15,6 @@ Model 1 without NULL.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
@@ -64,19 +63,6 @@ class DiagonalPrior:
 
 
 _MATRIX_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def prior_prob(j: int, i: int, m: int, n: int, prior: DiagonalPrior) -> float:
-    """p(i | j, m, n) for 1-based positions; i = 0 addresses NULL."""
-    if not (1 <= j <= m) or not (0 <= i <= n):
-        raise DataFormatError(
-            f"position (j={j}, i={i}) out of range for m={m}, n={n}"
-        )
-    if i == 0:
-        return prior.p0
-    h = -abs(j / m - i / n)
-    z = sum(math.exp(prior.lam * -abs(j / m - k / n)) for k in range(1, n + 1))
-    return (1.0 - prior.p0) * math.exp(prior.lam * h) / z
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 Everything here is written as plain dictionary-and-loop Python with
 `math` only, enumerating alignment spaces directly where feasible. These
 routines intentionally share no code with the package so that agreement
-between the two is meaningful.
+between the two is meaningful. The one exception is hmm_viterbi, a
+dense per-pair decoder over every state: it runs in numpy so that its
+sums are the very floats the package's group decoder adds, and exact
+ties break the same way.
 
 Conventions (mirroring the package's external contracts):
   * a sentence pair is (source_ids, target_ids);
@@ -18,6 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+
+import numpy as np
 
 NULL = -1
 
@@ -270,6 +275,32 @@ def hmm_emissions(source, target, table, use_null: bool, floor: float = 1e-12):
     n = len(target)
     rows = list(target) + ([NULL] * n if use_null else [])
     return [[tprob(table, e, f, floor) for f in source] for e in rows]
+
+
+def hmm_viterbi(emit, trans, pi, n: int):
+    """Best state path of one pair as an alignment function, by dense
+    Viterbi over all states: emit[s][j], trans[s][t] and pi[s] in
+    _hmm_pieces' state order. Every backpointer keeps the first maximum,
+    so the smaller state index wins ties."""
+    with np.errstate(divide="ignore"):
+        log_e = np.log(np.asarray(emit))
+        log_t = np.log(np.asarray(trans))
+        log_pi = np.log(np.asarray(pi))
+    states, m = log_e.shape
+    delta = log_pi + log_e[:, 0]
+    pointers = np.empty((m, states), dtype=np.int64)
+    for j in range(1, m):
+        scores = delta[:, None] + log_t
+        best = np.argmax(scores, axis=0)
+        delta = scores[best, np.arange(states)] + log_e[:, j]
+        pointers[j] = best
+    state = int(np.argmax(delta))
+    path = [0] * m
+    for j in range(m - 1, -1, -1):
+        path[j] = state
+        if j > 0:
+            state = int(pointers[j, state])
+    return [s if s < n else None for s in path]
 
 
 # --------------------------------------------------------------------------

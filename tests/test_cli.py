@@ -189,6 +189,25 @@ class TestAlign:
         assert read(out) == "\n0-0 1-1\n"
         assert any("empty side" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("", ""), (" ||| the house\ndas ||| \n", "\n\n")],
+        ids=["no-lines", "empty-sides"],
+    )
+    def test_hmm_model_aligns_a_bitext_with_no_usable_pair(self, tmp_path, text, expected):
+        bitext, model = tmp_path / "toy.txt", tmp_path / "toy.model"
+        bitext.write_text(TOY, encoding="utf-8")
+        assert cli.main([
+            "train", "--model", "hmm", "--bitext", str(bitext), "--output", str(model),
+        ]) == 0
+        weird, out = tmp_path / "weird.txt", tmp_path / "aligned.txt"
+        weird.write_text(text, encoding="utf-8")
+        assert cli.main([
+            "align", "--model-file", str(model), "--bitext", str(weird),
+            "--output", str(out),
+        ]) == 0
+        assert read(out) == expected
+
     def test_unknown_tokens_are_mapped_and_reported(self, toy_model, tmp_path, caplog):
         bitext, model = toy_model
         unk = tmp_path / "unk.txt"

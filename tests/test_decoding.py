@@ -69,7 +69,10 @@ def test_decoders_and_emissions_match_the_references(use_null, floor):
             )
 
             params = hmm.HmmParams(table, hmm.uniform_jumps(2, 0.2), use_null)
-            emit, _, _ = hmm._pair_model(pair, params)
+            packed = hmm.PackedCorpus(make_bitext([(src, tgt)]), table, use_null)
+            theta = np.maximum(params.table.theta, DECODE_FLOOR)
+            (group,) = hmm._groups(packed, 0, 1, theta, params.jumps)
+            emit = group.emit[:, 0].T
             assert emit.tolist() == oracles.hmm_emissions(src, tgt, flat, use_null, floor)
 
 

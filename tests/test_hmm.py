@@ -16,7 +16,6 @@ from alignkit.hmm import (
     HmmParams,
     JumpTable,
     _bw_chunk,
-    _initial_probs,
     _reestimate_jumps,
     _transition_matrix,
     align_corpus,
@@ -28,8 +27,9 @@ from alignkit.hmm import (
     uniform_jumps,
     viterbi_decode,
 )
-from alignkit.ttable import NULL_ID, TranslationTable, read_ttable
+from alignkit.ttable import DECODE_FLOOR, NULL_ID, TranslationTable, read_ttable
 from conftest import make_bitext, random_id_bitext, random_table
+from test_decoding import tie_heavy_table
 
 
 def random_jumps(rng, w=2, p0=0.0):
@@ -156,10 +156,19 @@ class TestTransitions:
             _transition_matrix(1, jumps, False)
 
     def test_initial_distribution(self):
-        pi = _initial_probs(4, 0.2, True)
-        np.testing.assert_allclose(pi[:4], 0.8 / 4, atol=1e-15)
-        np.testing.assert_allclose(pi[4:], 0.2 / 4, atol=1e-15)
-        np.testing.assert_allclose(_initial_probs(3, 0.2, False), 1 / 3, atol=1e-15)
+        # Baum-Welch and Viterbi both start from a group's pi; without NULL
+        # the jump table's p0 is not read.
+        for use_null, n in [(True, 4), (False, 3)]:
+            bitext = make_bitext([((1, 2), tuple(range(1, n + 1)))])
+            table = model1.init_uniform(bitext, use_null)
+            packed = PackedCorpus(bitext, table, use_null)
+            (group,) = hmm._groups(packed, 0, 1, table.theta, uniform_jumps(p0=0.2))
+            pi = group.pi[0]
+            if use_null:
+                np.testing.assert_allclose(pi[:n], 0.8 / n, atol=1e-15)
+                np.testing.assert_allclose(pi[n:], 0.2 / n, atol=1e-15)
+            else:
+                np.testing.assert_allclose(pi, 1 / n, atol=1e-15)
 
 
 class TestLogForward:
@@ -481,6 +490,22 @@ class TestGroupedPasses:
                 baum_welch_step(bitext, params, config)
         assert str(caught.value) == "pair 1: forward scaling underflow at position 1"
 
+    def test_groups_cover_each_pair_once_within_the_cell_bound(self, monkeypatch):
+        # Short sources with long targets too: there a group's (B, N, N)
+        # blocks, xi and Viterbi's log transitions, outgrow its emissions.
+        monkeypatch.setattr(hmm, "GROUP_CELLS", 300)
+        rng = np.random.default_rng(85)
+        bitext = make_bitext([([1] * m, [1] * n) for m, n in rng.integers(1, 13, size=(60, 2))])
+        table = TranslationTable({1: {1: 1.0}})
+        packed = PackedCorpus(bitext, table, False)
+        jumps = uniform_jumps(2, 0.0)
+        groups = list(hmm._groups(packed, 0, len(packed), table.theta, jumps))
+        assert sorted(k for g in groups for k in g.pairs) == list(range(len(packed)))
+        for g in groups:
+            m_max, b_count, n_max = len(g.emit), len(g.pairs), len(g.q)
+            assert b_count == 1 or b_count * max(m_max, n_max) * n_max <= 300
+        assert list(hmm._groups(packed, 3, 3, table.theta, jumps)) == []
+
     def test_results_do_not_depend_on_jobs(self, monkeypatch):
         # Seven-pair chunks, so that two workers share six chunks.
         monkeypatch.setattr(_packed, "CHUNK_PAIRS", 7)
@@ -492,6 +517,57 @@ class TestGroupedPasses:
         assert trace_one == trace_two
         np.testing.assert_array_equal(one.table.theta, two.table.theta)
         np.testing.assert_array_equal(one.jumps.probs, two.jumps.probs)
+
+
+class TestGroupedViterbi:
+    """align_corpus decodes on the Baum-Welch groups. Pair by pair, its
+    paths must be exactly those of oracles.hmm_viterbi, ties included,
+    when the groups mix both m and n."""
+
+    @staticmethod
+    def tie_heavy_instance(rng, use_null, p0):
+        """test_decoding's tie-heavy lexical table, jump weights from {1, 2},
+        and pairs whose ids the table partly lacks, as a bitext, table, flat
+        dict and jump table."""
+        table, flat = tie_heavy_table(rng, include_null=use_null)
+        w = int(rng.integers(1, 3))
+        weights = rng.choice([1.0, 2.0], size=2 * w + 1)
+        jumps = JumpTable(w=w, probs=weights / weights.sum(), p0=p0)
+        shapes = TestGroupedPasses.SHAPES + [tuple(rng.integers(5, 13, size=2)) for _ in range(12)]
+        id_pairs = [
+            ([int(x) for x in rng.integers(0, 8, size=m)],
+             [int(x) for x in rng.integers(0, 6, size=n)])
+            for m, n in shapes
+        ]
+        return make_bitext(id_pairs), table, flat, jumps
+
+    @pytest.mark.parametrize("use_null, p0", [(False, 0.0), (True, 0.3), (True, 0.0)])
+    def test_paths_match_the_dense_per_pair_viterbi(self, monkeypatch, use_null, p0):
+        monkeypatch.setattr(hmm, "GROUP_CELLS", 300)
+        rng = np.random.default_rng(84)
+        for _ in range(10):
+            bitext, table, flat, jumps = self.tie_heavy_instance(rng, use_null, p0)
+            params = HmmParams(table, jumps, use_null)
+            packed = PackedCorpus(bitext, table, use_null)
+            groups = list(hmm._groups(packed, 0, len(packed), table.theta, jumps))
+            assert any(len(set(g.ms.tolist())) > 1 for g in groups)
+            assert any(len({packed.pair_shape[k][0] for k in g.pairs}) > 1 for g in groups)
+            leave_nan_in_freed_memory()
+            got = align_corpus(bitext, params)
+            assert len(got) == len(bitext.pairs)
+            for pair, alignment in zip(bitext.pairs, got):
+                src, tgt = pair.source_ids, pair.target_ids
+                states, pi, _, _ = oracles._hmm_pieces(
+                    tgt, list(jumps.probs), jumps.w, jumps.p0, use_null, flat, DECODE_FLOOR
+                )
+                want = oracles.hmm_viterbi(
+                    oracles.hmm_emissions(src, tgt, flat, use_null, DECODE_FLOOR),
+                    _transition_matrix(pair.n, jumps, use_null),
+                    [pi(s) for s in states],
+                    pair.n,
+                )
+                assert list(alignment.targets) == want
+                assert alignment.n == pair.n
 
 
 class TestTrain:

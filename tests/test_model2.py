@@ -16,7 +16,6 @@ from alignkit.model2 import (
     align_corpus,
     em_step,
     model_from,
-    prior_prob,
     save_model,
     train,
 )
@@ -63,16 +62,12 @@ class TestDiagonalPrior:
 
     def test_zero_tension_is_uniform(self):
         for n in (1, 2, 5):
-            for j in range(1, 4):
-                for i in range(1, n + 1):
-                    assert prior_prob(j, i, 3, n, FLAT) == pytest.approx(
-                        1.0 / n, abs=1e-15
-                    )
+            np.testing.assert_allclose(FLAT.matrix(3, n, False), 1.0 / n, rtol=0, atol=1e-15)
 
     def test_mass_peaks_on_the_diagonal(self):
         prior = DiagonalPrior(lam=4.0, p0=0.0)
         # j/m = 2/4 lines up exactly with i/n = 4/8.
-        probs = [prior_prob(2, i, 4, 8, prior) for i in range(1, 9)]
+        probs = prior.matrix(4, 8, False)[:, 1]
         assert max(probs) == probs[3]
 
     def test_rows_sum_to_one(self):
@@ -80,52 +75,42 @@ class TestDiagonalPrior:
         for _ in range(50):
             m = int(rng.integers(1, 9))
             n = int(rng.integers(1, 9))
-            j = int(rng.integers(1, m + 1))
             prior = DiagonalPrior(
                 lam=float(rng.uniform(0.0, 8.0)), p0=float(rng.uniform(0.0, 0.5))
             )
-            total = sum(prior_prob(j, i, m, n, prior) for i in range(0, n + 1))
-            assert total == pytest.approx(1.0, abs=1e-12)
+            totals = prior.matrix(m, n, True).sum(axis=0)
+            np.testing.assert_allclose(totals, 1.0, rtol=0, atol=1e-12)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             m = int(rng.integers(1, 9))
             n = int(rng.integers(1, 9))
-            j = int(rng.integers(1, m + 1))
             lam = float(rng.uniform(0.0, 8.0))
             p0 = float(rng.uniform(0.0, 0.5))
-            prior = DiagonalPrior(lam=lam, p0=p0)
-            for i in range(0, n + 1):
-                assert prior_prob(j, i, m, n, prior) == pytest.approx(
-                    oracles.diag_prior(j, i, m, n, lam, p0), abs=1e-15
-                )
+            matrix = DiagonalPrior(lam=lam, p0=p0).matrix(m, n, True)
+            for j in range(1, m + 1):
+                for i in range(0, n + 1):
+                    assert matrix[i - 1 if i else n, j - 1] == pytest.approx(
+                        oracles.diag_prior(j, i, m, n, lam, p0), abs=1e-15
+                    )
 
     def test_monotone_in_distance_from_diagonal(self):
         prior = DiagonalPrior(lam=3.0, p0=0.1)
         m, n = 5, 9
+        matrix = prior.matrix(m, n, False)
         for j in range(1, m + 1):
             by_distance = sorted(range(1, n + 1), key=lambda i: abs(j / m - i / n))
-            probs = [prior_prob(j, i, m, n, prior) for i in by_distance]
+            probs = [matrix[i - 1, j - 1] for i in by_distance]
             for earlier, later in zip(probs, probs[1:]):
                 assert earlier >= later - 1e-15
 
-    def test_out_of_range_positions_rejected(self):
-        for j, i in [(0, 1), (4, 1), (1, -1), (1, 4)]:
-            with pytest.raises(DataFormatError):
-                prior_prob(j, i, 3, 3, DiagonalPrior())
-
-    def test_matrix_matches_prior_prob(self):
+    def test_matrix_puts_null_last(self):
         prior = DiagonalPrior(lam=2.5, p0=0.2)
         m, n = 4, 6
         with_null = prior.matrix(m, n, True)
         assert with_null.shape == (n + 1, m)
-        for j in range(1, m + 1):
-            for i in range(1, n + 1):
-                assert with_null[i - 1, j - 1] == pytest.approx(
-                    prior_prob(j, i, m, n, prior), abs=1e-15
-                )
-            assert with_null[n, j - 1] == prior.p0
+        assert (with_null[n] == prior.p0).all()
         without = prior.matrix(m, n, False)
         assert without.shape == (n, m)
         np.testing.assert_allclose(without, with_null[:n], rtol=0, atol=0)
