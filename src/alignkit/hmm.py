@@ -30,8 +30,10 @@ alpha_null[j] and W_j = emit_j * beta_j / c_j:
 A real state and its NULL companion share one beta. So the E-step moves a
 whole group of similar-length pairs one source position at a time, one
 matrix product per step for the group, with every pair padded by zeros to
-the group's longest m and n. Viterbi decoding walks the same groups, with
-each pair's log transitions read from its own length's matrix.
+the group's longest m and n. The groups are those of the packed corpus
+(see _packed.py), built once per run; each iteration's emissions are one
+gather from theta. Viterbi decoding walks the same groups, with each
+pair's log transitions read from its own length's matrix.
 
 Because transitions renormalize per sentence length, the closed-form
 count-and-normalize jump update is not the exact M-step; re-estimation
@@ -49,11 +51,20 @@ from typing import NamedTuple, Optional, TextIO
 import numpy as np
 
 from . import model1
-from ._packed import MSTEP_FLOOR, ChunkRunner, PackedCorpus, lexical_step, run_em
+from ._packed import (
+    MSTEP_FLOOR,
+    ChunkRunner,
+    Group,
+    PackedCorpus,
+    decode_theta,
+    lexical_step,
+    run_em,
+    with_pad,
+)
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError, NumericError
-from .ttable import DECODE_FLOOR, NULL_ID, TranslationTable, write_ttable
+from .ttable import NULL_ID, TranslationTable, write_ttable
 
 HMM_TRAILER = "hmm"
 JUMP_TRAILER = "jump"
@@ -62,7 +73,6 @@ JUMP_HALVINGS = 50  # backtracking steps before jump re-estimation gives up
 # longest sentence only adds empty buckets; the bound stops a mistyped --w
 # from allocating gigabytes for the 2w + 1 jump buckets.
 MAX_WINDOW = 1000
-GROUP_CELLS = 1 << 16  # cap on pairs x max(longest m, longest n) x longest n of an HMM group
 
 log = logging.getLogger(__name__)
 
@@ -151,10 +161,10 @@ def _transition_matrix(n: int, jumps: JumpTable, use_null: bool) -> np.ndarray:
 
 
 class _Group(NamedTuple):
-    """Pairs laid out for the group passes, position-major.
+    """A layout group of pairs (see _packed.py) ready for the group passes.
 
     The pairs run by descending m, so a step at source position j updates
-    the first active[j] of them, those with m > j. With N the longest
+    the first layout.active[j] of them, those with m > j. With N the longest
     target, a pair has S = N states, or 2N with NULL (real positions, then
     NULL companions). emit is (M, B, S) and pi (B, S); scale (B, N) holds
     (1 - p0) / Z_i of each departure position i; q is the (N, N) jump
@@ -162,9 +172,7 @@ class _Group(NamedTuple):
     m or n are 0, so they add nothing to any sum or product.
     """
 
-    pairs: list[int]  # corpus indices
-    ms: np.ndarray
-    active: list[int]
+    layout: Group  # its pairs, their lengths and its slots
     emit: np.ndarray
     pi: np.ndarray
     scale: np.ndarray
@@ -173,62 +181,42 @@ class _Group(NamedTuple):
     use_null: bool
 
 
-def _groups(packed: PackedCorpus, lo: int, hi: int, theta, jumps: JumpTable):
-    """Pairs [lo, hi) as _Groups, emissions read from theta as they are.
-
-    The pairs are sorted by descending m (ties in corpus order) and cut
-    wherever a group would pad past GROUP_CELLS cells; a pair alone is
-    always a group.
-    """
-    if lo == hi:
-        return
+def _groups(packed: PackedCorpus, c: int, theta, jumps: JumpTable):
+    """Chunk c's layout groups as _Groups, emissions read from theta (with
+    its pad slot) as it is."""
+    chunk = packed.chunks[c]
     use_null = packed.use_null
     p0 = jumps.p0 if use_null else 0.0
-    shapes = packed.pair_shape
-    order = sorted(range(lo, hi), key=lambda k: -shapes[k][1])
-    ns = {k: shapes[k][0] - use_null for k in order}
-    q = jumps.probs[_clip_index(max(ns.values()), jumps.w)]
+    ns = np.concatenate([g.ns for g in chunk.groups])
+    q = jumps.probs[_clip_index(int(ns.max()), jumps.w)]
     scales = {}
-    for n in set(ns.values()):
+    for n in set(ns.tolist()):
         z = q[:n, :n].sum(axis=1)
         if (z <= 0.0).any():
             raise NumericError("jump distribution assigns no mass to reachable positions")
         scales[n] = (1.0 - p0) / z
-    start = width = 0
-    for i, k in enumerate(order):
-        wider = max(width, ns[k])
-        longer = max(shapes[order[start]][1], wider)
-        if i > start and (i + 1 - start) * longer * wider > GROUP_CELLS:
-            yield _group(packed, order[start:i], width, theta, q, scales, p0)
-            start, wider = i, ns[k]
-        width = wider
-    yield _group(packed, order[start:], width, theta, q, scales, p0)
+    for g in chunk.groups:
+        yield _group(g, theta[g.slots], q, scales, p0, use_null)
 
 
-def _group(packed, pairs, width, theta, q, scales, p0) -> _Group:
-    """The _Group of pairs sorted by descending m, targets at most width long."""
-    use_null = packed.use_null
-    b_count, m_max = len(pairs), packed.pair_shape[pairs[0]][1]
-    states = width * (1 + use_null)
-    emit = np.zeros((m_max, b_count, states))
-    pi = np.zeros((b_count, states))
+def _group(g: Group, values: np.ndarray, q, scales, p0, use_null) -> _Group:
+    """The _Group of layout group g, whose cells of theta are values."""
+    m_max, b_count, columns = values.shape
+    width = columns - use_null
+    ns = g.ns[:, None]
+    real = np.arange(width) < ns
+    pi = np.where(real, (1.0 - p0) / ns, 0.0)
     scale = np.zeros((b_count, width))
-    ms = np.empty(b_count, dtype=np.int64)
-    for b, k in enumerate(pairs):
-        block = packed.block(k, theta)
-        rows, m = block.shape
-        n = rows - use_null
-        ms[b] = m
-        emit[:m, b, :n] = block[:n].T
-        pi[b, :n] = (1.0 - p0) / n
-        scale[b, :n] = scales[n]
-        if use_null:
-            emit[:m, b, width : width + n] = block[n, :, None]
-            pi[b, width : width + n] = p0 / n
-    active = b_count - np.cumsum(np.bincount(ms, minlength=m_max + 1))[:m_max]
-    return _Group(
-        pairs, ms, active.tolist(), emit, pi, scale, q[:width, :width], p0, use_null
-    )
+    for b0, b1, _, n in g.shapes():
+        scale[b0:b1, :n] = scales[n]
+    if use_null:
+        emit = np.empty((m_max, b_count, 2 * width))
+        emit[:, :, :width] = values[:, :, :width]
+        np.multiply(values[:, :, width:], real, out=emit[:, :, width:])
+        pi = np.hstack([pi, np.where(real, p0 / ns, 0.0)])
+    else:
+        emit = values
+    return _Group(g, emit, pi, scale, q[:width, :width], p0, use_null)
 
 
 def _scaled_forward(g: _Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,15 +224,16 @@ def _scaled_forward(g: _Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     1 at each of its positions; inputs[j] = (alpha_real + alpha_null)[j] *
     scale, the row that the shared q carries to position j + 1; and the
     scales (M, B), whose product over a pair's positions is its Z. Unused
-    cells of alphas and inputs are 0 and of scales 1."""
+    cells of alphas and inputs are 0 and of scales 1. A pair whose scaling
+    fails gets a zero or non-finite scale; see _underflows."""
     m_max, b_count, states = g.emit.shape
     n = len(g.q)
     alphas = np.zeros((m_max, b_count, states))
     inputs = np.zeros((m_max, b_count, n))
     scales = np.ones((m_max, b_count))
-    # A failing pair turns its own row to NaN; it is named after the loop.
+    # A failing pair turns its own row to NaN; the caller names it.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j, b in enumerate(g.active):
+        for j, b in enumerate(g.layout.active):
             a = alphas[j, :b]
             if j == 0:
                 np.multiply(g.pi, g.emit[0], out=a)
@@ -258,12 +247,15 @@ def _scaled_forward(g: _Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             a /= c[:, None]
             total = a[:, :n] + a[:, n:] if g.use_null else a
             np.multiply(total, g.scale[:b], out=inputs[j, :b])
-    bad = ~((scales > 0.0) & (scales < math.inf))
-    if bad.any():
-        failing = np.flatnonzero(bad.any(axis=0))
-        k, j = min((g.pairs[b], int(bad[:, b].argmax())) for b in failing)
-        raise NumericError(f"pair {k + 1}: forward scaling underflow at position {j}")
     return alphas, inputs, scales
+
+
+def _underflows(g: _Group, scales: np.ndarray) -> list[tuple[int, int]]:
+    """(corpus index, first position) of each pair whose forward scaling
+    underflowed, as _scaled_forward's scales show it."""
+    bad = ~((scales > 0.0) & (scales < math.inf))
+    pairs = g.layout.pairs
+    return [(pairs[b], int(bad[:, b].argmax())) for b in np.flatnonzero(bad.any(axis=0))]
 
 
 def _scaled_backward(g: _Group, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,9 +270,9 @@ def _scaled_backward(g: _Group, scales: np.ndarray) -> tuple[np.ndarray, np.ndar
         weighted[:, :, n:] *= g.p0
     halves = weighted.reshape(m_max, b_count, states // n, n)
     betas = np.zeros((m_max, b_count, n))
-    betas[g.ms - 1, np.arange(b_count)] = 1.0
+    betas[g.layout.ms - 1, np.arange(b_count)] = 1.0
     for j in range(m_max - 1, 0, -1):
-        b = g.active[j]
+        b = g.layout.active[j]
         halves[j, :b] *= betas[j, :b, None]
         beta = betas[j - 1, :b]
         np.matmul(weighted[j, :b, :n], g.q.T, out=beta)
@@ -294,8 +286,7 @@ def log_forward(pair: SentencePair, params: HmmParams) -> float:
     """log of the total probability of the source sentence, summed over all
     state paths. Lexical lookups are floored, so the value is finite."""
     packed = PackedCorpus(Bitext([pair]), params.table, params.use_null)
-    theta = np.maximum(params.table.theta, DECODE_FLOOR)
-    (group,) = _groups(packed, 0, 1, theta, params.jumps)
+    (group,) = _groups(packed, 0, decode_theta(params.table), params.jumps)
     return float(np.log(_scaled_forward(group)[2]).sum())
 
 
@@ -317,7 +308,7 @@ def _viterbi(g: _Group, log_t: np.ndarray) -> list[tuple]:
         log_p0 = np.log(g.p0)
         delta = np.log(g.pi) + log_e[0]
     pointers = np.empty((m_max, b_count, states), dtype=np.int64)
-    for j, b in enumerate(g.active[1:], 1):
+    for j, b in enumerate(g.layout.active[1:], 1):
         d = delta[:b]
         scores = d[:, None, :n] + log_t[:b]
         best = scores.argmax(axis=2)
@@ -338,13 +329,13 @@ def _viterbi(g: _Group, log_t: np.ndarray) -> list[tuple]:
     state = delta.argmax(axis=1)
     paths = np.empty((b_count, m_max), dtype=np.int64)
     for j in range(m_max - 1, -1, -1):
-        b = g.active[j]
+        b = g.layout.active[j]
         paths[:b, j] = state[:b]
         if j:
             state[:b] = pointers[j, np.arange(b), state[:b]]
     return [
         tuple(s if s < n else None for s in paths[b, :m].tolist())
-        for b, m in enumerate(g.ms.tolist())
+        for b, m in enumerate(g.layout.ms.tolist())
     ]
 
 
@@ -352,60 +343,68 @@ def _viterbi(g: _Group, log_t: np.ndarray) -> list[tuple]:
 # Baum-Welch training
 
 
+def _group_pass(g: _Group, weights: np.ndarray):
+    """Forward-backward over group g: its forward scales (M, B); and, unless
+    a pair's scaling failed (see _underflows), its (B, N, N) transition
+    counts, else None. Unless a pair failed, the lexical weights go into
+    weights, (M, B, N + NULL) and laid out like the group's slots. Summed
+    over source positions, the transition counts are one batched product,
+
+        sum_j xi_j[i, i'] = q[i, i'] * sum_j inputs[j, i] * weighted[j + 1, i'],
+
+    with only arrivals at real positions counted.
+    """
+    alphas, inputs, scales = _scaled_forward(g)
+    if _underflows(g, scales):
+        return scales, None
+    betas, weighted = _scaled_backward(g, scales)
+    m_max, b_count, states = alphas.shape
+    n_max = len(g.q)
+    gamma = alphas.reshape(m_max, b_count, states // n_max, n_max) * betas[:, :, None]
+    weights[:, :, :n_max] = gamma[:, :, 0]
+    if g.use_null:  # NULL, the layout's last column, takes the companions' mass
+        gamma[:, :, 1].sum(axis=2, out=weights[:, :, n_max])
+    xi = np.matmul(inputs[:-1].transpose(1, 2, 0), weighted[1:, :, :n_max].transpose(1, 0, 2))
+    xi *= g.q
+    return scales, xi
+
+
 def _bw_chunk(
     packed: PackedCorpus,
-    lo: int,
-    hi: int,
+    c: int,
     theta: np.ndarray,
     jumps: JumpTable,
 ) -> tuple[np.ndarray, dict[int, np.ndarray], float]:
-    """Expected lexicon and jump statistics for pairs [lo, hi).
+    """Expected lexicon and jump statistics for chunk c.
 
     Jump statistics are per sentence length n: a (n, n) matrix of expected
     transition counts from position row+1 to position col+1 (real and
     NULL-companion departures pooled, since both jump from the same
-    remembered position). Summed over source positions, a group's
-    transition counts are one batched product,
-
-        sum_j xi_j[i, i'] = q[i, i'] * sum_j inputs[j, i] * weighted[j + 1, i'],
-
-    with only arrivals at real positions counted. Each pair's lexical
-    weights, log-likelihood and jump statistics are merged in corpus order.
+    remembered position). Each pair's log-likelihood and jump statistics
+    are merged in corpus order.
     """
-    use_null = packed.use_null
-    weight_parts: list = [None] * (hi - lo)
-    pair_xi: list = [None] * (hi - lo)
-    pair_ll = [0.0] * (hi - lo)
-    for g in _groups(packed, lo, hi, theta, jumps):
-        try:
-            alphas, inputs, scales = _scaled_forward(g)
-        except NumericError:
-            # Name the first failing pair in corpus order, not group order.
-            for k in range(lo, hi):
-                for single in _groups(packed, k, k + 1, theta, jumps):
-                    _scaled_forward(single)
-            raise
-        betas, weighted = _scaled_backward(g, scales)
-        m_max, b_count, states = alphas.shape
-        n_max = len(g.q)
-        gamma = alphas.reshape(m_max, b_count, states // n_max, n_max) * betas[:, :, None]
-        null_mass = gamma[:, :, 1].sum(axis=2) if use_null else None
-        xi = np.matmul(
-            inputs[:-1].transpose(1, 2, 0), weighted[1:, :, :n_max].transpose(1, 0, 2)
-        )
-        xi *= g.q
+    chunk = packed.chunks[c]
+    weights = np.zeros(len(chunk.slots))
+    pair_xi: list = [None] * (chunk.hi - chunk.lo)
+    pair_ll = [0.0] * (chunk.hi - chunk.lo)
+    failures: list[tuple[int, int]] = []
+    groups = _groups(packed, c, theta, jumps)
+    for g, (_, block) in zip(groups, chunk.blocks(weights)):
+        scales, xi = _group_pass(g, block)
+        if xi is None:
+            failures += _underflows(g, scales)
+        if failures:  # only the first failing pair in corpus order is named
+            continue
         log_scales = np.log(scales)
-        for b, k in enumerate(g.pairs):
-            rows, m = packed.pair_shape[k]
-            n = rows - use_null
-            weights = np.empty((rows, m))
-            weights[:n] = gamma[:m, b, 0, :n].T
-            if use_null:
-                weights[n] = null_mass[:m, b]
-            weight_parts[k - lo] = weights.reshape(-1)
-            pair_ll[k - lo] = float(log_scales[:m, b].sum())
+        layout = g.layout
+        for b, (k, m, n) in enumerate(zip(layout.pairs, layout.ms.tolist(), layout.ns.tolist())):
+            pair_ll[k - chunk.lo] = float(log_scales[:m, b].sum())
             if m > 1:
-                pair_xi[k - lo] = xi[b, :n, :n]
+                pair_xi[k - chunk.lo] = xi[b, :n, :n]
+    if failures:
+        k, j = min(failures)
+        raise NumericError(f"pair {k + 1}: forward scaling underflow at position {j}")
+    counts = packed.scatter(chunk.slots, weights)
 
     jump_stats: dict[int, np.ndarray] = {}
     ll = 0.0
@@ -417,7 +416,7 @@ def _bw_chunk(
                 jump_stats[len(part_xi)] = part_xi.copy()
             else:
                 acc += part_xi
-    return packed.scatter(lo, hi, weight_parts), jump_stats, ll
+    return counts, jump_stats, ll
 
 
 def _jump_objective(q: np.ndarray, jump_stats: dict[int, np.ndarray], w: int) -> float:
@@ -469,8 +468,8 @@ def baum_welch_step(
     config is not read: params hold the whole model."""
     table = params.table
     with ChunkRunner(bitext, table, params.use_null, jobs) as runner:
-        (theta, jumps), ll = _bw_iteration(runner, table.theta, params.jumps)
-    return HmmParams(table.with_probs(theta[:-1]), jumps, params.use_null), ll
+        (theta, jumps), ll = _bw_iteration(runner, with_pad(table.theta), params.jumps)
+    return HmmParams(table.with_probs(theta[:-2]), jumps, params.use_null), ll
 
 
 def _bw_iteration(runner: ChunkRunner, theta, jumps):
@@ -504,14 +503,14 @@ def train(
     table = model1.init_uniform(bitext, config.use_null)
     with ChunkRunner(bitext, table, config.use_null, jobs) as runner:
         warm_up = lambda theta: lexical_step(runner, theta)
-        theta, _ = run_em(warm_up, table.theta, config.model1_iterations)
+        theta, _ = run_em(warm_up, with_pad(table.theta), config.model1_iterations)
         (theta, jumps), trace = run_em(
             lambda state: _bw_iteration(runner, *state),
             (theta, uniform_jumps(config.w, config.p0)),
             config.iterations,
             log_to,
         )
-    return HmmParams(table.with_probs(theta[:-1]), jumps, config.use_null), trace
+    return HmmParams(table.with_probs(theta[:-2]), jumps, config.use_null), trace
 
 
 def align_corpus(bitext: Bitext, params: HmmParams) -> list[AlignmentFunction]:
@@ -520,21 +519,22 @@ def align_corpus(bitext: Bitext, params: HmmParams) -> list[AlignmentFunction]:
     the smaller state index at every backpointer, so real positions beat
     their NULL companions."""
     packed = PackedCorpus(bitext, params.table, params.use_null)
-    theta = np.maximum(params.table.theta, DECODE_FLOOR)
+    theta = decode_theta(params.table)
     jumps, use_null = params.jumps, params.use_null
     log_rows: dict[int, np.ndarray] = {}  # per target length n, built once
     aligned: list = [None] * len(packed)
-    for g in _groups(packed, 0, len(packed), theta, jumps):
-        width = len(g.q)
-        ns = [packed.pair_shape[k][0] - use_null for k in g.pairs]
-        log_t = np.full((len(ns), width, width), -math.inf)
-        for b, n in enumerate(ns):
-            if n not in log_rows:
-                with np.errstate(divide="ignore"):
-                    log_rows[n] = np.log(_transition_matrix(n, jumps, use_null)[:n, :n]).T
-            log_t[b, :n, :n] = log_rows[n]
-        for k, n, targets in zip(g.pairs, ns, _viterbi(g, log_t)):
-            aligned[k] = AlignmentFunction(targets=targets, n=n)
+    for c in range(len(packed.chunks)):
+        for g in _groups(packed, c, theta, jumps):
+            width = len(g.q)
+            ns = g.layout.ns.tolist()
+            log_t = np.full((len(ns), width, width), -math.inf)
+            for b, n in enumerate(ns):
+                if n not in log_rows:
+                    with np.errstate(divide="ignore"):
+                        log_rows[n] = np.log(_transition_matrix(n, jumps, use_null)[:n, :n]).T
+                log_t[b, :n, :n] = log_rows[n]
+            for k, n, targets in zip(g.layout.pairs, ns, _viterbi(g, log_t)):
+                aligned[k] = AlignmentFunction(targets=targets, n=n)
     return aligned
 
 

@@ -20,11 +20,11 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from ._packed import PackedCorpus, PriorProvider, corpus_cells, train_lexical
+from ._packed import PackedCorpus, PriorProvider, corpus_cells, decode_theta, train_lexical
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError
-from .ttable import DECODE_FLOOR, NULL_ID, TranslationTable, distinct_sorted, write_ttable
+from .ttable import NULL_ID, TranslationTable, distinct_sorted, write_ttable
 
 
 @dataclass(frozen=True)
@@ -87,38 +87,35 @@ def posterior_align(
     return align_corpus(Bitext([pair]), table, use_null)[0]
 
 
-def best_targets(scores: np.ndarray, n: int, use_null: bool) -> AlignmentFunction:
-    """Per source column, the best of the n target rows of scores, the
-    smaller position winning ties; with use_null, row n (NULL) takes the
-    column only when it scores strictly higher."""
-    best = scores[:n].argmax(axis=0)
-    targets = best.tolist()
-    if use_null:
-        null_wins = scores[n] > scores[:n].max(axis=0)
-        targets = [None if wins else i for i, wins in zip(targets, null_wins.tolist())]
-    return AlignmentFunction(targets=tuple(targets), n=n)
-
-
 def align_corpus(
     bitext: Bitext,
     table: TranslationTable,
     use_null: bool | None = None,
     prior: Optional[PriorProvider] = None,
 ) -> list[AlignmentFunction]:
-    """best_targets of every pair under the lexical table, times the prior
-    when given (Model 2). Every cell scores at least DECODE_FLOOR. When
-    `use_null` is None the NULL row's presence in the table decides
-    whether NULL competes."""
+    """Per source word of every pair, the best target position under the
+    lexical table, times the prior when given (Model 2); every cell scores
+    at least DECODE_FLOOR. The smaller position wins ties, and NULL takes a
+    word only when it scores strictly higher. When `use_null` is None the
+    NULL row's presence in the table decides whether NULL competes."""
     if use_null is None:
         use_null = NULL_ID in table.row_ids
     packed = PackedCorpus(bitext, table, use_null)
-    alignments = []
-    for k, pair in enumerate(bitext.pairs):
-        scores = np.maximum(packed.block(k, table.theta), DECODE_FLOOR)
+    theta = decode_theta(table)
+    aligned: list = [None] * len(packed)
+    for c, chunk in enumerate(packed.chunks):
+        scores = theta[chunk.slots]
         if prior is not None:
-            scores = prior.matrix(pair.m, pair.n, use_null) * scores
-        alignments.append(best_targets(scores, pair.n, use_null))
-    return alignments
+            scores *= packed.prior_cells(prior)[c]
+        for g, block in chunk.blocks(scores):
+            real = block[:, :, : block.shape[2] - use_null]
+            best = real.argmax(axis=2)
+            if use_null:
+                best[block[:, :, -1] > real.max(axis=2)] = -1  # NULL
+            for k, m, n, targets in zip(g.pairs, g.ms.tolist(), g.ns.tolist(), best.T.tolist()):
+                targets = tuple(None if i < 0 else i for i in targets[:m])
+                aligned[k] = AlignmentFunction(targets=targets, n=n)
+    return aligned
 
 
 def save_model(out: TextIO, table: TranslationTable) -> None:

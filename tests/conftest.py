@@ -6,6 +6,8 @@ The terminal summary prints one PASS/FAIL line per acceptance criterion
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -70,17 +72,53 @@ def toy_bitext() -> Bitext:
     return load_bitext(["das haus ||| the house", "das buch ||| the book"])
 
 
+def leave_nan_in_freed_memory():
+    """Free NaN-filled buffers of every small size and a large one, so that
+    the next allocations may hand that memory out again uncleared."""
+    for size in (*range(1, 129), 1 << 19):
+        stale = [np.full(size, np.nan) for _ in range(8)]
+        del stale
+
+
+@pytest.fixture
+def pools(monkeypatch) -> list[int]:
+    """The worker count of each process pool that training starts while
+    the test runs, in start order."""
+    started = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    return started
+
+
 # ---------------------------------------------------------------------------
 # acceptance summary
 
 _acceptance: dict[str, str] = {}
 
+# Criterion 10's corpus is one chunk at the default CHUNK_CELLS, so its
+# jobs=2 runs start no pool. These tests lower the cap, assert that a real
+# 2-worker pool started, and compare its results with one process; their
+# verdicts are printed under criterion 10.
+POOL_GUARDS = {
+    "test_determinism": (
+        "tests/test_hmm.py::TestGroupedPasses::test_results_do_not_depend_on_jobs",
+        "tests/test_cli.py::TestDeterminism::test_worker_count_does_not_change_the_model",
+    ),
+}
+_guards: dict[str, str] = {}
+
 
 def pytest_runtest_logreport(report):
-    if "test_acceptance.py" not in report.nodeid:
-        return
     if report.when == "call" or (report.when == "setup" and report.outcome != "passed"):
-        _acceptance[report.nodeid] = report.outcome
+        if "test_acceptance.py" in report.nodeid:
+            _acceptance[report.nodeid] = report.outcome
+        elif any(report.nodeid.startswith(g) for gs in POOL_GUARDS.values() for g in gs):
+            _guards[report.nodeid] = report.outcome
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -91,3 +129,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         name = nodeid.split("::")[-1]
         verdict = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"ACCEPTANCE {name}: {verdict}")
+        for guard in POOL_GUARDS.get(name, ()):
+            runs = [o for nodeid, o in _guards.items() if nodeid.startswith(guard)]
+            verdict = "PASS" if all(o == "passed" for o in runs) else "FAIL"
+            verdict = verdict if runs else "NOT RUN"
+            terminalreporter.write_line(f"    across a real pool, {guard}: {verdict}")

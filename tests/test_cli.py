@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from alignkit import cli, model2
+from alignkit import _packed, cli, model2
 from alignkit.alignment import (
     harmonize_dims,
     parse_pharaoh_line,
@@ -611,8 +611,11 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("kind", ["model1", "model2", "hmm"])
-    def test_worker_count_does_not_change_the_model(self, tmp_path, kind):
-        # More pairs than CHUNK_PAIRS, so that --jobs 2 runs a process pool.
+    def test_worker_count_does_not_change_the_model(self, tmp_path, kind, monkeypatch, pools):
+        # At the default cap these 1,100 short pairs are one chunk and start
+        # no pool; at 4,096 cells a chunk they are several, and --jobs 2 runs
+        # a process pool.
+        monkeypatch.setattr(_packed, "CHUNK_CELLS", 4096)
         bitext = tmp_path / "corpus.txt"
         assert cli.main([
             "synth", "--pairs", "1100", "--vocab-size", "40", "--seed", "3",
@@ -629,3 +632,4 @@ class TestDeterminism:
             ]) == 0
             outputs.append(read(model))
         assert outputs[0] == outputs[1]
+        assert pools == [2]

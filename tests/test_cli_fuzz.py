@@ -83,7 +83,7 @@ KEYS = [
 
 
 def train(bitext="toy.txt"):
-    # A fuzzed corpus stays below CHUNK_PAIRS, so train runs in process.
+    # A fuzzed corpus is far below one chunk, so train runs in process.
     return ["train", "--bitext", bitext, "--output", "out.model", "--jobs", "1", "--quiet"]
 
 

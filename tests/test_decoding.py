@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from alignkit import hmm, model1, model2
+from alignkit import _packed, hmm, model1, model2
 from alignkit.corpus import SentencePair
 from alignkit.errors import NumericError
 from alignkit.ttable import DECODE_FLOOR, NULL_ID, TranslationTable
-from conftest import make_bitext
+from conftest import leave_nan_in_freed_memory, make_bitext
 
 # The decoders score every cell at least DECODE_FLOOR; the oracles take
 # that floor as an argument, which the tests name once.
@@ -70,8 +70,8 @@ def test_decoders_and_emissions_match_the_references(use_null, floor):
 
             params = hmm.HmmParams(table, hmm.uniform_jumps(2, 0.2), use_null)
             packed = hmm.PackedCorpus(make_bitext([(src, tgt)]), table, use_null)
-            theta = np.maximum(params.table.theta, DECODE_FLOOR)
-            (group,) = hmm._groups(packed, 0, 1, theta, params.jumps)
+            theta = _packed.with_pad(np.maximum(params.table.theta, DECODE_FLOOR))
+            (group,) = hmm._groups(packed, 0, theta, params.jumps)
             emit = group.emit[:, 0].T
             assert emit.tolist() == oracles.hmm_emissions(src, tgt, flat, use_null, floor)
 
@@ -102,6 +102,25 @@ class TestIdsTheTableLacks:
         assert model2.align(pair, flat).targets == expected
         params = hmm.HmmParams(table, hmm.uniform_jumps(2, 0.0), use_null=False)
         assert hmm.viterbi_decode(pair, params).targets == expected
+
+
+    def test_padding_scores_zero_and_misses_the_floor(self, monkeypatch):
+        # Decoders gather scores from decode_theta. A cell the table lacks
+        # scores the floor; a cell past a pair's m or n only pads its group
+        # and must score 0, as the group passes assume.
+        monkeypatch.setattr(_packed, "GROUP_CELLS", 40)
+        bitext = make_bitext([((7, 0), (1, 2, 2)), ((0, 5, 5), (1,)), ((5,), (2, 9))])
+        for use_null in (False, True):
+            packed = _packed.PackedCorpus(bitext, self.TABLE, use_null)
+            (chunk,) = packed.chunks
+            assert any(len(set(g.ns.tolist())) > 1 for g in chunk.groups)
+            scores = _packed.decode_theta(self.TABLE)[chunk.slots]
+            pad = chunk.slots == packed.n_slots + 1
+            miss = chunk.slots == packed.n_slots
+            assert pad.any() and miss.any()
+            assert (scores[pad] == 0.0).all()
+            assert (scores[miss] == DECODE_FLOOR).all()
+            assert (scores[~pad] >= DECODE_FLOOR).all()
 
 
 def sparse_random_table(rng, include_null):
@@ -172,6 +191,42 @@ class TestCorpusDecoders:
                 weight = lambda j, i: pmat[i - 1 if i else pair.n, j - 1]
                 assert list(a2.targets) == oracles.model2_argmax(
                     src, tgt, flat, weight, use_null, floor
+                )
+
+    @pytest.mark.parametrize("use_null", [True, False])
+    def test_lexical_decoders_match_the_references_on_mixed_groups(
+        self, monkeypatch, use_null
+    ):
+        # Pairs up to 12 x 12 at GROUP_CELLS = 300: several groups per
+        # corpus, each padding pairs of different m and n.
+        monkeypatch.setattr(_packed, "GROUP_CELLS", 300)
+        rng = np.random.default_rng(75 + use_null)
+        for _ in range(10):
+            table, flat = tie_heavy_table(rng, include_null=bool(rng.integers(2)))
+            shapes = rng.integers(1, 13, size=(24, 2))
+            bitext = make_bitext([
+                (rng.choice(PAIR_SOURCES, size=m).tolist(),
+                 rng.choice(PAIR_TARGETS, size=n).tolist())
+                for m, n in shapes
+            ])
+            (chunk,) = _packed.PackedCorpus(bitext, table, use_null).chunks
+            assert any(len(set(g.ms.tolist())) > 1 for g in chunk.groups)
+            assert any(len(set(g.ns.tolist())) > 1 for g in chunk.groups)
+            prior = model2.DiagonalPrior(lam=float(rng.choice([0.0, 2.0])),
+                                         p0=0.25 if use_null else 0.0)
+            leave_nan_in_freed_memory()
+            got1 = model1.align_corpus(bitext, table, use_null=use_null)
+            got2 = model2.align_corpus(bitext, model2.Model2Params(table, prior))
+            for pair, a1, a2 in zip(bitext.pairs, got1, got2):
+                src, tgt = pair.source_ids, pair.target_ids
+                assert (a1.n, a2.n) == (pair.n, pair.n)
+                assert list(a1.targets) == oracles.model1_argmax(
+                    src, tgt, flat, use_null, DECODE_FLOOR
+                )
+                pmat = prior.matrix(pair.m, pair.n, use_null)
+                weight = lambda j, i: pmat[i - 1 if i else pair.n, j - 1]
+                assert list(a2.targets) == oracles.model2_argmax(
+                    src, tgt, flat, weight, use_null, DECODE_FLOOR
                 )
 
     @pytest.mark.parametrize("floor", FLOORS)

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from alignkit import _packed, hmm, model1
-from alignkit._packed import PackedCorpus
+from alignkit._packed import PackedCorpus, with_pad
 from alignkit.corpus import SentencePair, load_bitext
 from alignkit.errors import ConfigError, DataFormatError, NumericError
 from alignkit.hmm import (
@@ -28,7 +28,7 @@ from alignkit.hmm import (
     viterbi_decode,
 )
 from alignkit.ttable import DECODE_FLOOR, NULL_ID, TranslationTable, read_ttable
-from conftest import make_bitext, random_id_bitext, random_table
+from conftest import leave_nan_in_freed_memory, make_bitext, random_id_bitext, random_table
 from test_decoding import tie_heavy_table
 
 
@@ -83,14 +83,6 @@ def reference_log_forward(pair, params, flat, floor=1e-12):
             for t in states
         }
     return _log_sum(iter(log_a.values()))
-
-
-def leave_nan_in_freed_memory():
-    """Free NaN-filled buffers of every small size and a large one, so that
-    the next allocations may hand that memory out again uncleared."""
-    for size in (*range(1, 129), 1 << 19):
-        stale = [np.full(size, np.nan) for _ in range(8)]
-        del stale
 
 
 def _safe_log(x):
@@ -162,7 +154,7 @@ class TestTransitions:
             bitext = make_bitext([((1, 2), tuple(range(1, n + 1)))])
             table = model1.init_uniform(bitext, use_null)
             packed = PackedCorpus(bitext, table, use_null)
-            (group,) = hmm._groups(packed, 0, 1, table.theta, uniform_jumps(p0=0.2))
+            (group,) = hmm._groups(packed, 0, with_pad(table.theta), uniform_jumps(p0=0.2))
             pi = group.pi[0]
             if use_null:
                 np.testing.assert_allclose(pi[:n], 0.8 / n, atol=1e-15)
@@ -232,7 +224,7 @@ class TestForwardBackward:
     def lexical_counts(pair, params):
         bitext = make_bitext([(pair.source_ids, pair.target_ids)])
         packed = PackedCorpus(bitext, params.table, params.use_null)
-        return _bw_chunk(packed, 0, 1, params.table.theta, params.jumps)[0]
+        return _bw_chunk(packed, 0, with_pad(params.table.theta), params.jumps)[0]
 
     def test_posteriors_sum_to_one(self):
         # Each source position spreads a mass of 1 over the target rows.
@@ -382,7 +374,7 @@ class TestBaumWelchStatistics:
         for _ in range(15):
             bitext, table, flat, jumps = self.random_chunk(rng, use_null, p0)
             packed = PackedCorpus(bitext, table, use_null)
-            counts, jump_stats, ll = _bw_chunk(packed, 0, len(packed), table.theta, jumps)
+            counts, jump_stats, ll = _bw_chunk(packed, 0, with_pad(table.theta), jumps)
 
             ref_counts: dict = {}
             ref_jumps: dict = {}
@@ -429,16 +421,16 @@ class TestGroupedPasses:
 
     @pytest.mark.parametrize("use_null, p0", [(False, 0.0), (True, 0.3), (True, 0.0)])
     def test_groups_match_single_pairs_and_enumeration(self, monkeypatch, use_null, p0):
-        monkeypatch.setattr(hmm, "GROUP_CELLS", 300)
+        monkeypatch.setattr(_packed, "GROUP_CELLS", 300)
         rng = np.random.default_rng(81)
         for _ in range(5):
             bitext, table, flat, jumps = self.random_chunk(rng, use_null, p0)
             packed = PackedCorpus(bitext, table, use_null)
-            groups = list(hmm._groups(packed, 0, len(packed), table.theta, jumps))
+            groups = list(hmm._groups(packed, 0, with_pad(table.theta), jumps))
             assert 4 <= len(groups) < len(packed)
-            assert any(len(set(g.ms.tolist())) > 1 for g in groups)
+            assert any(len(set(g.layout.ms.tolist())) > 1 for g in groups)
             leave_nan_in_freed_memory()
-            counts, jump_stats, ll = _bw_chunk(packed, 0, len(packed), table.theta, jumps)
+            counts, jump_stats, ll = _bw_chunk(packed, 0, with_pad(table.theta), jumps)
             assert not np.isnan(counts).any()
             assert not any(np.isnan(stats).any() for stats in jump_stats.values())
 
@@ -446,7 +438,10 @@ class TestGroupedPasses:
             ref_jumps: dict = {}
             ref_ll = 0.0
             for k, pair in enumerate(bitext.pairs):
-                one_counts, one_jumps, one_ll = _bw_chunk(packed, k, k + 1, table.theta, jumps)
+                one = PackedCorpus(
+                    make_bitext([(pair.source_ids, pair.target_ids)]), table, use_null
+                )
+                one_counts, one_jumps, one_ll = _bw_chunk(one, 0, with_pad(table.theta), jumps)
                 ref_counts += one_counts
                 for n, stats in one_jumps.items():
                     ref_jumps[n] = ref_jumps.get(n, 0.0) + stats
@@ -483,7 +478,7 @@ class TestGroupedPasses:
         bitext = make_bitext([((1, 3), (5,)), ((3, 1, 1, 1), (5, 6)), ((1, 2), (6, 5))])
         params = HmmParams(table, uniform_jumps(2, 0.2 if use_null else 0.0), use_null)
         config = HmmConfig(iterations=1, use_null=use_null)
-        monkeypatch.setattr(hmm, "GROUP_CELLS", group_cells)
+        monkeypatch.setattr(_packed, "GROUP_CELLS", group_cells)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError) as caught:
@@ -493,27 +488,37 @@ class TestGroupedPasses:
     def test_groups_cover_each_pair_once_within_the_cell_bound(self, monkeypatch):
         # Short sources with long targets too: there a group's (B, N, N)
         # blocks, xi and Viterbi's log transitions, outgrow its emissions.
-        monkeypatch.setattr(hmm, "GROUP_CELLS", 300)
+        monkeypatch.setattr(_packed, "GROUP_CELLS", 300)
         rng = np.random.default_rng(85)
         bitext = make_bitext([([1] * m, [1] * n) for m, n in rng.integers(1, 13, size=(60, 2))])
-        table = TranslationTable({1: {1: 1.0}})
-        packed = PackedCorpus(bitext, table, False)
-        jumps = uniform_jumps(2, 0.0)
-        groups = list(hmm._groups(packed, 0, len(packed), table.theta, jumps))
-        assert sorted(k for g in groups for k in g.pairs) == list(range(len(packed)))
-        for g in groups:
-            m_max, b_count, n_max = len(g.emit), len(g.pairs), len(g.q)
-            assert b_count == 1 or b_count * max(m_max, n_max) * n_max <= 300
-        assert list(hmm._groups(packed, 3, 3, table.theta, jumps)) == []
+        pairs = bitext.pairs
+        table = TranslationTable({NULL_ID: {1: 1.0}, 1: {1: 1.0}})
+        for use_null in (False, True):
+            packed = PackedCorpus(bitext, table, use_null)
+            (chunk,) = packed.chunks
+            order = [k for g in chunk.groups for k in g.pairs]
+            assert order == sorted(order, key=lambda k: (-pairs[k].m, -pairs[k].n, k))
+            assert sorted(order) == list(range(len(packed)))
+            for g in chunk.groups:
+                m_max, b_count, columns = g.slots.shape
+                n_max = columns - use_null
+                assert g.ms.tolist() == [pairs[k].m for k in g.pairs]
+                assert g.ns.tolist() == [pairs[k].n for k in g.pairs]
+                assert (m_max, n_max) == (g.ms.max(), g.ns.max())
+                assert b_count == 1 or b_count * max(m_max, n_max) * n_max <= 300
+            assert PackedCorpus(make_bitext([]), table, use_null).chunks == []
 
-    def test_results_do_not_depend_on_jobs(self, monkeypatch):
-        # Seven-pair chunks, so that two workers share six chunks.
-        monkeypatch.setattr(_packed, "CHUNK_PAIRS", 7)
+    def test_results_do_not_depend_on_jobs(self, monkeypatch, pools):
+        # Chunks of at most 150 cells, so that two workers share several
+        # chunks; at the default cap the corpus is one chunk and starts no pool.
+        monkeypatch.setattr(_packed, "CHUNK_CELLS", 150)
         rng = np.random.default_rng(82)
         bt = random_id_bitext(rng, n_pairs=40, vocab=12, max_len=8)
         config = HmmConfig(iterations=3, model1_iterations=2)
         one, trace_one = train(bt, config, jobs=1)
+        assert pools == []
         two, trace_two = train(bt, config, jobs=2)
+        assert pools == [2]
         assert trace_one == trace_two
         np.testing.assert_array_equal(one.table.theta, two.table.theta)
         np.testing.assert_array_equal(one.jumps.probs, two.jumps.probs)
@@ -543,15 +548,15 @@ class TestGroupedViterbi:
 
     @pytest.mark.parametrize("use_null, p0", [(False, 0.0), (True, 0.3), (True, 0.0)])
     def test_paths_match_the_dense_per_pair_viterbi(self, monkeypatch, use_null, p0):
-        monkeypatch.setattr(hmm, "GROUP_CELLS", 300)
+        monkeypatch.setattr(_packed, "GROUP_CELLS", 300)
         rng = np.random.default_rng(84)
         for _ in range(10):
             bitext, table, flat, jumps = self.tie_heavy_instance(rng, use_null, p0)
             params = HmmParams(table, jumps, use_null)
             packed = PackedCorpus(bitext, table, use_null)
-            groups = list(hmm._groups(packed, 0, len(packed), table.theta, jumps))
-            assert any(len(set(g.ms.tolist())) > 1 for g in groups)
-            assert any(len({packed.pair_shape[k][0] for k in g.pairs}) > 1 for g in groups)
+            groups = list(hmm._groups(packed, 0, with_pad(table.theta), jumps))
+            assert any(len(set(g.layout.ms.tolist())) > 1 for g in groups)
+            assert any(len(set(g.layout.ns.tolist())) > 1 for g in groups)
             leave_nan_in_freed_memory()
             got = align_corpus(bitext, params)
             assert len(got) == len(bitext.pairs)

@@ -34,6 +34,16 @@ def test_import_does_not_load_numpy(module):
     assert out == "False\n"
 
 
+def test_model_modules_do_not_load_the_process_pool():
+    # A run of one chunk starts no pool, so train and align should not pay
+    # for importing one.
+    out = run_python(
+        "import sys, alignkit.hmm, alignkit.model2\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    assert out == "False\n"
+
+
 @pytest.fixture
 def toy_files(tmp_path):
     files = {

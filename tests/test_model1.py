@@ -1,13 +1,18 @@
 import io
 import logging
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from alignkit import _packed
-from alignkit._packed import CHUNK_PAIRS, run_em
+from alignkit._packed import run_em
 from alignkit.alignment import to_set
 from alignkit.corpus import Bitext, SentencePair, load_bitext
 from alignkit.errors import ConfigError, NumericError
@@ -20,8 +25,9 @@ from alignkit.model1 import (
     save_model,
     train,
 )
+from alignkit.model2 import DiagonalPrior
 from alignkit.ttable import NULL_ID, TranslationTable, read_ttable
-from conftest import make_bitext, random_id_bitext, random_table
+from conftest import leave_nan_in_freed_memory, make_bitext, random_id_bitext, random_table
 
 NO_NULL = Model1Config(iterations=1, use_null=False)
 
@@ -183,6 +189,97 @@ class TestTrain:
                 assert t2.prob(e, f) == pytest.approx(p, abs=1e-12)
 
 
+class TestGroupedEStep:
+    """The lexical E-step runs on the packed groups, one gather, sum and
+    division per group. At GROUP_CELLS = 300 the groups mix m and n; the
+    counts and log-likelihood must be those of one-pair groups, summed, and
+    of the enumeration oracles."""
+
+    # Small enough to enumerate, m = 1 and n = 1 included.
+    SHAPES = [(1, 1), (3, 1), (1, 4), (4, 4), (2, 3), (4, 2), (1, 2), (3, 3), (2, 1), (4, 3)]
+
+    @pytest.mark.parametrize(
+        "use_null, p0", [(False, None), (True, None), (False, 0.0), (True, 0.3)]
+    )
+    def test_counts_and_likelihood_match_one_pair_groups_and_the_oracles(
+        self, monkeypatch, use_null, p0
+    ):
+        monkeypatch.setattr(_packed, "GROUP_CELLS", 300)
+        rng = np.random.default_rng(91)
+        for _ in range(5):
+            shapes = self.SHAPES + [tuple(rng.integers(5, 13, size=2)) for _ in range(12)]
+            bitext = make_bitext([
+                ([int(x) for x in rng.integers(1, 6, size=m)],
+                 [int(x) for x in rng.integers(1, 6, size=n)])
+                for m, n in shapes
+            ])
+            table, flat = random_table(rng, range(1, 6), range(1, 6), include_null=use_null)
+            theta = _packed.with_pad(table.theta)
+            prior = None if p0 is None else DiagonalPrior(float(rng.choice([0.0, 3.0])), p0)
+            packed = _packed.PackedCorpus(bitext, table, use_null)
+            (chunk,) = packed.chunks
+            assert len(chunk.groups) >= 4
+            assert any(len(set(g.ms.tolist())) > 1 for g in chunk.groups)
+            assert any(len(set(g.ns.tolist())) > 1 for g in chunk.groups)
+            leave_nan_in_freed_memory()
+            counts, ll = _packed._chunk_counts(packed, 0, theta, prior)
+            assert not np.isnan(counts).any()
+
+            ref_counts = np.zeros_like(counts)
+            ref_ll = 0.0
+            oracle_counts: dict = {}
+            oracle_ll = 0.0
+            for k, pair in enumerate(bitext.pairs):
+                src, tgt = pair.source_ids, pair.target_ids
+                one = _packed.PackedCorpus(make_bitext([(src, tgt)]), table, use_null)
+                one_counts, one_ll = _packed._chunk_counts(one, 0, theta, prior)
+                ref_counts += one_counts
+                ref_ll += one_ll
+                if prior is not None:
+                    oracle_ll += oracles.model2_sentence_ll(
+                        src, tgt, flat, prior.lam, prior.p0, floor=0.0
+                    )
+                    continue
+                oracle_ll += oracles.model1_sentence_ll(src, tgt, flat, use_null, floor=0.0)
+                if k < len(self.SHAPES):
+                    targets, posteriors = oracles.model1_posteriors(
+                        src, tgt, flat, use_null, floor=0.0
+                    )
+                    for f, row in zip(src, posteriors):
+                        for e, p in zip(targets, row):
+                            oracle_counts[(e, f)] = oracle_counts.get((e, f), 0.0) + p
+            assert ll == pytest.approx(ref_ll, rel=1e-12)
+            np.testing.assert_allclose(counts, ref_counts, rtol=1e-12, atol=1e-15)
+            assert ll == pytest.approx(oracle_ll, rel=1e-10)
+            if prior is None:
+                # The oracle covers the enumerable pairs only.
+                small = _packed.PackedCorpus(
+                    make_bitext([(p.source_ids, p.target_ids) for p in bitext.pairs[:10]]),
+                    table, use_null,
+                )
+                small_counts, _ = _packed._chunk_counts(small, 0, theta, None)
+                expected = [oracle_counts.get(key, 0.0) for key in zip(table.es, table.fs)]
+                np.testing.assert_allclose(small_counts, expected, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("group_cells", [1, 1 << 16])
+    def test_zero_total_names_the_first_failing_pair_in_corpus_order(
+        self, monkeypatch, group_cells
+    ):
+        # Source word 3 has no mass under any row. Pair 1 fails at position 1;
+        # pair 2 is longer, so it sorts, and with one-pair groups runs, first,
+        # and fails at position 0.
+        table = TranslationTable({5: {1: 0.5, 2: 0.5}, 6: {1: 0.5, 2: 0.5}})
+        bitext = make_bitext([((1, 3), (5,)), ((3, 1, 1, 1), (5, 6)), ((1, 2), (6, 5))])
+        monkeypatch.setattr(_packed, "GROUP_CELLS", group_cells)
+        packed = _packed.PackedCorpus(bitext, table, False)
+        assert packed.chunks[0].groups[0].pairs[0] == 1
+        with pytest.raises(NumericError) as caught:
+            em_step(bitext, table, NO_NULL)
+        assert str(caught.value) == (
+            "pair 1: source token id 3 at position 1 has zero total probability under the table"
+        )
+
+
 class TestRunEm:
     def test_a_falling_likelihood_is_reported(self, caplog):
         trace = [-5.0, -4.0, -4.0 - 1e-10, -4.5, -3.0]
@@ -234,8 +331,8 @@ class TestModelFile:
 
 class TestWorkers:
     def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
-        monkeypatch.setattr(_packed, "CHUNK_PAIRS", 2)
-        bt = make_bitext([([1], [1])] * 5)  # three chunks
+        monkeypatch.setattr(_packed, "CHUNK_CELLS", 4)
+        bt = make_bitext([([1], [1])] * 5)  # two cells a pair with NULL: three chunks
         table = init_uniform(bt, use_null=True)
         # Only map() starts processes, so no worker runs here.
         fork = "fork" in multiprocessing.get_all_start_methods()
@@ -243,9 +340,10 @@ class TestWorkers:
             with _packed.ChunkRunner(bt, table, True, jobs) as runner:
                 assert runner.jobs == (workers if fork else 1)
 
-    def test_chunks_run_in_process_where_fork_is_unavailable(self, monkeypatch):
+    def test_chunks_run_in_process_where_fork_is_unavailable(self, monkeypatch, pools):
+        monkeypatch.setattr(_packed, "CHUNK_CELLS", 200)  # several chunks
         rng = np.random.default_rng(11)
-        bt = random_id_bitext(rng, n_pairs=CHUNK_PAIRS + 100, vocab=30, max_len=5)
+        bt = random_id_bitext(rng, n_pairs=120, vocab=30, max_len=5)
         config = Model1Config(iterations=2)
         table1, trace1 = train(bt, config, jobs=1)
 
@@ -255,3 +353,40 @@ class TestWorkers:
         table2, trace2 = train(bt, config, jobs=2)
         assert table2.rows == table1.rows
         assert trace2 == trace1
+        assert len(_packed.PackedCorpus(bt, table1, True).chunks) > 1
+        assert pools == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork pool"
+    )
+    def test_a_dead_worker_ends_the_run(self):
+        # In a subprocess with a timeout, so that a pool waiting forever on
+        # its dead worker fails the test instead of hanging the suite.
+        script = textwrap.dedent("""
+            import os, signal
+            from alignkit import _packed
+            from alignkit.corpus import Bitext, SentencePair
+            from alignkit.errors import AlignkitError
+            from alignkit.model1 import init_uniform
+
+            def kill_own_worker(packed, c):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            _packed.CHUNK_CELLS = 2  # one pair a chunk
+            bitext = Bitext([SentencePair((1,), (1,))] * 4)
+            with _packed.ChunkRunner(bitext, init_uniform(bitext), True, 2) as runner:
+                try:
+                    runner.map(kill_own_worker)
+                except AlignkitError as exc:
+                    print(type(exc).__name__, exc.exit_code, exc)
+        """)
+        src = str(Path(_packed.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        name, code, message = done.stdout.strip().split(" ", 2)
+        assert (name, code) == ("WorkerDiedError", "3")
+        assert "worker process died" in message
