@@ -13,10 +13,19 @@ reads its values. Cells past a pair's own m or n point at the pad slot,
 one past the miss slot, which is 0 in every theta gathered from, decoders'
 included, so padding adds nothing to a sum and never wins an argmax.
 
+Every model's E-step is one driver, _chunk_counts, run on each chunk: it
+gathers the chunk's cells of theta once, times Model 2's prior, and hands
+each group's block to the model's group pass. The pass overwrites the
+block with the group's posterior weights and returns a small report (the
+group's log-likelihood here; hmm.py's adds its jump statistics), or the
+pairs that failed; the driver names the first failing pair in corpus
+order, or sums the weights per slot in one bincount. _lexical_pass, the
+pass of Model 1 and Model 2, normalizes each source position's cells over
+its rows; hmm.py's _bw_pass runs forward-backward.
+
 A training run packs its corpus once, in a ChunkRunner. The runner maps
-a module-level chunk function (lexical_step's E-step here, hmm.py's
-Baum-Welch pass) over the chunks, in process or on one fork pool started
-on first use and kept for the whole run; where fork is unavailable the
+the driver over the chunks, in process or on one fork pool started on
+first use and kept for the whole run; where fork is unavailable the
 chunks run in process. A corpus of one chunk starts no pool. On corpora of
 two to four chunks a 2-worker pool trained no faster than one process on a
 2-vCPU machine, and slower on a 2.25M-slot table: each task carries all of
@@ -90,11 +99,9 @@ class Group(NamedTuple):
 
 
 class Chunk(NamedTuple):
-    """Pairs [lo, hi) as groups, whose slots are views, one after another,
+    """A run of pairs as groups, whose slots are views, one after another,
     of the flat array slots."""
 
-    lo: int
-    hi: int
     slots: np.ndarray
     groups: list[Group]
 
@@ -161,6 +168,7 @@ class PackedCorpus:
         cells = rows * ms
         starts = np.cumsum(cells) - cells
         ns = rows - use_null
+        self.max_n = int(ns.max(initial=0))  # the longest target
         self.chunks = [
             self._chunk(lo, hi, exact, starts, ms, ns) for lo, hi in chunk_bounds(cells)
         ]
@@ -195,7 +203,7 @@ class PackedCorpus:
                 if use_null:
                     g.slots[:m, b0:b1, -1] = pair_cells[:, n].T
             groups.append(g)
-        return Chunk(lo, hi, slots, groups)
+        return Chunk(slots, groups)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -217,11 +225,6 @@ class PackedCorpus:
                 cached.append(cells)
         return cached
 
-    def scatter(self, slots: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Per-slot sums of the weights of cells `slots`, miss and pad slots dropped."""
-        counts = np.bincount(slots, weights, minlength=self.n_slots + 2)
-        return counts[: self.n_slots]
-
     def normalize_counts(self, counts: np.ndarray) -> np.ndarray:
         """M-step: floor expected counts at MSTEP_FLOOR, renormalize each target
         row; returns the new theta with its miss and pad slots."""
@@ -238,34 +241,50 @@ def _chunk_counts(
     c: int,
     theta: np.ndarray,
     prior: Optional[PriorProvider],
-) -> tuple[np.ndarray, float]:
-    """Expected counts and log-likelihood contribution of chunk c: its cells
-    of theta, times the prior when given, normalized over each source
-    position's rows group by group, and summed per slot in one bincount."""
+    group_pass: Callable,
+    *args,
+) -> tuple[np.ndarray, list]:
+    """The E-step of chunk c, for every model: its cells of theta, times the
+    prior when given, go group by group to group_pass(packed, g, block,
+    *args). The pass overwrites the block with the group's posterior weights
+    and returns (report, failures), failures as (pair, position, message).
+    Returns the weights summed per slot in one bincount and the groups'
+    reports; a failure raises NumericError naming the first failing pair in
+    corpus order."""
     chunk = packed.chunks[c]
-    probs = theta[chunk.slots]
+    cells = theta[chunk.slots]
     if prior is not None:
-        probs *= packed.prior_cells(prior)[c]
-    ll = 0.0
-    failures = []
-    for g, block in chunk.blocks(probs):
-        denom = block.sum(axis=2)
-        denom[np.arange(len(denom))[:, None] >= g.ms] = 1.0  # past a pair's m
-        bad = denom <= 0.0
-        if bad.any():
-            failures.extend((g.pairs[b], j) for j, b in zip(*np.nonzero(bad)))
-            continue
-        block /= denom[:, :, None]
-        ll += float(np.log(denom).sum())
-        if prior is None:
-            ll -= float(g.ms @ np.log(g.ns + packed.use_null))
+        cells *= packed.prior_cells(prior)[c]
+    reports, failures = [], []
+    for g, block in chunk.blocks(cells):
+        report, failed = group_pass(packed, g, block, *args)
+        reports.append(report)
+        failures += failed
     if failures:
-        k, j = min(failures)
-        raise NumericError(
-            f"pair {k + 1}: source token id {packed.pairs[k].source_ids[j]} at "
-            f"position {j} has zero total probability under the table"
-        )
-    return packed.scatter(chunk.slots, probs), ll
+        k, _, message = min(failures)
+        raise NumericError(f"pair {k + 1}: {message}")
+    counts = np.bincount(chunk.slots, cells, minlength=packed.n_slots + 2)
+    return counts[: packed.n_slots], reports  # miss and pad slots dropped
+
+
+def _lexical_pass(packed: PackedCorpus, g: Group, block: np.ndarray, uniform: bool):
+    """Group pass of Model 1 and Model 2 (see _chunk_counts): normalizes each
+    source position's cells over its rows; reports the group's
+    log-likelihood, with Model 1's uniform alignment term when uniform."""
+    denom = block.sum(axis=2)
+    denom[np.arange(len(denom))[:, None] >= g.ms] = 1.0  # past a pair's m
+    bad = denom <= 0.0
+    if bad.any():
+        return None, [
+            (g.pairs[b], j, f"source token id {packed.pairs[g.pairs[b]].source_ids[j]} at "
+             f"position {j} has zero total probability under the table")
+            for j, b in zip(*np.nonzero(bad))
+        ]
+    block /= denom[:, :, None]
+    ll = float(np.log(denom).sum())
+    if uniform:
+        ll -= float(g.ms @ np.log(g.ns + packed.use_null))
+    return ll, []
 
 
 _WORKER_PACKED: Optional[PackedCorpus] = None  # set in each pool worker
@@ -367,9 +386,10 @@ def lexical_step(
         runner.packed.prior_cells(prior)  # laid out before any worker forks
     counts = np.zeros(runner.packed.n_slots)
     ll = 0.0
-    for part_counts, part_ll in runner.map(_chunk_counts, theta, prior):
+    parts = runner.map(_chunk_counts, theta, prior, _lexical_pass, prior is None)
+    for part_counts, reports in parts:
         counts += part_counts
-        ll += part_ll
+        ll += sum(reports)
     return runner.packed.normalize_counts(counts), ll
 
 

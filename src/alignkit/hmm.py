@@ -31,14 +31,25 @@ A real state and its NULL companion share one beta. So the E-step moves a
 whole group of similar-length pairs one source position at a time, one
 matrix product per step for the group, with every pair padded by zeros to
 the group's longest m and n. The groups are those of the packed corpus
-(see _packed.py), built once per run; each iteration's emissions are one
-gather from theta. Viterbi decoding walks the same groups, with each
-pair's log transitions read from its own length's matrix.
+(see _packed.py), built once per run. Baum-Welch is _packed's one E-step
+driver with _bw_pass as the group pass: the driver gathers a chunk's
+emissions from theta once, and the pass writes the state posteriors over
+them and reports the group's log-likelihood, its expected jumps per
+bucket and its expected departures from each position. Viterbi decoding
+walks the same groups, with each pair's log transitions read from its own
+length's matrix.
 
 Because transitions renormalize per sentence length, the closed-form
 count-and-normalize jump update is not the exact M-step; re-estimation
 backtracks toward the previous jump distribution until the EM auxiliary
 objective does not decrease, which keeps the likelihood trace monotone.
+With c_d the expected jumps in bucket d and D[n, i] those out of position
+i of the n-word targets, the objective is
+
+    sum_d c_d log q_d - sum_{n, i} D[n, i] log Z_n(i),
+
+a term with no count being 0, log 0 included; every Z_n(i) is read from
+one cumsum of the matrix q[clamp(i' - i)] of the longest target.
 """
 
 from __future__ import annotations
@@ -56,6 +67,7 @@ from ._packed import (
     ChunkRunner,
     Group,
     PackedCorpus,
+    _chunk_counts,
     decode_theta,
     lexical_step,
     run_em,
@@ -184,31 +196,24 @@ class _Group(NamedTuple):
 def _groups(packed: PackedCorpus, c: int, theta, jumps: JumpTable):
     """Chunk c's layout groups as _Groups, emissions read from theta (with
     its pad slot) as it is."""
-    chunk = packed.chunks[c]
-    use_null = packed.use_null
-    p0 = jumps.p0 if use_null else 0.0
-    ns = np.concatenate([g.ns for g in chunk.groups])
-    q = jumps.probs[_clip_index(int(ns.max()), jumps.w)]
-    scales = {}
-    for n in set(ns.tolist()):
-        z = q[:n, :n].sum(axis=1)
-        if (z <= 0.0).any():
-            raise NumericError("jump distribution assigns no mass to reachable positions")
-        scales[n] = (1.0 - p0) / z
-    for g in chunk.groups:
-        yield _group(g, theta[g.slots], q, scales, p0, use_null)
+    for g in packed.chunks[c].groups:
+        yield _group(g, theta[g.slots], jumps, packed.use_null)
 
 
-def _group(g: Group, values: np.ndarray, q, scales, p0, use_null) -> _Group:
-    """The _Group of layout group g, whose cells of theta are values."""
+def _group(g: Group, values: np.ndarray, jumps: JumpTable, use_null: bool) -> _Group:
+    """The _Group of layout group g, whose cells of theta are values; without
+    NULL its emissions are values itself."""
     m_max, b_count, columns = values.shape
     width = columns - use_null
+    p0 = jumps.p0 if use_null else 0.0
+    q = jumps.probs[_clip_index(width, jumps.w)]
     ns = g.ns[:, None]
     real = np.arange(width) < ns
+    z = np.cumsum(q, axis=1)[:, g.ns - 1].T  # Z_i of each pair's own n
+    if (z[real] <= 0.0).any():
+        raise NumericError("jump distribution assigns no mass to reachable positions")
+    scale = np.divide(1.0 - p0, z, out=np.zeros((b_count, width)), where=real)
     pi = np.where(real, (1.0 - p0) / ns, 0.0)
-    scale = np.zeros((b_count, width))
-    for b0, b1, _, n in g.shapes():
-        scale[b0:b1, :n] = scales[n]
     if use_null:
         emit = np.empty((m_max, b_count, 2 * width))
         emit[:, :, :width] = values[:, :, :width]
@@ -216,7 +221,7 @@ def _group(g: Group, values: np.ndarray, q, scales, p0, use_null) -> _Group:
         pi = np.hstack([pi, np.where(real, p0 / ns, 0.0)])
     else:
         emit = values
-    return _Group(g, emit, pi, scale, q[:width, :width], p0, use_null)
+    return _Group(g, emit, pi, scale, q, p0, use_null)
 
 
 def _scaled_forward(g: _Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,7 +230,7 @@ def _scaled_forward(g: _Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     scale, the row that the shared q carries to position j + 1; and the
     scales (M, B), whose product over a pair's positions is its Z. Unused
     cells of alphas and inputs are 0 and of scales 1. A pair whose scaling
-    fails gets a zero or non-finite scale; see _underflows."""
+    fails gets a zero or non-finite scale; see _bw_pass."""
     m_max, b_count, states = g.emit.shape
     n = len(g.q)
     alphas = np.zeros((m_max, b_count, states))
@@ -248,14 +253,6 @@ def _scaled_forward(g: _Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             total = a[:, :n] + a[:, n:] if g.use_null else a
             np.multiply(total, g.scale[:b], out=inputs[j, :b])
     return alphas, inputs, scales
-
-
-def _underflows(g: _Group, scales: np.ndarray) -> list[tuple[int, int]]:
-    """(corpus index, first position) of each pair whose forward scaling
-    underflowed, as _scaled_forward's scales show it."""
-    bad = ~((scales > 0.0) & (scales < math.inf))
-    pairs = g.layout.pairs
-    return [(pairs[b], int(bad[:, b].argmax())) for b in np.flatnonzero(bad.any(axis=0))]
 
 
 def _scaled_backward(g: _Group, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,111 +340,98 @@ def _viterbi(g: _Group, log_t: np.ndarray) -> list[tuple]:
 # Baum-Welch training
 
 
-def _group_pass(g: _Group, weights: np.ndarray):
-    """Forward-backward over group g: its forward scales (M, B); and, unless
-    a pair's scaling failed (see _underflows), its (B, N, N) transition
-    counts, else None. Unless a pair failed, the lexical weights go into
-    weights, (M, B, N + NULL) and laid out like the group's slots. Summed
-    over source positions, the transition counts are one batched product,
+def _bw_pass(packed: PackedCorpus, layout: Group, block: np.ndarray, jumps: JumpTable):
+    """Group pass of Baum-Welch (see _packed._chunk_counts): forward-backward
+    over the group whose cells of theta are block, which then takes the
+    state posteriors, NULL's column the companions' mass. Reports the
+    group's log-likelihood, its expected jumps per bucket, its target lengths
+    and its (B, N) expected departures from each position. Summed over
+    source positions, the transition counts are one batched product,
 
         sum_j xi_j[i, i'] = q[i, i'] * sum_j inputs[j, i] * weighted[j + 1, i'],
 
-    with only arrivals at real positions counted.
+    with only arrivals at real positions counted; real and NULL-companion
+    departures pool, since both jump from the same remembered position.
     """
+    g = _group(layout, block, jumps, packed.use_null)
     alphas, inputs, scales = _scaled_forward(g)
-    if _underflows(g, scales):
-        return scales, None
+    bad = ~((scales > 0.0) & (scales < math.inf))  # where a pair's scaling failed
+    if bad.any():
+        first = bad.argmax(axis=0).tolist()
+        return None, [
+            (layout.pairs[b], first[b], f"forward scaling underflow at position {first[b]}")
+            for b in np.flatnonzero(bad.any(axis=0))
+        ]
     betas, weighted = _scaled_backward(g, scales)
     m_max, b_count, states = alphas.shape
     n_max = len(g.q)
     gamma = alphas.reshape(m_max, b_count, states // n_max, n_max) * betas[:, :, None]
-    weights[:, :, :n_max] = gamma[:, :, 0]
-    if g.use_null:  # NULL, the layout's last column, takes the companions' mass
-        gamma[:, :, 1].sum(axis=2, out=weights[:, :, n_max])
+    # Without NULL, g.emit is block: it is overwritten only now that
+    # weighted, the last thing read from it, exists.
+    block[:, :, :n_max] = gamma[:, :, 0]
+    if g.use_null:
+        gamma[:, :, 1].sum(axis=2, out=block[:, :, n_max])
     xi = np.matmul(inputs[:-1].transpose(1, 2, 0), weighted[1:, :, :n_max].transpose(1, 0, 2))
     xi *= g.q
-    return scales, xi
+    buckets = np.bincount(
+        _clip_index(n_max, jumps.w).ravel(), xi.sum(axis=0).ravel(), minlength=2 * jumps.w + 1
+    )
+    return (float(np.log(scales).sum()), buckets, layout.ns, xi.sum(axis=2)), []
 
 
-def _bw_chunk(
-    packed: PackedCorpus,
-    c: int,
-    theta: np.ndarray,
-    jumps: JumpTable,
-) -> tuple[np.ndarray, dict[int, np.ndarray], float]:
-    """Expected lexicon and jump statistics for chunk c.
-
-    Jump statistics are per sentence length n: a (n, n) matrix of expected
-    transition counts from position row+1 to position col+1 (real and
-    NULL-companion departures pooled, since both jump from the same
-    remembered position). Each pair's log-likelihood and jump statistics
-    are merged in corpus order.
-    """
-    chunk = packed.chunks[c]
-    weights = np.zeros(len(chunk.slots))
-    pair_xi: list = [None] * (chunk.hi - chunk.lo)
-    pair_ll = [0.0] * (chunk.hi - chunk.lo)
-    failures: list[tuple[int, int]] = []
-    groups = _groups(packed, c, theta, jumps)
-    for g, (_, block) in zip(groups, chunk.blocks(weights)):
-        scales, xi = _group_pass(g, block)
-        if xi is None:
-            failures += _underflows(g, scales)
-        if failures:  # only the first failing pair in corpus order is named
-            continue
-        log_scales = np.log(scales)
-        layout = g.layout
-        for b, (k, m, n) in enumerate(zip(layout.pairs, layout.ms.tolist(), layout.ns.tolist())):
-            pair_ll[k - chunk.lo] = float(log_scales[:m, b].sum())
-            if m > 1:
-                pair_xi[k - chunk.lo] = xi[b, :n, :n]
-    if failures:
-        k, j = min(failures)
-        raise NumericError(f"pair {k + 1}: forward scaling underflow at position {j}")
-    counts = packed.scatter(chunk.slots, weights)
-
-    jump_stats: dict[int, np.ndarray] = {}
+def _bw_statistics(runner: ChunkRunner, theta, jumps: JumpTable):
+    """The Baum-Welch E-step: (expected lexical counts, jump statistics, ll
+    of the input). The jump statistics are (buckets, departures): expected
+    jumps per bucket, and departures[n, i] the expected jumps out of
+    position i of the n-word targets."""
+    packed = runner.packed
+    counts = np.zeros(packed.n_slots)
+    buckets = np.zeros(2 * jumps.w + 1)
+    departures = np.zeros((packed.max_n + 1, packed.max_n))
     ll = 0.0
-    for part_ll, part_xi in zip(pair_ll, pair_xi):
-        ll += part_ll
-        if part_xi is not None:
-            acc = jump_stats.get(len(part_xi))
-            if acc is None:
-                jump_stats[len(part_xi)] = part_xi.copy()
-            else:
-                acc += part_xi
-    return counts, jump_stats, ll
+    for part_counts, reports in runner.map(_chunk_counts, theta, None, _bw_pass, jumps):
+        counts += part_counts
+        for group_ll, group_buckets, ns, group_departures in reports:
+            ll += group_ll
+            buckets += group_buckets
+            np.add.at(departures[:, : group_departures.shape[1]], ns, group_departures)
+    return counts, (buckets, departures), ll
 
 
-def _jump_objective(q: np.ndarray, jump_stats: dict[int, np.ndarray], w: int) -> float:
-    """EM auxiliary objective for the jump block (constants dropped)."""
-    logq = np.log(q)
-    total = 0.0
-    for n, stats in jump_stats.items():
-        index = _clip_index(n, w)
-        z = q[index].sum(axis=1)
-        total += float((stats * logq[index]).sum())
-        total -= float(stats.sum(axis=1) @ np.log(z))
-    return total
+def _xlogy(x: np.ndarray, y: np.ndarray) -> float:
+    """sum(x * log(y)) over the cells where x is nonzero, so 0 log 0 is 0."""
+    held = x != 0.0
+    return float(x[held] @ np.log(y[held]))
 
 
-def _reestimate_jumps(jumps: JumpTable, jump_stats: dict[int, np.ndarray]) -> JumpTable:
-    """Count-normalized jump update with backtracking toward the previous
-    distribution whenever the auxiliary objective would decrease; after
-    JUMP_HALVINGS halvings it warns and returns the previous table itself."""
-    if not jump_stats:
+def _jump_objective(q: np.ndarray, stats: tuple[np.ndarray, np.ndarray], w: int) -> float:
+    """EM auxiliary objective for the jump block (constants dropped),
+
+        buckets . log q - sum_{n, i} departures[n, i] log Z_n(i),
+
+    with Z_n(i) = sum_{k=1..n} q[clamp(k - i)] read from one cumsum."""
+    buckets, departures = stats
+    z = np.cumsum(q[_clip_index(departures.shape[1], w)], axis=1).T  # Z_n(i) at [n - 1, i]
+    return _xlogy(buckets, q) - _xlogy(departures[1:], z)
+
+
+def _reestimate_jumps(jumps: JumpTable, stats: tuple[np.ndarray, np.ndarray]) -> JumpTable:
+    """Count-normalized jump update from _bw_statistics' jump statistics,
+    with backtracking toward the previous distribution whenever the
+    auxiliary objective would decrease; after JUMP_HALVINGS halvings it
+    warns and returns the previous table itself, as it does when no pair
+    made a jump."""
+    buckets = stats[0]
+    if not buckets.any():
         return jumps
     w = jumps.w
-    buckets = np.zeros(2 * w + 1)
-    for n in sorted(jump_stats):
-        np.add.at(buckets, _clip_index(n, w), jump_stats[n])
     cand = np.maximum(buckets, MSTEP_FLOOR)
     cand = cand / cand.sum()
     old = jumps.probs
-    base = _jump_objective(old, jump_stats, w)
+    base = _jump_objective(old, stats, w)
     step = cand
     for _ in range(JUMP_HALVINGS):
-        if _jump_objective(step, jump_stats, w) >= base:
+        if _jump_objective(step, stats, w) >= base:
             return JumpTable(w=w, probs=step, p0=jumps.p0)
         step = 0.5 * step + 0.5 * old
     log.warning(
@@ -474,20 +458,8 @@ def baum_welch_step(
 
 def _bw_iteration(runner: ChunkRunner, theta, jumps):
     """One Baum-Welch EM step: ((new theta, new jumps), ll of the input)."""
-    counts = np.zeros(runner.packed.n_slots)
-    jump_stats: dict[int, np.ndarray] = {}
-    ll = 0.0
-    for chunk_counts, chunk_stats, chunk_ll in runner.map(_bw_chunk, theta, jumps):
-        counts += chunk_counts
-        for n in sorted(chunk_stats):
-            acc = jump_stats.get(n)
-            if acc is None:
-                jump_stats[n] = chunk_stats[n].copy()
-            else:
-                acc += chunk_stats[n]
-        ll += chunk_ll
-    new_theta = runner.packed.normalize_counts(counts)
-    return (new_theta, _reestimate_jumps(jumps, jump_stats)), ll
+    counts, stats, ll = _bw_statistics(runner, theta, jumps)
+    return (runner.packed.normalize_counts(counts), _reestimate_jumps(jumps, stats)), ll
 
 
 def train(

@@ -228,6 +228,42 @@ def hmm_expected_counts(
     return lexical, jump_counts, math.log(z)
 
 
+def _bucket(d: int, w: int) -> int:
+    return max(-w, min(w, d)) + w
+
+
+def hmm_jump_objective(jumps, jump_counts: dict, w: int) -> float:
+    """The EM auxiliary objective of the jump distribution, constants
+    dropped, over full count matrices {n: [from][to]} of 0-based positions:
+
+        sum_n sum_{i, k} S_n[i][k] log q[clamp(k - i)] - S_n[i].sum() log Z_n(i)
+
+    with Z_n(i) = sum_{k < n} q[clamp(k - i)]. A term with no count is 0,
+    log 0 included."""
+    total = 0.0
+    for n, matrix in jump_counts.items():
+        for i, row in enumerate(matrix):
+            for k, c in enumerate(row):
+                if c:
+                    total += c * math.log(jumps[_bucket(k - i, w)])
+            if sum(row):
+                total -= sum(row) * math.log(sum(jumps[_bucket(k - i, w)] for k in range(n)))
+    return total
+
+
+def hmm_jump_statistics(jump_counts: dict, w: int, longest: int):
+    """Full count matrices {n: [from][to]} reduced to (counts per jump bucket,
+    departures[n][i], the counts out of position i of the n-word targets)."""
+    buckets = [0.0] * (2 * w + 1)
+    departures = [[0.0] * longest for _ in range(longest + 1)]
+    for n, matrix in jump_counts.items():
+        for i, row in enumerate(matrix):
+            for k, c in enumerate(row):
+                buckets[_bucket(k - i, w)] += c
+            departures[n][i] += sum(row)
+    return buckets, departures
+
+
 # --------------------------------------------------------------------------
 # Decoding
 

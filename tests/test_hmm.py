@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 import oracles
-from alignkit import _packed, hmm, model1
-from alignkit._packed import PackedCorpus, with_pad
+from alignkit import _packed, hmm, model1, model2
+from alignkit._packed import ChunkRunner, PackedCorpus, with_pad
 from alignkit.corpus import SentencePair, load_bitext
 from alignkit.errors import ConfigError, DataFormatError, NumericError
 from alignkit.hmm import (
     HmmConfig,
     HmmParams,
     JumpTable,
-    _bw_chunk,
+    _bw_statistics,
+    _jump_objective,
     _reestimate_jumps,
     _transition_matrix,
     align_corpus,
@@ -35,6 +36,18 @@ from test_decoding import tie_heavy_table
 def random_jumps(rng, w=2, p0=0.0):
     probs = rng.dirichlet(np.ones(2 * w + 1))
     return JumpTable(w=w, probs=probs, p0=p0)
+
+
+def bw_statistics(bitext, table, jumps, use_null):
+    """_bw_statistics in one process, from table's theta: (counts, (buckets,
+    departures), ll)."""
+    with ChunkRunner(bitext, table, use_null) as runner:
+        return _bw_statistics(runner, with_pad(table.theta), jumps)
+
+
+def jump_statistics(jump_counts, w, longest):
+    """oracles.hmm_jump_statistics as the arrays _bw_statistics returns."""
+    return tuple(np.array(x) for x in oracles.hmm_jump_statistics(jump_counts, w, longest))
 
 
 def random_instance(rng, max_len=3, use_null=False, w=2, p0=0.3):
@@ -217,14 +230,14 @@ class TestLogForward:
 
 
 class TestForwardBackward:
-    """State posteriors, read from _bw_chunk's lexical counts: with distinct
-    source ids, each (e, f) count is one source position's posterior."""
+    """State posteriors, read from _bw_statistics' lexical counts: with
+    distinct source ids, each (e, f) count is one source position's
+    posterior."""
 
     @staticmethod
     def lexical_counts(pair, params):
         bitext = make_bitext([(pair.source_ids, pair.target_ids)])
-        packed = PackedCorpus(bitext, params.table, params.use_null)
-        return _bw_chunk(packed, 0, with_pad(params.table.theta), params.jumps)[0]
+        return bw_statistics(bitext, params.table, params.jumps, params.use_null)[0]
 
     def test_posteriors_sum_to_one(self):
         # Each source position spreads a mass of 1 over the target rows.
@@ -336,9 +349,64 @@ class TestBaumWelch:
                 assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_jumps_move_when_a_bucket_has_probability_zero(self, caplog):
+        # Saved models may carry zero buckets (all but d = 0). Their terms
+        # count 0 log 0 as 0, so the objective stays finite and the update runs.
+        bt = make_bitext([((1, 2, 3), (4, 5, 6)), ((1, 3), (5, 4, 6, 7)), ((2, 1, 3, 2), (6, 4))])
+        jumps = JumpTable(w=2, probs=np.array([0.0, 0.25, 0.5, 0.25, 0.0]), p0=0.2)
+        params = HmmParams(model1.init_uniform(bt, use_null=True), jumps, use_null=True)
+        trace = []
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="alignkit.hmm"):
+            warnings.simplefilter("error")
+            for _ in range(3):
+                updated, ll = baum_welch_step(bt, params, HmmConfig(iterations=1))
+                assert not np.array_equal(updated.jumps.probs, params.jumps.probs)
+                params = updated
+                trace.append(ll)
+        assert not caplog.records
+        for earlier, later in zip(trace, trace[1:]):
+            assert later >= earlier - 1e-9
+
+    def test_jump_objective_matches_the_per_length_oracle(self):
+        # Count matrices for targets shorter than, as long as and longer
+        # than the window, under tables with zero buckets and without.
+        rng = np.random.default_rng(77)
+        for w in (1, 2, 3):
+            lengths = sorted({1, w, w + 1, 2 * w + 3})
+            for _ in range(5):
+                probs = rng.dirichlet(np.ones(2 * w + 1))
+                probs[rng.random(2 * w + 1) < 0.4] = 0.0
+                probs[w] += 0.1  # staying put keeps its mass
+                probs /= probs.sum()
+                jump_counts = {}
+                for n in lengths:
+                    counts = rng.random((n, n)) * (probs[hmm._clip_index(n, w)] > 0.0)
+                    counts[rng.random(n) < 0.3] = 0.0
+                    jump_counts[n] = counts.tolist()
+                stats = jump_statistics(jump_counts, w, lengths[-1])
+                for q in (probs, np.full(2 * w + 1, 1 / (2 * w + 1))):
+                    assert _jump_objective(q, stats, w) == pytest.approx(
+                        oracles.hmm_jump_objective(list(q), jump_counts, w), rel=1e-12
+                    )
+
+    def test_unreachable_positions_raise_in_training_and_decoding(self):
+        # All jump mass on displacement +1: a one-word target has no successor.
+        bt = make_bitext([((1, 2), (3,))])
+        jumps = JumpTable(w=1, probs=np.array([0.0, 0.0, 1.0]), p0=0.0)
+        for use_null in (False, True):
+            params = HmmParams(model1.init_uniform(bt, use_null), jumps, use_null)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for run in (
+                    lambda: baum_welch_step(bt, params, HmmConfig(iterations=1)),
+                    lambda: align_corpus(bt, params),
+                ):
+                    with pytest.raises(NumericError, match="no mass to reachable positions"):
+                        run()
+
     def test_jump_fallback_keeps_the_table_and_warns(self, monkeypatch, caplog):
         jumps = uniform_jumps(w=2, p0=0.0)
-        stats = {3: np.arange(9.0).reshape(3, 3)}
+        stats = jump_statistics({3: np.arange(9.0).reshape(3, 3).tolist()}, 2, 3)
         with caplog.at_level(logging.WARNING, logger="alignkit.hmm"):
             assert _reestimate_jumps(jumps, stats) is not jumps
             assert not caplog.records
@@ -352,7 +420,7 @@ class TestBaumWelch:
 
 
 class TestBaumWelchStatistics:
-    """_bw_chunk's expected counts against enumeration over state paths."""
+    """_bw_statistics' expected counts against enumeration over state paths."""
 
     @staticmethod
     def random_chunk(rng, use_null, p0):
@@ -373,8 +441,7 @@ class TestBaumWelchStatistics:
         rng = np.random.default_rng(69)
         for _ in range(15):
             bitext, table, flat, jumps = self.random_chunk(rng, use_null, p0)
-            packed = PackedCorpus(bitext, table, use_null)
-            counts, jump_stats, ll = _bw_chunk(packed, 0, with_pad(table.theta), jumps)
+            counts, (buckets, departures), ll = bw_statistics(bitext, table, jumps, use_null)
 
             ref_counts: dict = {}
             ref_jumps: dict = {}
@@ -393,10 +460,11 @@ class TestBaumWelchStatistics:
             assert ll == pytest.approx(ref_ll, rel=1e-10)
             expected = [ref_counts.get(key, 0.0) for key in zip(table.es, table.fs)]
             np.testing.assert_allclose(counts, expected, rtol=1e-10, atol=1e-12)
-            assert set(jump_stats) <= set(ref_jumps)
-            for n, ref in ref_jumps.items():
-                got = jump_stats.get(n, np.zeros((n, n)))
-                np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+            ref_buckets, ref_departures = jump_statistics(
+                ref_jumps, jumps.w, max(pair.n for pair in bitext.pairs)
+            )
+            np.testing.assert_allclose(buckets, ref_buckets, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(departures, ref_departures, rtol=1e-10, atol=1e-12)
 
 
 class TestGroupedPasses:
@@ -430,21 +498,22 @@ class TestGroupedPasses:
             assert 4 <= len(groups) < len(packed)
             assert any(len(set(g.layout.ms.tolist())) > 1 for g in groups)
             leave_nan_in_freed_memory()
-            counts, jump_stats, ll = _bw_chunk(packed, 0, with_pad(table.theta), jumps)
+            counts, (buckets, departures), ll = bw_statistics(bitext, table, jumps, use_null)
             assert not np.isnan(counts).any()
-            assert not any(np.isnan(stats).any() for stats in jump_stats.values())
+            assert not np.isnan(buckets).any() and not np.isnan(departures).any()
 
             ref_counts = np.zeros_like(counts)
-            ref_jumps: dict = {}
+            ref_buckets = np.zeros_like(buckets)
+            ref_departures = np.zeros_like(departures)
             ref_ll = 0.0
             for k, pair in enumerate(bitext.pairs):
-                one = PackedCorpus(
-                    make_bitext([(pair.source_ids, pair.target_ids)]), table, use_null
+                one = make_bitext([(pair.source_ids, pair.target_ids)])
+                one_counts, (one_buckets, one_departures), one_ll = bw_statistics(
+                    one, table, jumps, use_null
                 )
-                one_counts, one_jumps, one_ll = _bw_chunk(one, 0, with_pad(table.theta), jumps)
                 ref_counts += one_counts
-                for n, stats in one_jumps.items():
-                    ref_jumps[n] = ref_jumps.get(n, 0.0) + stats
+                ref_buckets += one_buckets
+                ref_departures[pair.n, : pair.n] += one_departures[pair.n]
                 ref_ll += one_ll
                 if k >= len(self.SHAPES):
                     continue
@@ -453,15 +522,17 @@ class TestGroupedPasses:
                     jumps.w, jumps.p0, use_null, floor=0.0,
                 )
                 assert one_ll == pytest.approx(enum_ll, rel=1e-10)
-                if pair.m > 1:
-                    np.testing.assert_allclose(
-                        one_jumps[pair.n], enum_jumps, rtol=1e-10, atol=1e-12
-                    )
+                enum_buckets, enum_departures = jump_statistics(
+                    {pair.n: enum_jumps}, jumps.w, pair.n
+                )
+                np.testing.assert_allclose(one_buckets, enum_buckets, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(
+                    one_departures, enum_departures, rtol=1e-10, atol=1e-12
+                )
             assert ll == pytest.approx(ref_ll, rel=1e-12)
             np.testing.assert_allclose(counts, ref_counts, rtol=1e-12, atol=1e-15)
-            assert sorted(jump_stats) == sorted(ref_jumps)
-            for n, ref in ref_jumps.items():
-                np.testing.assert_allclose(jump_stats[n], ref, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(buckets, ref_buckets, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(departures, ref_departures, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("use_null", [False, True])
     @pytest.mark.parametrize("group_cells", [1, 1 << 16])
@@ -576,6 +647,15 @@ class TestGroupedViterbi:
 
 
 class TestTrain:
+    def test_an_empty_bitext_trains_to_a_zero_trace(self):
+        empty = make_bitext([])
+        for trainer, config in [
+            (model1.train, model1.Model1Config(iterations=5)),
+            (model2.train, model2.Model2Config(iterations=5)),
+            (train, HmmConfig(iterations=5)),
+        ]:
+            assert trainer(empty, config)[1] == [0.0] * 5
+
     def test_zero_iterations_returns_the_initializer(self):
         rng = np.random.default_rng(75)
         bt = random_id_bitext(rng, n_pairs=20, vocab=10, max_len=5)

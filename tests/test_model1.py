@@ -189,6 +189,14 @@ class TestTrain:
                 assert t2.prob(e, f) == pytest.approx(p, abs=1e-12)
 
 
+def lexical_counts(packed, theta, prior):
+    """Expected counts and log-likelihood of chunk 0 under the lexical pass."""
+    counts, reports = _packed._chunk_counts(
+        packed, 0, theta, prior, _packed._lexical_pass, prior is None
+    )
+    return counts, sum(reports)
+
+
 class TestGroupedEStep:
     """The lexical E-step runs on the packed groups, one gather, sum and
     division per group. At GROUP_CELLS = 300 the groups mix m and n; the
@@ -222,7 +230,7 @@ class TestGroupedEStep:
             assert any(len(set(g.ms.tolist())) > 1 for g in chunk.groups)
             assert any(len(set(g.ns.tolist())) > 1 for g in chunk.groups)
             leave_nan_in_freed_memory()
-            counts, ll = _packed._chunk_counts(packed, 0, theta, prior)
+            counts, ll = lexical_counts(packed, theta, prior)
             assert not np.isnan(counts).any()
 
             ref_counts = np.zeros_like(counts)
@@ -232,7 +240,7 @@ class TestGroupedEStep:
             for k, pair in enumerate(bitext.pairs):
                 src, tgt = pair.source_ids, pair.target_ids
                 one = _packed.PackedCorpus(make_bitext([(src, tgt)]), table, use_null)
-                one_counts, one_ll = _packed._chunk_counts(one, 0, theta, prior)
+                one_counts, one_ll = lexical_counts(one, theta, prior)
                 ref_counts += one_counts
                 ref_ll += one_ll
                 if prior is not None:
@@ -257,7 +265,7 @@ class TestGroupedEStep:
                     make_bitext([(p.source_ids, p.target_ids) for p in bitext.pairs[:10]]),
                     table, use_null,
                 )
-                small_counts, _ = _packed._chunk_counts(small, 0, theta, None)
+                small_counts, _ = lexical_counts(small, theta, None)
                 expected = [oracle_counts.get(key, 0.0) for key in zip(table.es, table.fs)]
                 np.testing.assert_allclose(small_counts, expected, rtol=1e-10, atol=1e-12)
 
