@@ -23,7 +23,11 @@ order, or sums the weights per slot in one bincount. _lexical_pass, the
 pass of Model 1 and Model 2, normalizes each source position's cells over
 its rows; hmm.py's _bw_pass runs forward-backward.
 
-A training run packs its corpus once, in a ChunkRunner. The runner maps
+A training run packs its corpus once, in a ChunkRunner. Model training
+starts from uniform_start: one sort of the corpus cells' (e, f) keys
+gives both the uniform start table and every cell's slot in it, so the
+runner lays the chunks out without looking a cell up; a runner on any
+other table looks the cells up with table.slots. The runner maps
 the driver over the chunks, in process or on one fork pool started on
 first use and kept for the whole run; where fork is unavailable the
 chunks run in process. A corpus of one chunk starts no pool. On corpora of
@@ -41,7 +45,6 @@ and warns when an iteration lowers the likelihood, which EM never does.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Optional, Protocol, TextIO
 
@@ -49,7 +52,7 @@ import numpy as np
 
 from .corpus import Bitext, SentencePair
 from .errors import NumericError, WorkerDiedError
-from .ttable import DECODE_FLOOR, NULL_ID, TranslationTable
+from .ttable import DECODE_FLOOR, NULL_ID, TranslationTable, distinct_sorted
 
 CHUNK_CELLS = 1 << 20  # cap on the cells m * (n + NULL) of a chunk's pairs
 GROUP_CELLS = 1 << 16  # cap on pairs x max(longest m, longest n) x longest n of a group
@@ -63,11 +66,17 @@ class PriorProvider(Protocol):
     def matrix(self, m: int, n: int, use_null: bool) -> np.ndarray: ...
 
 
+def pair_lengths(pairs: list[SentencePair], use_null: bool):
+    """Each pair's rows, n + NULL, and its source length m."""
+    rows = np.fromiter((pair.n + use_null for pair in pairs), np.int64, len(pairs))
+    ms = np.fromiter((pair.m for pair in pairs), np.int64, len(pairs))
+    return rows, ms
+
+
 def corpus_cells(pairs: list[SentencePair], use_null: bool):
     """(e, f) ids of each pair's (target row, source position) cells, row-major
-    with the NULL row last, pair after pair; and each pair's rows and m."""
-    ms = np.fromiter((pair.m for pair in pairs), np.int64, len(pairs))
-    rows = np.fromiter((pair.n + use_null for pair in pairs), np.int64, len(pairs))
+    with the NULL row last, pair after pair."""
+    rows, ms = pair_lengths(pairs, use_null)
     null = (NULL_ID,) if use_null else ()
     tgt = np.fromiter(chain.from_iterable(p.target_ids + null for p in pairs), np.int64)
     src = np.fromiter(chain.from_iterable(pair.source_ids for pair in pairs), np.int64)
@@ -76,7 +85,27 @@ def corpus_cells(pairs: list[SentencePair], use_null: bool):
     # Cell c of a row reads its pair's source token c - (the row's first cell).
     shift = np.repeat(np.cumsum(ms) - ms, rows) - (np.cumsum(row_m) - row_m)
     fs = src[np.repeat(shift, row_m) + np.arange(len(es))]
-    return es, fs, rows, ms
+    return es, fs
+
+
+def uniform_start(bitext: Bitext, use_null: bool) -> tuple[TranslationTable, np.ndarray]:
+    """Model 1's start table, t(.|e) uniform over the source ids co-occurring
+    with each target id (the NULL row, when used, with every source id),
+    and each corpus cell's slot in it, cells as corpus_cells orders them.
+    One sort of the cells' (e, f) keys gives both: the distinct keys are
+    the table's entries in canonical order, and the inverse is what
+    table.slots would look up."""
+    es, fs = corpus_cells(bitext.pairs, use_null)
+    e_ids, f_ids = distinct_sorted(es), distinct_sorted(fs)
+    keys = np.searchsorted(e_ids, es) * len(f_ids) + np.searchsorted(f_ids, fs)
+    del es, fs
+    # Asked for the inverse, np.unique sorts; it does not hash (see distinct_sorted).
+    entries, slots = np.unique(keys, return_inverse=True)
+    del keys
+    row, col = np.divmod(entries, len(f_ids))
+    sizes = np.bincount(row)
+    table = TranslationTable.from_arrays(e_ids[row], f_ids[col], np.repeat(1.0 / sizes, sizes))
+    return table, slots
 
 
 class Group(NamedTuple):
@@ -157,14 +186,23 @@ def _group_cuts(ms: list[int], ns: list[int]) -> list[tuple[int, int]]:
 class PackedCorpus:
     """A bitext's chunks and groups as slot indices into a fixed table's theta."""
 
-    def __init__(self, bitext: Bitext, table: TranslationTable, use_null: bool):
+    def __init__(
+        self,
+        bitext: Bitext,
+        table: TranslationTable,
+        use_null: bool,
+        exact: Optional[np.ndarray] = None,
+    ):
+        """exact, when given, is each corpus cell's slot in table, cells as
+        corpus_cells orders them (see uniform_start); otherwise table.slots
+        looks them up."""
         self.use_null = use_null
         self.pairs = bitext.pairs
         self.n_slots = len(table)
         self.row_starts = table.row_starts
-        es, fs, rows, ms = corpus_cells(bitext.pairs, use_null)
-        exact = table.slots(es, fs)  # each pair's cells, row-major, NULL row last
-        del es, fs
+        if exact is None:
+            exact = table.slots(*corpus_cells(bitext.pairs, use_null))
+        rows, ms = pair_lengths(bitext.pairs, use_null)
         cells = rows * ms
         starts = np.cumsum(cells) - cells
         ns = rows - use_null
@@ -308,12 +346,30 @@ class ChunkRunner:
     """
 
     def __init__(
-        self, bitext: Bitext, table: TranslationTable, use_null: bool, jobs: int = 1
+        self,
+        bitext: Bitext,
+        table: TranslationTable,
+        use_null: bool,
+        jobs: int = 1,
+        exact: Optional[np.ndarray] = None,
     ):
-        self.packed = PackedCorpus(bitext, table, use_null)
-        fork = "fork" in multiprocessing.get_all_start_methods()
-        self.jobs = max(1, min(jobs, len(self.packed.chunks))) if fork else 1
+        self.table = table
+        self.packed = PackedCorpus(bitext, table, use_null, exact)
+        self.jobs = max(1, min(jobs, len(self.packed.chunks)))
+        if self.jobs > 1:
+            # Imported only where a pool can start: a run of one chunk, and
+            # every align, would pay about 2.6 ms for it.
+            import multiprocessing
+
+            if "fork" not in multiprocessing.get_all_start_methods():
+                self.jobs = 1
         self._pool = None
+
+    @classmethod
+    def uniform(cls, bitext: Bitext, use_null: bool, jobs: int = 1) -> ChunkRunner:
+        """A runner on uniform_start's table, packed from its sort."""
+        table, exact = uniform_start(bitext, use_null)
+        return cls(bitext, table, use_null, jobs, exact)
 
     def __enter__(self):
         return self
@@ -336,6 +392,7 @@ class ChunkRunner:
             return [fn(self.packed, c, *args) for c in chunks]
         # Imported here: it costs a command about 8 ms of start-up, and most
         # runs are one chunk and start no pool.
+        import multiprocessing
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         if self._pool is None:
@@ -394,16 +451,14 @@ def lexical_step(
 
 
 def train_lexical(
-    bitext: Bitext,
-    table: TranslationTable,
-    use_null: bool,
+    runner: ChunkRunner,
     iterations: int,
     prior: Optional[PriorProvider] = None,
-    jobs: int = 1,
     log_to: Optional[TextIO] = None,
 ) -> tuple[TranslationTable, list[float]]:
-    """Lexical EM from `table`; returns the final table and the trace."""
-    with ChunkRunner(bitext, table, use_null, jobs) as runner:
+    """Lexical EM from the runner's table, closing the runner; returns the
+    final table and the trace."""
+    with runner:
         step = lambda theta: lexical_step(runner, theta, prior)
-        theta, trace = run_em(step, with_pad(table.theta), iterations, log_to)
-    return table.with_probs(theta[:-2]), trace
+        theta, trace = run_em(step, with_pad(runner.table.theta), iterations, log_to)
+    return runner.table.with_probs(theta[:-2]), trace

@@ -61,7 +61,6 @@ from typing import NamedTuple, Optional, TextIO
 
 import numpy as np
 
-from . import model1
 from ._packed import (
     MSTEP_FLOOR,
     ChunkRunner,
@@ -472,17 +471,16 @@ def train(
     uniform jumps, then run Baum-Welch on the same packed corpus and
     workers, writing its trace to log_to when given. With iterations=0
     the warmed-up params are returned."""
-    table = model1.init_uniform(bitext, config.use_null)
-    with ChunkRunner(bitext, table, config.use_null, jobs) as runner:
+    with ChunkRunner.uniform(bitext, config.use_null, jobs) as runner:
         warm_up = lambda theta: lexical_step(runner, theta)
-        theta, _ = run_em(warm_up, with_pad(table.theta), config.model1_iterations)
+        theta, _ = run_em(warm_up, with_pad(runner.table.theta), config.model1_iterations)
         (theta, jumps), trace = run_em(
             lambda state: _bw_iteration(runner, *state),
             (theta, uniform_jumps(config.w, config.p0)),
             config.iterations,
             log_to,
         )
-    return HmmParams(table.with_probs(theta[:-2]), jumps, config.use_null), trace
+    return HmmParams(runner.table.with_probs(theta[:-2]), jumps, config.use_null), trace
 
 
 def align_corpus(bitext: Bitext, params: HmmParams) -> list[AlignmentFunction]:

@@ -20,11 +20,18 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from ._packed import PackedCorpus, PriorProvider, corpus_cells, decode_theta, train_lexical
+from ._packed import (
+    ChunkRunner,
+    PackedCorpus,
+    PriorProvider,
+    decode_theta,
+    train_lexical,
+    uniform_start,
+)
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError
-from .ttable import NULL_ID, TranslationTable, distinct_sorted, write_ttable
+from .ttable import NULL_ID, TranslationTable, write_ttable
 
 
 @dataclass(frozen=True)
@@ -43,14 +50,7 @@ def init_uniform(bitext: Bitext, use_null: bool = True) -> TranslationTable:
     The NULL row, when enabled, co-occurs with every source id observed
     in the corpus.
     """
-    es, fs, _, _ = corpus_cells(bitext.pairs, use_null)
-    e_ids, f_ids = distinct_sorted(es), distinct_sorted(fs)
-    keys = np.searchsorted(e_ids, es) * len(f_ids) + np.searchsorted(f_ids, fs)
-    row, col = np.divmod(distinct_sorted(keys), len(f_ids))
-    sizes = np.bincount(row)
-    return TranslationTable.from_arrays(
-        e_ids[row], f_ids[col], np.repeat(1.0 / sizes, sizes)
-    )
+    return uniform_start(bitext, use_null)[0]
 
 
 def em_step(
@@ -61,7 +61,7 @@ def em_step(
 ) -> tuple[TranslationTable, float]:
     """One EM iteration; returns the re-estimated table and the corpus
     log-likelihood of the *input* table."""
-    table, (ll,) = train_lexical(bitext, table, config.use_null, 1, jobs=jobs)
+    table, (ll,) = train_lexical(ChunkRunner(bitext, table, config.use_null, jobs), 1)
     return table, ll
 
 
@@ -74,10 +74,8 @@ def train(
     """EM from the uniform initializer; returns the final table and the
     per-iteration log-likelihood trace (evaluated before each update),
     which is also written to log_to when given."""
-    table = init_uniform(bitext, config.use_null)
-    return train_lexical(
-        bitext, table, config.use_null, config.iterations, jobs=jobs, log_to=log_to
-    )
+    runner = ChunkRunner.uniform(bitext, config.use_null, jobs)
+    return train_lexical(runner, config.iterations, log_to=log_to)
 
 
 def posterior_align(

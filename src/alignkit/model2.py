@@ -21,11 +21,10 @@ from typing import Optional, TextIO
 import numpy as np
 
 from . import model1
-from ._packed import train_lexical
+from ._packed import ChunkRunner, train_lexical
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError
-from .model1 import init_uniform
 from .ttable import TranslationTable, write_ttable
 
 DIAG_TRAILER = "diag"
@@ -100,7 +99,8 @@ def em_step(
     the length constant eps = 1, so its log eps term is left out.
     """
     prior = params.prior
-    table, (ll,) = train_lexical(bitext, params.table, prior.use_null, 1, prior, jobs)
+    runner = ChunkRunner(bitext, params.table, prior.use_null, jobs)
+    table, (ll,) = train_lexical(runner, 1, prior)
     return Model2Params(table=table, prior=prior), ll
 
 
@@ -111,10 +111,8 @@ def train(
     log_to: Optional[TextIO] = None,
 ) -> tuple[Model2Params, list[float]]:
     prior = config.prior()
-    table = init_uniform(bitext, use_null=prior.use_null)
-    table, trace = train_lexical(
-        bitext, table, prior.use_null, config.iterations, prior, jobs, log_to
-    )
+    runner = ChunkRunner.uniform(bitext, prior.use_null, jobs)
+    table, trace = train_lexical(runner, config.iterations, prior, log_to)
     return Model2Params(table=table, prior=prior), trace
 
 

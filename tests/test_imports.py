@@ -39,9 +39,9 @@ def test_model_modules_do_not_load_the_process_pool():
     # for importing one.
     out = run_python(
         "import sys, alignkit.hmm, alignkit.model2\n"
-        "print('concurrent.futures.process' in sys.modules)\n"
+        "print('concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)\n"
     )
-    assert out == "False\n"
+    assert out == "False False\n"
 
 
 @pytest.fixture

@@ -73,6 +73,57 @@ class TestInitUniform:
         assert all(p == pytest.approx(1 / 3, abs=1e-15) for p in row.values())
 
 
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestUniformStart:
+    """ChunkRunner.uniform packs its corpus from the sort that builds the
+    start table. The table must equal one built row by row, and the layout
+    one whose every cell PackedCorpus looks up in that table, bitwise."""
+
+    CORPORA = {
+        "random": [
+            (p.source_ids, p.target_ids)
+            for p in random_id_bitext(np.random.default_rng(5), 60, vocab=15, max_len=6).pairs
+        ],
+        "repeated pairs": [((1, 2, 3), (4, 5))] * 6 + [((3,), (4,))] * 3 + [((2, 1), (5, 4))],
+        "one-word sides": [((7,), (1, 2, 3)), ((1, 2), (2**62,)), ((7,), (2**62,)), ((7,), (1,))],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("use_null", [False, True])
+    @pytest.mark.parametrize("chunk_cells", [1 << 20, 40])
+    @pytest.mark.parametrize("name", CORPORA)
+    def test_table_and_layout_equal_lookups(self, monkeypatch, name, chunk_cells, use_null):
+        monkeypatch.setattr(_packed, "CHUNK_CELLS", chunk_cells)
+        bitext = make_bitext(self.CORPORA[name])
+        cooccurring: dict = {}
+        for pair in bitext.pairs:
+            for e in pair.target_ids + ((NULL_ID,) if use_null else ()):
+                cooccurring.setdefault(e, set()).update(pair.source_ids)
+        expected = TranslationTable(
+            {e: {f: 1.0 / len(fs) for f in fs} for e, fs in cooccurring.items()}
+        )
+        with _packed.ChunkRunner.uniform(bitext, use_null) as runner:
+            packed = runner.packed
+        looked_up = _packed.PackedCorpus(bitext, expected, use_null)
+        for table in (runner.table, init_uniform(bitext, use_null)):
+            for attr in ("es", "fs", "theta"):
+                assert_same_array(getattr(table, attr), getattr(expected, attr))
+        if chunk_cells == 40 and name in ("random", "repeated pairs"):
+            assert len(packed.chunks) > 1  # the corpus splits
+        assert len(packed.chunks) == len(looked_up.chunks)
+        for chunk, want in zip(packed.chunks, looked_up.chunks):
+            assert_same_array(chunk.slots, want.slots)
+            assert len(chunk.groups) == len(want.groups)
+            for g, h in zip(chunk.groups, want.groups):
+                assert (g.pairs, g.active) == (h.pairs, h.active)
+                for got, ref in zip((g.ms, g.ns, g.slots), (h.ms, h.ns, h.slots)):
+                    assert_same_array(got, ref)
+
+
 class TestEmStep:
     def test_hand_computed_first_iteration(self, toy_bitext):
         ids = toy_ids(toy_bitext)
