@@ -1,27 +1,28 @@
 """The lexical EM engine shared by Model 1, Model 2 and the HMM.
 
-Training runs on the table's flat parameter vector theta (see ttable.py).
-A PackedCorpus lays its bitext out once, as slot indices into theta, and
-every E-step and decoder reads that one layout. The pairs are cut, in
+EM runs on TranslationTables: each step gathers from table.theta and
+hands the expected counts to table.normalized, the M-step. A PackedCorpus
+lays its bitext out once, as slot indices into theta (see ttable.py for
+its layout), and every E-step and decoder reads that one layout, one
+chunk's cells at a time through PackedCorpus.cells. The pairs are cut, in
 corpus order, into chunks of at most CHUNK_CELLS cells, m * (n + NULL) a
 pair. Inside a chunk they run by descending m, then descending n, then
 corpus index, cut into groups whose B * max(M, N) * N stays within
 GROUP_CELLS (B pairs, longest source M, longest target N); a pair alone
 is always a group. A group is stored position-major, as (M, B, N + NULL)
 slot indices with NULL in the last column, so one gather theta[slots]
-reads its values. Cells past a pair's own m or n point at the pad slot,
-one past the miss slot, which is 0 in every theta gathered from, decoders'
-included, so padding adds nothing to a sum and never wins an argmax.
+reads its values. Cells past a pair's own m or n point at theta's pad
+slot.
 
 Every model's E-step is one driver, _chunk_counts, run on each chunk: it
-gathers the chunk's cells of theta once, times Model 2's prior, and hands
-each group's block to the model's group pass. The pass overwrites the
-block with the group's posterior weights and returns a small report (the
-group's log-likelihood here; hmm.py's adds its jump statistics), or the
-pairs that failed; the driver names the first failing pair in corpus
-order, or sums the weights per slot in one bincount. _lexical_pass, the
-pass of Model 1 and Model 2, normalizes each source position's cells over
-its rows; hmm.py's _bw_pass runs forward-backward.
+gathers the chunk's cells, times Model 2's prior, and hands each group's
+block to the model's group pass. The pass overwrites the block with the
+group's posterior weights and returns a small report (the group's
+log-likelihood here; hmm.py's adds its jump statistics), or the pairs
+that failed; the driver names the first failing pair in corpus order, or
+sums the weights per slot in one bincount. _lexical_pass, the pass of
+Model 1 and Model 2, normalizes each source position's cells over its
+rows; hmm.py's _bw_pass runs forward-backward.
 
 A training run packs its corpus once, in a ChunkRunner. Model training
 starts from uniform_start: one sort of the corpus cells' (e, f) keys
@@ -52,12 +53,11 @@ import numpy as np
 
 from .corpus import Bitext, SentencePair
 from .errors import NumericError, WorkerDiedError
-from .ttable import DECODE_FLOOR, NULL_ID, TranslationTable, distinct_sorted
+from .ttable import NULL_ID, TranslationTable, distinct_sorted
 
 CHUNK_CELLS = 1 << 20  # cap on the cells m * (n + NULL) of a chunk's pairs
 GROUP_CELLS = 1 << 16  # cap on pairs x max(longest m, longest n) x longest n of a group
 MONOTONE_SLACK = 1e-9  # rounding allowance before a likelihood drop is reported
-MSTEP_FLOOR = 1e-12  # the least expected count an M-step renormalizes
 
 log = logging.getLogger(__name__)
 
@@ -143,20 +143,6 @@ class Chunk(NamedTuple):
             start = stop
 
 
-def with_pad(theta: np.ndarray) -> np.ndarray:
-    """A table's theta, miss slot last, with the pad slot, 0, appended: the
-    theta that E-steps and decoders gather from."""
-    return np.append(theta, 0.0)
-
-
-def decode_theta(table: TranslationTable) -> np.ndarray:
-    """with_pad(table.theta) with every entry and the miss slot floored at
-    DECODE_FLOOR, as decoders score them; padding stays 0."""
-    theta = with_pad(table.theta)
-    np.maximum(theta[:-1], DECODE_FLOOR, out=theta[:-1])
-    return theta
-
-
 def chunk_bounds(cells: np.ndarray) -> list[tuple[int, int]]:
     """[lo, hi) ranges of pairs, in corpus order, with at most CHUNK_CELLS
     cells each; a pair alone is always a chunk."""
@@ -199,7 +185,6 @@ class PackedCorpus:
         self.use_null = use_null
         self.pairs = bitext.pairs
         self.n_slots = len(table)
-        self.row_starts = table.row_starts
         if exact is None:
             exact = table.slots(*corpus_cells(bitext.pairs, use_null))
         rows, ms = pair_lengths(bitext.pairs, use_null)
@@ -263,15 +248,15 @@ class PackedCorpus:
                 cached.append(cells)
         return cached
 
-    def normalize_counts(self, counts: np.ndarray) -> np.ndarray:
-        """M-step: floor expected counts at MSTEP_FLOOR, renormalize each target
-        row; returns the new theta with its miss and pad slots."""
-        floored = np.maximum(counts, MSTEP_FLOOR)
-        row_sums = np.add.reduceat(floored, self.row_starts)
-        lengths = np.diff(self.row_starts, append=self.n_slots)
-        theta = np.zeros(self.n_slots + 2)
-        np.divide(floored, np.repeat(row_sums, lengths), out=theta[: self.n_slots])
-        return theta
+    def cells(
+        self, c: int, theta: np.ndarray, prior: Optional[PriorProvider] = None
+    ) -> np.ndarray:
+        """Chunk c's cells of theta, laid out like its slots, times the prior
+        when given."""
+        cells = theta[self.chunks[c].slots]
+        if prior is not None:
+            cells *= self.prior_cells(prior)[c]
+        return cells
 
 
 def _chunk_counts(
@@ -290,9 +275,7 @@ def _chunk_counts(
     reports; a failure raises NumericError naming the first failing pair in
     corpus order."""
     chunk = packed.chunks[c]
-    cells = theta[chunk.slots]
-    if prior is not None:
-        cells *= packed.prior_cells(prior)[c]
+    cells = packed.cells(c, theta, prior)
     reports, failures = [], []
     for g, block in chunk.blocks(cells):
         report, failed = group_pass(packed, g, block, *args)
@@ -434,20 +417,20 @@ def run_em(step: Callable, state, iterations: int, log_to: Optional[TextIO] = No
 
 
 def lexical_step(
-    runner: ChunkRunner, theta: np.ndarray, prior: Optional[PriorProvider] = None
-) -> tuple[np.ndarray, float]:
-    """One lexical EM step, Model 1 without a prior and Model 2 with one:
-    the re-estimated theta and the log-likelihood of the input theta, both
-    with the pad slot (see with_pad)."""
+    runner: ChunkRunner, table: TranslationTable, prior: Optional[PriorProvider] = None
+) -> tuple[TranslationTable, float]:
+    """One lexical EM step on a table of the runner's support, Model 1
+    without a prior and Model 2 with one: the re-estimated table and the
+    log-likelihood of the input table."""
     if prior is not None:
         runner.packed.prior_cells(prior)  # laid out before any worker forks
-    counts = np.zeros(runner.packed.n_slots)
+    counts = np.zeros(len(table))
     ll = 0.0
-    parts = runner.map(_chunk_counts, theta, prior, _lexical_pass, prior is None)
+    parts = runner.map(_chunk_counts, table.theta, prior, _lexical_pass, prior is None)
     for part_counts, reports in parts:
         counts += part_counts
         ll += sum(reports)
-    return runner.packed.normalize_counts(counts), ll
+    return table.normalized(counts), ll
 
 
 def train_lexical(
@@ -459,6 +442,5 @@ def train_lexical(
     """Lexical EM from the runner's table, closing the runner; returns the
     final table and the trace."""
     with runner:
-        step = lambda theta: lexical_step(runner, theta, prior)
-        theta, trace = run_em(step, with_pad(runner.table.theta), iterations, log_to)
-    return runner.table.with_probs(theta[:-2]), trace
+        step = lambda table: lexical_step(runner, table, prior)
+        return run_em(step, runner.table, iterations, log_to)

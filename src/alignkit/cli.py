@@ -135,13 +135,11 @@ def _default_jobs() -> int:
 
 
 def _resolve_use_null(args) -> bool:
-    if args.model == "model2":
-        if args.use_null is not None:
-            raise ConfigError(
-                "the diagonal model routes NULL mass through --p0; "
-                "set --p0 0 to disable the empty word"
-            )
-        return args.p0 is None or args.p0 > 0.0
+    if args.model == "model2" and args.use_null is not None:
+        raise ConfigError(
+            "the diagonal model routes NULL mass through --p0; "
+            "set --p0 0 to disable the empty word"
+        )
     return True if args.use_null is None else args.use_null
 
 
@@ -157,17 +155,14 @@ def cmd_train(args) -> int:
     if len(bitext) == 0:
         raise DataFormatError(f"no usable sentence pairs in {args.bitext}")
     use_null = _resolve_use_null(args)
+    p0 = {} if args.p0 is None else {"p0": args.p0}  # else the config's default
     log_to = None if args.quiet else sys.stderr
     if args.model == "model1":
         config = model1.Model1Config(iterations=args.iters, use_null=use_null)
         table, _ = model1.train(bitext, config, jobs=args.jobs, log_to=log_to)
         save = lambda out: model1.save_model(out, table.pruned())
     elif args.model == "model2":
-        config = model2.Model2Config(
-            iterations=args.iters,
-            lam=args.lam,
-            p0=args.p0 if args.p0 is not None else 0.08,
-        )
+        config = model2.Model2Config(iterations=args.iters, lam=args.lam, **p0)
         params, _ = model2.train(bitext, config, jobs=args.jobs, log_to=log_to)
         save = lambda out: model2.save_model(
             out, replace(params, table=params.table.pruned())
@@ -177,8 +172,8 @@ def cmd_train(args) -> int:
             iterations=args.iters,
             model1_iterations=args.init_iters,
             w=args.w,
-            p0=args.p0 if args.p0 is not None else 0.2,
             use_null=use_null,
+            **p0,
         )
         params, _ = hmm.train(bitext, config, jobs=args.jobs, log_to=log_to)
         save = lambda out: hmm.save_model(

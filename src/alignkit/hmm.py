@@ -36,8 +36,9 @@ driver with _bw_pass as the group pass: the driver gathers a chunk's
 emissions from theta once, and the pass writes the state posteriors over
 them and reports the group's log-likelihood, its expected jumps per
 bucket and its expected departures from each position. Viterbi decoding
-walks the same groups, with each pair's log transitions read from its own
-length's matrix.
+and log_forward gather each chunk the same way, from decode_theta, and
+walk the same groups; Viterbi reads each pair's log transitions from its
+own length's matrix.
 
 Because transitions renormalize per sentence length, the closed-form
 count-and-normalize jump update is not the exact M-step; re-estimation
@@ -61,21 +62,11 @@ from typing import NamedTuple, Optional, TextIO
 
 import numpy as np
 
-from ._packed import (
-    MSTEP_FLOOR,
-    ChunkRunner,
-    Group,
-    PackedCorpus,
-    _chunk_counts,
-    decode_theta,
-    lexical_step,
-    run_em,
-    with_pad,
-)
+from ._packed import ChunkRunner, Group, PackedCorpus, _chunk_counts, lexical_step, run_em
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, DataFormatError, NumericError
-from .ttable import NULL_ID, TranslationTable, write_ttable
+from .ttable import MSTEP_FLOOR, NULL_ID, TranslationTable, decode_theta, write_ttable
 
 HMM_TRAILER = "hmm"
 JUMP_TRAILER = "jump"
@@ -192,13 +183,6 @@ class _Group(NamedTuple):
     use_null: bool
 
 
-def _groups(packed: PackedCorpus, c: int, theta, jumps: JumpTable):
-    """Chunk c's layout groups as _Groups, emissions read from theta (with
-    its pad slot) as it is."""
-    for g in packed.chunks[c].groups:
-        yield _group(g, theta[g.slots], jumps, packed.use_null)
-
-
 def _group(g: Group, values: np.ndarray, jumps: JumpTable, use_null: bool) -> _Group:
     """The _Group of layout group g, whose cells of theta are values; without
     NULL its emissions are values itself."""
@@ -282,7 +266,8 @@ def log_forward(pair: SentencePair, params: HmmParams) -> float:
     """log of the total probability of the source sentence, summed over all
     state paths. Lexical lookups are floored, so the value is finite."""
     packed = PackedCorpus(Bitext([pair]), params.table, params.use_null)
-    (group,) = _groups(packed, 0, decode_theta(params.table), params.jumps)
+    ((g, block),) = packed.chunks[0].blocks(packed.cells(0, decode_theta(params.table)))
+    group = _group(g, block, params.jumps, params.use_null)
     return float(np.log(_scaled_forward(group)[2]).sum())
 
 
@@ -449,16 +434,16 @@ def baum_welch_step(
     """One forward-backward pass over the corpus; returns updated params and
     the corpus log-likelihood (sum of log partition values) of the input.
     config is not read: params hold the whole model."""
-    table = params.table
-    with ChunkRunner(bitext, table, params.use_null, jobs) as runner:
-        (theta, jumps), ll = _bw_iteration(runner, with_pad(table.theta), params.jumps)
-    return HmmParams(table.with_probs(theta[:-2]), jumps, params.use_null), ll
+    with ChunkRunner(bitext, params.table, params.use_null, jobs) as runner:
+        return _bw_iteration(runner, params)
 
 
-def _bw_iteration(runner: ChunkRunner, theta, jumps):
-    """One Baum-Welch EM step: ((new theta, new jumps), ll of the input)."""
-    counts, stats, ll = _bw_statistics(runner, theta, jumps)
-    return (runner.packed.normalize_counts(counts), _reestimate_jumps(jumps, stats)), ll
+def _bw_iteration(runner: ChunkRunner, params: HmmParams) -> tuple[HmmParams, float]:
+    """One Baum-Welch EM step on params of the runner's support: the
+    re-estimated params and the log-likelihood of the input."""
+    counts, stats, ll = _bw_statistics(runner, params.table.theta, params.jumps)
+    jumps = _reestimate_jumps(params.jumps, stats)
+    return HmmParams(params.table.normalized(counts), jumps, params.use_null), ll
 
 
 def train(
@@ -472,15 +457,11 @@ def train(
     workers, writing its trace to log_to when given. With iterations=0
     the warmed-up params are returned."""
     with ChunkRunner.uniform(bitext, config.use_null, jobs) as runner:
-        warm_up = lambda theta: lexical_step(runner, theta)
-        theta, _ = run_em(warm_up, with_pad(runner.table.theta), config.model1_iterations)
-        (theta, jumps), trace = run_em(
-            lambda state: _bw_iteration(runner, *state),
-            (theta, uniform_jumps(config.w, config.p0)),
-            config.iterations,
-            log_to,
-        )
-    return HmmParams(runner.table.with_probs(theta[:-2]), jumps, config.use_null), trace
+        warm_up = lambda table: lexical_step(runner, table)
+        table, _ = run_em(warm_up, runner.table, config.model1_iterations)
+        start = HmmParams(table, uniform_jumps(config.w, config.p0), config.use_null)
+        step = lambda params: _bw_iteration(runner, params)
+        return run_em(step, start, config.iterations, log_to)
 
 
 def align_corpus(bitext: Bitext, params: HmmParams) -> list[AlignmentFunction]:
@@ -493,8 +474,9 @@ def align_corpus(bitext: Bitext, params: HmmParams) -> list[AlignmentFunction]:
     jumps, use_null = params.jumps, params.use_null
     log_rows: dict[int, np.ndarray] = {}  # per target length n, built once
     aligned: list = [None] * len(packed)
-    for c in range(len(packed.chunks)):
-        for g in _groups(packed, c, theta, jumps):
+    for c, chunk in enumerate(packed.chunks):
+        for layout, block in chunk.blocks(packed.cells(c, theta)):
+            g = _group(layout, block, jumps, use_null)
             width = len(g.q)
             ns = g.layout.ns.tolist()
             log_t = np.full((len(ns), width, width), -math.inf)

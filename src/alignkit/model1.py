@@ -20,18 +20,11 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from ._packed import (
-    ChunkRunner,
-    PackedCorpus,
-    PriorProvider,
-    decode_theta,
-    train_lexical,
-    uniform_start,
-)
+from ._packed import ChunkRunner, PackedCorpus, PriorProvider, train_lexical, uniform_start
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError
-from .ttable import NULL_ID, TranslationTable, write_ttable
+from .ttable import NULL_ID, TranslationTable, decode_theta, write_ttable
 
 
 @dataclass(frozen=True)
@@ -102,10 +95,7 @@ def align_corpus(
     theta = decode_theta(table)
     aligned: list = [None] * len(packed)
     for c, chunk in enumerate(packed.chunks):
-        scores = theta[chunk.slots]
-        if prior is not None:
-            scores *= packed.prior_cells(prior)[c]
-        for g, block in chunk.blocks(scores):
+        for g, block in chunk.blocks(packed.cells(c, theta, prior)):
             real = block[:, :, : block.shape[2] - use_null]
             best = real.argmax(axis=2)
             if use_null:

@@ -6,10 +6,15 @@ training (the NULL row co-occurs with everything).
 
 The table is flat. The arrays `es`, `fs` and `theta` hold its entries in
 canonical (e, f) order; row `row_ids[r]` starts at entry `row_starts[r]`.
-`theta` ends with one more slot, the miss slot, holding 0.0. `slots`
-maps (e, f) cells to entry positions, and cells the table lacks to the
-miss slot, so packing, training and decoding all read t(f | e) as the
-gather `theta[table.slots(es, fs)]`.
+`theta` ends with two more slots, both 0.0: the miss slot len(table),
+where `slots` maps every cell the table lacks, and the pad slot
+len(table) + 1, where a packed corpus (see _packed.py) points the cells
+past a pair's own m or n. So packing, training and decoding all read
+t(f | e) as one gather theta[slots]. Decoders gather from decode_theta
+instead, which floors the entries and the miss slot at DECODE_FLOOR and
+keeps the pad slot 0, so padding adds nothing to a sum and never wins
+an argmax. EM maps tables to tables: `normalized` is the M-step, and
+the table it returns shares its support arrays with its parent.
 
 Text format, used as the base of every model file:
 
@@ -38,6 +43,7 @@ NULL_ID = -1
 HEADER = "alignkit-ttable v1"
 
 DECODE_FLOOR = 1e-12  # the least score a decoder gives any cell
+MSTEP_FLOOR = 1e-12  # the least expected count an M-step renormalizes
 ROW_SUM_TOL = 1e-9  # how far from 1 a model file's row may sum
 
 _ROW_DTYPE = [("e", np.int64), ("f", np.int64), ("p", np.float64)]
@@ -72,11 +78,15 @@ class TranslationTable:
     def _setup(self, es, fs, probs) -> None:
         self.es = np.ascontiguousarray(es, dtype=np.int64)
         self.fs = np.ascontiguousarray(fs, dtype=np.int64)
-        self.theta = np.append(np.asarray(probs, dtype=np.float64), 0.0)
+        self.es.flags.writeable = self.fs.flags.writeable = False
         self.row_starts = np.flatnonzero(np.diff(self.es, prepend=self.es[:1] - 1))
         self.row_ids = self.es[self.row_starts]
-        for array in (self.es, self.fs, self.theta):
-            array.flags.writeable = False
+        self._set_probs(probs)
+
+    def _set_probs(self, probs) -> None:
+        self.theta = np.zeros(len(self.es) + 2)  # the miss and pad slots last
+        self.theta[:-2] = probs
+        self.theta.flags.writeable = False
 
     @cached_property
     def _cell_keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -90,14 +100,27 @@ class TranslationTable:
         return f_ids, row_rank * len(f_ids) + np.searchsorted(f_ids, self.fs)
 
     def with_probs(self, probs: np.ndarray) -> TranslationTable:
-        """The same support with new probabilities, in entry order."""
-        return TranslationTable.from_arrays(self.es, self.fs, probs)
+        """The same support with new probabilities, in entry order. The new
+        table shares this one's support arrays but none of its cached views."""
+        table = TranslationTable.__new__(TranslationTable)
+        table.es, table.fs = self.es, self.fs
+        table.row_starts, table.row_ids = self.row_starts, self.row_ids
+        table._set_probs(probs)
+        return table
+
+    def normalized(self, counts: np.ndarray) -> TranslationTable:
+        """The M-step: expected counts, one per entry, floored at MSTEP_FLOOR
+        and renormalized per row, as a table of the same support."""
+        floored = np.maximum(counts, MSTEP_FLOOR)
+        row_sums = np.add.reduceat(floored, self.row_starts)
+        floored /= np.repeat(row_sums, np.diff(self.row_starts, append=len(self)))
+        return self.with_probs(floored)
 
     def pruned(self) -> TranslationTable:
         """The table without its entries at or below DECODE_FLOOR. A row whose
         such entries carry more than ROW_SUM_TOL / 2 of mass keeps them all,
         so that it still sums to 1 within ROW_SUM_TOL."""
-        probs = self.theta[:-1]
+        probs = self.theta[:-2]
         low = probs <= DECODE_FLOOR
         if not low.any():
             return self
@@ -146,9 +169,17 @@ class TranslationTable:
         """(e, row sum) of the row summing farthest from 1; (None, 1.0) if empty."""
         if not len(self):
             return None, 1.0
-        sums = np.add.reduceat(self.theta[:-1], self.row_starts)
+        sums = np.add.reduceat(self.theta[:-2], self.row_starts)
         r = int(np.argmax(np.abs(sums - 1.0)))
         return int(self.row_ids[r]), float(sums[r])
+
+
+def decode_theta(table: TranslationTable) -> np.ndarray:
+    """table.theta with every entry and the miss slot floored at
+    DECODE_FLOOR, as decoders score them; the pad slot stays 0."""
+    theta = table.theta.copy()
+    np.maximum(theta[:-1], DECODE_FLOOR, out=theta[:-1])
+    return theta
 
 
 def write_ttable(out: TextIO, table: TranslationTable, trailer: Iterable[str] = ()) -> None:

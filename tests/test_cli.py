@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from alignkit import _packed, cli, model2
+from alignkit import _packed, cli, hmm, model2
 from alignkit.alignment import (
     harmonize_dims,
     parse_pharaoh_line,
@@ -121,6 +121,16 @@ class TestTrain:
         code, _ = self.train_toy(tmp_path, "--iters", "0")
         assert code == 1
         assert "iterations must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, config", [("model2", model2.Model2Config), ("hmm", hmm.HmmConfig)]
+    )
+    def test_p0_defaults_to_the_config_default(self, tmp_path, kind, config):
+        for extra, want in [((), config().p0), (("--p0", "0.3"), 0.3)]:
+            code, model = self.train_toy(tmp_path, "--model", kind, "--iters", "1", *extra)
+            assert code == 0
+            trailer = read_ttable(read(model).splitlines())[1]
+            assert float(trailer[0].split("\t")[2]) == want
 
     def test_model2_rejects_null_flags(self, tmp_path, capsys):
         code, _ = self.train_toy(tmp_path, "--model", "model2", "--no-null")

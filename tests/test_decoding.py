@@ -8,7 +8,7 @@ import oracles
 from alignkit import _packed, hmm, model1, model2
 from alignkit.corpus import SentencePair
 from alignkit.errors import NumericError
-from alignkit.ttable import DECODE_FLOOR, NULL_ID, TranslationTable
+from alignkit.ttable import DECODE_FLOOR, NULL_ID, TranslationTable, decode_theta
 from conftest import leave_nan_in_freed_memory, make_bitext
 
 # The decoders score every cell at least DECODE_FLOOR; the oracles take
@@ -70,9 +70,8 @@ def test_decoders_and_emissions_match_the_references(use_null, floor):
 
             params = hmm.HmmParams(table, hmm.uniform_jumps(2, 0.2), use_null)
             packed = hmm.PackedCorpus(make_bitext([(src, tgt)]), table, use_null)
-            theta = _packed.with_pad(np.maximum(params.table.theta, DECODE_FLOOR))
-            (group,) = hmm._groups(packed, 0, theta, params.jumps)
-            emit = group.emit[:, 0].T
+            ((g, block),) = packed.chunks[0].blocks(packed.cells(0, decode_theta(table)))
+            emit = hmm._group(g, block, params.jumps, use_null).emit[:, 0].T
             assert emit.tolist() == oracles.hmm_emissions(src, tgt, flat, use_null, floor)
 
 
@@ -114,7 +113,7 @@ class TestIdsTheTableLacks:
             packed = _packed.PackedCorpus(bitext, self.TABLE, use_null)
             (chunk,) = packed.chunks
             assert any(len(set(g.ns.tolist())) > 1 for g in chunk.groups)
-            scores = _packed.decode_theta(self.TABLE)[chunk.slots]
+            scores = packed.cells(0, decode_theta(self.TABLE))
             pad = chunk.slots == packed.n_slots + 1
             miss = chunk.slots == packed.n_slots
             assert pad.any() and miss.any()

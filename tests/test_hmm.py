@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from alignkit import _packed, hmm, model1, model2
-from alignkit._packed import ChunkRunner, PackedCorpus, with_pad
+from alignkit._packed import ChunkRunner, PackedCorpus
 from alignkit.corpus import SentencePair, load_bitext
 from alignkit.errors import ConfigError, DataFormatError, NumericError
 from alignkit.hmm import (
@@ -42,7 +42,7 @@ def bw_statistics(bitext, table, jumps, use_null):
     """_bw_statistics in one process, from table's theta: (counts, (buckets,
     departures), ll)."""
     with ChunkRunner(bitext, table, use_null) as runner:
-        return _bw_statistics(runner, with_pad(table.theta), jumps)
+        return _bw_statistics(runner, table.theta, jumps)
 
 
 def jump_statistics(jump_counts, w, longest):
@@ -167,8 +167,8 @@ class TestTransitions:
             bitext = make_bitext([((1, 2), tuple(range(1, n + 1)))])
             table = model1.init_uniform(bitext, use_null)
             packed = PackedCorpus(bitext, table, use_null)
-            (group,) = hmm._groups(packed, 0, with_pad(table.theta), uniform_jumps(p0=0.2))
-            pi = group.pi[0]
+            ((g, block),) = packed.chunks[0].blocks(packed.cells(0, table.theta))
+            pi = hmm._group(g, block, uniform_jumps(p0=0.2), use_null).pi[0]
             if use_null:
                 np.testing.assert_allclose(pi[:n], 0.8 / n, atol=1e-15)
                 np.testing.assert_allclose(pi[n:], 0.2 / n, atol=1e-15)
@@ -494,9 +494,9 @@ class TestGroupedPasses:
         for _ in range(5):
             bitext, table, flat, jumps = self.random_chunk(rng, use_null, p0)
             packed = PackedCorpus(bitext, table, use_null)
-            groups = list(hmm._groups(packed, 0, with_pad(table.theta), jumps))
+            groups = packed.chunks[0].groups
             assert 4 <= len(groups) < len(packed)
-            assert any(len(set(g.layout.ms.tolist())) > 1 for g in groups)
+            assert any(len(set(g.ms.tolist())) > 1 for g in groups)
             leave_nan_in_freed_memory()
             counts, (buckets, departures), ll = bw_statistics(bitext, table, jumps, use_null)
             assert not np.isnan(counts).any()
@@ -624,10 +624,9 @@ class TestGroupedViterbi:
         for _ in range(10):
             bitext, table, flat, jumps = self.tie_heavy_instance(rng, use_null, p0)
             params = HmmParams(table, jumps, use_null)
-            packed = PackedCorpus(bitext, table, use_null)
-            groups = list(hmm._groups(packed, 0, with_pad(table.theta), jumps))
-            assert any(len(set(g.layout.ms.tolist())) > 1 for g in groups)
-            assert any(len(set(g.layout.ns.tolist())) > 1 for g in groups)
+            groups = PackedCorpus(bitext, table, use_null).chunks[0].groups
+            assert any(len(set(g.ms.tolist())) > 1 for g in groups)
+            assert any(len(set(g.ns.tolist())) > 1 for g in groups)
             leave_nan_in_freed_memory()
             got = align_corpus(bitext, params)
             assert len(got) == len(bitext.pairs)
@@ -669,6 +668,29 @@ class TestTrain:
         np.testing.assert_array_equal(
             params.jumps.probs, uniform_jumps(config.w, config.p0).probs
         )
+
+    @pytest.mark.parametrize("use_null, p0", [(False, 0.0), (True, 0.2)])
+    def test_train_is_chained_steps(self, monkeypatch, use_null, p0):
+        # Bitwise: the same trace, table and jumps, on several chunks.
+        monkeypatch.setattr(_packed, "CHUNK_CELLS", 150)
+        bt = random_id_bitext(np.random.default_rng(76), n_pairs=40, vocab=12, max_len=8)
+        config = HmmConfig(iterations=3, model1_iterations=2, p0=p0, use_null=use_null)
+        params, trace = train(bt, config)
+        table, _ = model1.train(bt, model1.Model1Config(config.model1_iterations, use_null))
+        assert len(PackedCorpus(bt, table, use_null).chunks) > 1
+        chained = HmmParams(table, uniform_jumps(config.w, config.p0), use_null)
+        steps = []
+        for _ in range(config.iterations):
+            chained, ll = baum_welch_step(bt, chained, config)
+            steps.append(ll)
+        assert steps == trace
+        for got, want in [
+            (chained.table.es, params.table.es),
+            (chained.table.theta, params.table.theta),
+            (chained.jumps.probs, params.jumps.probs),
+        ]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert chained.jumps.p0 == params.jumps.p0 and chained.use_null == params.use_null
 
     def test_toy_corpus_learns_the_dominant_pair(self):
         bt = load_bitext(["das haus ||| the house", "das buch ||| the book"])

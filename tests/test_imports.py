@@ -44,6 +44,17 @@ def test_model_modules_do_not_load_the_process_pool():
     assert out == "False False\n"
 
 
+def test_the_table_module_loads_no_model_module():
+    # The table owns the M-step and is the layer every model builds on,
+    # so it must not depend on any of them.
+    out = run_python(
+        "import sys, alignkit.ttable\n"
+        "print([m for m in ('_packed', 'hmm', 'model1', 'model2')"
+        " if 'alignkit.' + m in sys.modules])\n"
+    )
+    assert out == "[]\n"
+
+
 @pytest.fixture
 def toy_files(tmp_path):
     files = {

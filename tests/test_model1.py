@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from alignkit import _packed
+from alignkit import _packed, model2
 from alignkit._packed import run_em
 from alignkit.alignment import to_set
 from alignkit.corpus import Bitext, SentencePair, load_bitext
@@ -240,6 +240,35 @@ class TestTrain:
                 assert t2.prob(e, f) == pytest.approx(p, abs=1e-12)
 
 
+class TestTrainIsChainedSteps:
+    """train with k iterations is k chained em_step calls, bitwise: the
+    same trace and the same table, on a corpus of several chunks."""
+
+    @pytest.mark.parametrize("p0", [0.0, 0.08])
+    def test_model1_and_model2(self, monkeypatch, p0):
+        monkeypatch.setattr(_packed, "CHUNK_CELLS", 150)
+        bt = random_id_bitext(np.random.default_rng(61), n_pairs=40, vocab=12, max_len=8)
+        use_null = p0 > 0.0
+        k = 4
+        assert len(_packed.PackedCorpus(bt, init_uniform(bt, use_null), use_null).chunks) > 1
+        table, trace = train(bt, Model1Config(k, use_null))
+        config = model2.Model2Config(k, lam=3.0, p0=p0)
+        params, trace2 = model2.train(bt, config)
+
+        chained, steps = init_uniform(bt, use_null), []
+        chained2 = model2.Model2Params(chained, config.prior())
+        steps2 = []
+        for _ in range(k):
+            chained, ll = em_step(bt, chained, Model1Config(1, use_null))
+            steps.append(ll)
+            chained2, ll = model2.em_step(bt, chained2, config)
+            steps2.append(ll)
+        assert steps == trace and steps2 == trace2
+        for got, want in [(chained, table), (chained2.table, params.table)]:
+            for name in ("es", "fs", "theta"):
+                assert_same_array(getattr(got, name), getattr(want, name))
+
+
 def lexical_counts(packed, theta, prior):
     """Expected counts and log-likelihood of chunk 0 under the lexical pass."""
     counts, reports = _packed._chunk_counts(
@@ -273,7 +302,7 @@ class TestGroupedEStep:
                 for m, n in shapes
             ])
             table, flat = random_table(rng, range(1, 6), range(1, 6), include_null=use_null)
-            theta = _packed.with_pad(table.theta)
+            theta = table.theta
             prior = None if p0 is None else DiagonalPrior(float(rng.choice([0.0, 3.0])), p0)
             packed = _packed.PackedCorpus(bitext, table, use_null)
             (chunk,) = packed.chunks

@@ -1,11 +1,13 @@
 import io
 
+import numpy as np
 import pytest
 
 from alignkit.errors import DataFormatError
 from alignkit.ttable import (
     _WRITE_BATCH,
     HEADER,
+    MSTEP_FLOOR,
     NULL_ID,
     TranslationTable,
     read_ttable,
@@ -141,4 +143,65 @@ class TestSlots:
         table, trailer = read_ttable(["alignkit-ttable v1"])
         assert len(table) == 0 and trailer == []
         assert table.slots([[1], [NULL_ID]], [3, 4]).tolist() == [[0, 0]] * 2
-        assert table.theta.tolist() == [0.0]
+        assert table.theta.tolist() == [0.0, 0.0]
+
+
+def reference_normalized(table: TranslationTable, counts) -> dict:
+    """The M-step row by row: each count floored at MSTEP_FLOOR, over its
+    row's floored sum, as {e: {f: prob}}."""
+    counts = iter(counts.tolist())
+    rows = {}
+    for e, row in table.rows.items():
+        floored = {f: max(next(counts), MSTEP_FLOOR) for f in row}
+        total = sum(floored.values())
+        rows[e] = {f: c / total for f, c in floored.items()}
+    return rows
+
+
+class TestNormalized:
+    def test_matches_the_per_row_reference(self):
+        rng = np.random.default_rng(17)
+        rows = {
+            NULL_ID: {f: 0.1 for f in range(10)},
+            1: {3: 1.0},  # one entry
+            2: {0: 0.5, 7: 0.5},  # every count below the floor
+            5: {f: 0.2 for f in (1, 4, 6, 8, 9)},
+            8: {2: 1.0},  # one entry, count 0
+        }
+        table = TranslationTable(rows)
+        counts = rng.uniform(0.0, 3.0, size=len(table))
+        es = table.es.tolist()
+        counts[es.index(2) : es.index(2) + 2] = [0.0, MSTEP_FLOOR / 4]
+        counts[es.index(8)] = 0.0
+        before = counts.copy()
+        got = table.normalized(counts)
+        assert got.theta.shape == (len(table) + 2,)
+        assert got.theta[-2:].tolist() == [0.0, 0.0]  # the miss and pad slots
+        assert counts.tobytes() == before.tobytes()
+        assert got.es is table.es and got.fs is table.fs
+        want = reference_normalized(table, counts)
+        assert list(got.rows) == list(want)
+        for e, row in want.items():
+            assert list(got.rows[e]) == list(row)
+            # numpy sums a row in another order than Python: a few ulps.
+            np.testing.assert_allclose(list(got.rows[e].values()), list(row.values()),
+                                       rtol=8 * np.finfo(float).eps, atol=0.0)
+        assert got.rows[1][3] == got.rows[8][2] == 1.0
+        assert list(got.rows[2].values()) == [0.5, 0.5]
+
+    def test_the_empty_table(self):
+        table = TranslationTable({})
+        got = table.normalized(np.zeros(0))
+        assert len(got) == 0
+        assert got.theta.tolist() == [0.0, 0.0]
+
+    def test_with_probs_does_not_reuse_cached_views(self):
+        table = TranslationTable({1: {2: 0.25, 3: 0.75}, 4: {2: 1.0}})
+        assert table.rows[1][3] == 0.75
+        assert table.slots([1, 4], [3, 2]).tolist() == [1, 2]  # builds _cell_keys
+        new = table.with_probs(np.array([0.5, 0.5, 1.0]))
+        rows = {e: dict(row) for e, row in new.rows.items()}
+        assert rows == {1: {2: 0.5, 3: 0.5}, 4: {2: 1.0}}
+        assert new.prob(1, 3) == 0.5 and new.prob(4, 3) == 0.0
+        assert new.theta.tolist() == [0.5, 0.5, 1.0, 0.0, 0.0]
+        assert table.rows[1][3] == table.prob(1, 3) == 0.75
