@@ -4,44 +4,30 @@ evaluation, consistent phrase extraction, and annotation projection."""
 
 import importlib
 
-from .alignment import (
-    AlignmentFunction,
-    AlignmentSet,
-    grow_diag_final,
-    intersect,
-    symmetrize,
-    to_set,
-    transpose,
-    union,
-)
-from .corpus import Bitext, SentencePair, Vocabulary, load_bitext
-from .errors import (
-    AlignkitError,
-    ConfigError,
-    DataFormatError,
-    DegeneratePairError,
-    DimensionMismatchError,
-    NumericError,
-)
-from .evaluation import EvalReport, aer, evaluate_corpus, parse_gold, precision_recall
-from .phrases import PhrasePair, build_phrase_table, extract_consistent_phrases
-from .projection import Span, project_spans, project_token_labels
-
 __version__ = "0.1.0"
 
-# Names from the modules that import numpy, resolved on use so that the
-# post stages, which import the package, never load numpy.
+# Each public name's module, imported on the name's first use, so that
+# `import alignkit` loads no submodule and a command loads only its own.
 _LAZY = {
-    "HmmConfig": "hmm",
-    "HmmParams": "hmm",
-    "Model1Config": "model1",
-    "DiagonalPrior": "model2",
-    "Model2Config": "model2",
-    "Model2Params": "model2",
-    "SynthConfig": "synth",
-    "generate": "synth",
-    "TranslationTable": "ttable",
+    name: module
+    for module, names in {
+        "alignment": "AlignmentFunction AlignmentSet grow_diag_final intersect symmetrize "
+        "to_set transpose union",
+        "corpus": "Bitext SentencePair Vocabulary load_bitext",
+        "errors": "AlignkitError ConfigError DataFormatError DegeneratePairError "
+        "DimensionMismatchError NumericError",
+        "evaluation": "EvalReport aer evaluate_corpus parse_gold precision_recall",
+        "hmm": "HmmConfig HmmParams",
+        "model1": "Model1Config",
+        "model2": "DiagonalPrior Model2Config Model2Params",
+        "phrases": "PhrasePair build_phrase_table extract_consistent_phrases",
+        "projection": "Span project_spans project_token_labels",
+        "synth": "SynthConfig generate",
+        "ttable": "TranslationTable",
+    }.items()
+    for name in names.split()
 }
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):
@@ -52,44 +38,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_LAZY))
-
-__all__ = [
-    "AlignmentFunction",
-    "AlignmentSet",
-    "AlignkitError",
-    "Bitext",
-    "ConfigError",
-    "DataFormatError",
-    "DegeneratePairError",
-    "DiagonalPrior",
-    "DimensionMismatchError",
-    "EvalReport",
-    "HmmConfig",
-    "HmmParams",
-    "Model1Config",
-    "Model2Config",
-    "Model2Params",
-    "NumericError",
-    "PhrasePair",
-    "SentencePair",
-    "Span",
-    "SynthConfig",
-    "TranslationTable",
-    "Vocabulary",
-    "aer",
-    "build_phrase_table",
-    "evaluate_corpus",
-    "extract_consistent_phrases",
-    "generate",
-    "grow_diag_final",
-    "intersect",
-    "load_bitext",
-    "parse_gold",
-    "precision_recall",
-    "project_spans",
-    "project_token_labels",
-    "symmetrize",
-    "to_set",
-    "transpose",
-    "union",
-]

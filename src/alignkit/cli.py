@@ -17,15 +17,18 @@ variables are never consulted.
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import islice
 from typing import TextIO
 
-# hmm, model1, model2, synth and ttable import numpy, so only the commands
-# that use them import them, and the post stages start without numpy.
+# Each command imports the other modules it runs, so that it loads only
+# its own: the post stages start without numpy, and no command pays for
+# a model it does not run.
 from .alignment import (
     HEURISTICS,
     AlignmentSet,
@@ -37,27 +40,33 @@ from .alignment import (
     transpose,
     write_pharaoh,
 )
-from .corpus import (
-    SEPARATOR,
-    UNK_ID,
-    UNK_TOKEN,
-    Vocabulary,
-    load_bitext,
-    parse_bitext_line,
-    tokenize,
-    write_bitext_line,
-)
 from .errors import AlignkitError, ConfigError, DataFormatError
-from .evaluation import evaluate_corpus, format_report, parse_gold, write_report_tsv
-from .phrases import build_phrase_table, write_phrase_table
-from .projection import (
-    format_labeled_line,
-    parse_span_file,
-    project_corpus,
-    project_corpus_spans,
-    read_labeled,
-    write_span_file,
-)
+
+
+def _deferred(module: str, name: str):
+    """alignkit.MODULE.NAME as a function of this module that imports
+    MODULE on its first call. perfbench/tracing.py times these layers by
+    replacing the names below on this module."""
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+load_bitext = _deferred("corpus", "load_bitext")
+read_ttable = _deferred("ttable", "read_ttable")
+evaluate_corpus = _deferred("evaluation", "evaluate_corpus")
+parse_gold = _deferred("evaluation", "parse_gold")
+write_report_tsv = _deferred("evaluation", "write_report_tsv")
+build_phrase_table = _deferred("phrases", "build_phrase_table")
+write_phrase_table = _deferred("phrases", "write_phrase_table")
+
+# The trailer kind of a model file -> the module whose model_from reads it
+# (model2.DIAG_TRAILER, hmm.HMM_TRAILER). A file without a trailer holds a
+# lexical model, which model1 decodes.
+TRAILER_MODULES = {"diag": "model2", "hmm": "hmm"}
 
 log = logging.getLogger(__name__)
 
@@ -144,8 +153,6 @@ def _resolve_use_null(args) -> bool:
 
 
 def cmd_train(args) -> int:
-    from . import hmm, model1, model2
-
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     with _open_in(args.bitext) as fh:
@@ -157,31 +164,27 @@ def cmd_train(args) -> int:
     use_null = _resolve_use_null(args)
     p0 = {} if args.p0 is None else {"p0": args.p0}  # else the config's default
     log_to = None if args.quiet else sys.stderr
+    model = importlib.import_module(f".{args.model}", __package__)
     if args.model == "model1":
-        config = model1.Model1Config(iterations=args.iters, use_null=use_null)
-        table, _ = model1.train(bitext, config, jobs=args.jobs, log_to=log_to)
-        save = lambda out: model1.save_model(out, table.pruned())
+        config = model.Model1Config(iterations=args.iters, use_null=use_null)
     elif args.model == "model2":
-        config = model2.Model2Config(iterations=args.iters, lam=args.lam, **p0)
-        params, _ = model2.train(bitext, config, jobs=args.jobs, log_to=log_to)
-        save = lambda out: model2.save_model(
-            out, replace(params, table=params.table.pruned())
-        )
+        config = model.Model2Config(iterations=args.iters, lam=args.lam, **p0)
     else:
-        config = hmm.HmmConfig(
+        config = model.HmmConfig(
             iterations=args.iters,
             model1_iterations=args.init_iters,
             w=args.w,
             use_null=use_null,
             **p0,
         )
-        params, _ = hmm.train(bitext, config, jobs=args.jobs, log_to=log_to)
-        save = lambda out: hmm.save_model(
-            out, replace(params, table=params.table.pruned())
-        )
+    params, _ = model.train(bitext, config, jobs=args.jobs, log_to=log_to)
     # The saved table leaves out the entries that decode like missing ones.
+    if args.model == "model1":  # Model 1's parameters are its table
+        params = params.pruned()
+    else:
+        params = replace(params, table=params.table.pruned())
     with _open_out(args.output) as out:
-        save(out)
+        model.save_model(out, params)
     if args.output != "-":
         with open(args.output + ".source-vocab", "w", encoding="utf-8") as fh:
             bitext.source_vocab.save(fh)
@@ -195,29 +198,35 @@ def cmd_train(args) -> int:
 
 
 def _load_any_model(path: str):
-    """The corpus decoder of the model file at path, Bitext -> alignments."""
-    from . import hmm, model1, model2
-    from .ttable import ROW_SUM_TOL, read_ttable
+    """The corpus decoder of the model file at path, Bitext -> alignments.
+    Errors name the path."""
+    from .ttable import ROW_SUM_TOL
 
-    table, trailer = read_ttable(_read_lines(path))
-    e, total = table.worst_row()
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        raise DataFormatError(
-            f"{path}: the probabilities of target id {e} sum to {total!r}, not 1"
-        )
-    if not trailer:
-        return lambda bitext: model1.align_corpus(bitext, table)
-    kind = trailer[0].split("\t", 1)[0]
-    if kind == model2.DIAG_TRAILER:
-        params = model2.model_from(table, trailer)
-        return lambda bitext: model2.align_corpus(bitext, params)
-    if kind == hmm.HMM_TRAILER:
-        params = hmm.model_from(table, trailer)
-        return lambda bitext: hmm.align_corpus(bitext, params)
-    raise DataFormatError(f"{path}: unrecognized model trailer {kind!r}")
+    lines = _read_lines(path)
+    try:
+        table, trailer = read_ttable(lines)
+        e, total = table.worst_row()
+        if abs(total - 1.0) > ROW_SUM_TOL:
+            raise DataFormatError(f"the probabilities of target id {e} sum to {total!r}, not 1")
+        if not trailer:
+            from . import model1
+
+            return lambda bitext: model1.align_corpus(bitext, table)
+        kind = trailer[0].split("\t", 1)[0]
+        if kind not in TRAILER_MODULES:
+            raise DataFormatError(f"unrecognized model trailer {kind!r}")
+        model = importlib.import_module(f".{TRAILER_MODULES[kind]}", __package__)
+        # The model line of each trailer row: the file's last nonblank lines.
+        last = (k for k in range(len(lines), 0, -1) if lines[k - 1])
+        params = model.model_from(table, trailer, list(islice(last, len(trailer)))[::-1])
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    return lambda bitext: model.align_corpus(bitext, params)
 
 
-def _load_vocab(explicit: str | None, default_path: str, language: str) -> Vocabulary:
+def _load_vocab(explicit: str | None, default_path: str, language: str):
+    from .corpus import Vocabulary
+
     path = explicit or default_path
     try:
         lines = _read_lines(path)
@@ -233,6 +242,8 @@ def _load_vocab(explicit: str | None, default_path: str, language: str) -> Vocab
 
 
 def cmd_align(args) -> int:
+    from .corpus import UNK_ID, UNK_TOKEN
+
     decode = _load_any_model(args.model_file)
     source_vocab = _load_vocab(
         args.source_vocab, args.model_file + ".source-vocab", "source"
@@ -279,6 +290,8 @@ def cmd_symmetrize(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import format_report
+
     hypotheses = _read_alignments(args.hypothesis)
     with _open_in(args.gold) as fh:
         gold = parse_gold(fh)
@@ -297,6 +310,8 @@ def cmd_eval(args) -> int:
 
 
 def _read_token_records(path: str) -> list[tuple[list[str], list[str]]]:
+    from .corpus import parse_bitext_line, tokenize
+
     records = []
     with _open_in(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -322,21 +337,23 @@ def cmd_extract_phrases(args) -> int:
 
 
 def cmd_project(args) -> int:
+    from . import projection
+
     records = _read_token_records(args.bitext)
     alignments = _read_alignments(
         args.alignments, (args.bitext, len(records)), [(len(s), len(t)) for s, t in records]
     )
     if args.layer == "tokens":
         with _open_in(args.annotations) as fh:
-            annotated = read_labeled(fh)
+            annotated = projection.read_labeled(fh)
         _check_count(args.annotations, len(annotated), args.bitext, len(records))
-        projected = project_corpus(annotated, alignments)
+        projected = projection.project_corpus(annotated, alignments)
         with _open_out(args.output) as out:
             for (_, tgt_tokens), tags in zip(records, projected):
-                out.write(format_labeled_line(tgt_tokens, tags) + "\n")
+                out.write(projection.format_labeled_line(tgt_tokens, tags) + "\n")
     else:
         with _open_in(args.annotations) as fh:
-            by_sid = parse_span_file(fh)
+            by_sid = projection.parse_span_file(fh)
         bad = [sid for sid in by_sid if sid > len(records)]
         if bad:
             raise DataFormatError(
@@ -344,9 +361,9 @@ def cmd_project(args) -> int:
                 f"records in {args.bitext}"
             )
         span_lists = [by_sid.get(sid, []) for sid in range(1, len(records) + 1)]
-        projected = project_corpus_spans(span_lists, alignments)
+        projected = projection.project_corpus_spans(span_lists, alignments)
         with _open_out(args.output) as out:
-            write_span_file(
+            projection.write_span_file(
                 {sid: spans for sid, spans in enumerate(projected, start=1) if spans},
                 out,
             )
@@ -354,6 +371,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .corpus import write_bitext_line
     from .synth import SynthConfig, generate, write_gold_wpt
 
     config = SynthConfig(

@@ -5,6 +5,8 @@ ConfigError -> 1, DataFormatError (and subclasses) -> 2, NumericError and
 WorkerDiedError -> 3.
 """
 
+from typing import Sequence
+
 
 class AlignkitError(Exception):
     """Base class for all toolkit errors."""
@@ -42,3 +44,11 @@ class WorkerDiedError(AlignkitError):
     """A training worker process ended before returning its chunk."""
 
     exit_code = 3
+
+
+def trailer_error(message: str, line_numbers: Sequence[int], row: int = 0) -> DataFormatError:
+    """The error for trailer row `row` of a model file. line_numbers holds
+    the model line of each trailer row, or nothing when they are unknown."""
+    if row < len(line_numbers):
+        message = f"model line {line_numbers[row]}: {message}"
+    return DataFormatError(message)

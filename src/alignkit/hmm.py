@@ -58,14 +58,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, TextIO
+from typing import NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
 from ._packed import ChunkRunner, Group, PackedCorpus, _chunk_counts, lexical_step, run_em
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
-from .errors import ConfigError, DataFormatError, NumericError
+from .errors import ConfigError, NumericError, trailer_error
 from .ttable import MSTEP_FLOOR, NULL_ID, TranslationTable, decode_theta, write_ttable
 
 HMM_TRAILER = "hmm"
@@ -498,41 +498,49 @@ def save_model(out: TextIO, params: HmmParams) -> None:
     write_ttable(out, params.table, trailer)
 
 
-def model_from(table: TranslationTable, trailer: list[str]) -> HmmParams:
-    """HMM parameters from a parsed model file's table and trailer."""
+def model_from(
+    table: TranslationTable, trailer: list[str], line_numbers: Sequence[int] = ()
+) -> HmmParams:
+    """HMM parameters from a parsed model file's table and trailer. Errors
+    name the model line of the row they reject when line_numbers holds
+    each trailer row's line."""
     if not trailer or not trailer[0].startswith(HMM_TRAILER + "\t"):
-        raise DataFormatError("HMM model file must carry an 'hmm' trailer")
+        raise trailer_error("HMM model file must carry an 'hmm' trailer", line_numbers)
     head = trailer[0].split("\t")
     if len(head) != 3:
-        raise DataFormatError("malformed 'hmm' trailer")
+        raise trailer_error("malformed 'hmm' trailer", line_numbers)
     try:
         w, p0 = int(head[1]), float(head[2])
     except ValueError as exc:
-        raise DataFormatError(f"malformed 'hmm' trailer: {exc}") from exc
+        raise trailer_error(f"malformed 'hmm' trailer: {exc}", line_numbers) from exc
     if w < 1:
-        raise DataFormatError(f"bad 'hmm' trailer: jump window must be >= 1, got {w}")
+        raise trailer_error(f"bad 'hmm' trailer: jump window must be >= 1, got {w}", line_numbers)
     if len(trailer) - 1 != 2 * w + 1:
-        raise DataFormatError(f"expected {2 * w + 1} jump buckets, found {len(trailer) - 1}")
+        raise trailer_error(
+            f"expected {2 * w + 1} jump buckets, found {len(trailer) - 1}", line_numbers
+        )
     probs = np.zeros(2 * w + 1)
     seen = set()
-    for line in trailer[1:]:
+    for row, line in enumerate(trailer[1:], start=1):
         parts = line.split("\t")
         if len(parts) != 3 or parts[0] != JUMP_TRAILER:
-            raise DataFormatError(f"unexpected trailer line: {line!r}")
+            raise trailer_error(f"unexpected trailer line: {line!r}", line_numbers, row)
         try:
             d, p = int(parts[1]), float(parts[2])
         except ValueError as exc:
-            raise DataFormatError(f"malformed jump line: {exc}") from exc
+            raise trailer_error(f"malformed jump line: {exc}", line_numbers, row) from exc
         if not -w <= d <= w:
-            raise DataFormatError(f"jump bucket {d} outside window {w}")
+            raise trailer_error(f"jump bucket {d} outside window {w}", line_numbers, row)
         if d in seen:
-            raise DataFormatError(f"jump bucket {d} repeated")
+            raise trailer_error(f"jump bucket {d} repeated", line_numbers, row)
+        if d == 0 and p == 0.0:  # staying put is the only move in a one-word sentence
+            raise trailer_error(
+                "bad 'hmm' trailer: jump bucket 0 has probability 0", line_numbers, row
+            )
         seen.add(d)
         probs[d + w] = p
-    if probs[w] == 0.0:  # staying put is the only move in a one-word sentence
-        raise DataFormatError("bad 'hmm' trailer: jump bucket 0 has probability 0")
     try:
         jumps = JumpTable(w=w, probs=probs, p0=p0)
     except ConfigError as exc:
-        raise DataFormatError(f"bad 'hmm' trailer: {exc}") from None
+        raise trailer_error(f"bad 'hmm' trailer: {exc}", line_numbers) from None
     return HmmParams(table=table, jumps=jumps, use_null=NULL_ID in table.row_ids)

@@ -16,7 +16,7 @@ Model 1 without NULL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TextIO
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import model1
 from ._packed import ChunkRunner, train_lexical
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, trailer_error
 from .ttable import TranslationTable, write_ttable
 
 DIAG_TRAILER = "diag"
@@ -133,19 +133,25 @@ def save_model(out: TextIO, params: Model2Params) -> None:
     write_ttable(out, params.table, trailer)
 
 
-def model_from(table: TranslationTable, trailer: list[str]) -> Model2Params:
-    """Model 2 parameters from a parsed model file's table and trailer."""
-    if len(trailer) != 1 or not trailer[0].startswith(DIAG_TRAILER + "\t"):
-        raise DataFormatError("diagonal model file must end with a 'diag' trailer")
+def model_from(
+    table: TranslationTable, trailer: list[str], line_numbers: Sequence[int] = ()
+) -> Model2Params:
+    """Model 2 parameters from a parsed model file's table and trailer.
+    Errors name the model line of the row they reject when line_numbers
+    holds each trailer row's line."""
+    if not trailer or not trailer[0].startswith(DIAG_TRAILER + "\t"):
+        raise trailer_error("diagonal model file must end with a 'diag' trailer", line_numbers)
+    if len(trailer) > 1:
+        raise trailer_error("unexpected line after the 'diag' trailer", line_numbers, 1)
     parts = trailer[0].split("\t")
     if len(parts) != 3:
-        raise DataFormatError("malformed 'diag' trailer")
+        raise trailer_error("malformed 'diag' trailer", line_numbers)
     try:
         lam, p0 = float(parts[1]), float(parts[2])
     except ValueError as exc:
-        raise DataFormatError(f"malformed 'diag' trailer: {exc}") from exc
+        raise trailer_error(f"malformed 'diag' trailer: {exc}", line_numbers) from exc
     try:
         prior = DiagonalPrior(lam, p0)
     except ConfigError as exc:
-        raise DataFormatError(f"bad 'diag' trailer: {exc}") from None
+        raise trailer_error(f"bad 'diag' trailer: {exc}", line_numbers) from None
     return Model2Params(table=table, prior=prior)

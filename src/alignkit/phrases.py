@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence, TextIO
 
@@ -86,8 +87,9 @@ def extract_consistent_phrases(
 
 @dataclass
 class PhraseTable:
-    """Co-occurrence counts over token phrase pairs with relative
-    frequencies in both directions."""
+    """Co-occurrence counts over phrase pairs with relative frequencies in
+    both directions. A phrase is keyed by its text, its tokens joined by
+    single spaces; `counts` maps (source text, target text) pairs."""
 
     counts: Counter
     src_marginals: Counter
@@ -96,13 +98,15 @@ class PhraseTable:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def forward(self, src: tuple[str, ...], tgt: tuple[str, ...]) -> float:
+    def forward(self, src: Sequence[str], tgt: Sequence[str]) -> float:
         """p(tgt | src) as a relative frequency."""
+        src, tgt = " ".join(src), " ".join(tgt)
         total = self.src_marginals[src]
         return self.counts[(src, tgt)] / total if total else 0.0
 
-    def inverse(self, src: tuple[str, ...], tgt: tuple[str, ...]) -> float:
+    def inverse(self, src: Sequence[str], tgt: Sequence[str]) -> float:
         """p(src | tgt) as a relative frequency."""
+        src, tgt = " ".join(src), " ".join(tgt)
         total = self.tgt_marginals[tgt]
         return self.counts[(src, tgt)] / total if total else 0.0
 
@@ -112,33 +116,42 @@ def build_phrase_table(
     max_len: int = 7,
 ) -> PhraseTable:
     """Accumulate phrase-pair counts over (source tokens, target tokens,
-    alignment) records."""
-    counts: Counter = Counter()
-    for src_tokens, tgt_tokens, alignment in records:
-        if alignment.m != len(src_tokens) or alignment.n != len(tgt_tokens):
+    alignment) records. No token may hold a space."""
+    pairs: list[tuple[str, str]] = []
+    for src, tgt, alignment in records:
+        if alignment.m != len(src) or alignment.n != len(tgt):
             raise ValueError(
                 f"alignment dimensions {alignment.m}x{alignment.n} do not match "
-                f"sentence lengths {len(src_tokens)}x{len(tgt_tokens)}"
+                f"sentence lengths {len(src)}x{len(tgt)}"
             )
-        src, tgt = tuple(src_tokens), tuple(tgt_tokens)
-        counts.update(
-            (src[j1 : j2 + 1], tgt[i1 : i2 + 1])
+        if any(" " in token for token in chain(src, tgt)):
+            raise ValueError(f"a token holds a space: {src!r}, {tgt!r}")
+        pairs += [
+            (" ".join(src[j1 : j2 + 1]), " ".join(tgt[i1 : i2 + 1]))
             for j1, j2, i1, i2 in _spans(alignment, max_len)
-        )
-    src_marginals: Counter = Counter()
-    tgt_marginals: Counter = Counter()
-    for (src, tgt), count in counts.items():
-        src_marginals[src] += count
-        tgt_marginals[tgt] += count
-    return PhraseTable(counts, src_marginals, tgt_marginals)
+        ]
+    return PhraseTable(
+        Counter(pairs), Counter(map(itemgetter(0), pairs)), Counter(map(itemgetter(1), pairs))
+    )
+
+
+# Every byte below the space. UTF-8 writes U+0000-U+001F as these bytes
+# alone, and phrase texts holding none of them sort as their tokens do.
+_BELOW_SPACE = bytes(range(0x20))
 
 
 def write_phrase_table(table: PhraseTable, out: TextIO) -> None:
-    """One line per pair: `src ||| tgt ||| p(tgt|src) p(src|tgt) count`,
-    sorted by the (source, target) token tuples."""
+    """One line per entry of `table.counts`, which is keyed by (source
+    text, target text): `src ||| tgt ||| p(tgt|src) p(src|tgt) count`,
+    sorted by the source tokens, then by the target tokens."""
+    text = "".join(chain.from_iterable(table.counts)).encode()
+    if len(text.translate(None, _BELOW_SPACE)) == len(text):
+        key = itemgetter(0)
+    else:  # a control character sorts below the space that ends a token
+        key = lambda item: (item[0][0].split(" "), item[0][1].split(" "))
     src_totals, tgt_totals = table.src_marginals, table.tgt_marginals
     out.writelines(
-        f"{' '.join(src)}{SEPARATOR}{' '.join(tgt)}{SEPARATOR}"
+        f"{src}{SEPARATOR}{tgt}{SEPARATOR}"
         f"{count / src_totals[src]!r} {count / tgt_totals[tgt]!r} {count}\n"
-        for (src, tgt), count in sorted(table.counts.items(), key=itemgetter(0))
+        for (src, tgt), count in sorted(table.counts.items(), key=key)
     )

@@ -475,6 +475,42 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert f"alignkit: error: input is not UTF-8: {bad}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model_kind, old, new, message", [
+        ("hmm", "\nhmm\t5\t", "\nhmm\tfive\t",
+         "malformed 'hmm' trailer: invalid literal for int()"),
+        ("hmm", "\njump\t5\t", "\n\njump\t9\t", "jump bucket 9 outside window 5"),
+        ("model2", "\ndiag\t4.0\t0.08\n", "\n\ndiag\t4.0\t0.08\t1\n",
+         "malformed 'diag' trailer"),
+        ("model2", "\ndiag\t4.0\t0.08\n", "\ndiag\t4.0\t0.08\nextra\n",
+         "unexpected line after the 'diag' trailer"),
+        ("model1", "alignkit-ttable v1\n", "alignkit-ttable v1\n1\tx\t0.5\n",
+         "expected e<TAB>f<TAB>prob"),
+    ], ids=["hmm-head", "hmm-jump-after-a-blank-line", "diag-arity", "diag-extra-row",
+            "table-row"])
+    def test_model_file_errors_name_the_file_and_the_line(
+        self, tmp_path, capsys, model_kind, old, new, message
+    ):
+        bitext = tmp_path / "toy.txt"
+        bitext.write_text(TOY, encoding="utf-8")
+        model = tmp_path / "toy.model"
+        assert cli.main([
+            "train", "--model", model_kind, "--bitext", str(bitext), "--output", str(model),
+            "--iters", "1", "--quiet",
+        ]) == 0
+        text = read(model).replace(old, new, 1)
+        assert text != read(model)
+        model.write_text(text, encoding="utf-8")
+        # The rejected row is the last line that `new` puts into the file.
+        line = text[: text.index(new) + len(new) - 1].count("\n") + 1
+        assert cli.main(["align", "--model-file", str(model), "--bitext", str(bitext)]) == 2
+        assert (
+            f"alignkit: error: {model}: model line {line}: {message}"
+            in capsys.readouterr().err
+        )
+
+    def test_every_trailer_kind_maps_to_the_module_that_reads_it(self):
+        assert cli.TRAILER_MODULES == {model2.DIAG_TRAILER: "model2", hmm.HMM_TRAILER: "hmm"}
+
     @pytest.mark.parametrize("argv, message", [
         (["train", "--max-vocab", "0", "--output", "m"], "vocabulary size must be >= 1"),
         (["extract-phrases", "--max-len", "0", "--alignments", "toy.al"],

@@ -1,4 +1,6 @@
-"""The package and the post-stage commands load without numpy.
+"""The package loads no submodule, and each command loads only the
+modules it runs: the post stages without numpy, a lexical model without
+the HMM.
 
 Each check runs in a fresh interpreter, because the test process has
 long since imported numpy.
@@ -28,10 +30,17 @@ def run_python(code: str, cwd=None) -> str:
     return result.stdout
 
 
+LOADED = "print(sorted(m[len('alignkit.'):] for m in sys.modules if m.startswith('alignkit.')))\n"
+
+
 @pytest.mark.parametrize("module", ["alignkit", "alignkit.cli"])
 def test_import_does_not_load_numpy(module):
     out = run_python(f"import sys, {module}; print('numpy' in sys.modules)")
     assert out == "False\n"
+
+
+def test_the_package_loads_no_submodule():
+    assert run_python("import sys, alignkit\n" + LOADED) == "[]\n"
 
 
 def test_model_modules_do_not_load_the_process_pool():
@@ -94,6 +103,43 @@ def test_post_stage_does_not_load_numpy(toy_files, argv):
     )
     assert out == "0 False\n"
     assert (toy_files / "out.txt").read_text(encoding="utf-8")
+
+
+POST_STAGE_MODULES = {
+    "symmetrize": ["alignment", "cli", "errors"],
+    "eval": ["alignment", "cli", "errors", "evaluation"],
+    "extract-phrases": ["alignment", "cli", "corpus", "errors", "phrases"],
+}
+
+
+@pytest.mark.parametrize("stage", POST_STAGE_MODULES)
+def test_post_stage_loads_only_its_own_modules(toy_files, stage):
+    out = run_python(
+        "import sys\n"
+        "from alignkit import cli\n"
+        f"assert cli.main({POST_STAGES[stage] + ['--output', 'out.txt']!r}) == 0\n" + LOADED,
+        cwd=toy_files,
+    )
+    assert out == f"{POST_STAGE_MODULES[stage]}\n"
+
+
+@pytest.mark.parametrize("model, loaded", [
+    ("model1", ["model1"]), ("model2", ["model1", "model2"]), ("hmm", ["hmm"]),
+])
+def test_train_and_align_load_only_the_model_they_run(toy_files, model, loaded):
+    for argv in (
+        ["train", "--model", model, "--bitext", "bitext.txt", "--output", "toy.model",
+         "--iters", "1", "--quiet"],
+        ["align", "--model-file", "toy.model", "--bitext", "bitext.txt", "--output", "out.al"],
+    ):
+        out = run_python(
+            "import sys\n"
+            "from alignkit import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print([m for m in ('model1', 'model2', 'hmm') if 'alignkit.' + m in sys.modules])\n",
+            cwd=toy_files,
+        )
+        assert out == f"{loaded}\n", argv
 
 
 def test_every_public_name_resolves_to_its_submodule_object():

@@ -119,7 +119,7 @@ class TestPhraseTable:
         assert table.forward(("a",), ("x",)) == 0.75
         assert table.forward(("a",), ("y",)) == 0.25
         assert table.inverse(("a",), ("x",)) == 1.0
-        assert table.counts[(("a",), ("x",))] == 3
+        assert table.counts[("a", "x")] == 3
 
     def test_forward_distribution_sums_to_one_per_source(self):
         a = aset({(0, 0), (1, 1)}, 2, 2)
@@ -128,10 +128,10 @@ class TestPhraseTable:
             (["a", "b"], ["x", "z"], a),
         ]
         table = build_phrase_table(records)
-        sources = set(table.src_marginals)
-        for src in sources:
+        assert set(table.src_marginals) == {"a", "b", "a b"}
+        for src in table.src_marginals:
             total = sum(
-                table.forward(s, t) for (s, t) in table.counts if s == src
+                table.forward(s.split(), t.split()) for (s, t) in table.counts if s == src
             )
             assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -181,7 +181,35 @@ class TestPhraseTable:
         out = io.StringIO()
         write_phrase_table(table, out)
         assert out.getvalue() == text
-        assert table.counts == counts
-        assert table.src_marginals == src_totals
-        assert table.tgt_marginals == tgt_totals
+        joined = lambda tokens: " ".join(tokens)
+        assert table.counts == {(joined(s), joined(t)): c for (s, t), c in counts.items()}
+        assert table.src_marginals == {joined(s): c for s, c in src_totals.items()}
+        assert table.tgt_marginals == {joined(t): c for t, c in tgt_totals.items()}
         assert repr(1 / 3) in text and repr(2 / 7) in text
+
+    @pytest.mark.parametrize("tokens", [
+        ["a", "b", "ab", "a-", "bé", "é"],
+        ["a", "b", "ab", "a\x01", "x\x01", "x", "\x00", "a\x00", "a\x1b", "a\t", "\x1f"],
+    ], ids=["shared-prefixes", "control-characters"])
+    def test_bytes_match_the_token_tuple_reference(self, tokens):
+        # Phrases such as `a b`, `ab` and `a\x01` sort apart by tokens, so
+        # the written order is that of the token tuples whatever the tokens.
+        rng = random.Random(7)
+        records, reference_records = [], []
+        for _ in range(80):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            src = [rng.choice(tokens) for _ in range(m)]
+            tgt = [rng.choice(tokens) for _ in range(n)]
+            links = {(j, i) for j in range(m) for i in range(n) if rng.random() < 0.3}
+            records.append((src, tgt, aset(links, m, n)))
+            reference_records.append((src, tgt, links))
+        *_, text = oracles.phrase_table_brute(reference_records, max_len=3)
+        out = io.StringIO()
+        write_phrase_table(build_phrase_table(records, max_len=3), out)
+        assert out.getvalue() == text
+        assert text.count("\n") > 100
+
+    def test_a_token_holding_a_space_is_rejected(self):
+        # Its text would merge with the phrase of the two tokens around it.
+        with pytest.raises(ValueError, match="space"):
+            build_phrase_table([(["a b"], ["x"], aset({(0, 0)}, 1, 1))])
