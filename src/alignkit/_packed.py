@@ -28,19 +28,21 @@ A training run packs its corpus once, in a ChunkRunner. Model training
 starts from uniform_start: one sort of the corpus cells' (e, f) keys
 gives both the uniform start table and every cell's slot in it, so the
 runner lays the chunks out without looking a cell up; a runner on any
-other table looks the cells up with table.slots. The runner maps
-the driver over the chunks, in process or on one fork pool started on
-first use and kept for the whole run; where fork is unavailable the
-chunks run in process. A corpus of one chunk starts no pool. On corpora of
-two to four chunks a 2-worker pool trained no faster than one process on a
-2-vCPU machine, and slower on a 2.25M-slot table: each task carries all of
-theta out and a dense count vector back. Results come back, and are
+other table looks the cells up with table.slots. The runner maps the
+driver over the chunks, in process for one worker or one chunk, and
+otherwise on a thread pool that lives for the one map call. The threads
+share the packed corpus and theta, so nothing is copied or pickled, and
+numpy releases the GIL in much of a chunk's array work. A pass writes
+only its own chunk's cells and reads the layout without changing it;
+prior_cells memoizes without a lock, so lexical_step builds it before
+the threads start; an errstate a pass sets holds in its own thread only,
+since numpy keeps errstate per context. Results come back, and are
 merged, in ascending chunk order. The chunks never depend on the worker
 count, so the merges add the same partial sums in the same order and
-results are bitwise identical no matter how many processes run the
-chunks; a worker that dies ends the run with WorkerDiedError. run_em is
-the one iteration loop: it writes the per-iteration log-likelihood line
-and warns when an iteration lowers the likelihood, which EM never does.
+results are bitwise identical no matter how many threads run the
+chunks. run_em is the one iteration loop: it writes the per-iteration
+log-likelihood line and warns when an iteration lowers the likelihood,
+which EM never does.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Protocol, TextIO
 import numpy as np
 
 from .corpus import Bitext, SentencePair
-from .errors import NumericError, WorkerDiedError
+from .errors import NumericError
 from .ttable import NULL_ID, TranslationTable, distinct_sorted
 
 CHUNK_CELLS = 1 << 20  # cap on the cells m * (n + NULL) of a chunk's pairs
@@ -308,25 +310,9 @@ def _lexical_pass(packed: PackedCorpus, g: Group, block: np.ndarray, uniform: bo
     return ll, []
 
 
-_WORKER_PACKED: Optional[PackedCorpus] = None  # set in each pool worker
-
-
-def _worker_init(packed: PackedCorpus) -> None:
-    global _WORKER_PACKED
-    _WORKER_PACKED = packed
-
-
-def _worker_chunk(task):
-    fn, c, args = task
-    return fn(_WORKER_PACKED, c, *args)
-
-
 class ChunkRunner:
-    """Packs a bitext once and maps chunk functions over its fixed chunks.
-
-    The pool is created lazily on the first parallel call and must be
-    closed via the context-manager protocol or close().
-    """
+    """Packs a bitext once and maps chunk functions over its fixed chunks,
+    on up to jobs threads, one per chunk at most."""
 
     def __init__(
         self,
@@ -339,14 +325,6 @@ class ChunkRunner:
         self.table = table
         self.packed = PackedCorpus(bitext, table, use_null, exact)
         self.jobs = max(1, min(jobs, len(self.packed.chunks)))
-        if self.jobs > 1:
-            # Imported only where a pool can start: a run of one chunk, and
-            # every align, would pay about 2.6 ms for it.
-            import multiprocessing
-
-            if "fork" not in multiprocessing.get_all_start_methods():
-                self.jobs = 1
-        self._pool = None
 
     @classmethod
     def uniform(cls, bitext: Bitext, use_null: bool, jobs: int = 1) -> ChunkRunner:
@@ -354,48 +332,18 @@ class ChunkRunner:
         table, exact = uniform_start(bitext, use_null)
         return cls(bitext, table, use_null, jobs, exact)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
     def map(self, fn: Callable, *args) -> list:
-        """fn(packed, c, *args) for every chunk c, in ascending chunk order.
-
-        fn must be a module-level function, so that a worker can unpickle it.
-        """
+        """fn(packed, c, *args) for every chunk c, in ascending chunk order;
+        the first chunk's error, in chunk order, is the one raised."""
         chunks = range(len(self.packed.chunks))
         if self.jobs == 1:
             return [fn(self.packed, c, *args) for c in chunks]
-        # Imported here: it costs a command about 8 ms of start-up, and most
+        # Imported here: it costs a command about 3 ms of start-up, and most
         # runs are one chunk and start no pool.
-        import multiprocessing
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-        if self._pool is None:
-            # Workers inherit the packed corpus through fork; only the
-            # per-call arguments are pickled.
-            self._pool = ProcessPoolExecutor(
-                self.jobs,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_worker_init,
-                initargs=(self.packed,),
-            )
-        tasks = [(fn, c, args) for c in chunks]
-        try:
-            return list(
-                self._pool.map(_worker_chunk, tasks, chunksize=max(1, len(tasks) // self.jobs))
-            )
-        except BrokenExecutor:
-            raise WorkerDiedError(
-                "a worker process died before finishing its chunk; rerun with --jobs 1"
-            ) from None
+        with ThreadPoolExecutor(self.jobs) as pool:
+            return list(pool.map(lambda c: fn(self.packed, c, *args), chunks))
 
 
 def run_em(step: Callable, state, iterations: int, log_to: Optional[TextIO] = None):
@@ -423,7 +371,7 @@ def lexical_step(
     without a prior and Model 2 with one: the re-estimated table and the
     log-likelihood of the input table."""
     if prior is not None:
-        runner.packed.prior_cells(prior)  # laid out before any worker forks
+        runner.packed.prior_cells(prior)  # memoized without a lock: built before the threads
     counts = np.zeros(len(table))
     ll = 0.0
     parts = runner.map(_chunk_counts, table.theta, prior, _lexical_pass, prior is None)
@@ -439,8 +387,7 @@ def train_lexical(
     prior: Optional[PriorProvider] = None,
     log_to: Optional[TextIO] = None,
 ) -> tuple[TranslationTable, list[float]]:
-    """Lexical EM from the runner's table, closing the runner; returns the
-    final table and the trace."""
-    with runner:
-        step = lambda table: lexical_step(runner, table, prior)
-        return run_em(step, runner.table, iterations, log_to)
+    """Lexical EM from the runner's table; returns the final table and the
+    trace."""
+    step = lambda table: lexical_step(runner, table, prior)
+    return run_em(step, runner.table, iterations, log_to)

@@ -3,8 +3,8 @@
 Subcommands compose through files (or stdin/stdout for `align` and
 `symmetrize`): synth | train | align | symmetrize | eval |
 extract-phrases | project. Every run is a pure function of its flags,
-input files, and seed; repeated runs with a fixed worker count are
-bitwise identical.
+input files, and seed; repeated runs are bitwise identical, whatever
+--jobs is.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data/format
 error, 3 numeric failure.
@@ -469,7 +469,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
         "--jobs",
         type=int,
         default=_default_jobs(),
-        help="worker processes (default: all cores); results do not depend on it",
+        help="worker threads (default: all cores); results do not depend on it",
     )
     p.add_argument(
         "--quiet", action="store_true", help="suppress per-iteration log-likelihoods"

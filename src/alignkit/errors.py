@@ -1,8 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
 Each error carries the exit code the CLI ends with when it stops on it:
-ConfigError -> 1, DataFormatError (and subclasses) -> 2, NumericError and
-WorkerDiedError -> 3.
+ConfigError -> 1, DataFormatError (and subclasses) -> 2, NumericError -> 3.
 """
 
 from typing import Sequence
@@ -36,12 +35,6 @@ class DimensionMismatchError(DataFormatError):
 
 class NumericError(AlignkitError):
     """A numeric failure (zero normalizer, non-finite value) during training."""
-
-    exit_code = 3
-
-
-class WorkerDiedError(AlignkitError):
-    """A training worker process ended before returning its chunk."""
 
     exit_code = 3
 

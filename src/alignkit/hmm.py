@@ -131,6 +131,8 @@ class HmmConfig:
             raise ConfigError(f"null transition mass must be in [0, 1), got {self.p0}")
 
 
+# Filled from the E-step's threads without a lock: two threads that miss
+# the same key store equal arrays, so either store may win.
 _CLIP_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
@@ -434,8 +436,7 @@ def baum_welch_step(
     """One forward-backward pass over the corpus; returns updated params and
     the corpus log-likelihood (sum of log partition values) of the input.
     config is not read: params hold the whole model."""
-    with ChunkRunner(bitext, params.table, params.use_null, jobs) as runner:
-        return _bw_iteration(runner, params)
+    return _bw_iteration(ChunkRunner(bitext, params.table, params.use_null, jobs), params)
 
 
 def _bw_iteration(runner: ChunkRunner, params: HmmParams) -> tuple[HmmParams, float]:
@@ -453,15 +454,15 @@ def train(
     log_to: Optional[TextIO] = None,
 ) -> tuple[HmmParams, list[float]]:
     """Warm up the lexical table with a few silent Model 1 iterations and
-    uniform jumps, then run Baum-Welch on the same packed corpus and
-    workers, writing its trace to log_to when given. With iterations=0
-    the warmed-up params are returned."""
-    with ChunkRunner.uniform(bitext, config.use_null, jobs) as runner:
-        warm_up = lambda table: lexical_step(runner, table)
-        table, _ = run_em(warm_up, runner.table, config.model1_iterations)
-        start = HmmParams(table, uniform_jumps(config.w, config.p0), config.use_null)
-        step = lambda params: _bw_iteration(runner, params)
-        return run_em(step, start, config.iterations, log_to)
+    uniform jumps, then run Baum-Welch on the same packed corpus, writing
+    its trace to log_to when given. With iterations=0 the warmed-up params
+    are returned."""
+    runner = ChunkRunner.uniform(bitext, config.use_null, jobs)
+    warm_up = lambda table: lexical_step(runner, table)
+    table, _ = run_em(warm_up, runner.table, config.model1_iterations)
+    start = HmmParams(table, uniform_jumps(config.w, config.p0), config.use_null)
+    step = lambda params: _bw_iteration(runner, params)
+    return run_em(step, start, config.iterations, log_to)
 
 
 def align_corpus(bitext: Bitext, params: HmmParams) -> list[AlignmentFunction]:

@@ -82,16 +82,16 @@ def leave_nan_in_freed_memory():
 
 @pytest.fixture
 def pools(monkeypatch) -> list[int]:
-    """The worker count of each process pool that training starts while
-    the test runs, in start order."""
+    """The worker count of each thread pool that training starts while
+    the test runs, in start order: one pool per parallel map call."""
     started = []
 
-    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+    class RecordedPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
     return started
 
 
@@ -101,9 +101,9 @@ def pools(monkeypatch) -> list[int]:
 _acceptance: dict[str, str] = {}
 
 # Criterion 10's corpus is one chunk at the default CHUNK_CELLS, so its
-# jobs=2 runs start no pool. These tests lower the cap, assert that a real
-# 2-worker pool started, and compare its results with one process; their
-# verdicts are printed under criterion 10.
+# jobs=2 runs start no pool. These tests lower the cap, assert that every
+# EM step ran its chunks on 2 threads, and compare the results with an
+# in-process run; their verdicts are printed under criterion 10.
 POOL_GUARDS = {
     "test_determinism": (
         "tests/test_hmm.py::TestGroupedPasses::test_results_do_not_depend_on_jobs",
@@ -133,4 +133,4 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             runs = [o for nodeid, o in _guards.items() if nodeid.startswith(guard)]
             verdict = "PASS" if all(o == "passed" for o in runs) else "FAIL"
             verdict = verdict if runs else "NOT RUN"
-            terminalreporter.write_line(f"    across a real pool, {guard}: {verdict}")
+            terminalreporter.write_line(f"    on 2 threads, {guard}: {verdict}")

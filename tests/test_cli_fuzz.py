@@ -104,7 +104,7 @@ MODEL_READERS = {
 }
 MODEL_FRAGMENTS = [*FRAGMENTS, "hmm", "model2", ".", "das ||| the"]
 # iters, init_iters and jobs are left out: a huge value there is a long run
-# or many processes, not an error.
+# or many threads, not an error.
 MODEL_KEYS = [
     "model", "w", "p0", "lambda", "lam", "use_null", "no_null", "max_vocab",
     "lowercase", "reverse", "quiet", "source_vocab", "bogus", "",

@@ -43,12 +43,12 @@ def test_the_package_loads_no_submodule():
     assert run_python("import sys, alignkit\n" + LOADED) == "[]\n"
 
 
-def test_model_modules_do_not_load_the_process_pool():
+def test_model_modules_do_not_load_a_worker_pool():
     # A run of one chunk starts no pool, so train and align should not pay
     # for importing one.
     out = run_python(
-        "import sys, alignkit.hmm, alignkit.model2\n"
-        "print('concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)\n"
+        "import sys, alignkit.cli, alignkit.model1, alignkit.model2, alignkit.hmm\n"
+        "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)\n"
     )
     assert out == "False False\n"
 

@@ -1,11 +1,5 @@
 import io
 import logging
-import multiprocessing
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,8 +100,8 @@ class TestUniformStart:
         expected = TranslationTable(
             {e: {f: 1.0 / len(fs) for f in fs} for e, fs in cooccurring.items()}
         )
-        with _packed.ChunkRunner.uniform(bitext, use_null) as runner:
-            packed = runner.packed
+        runner = _packed.ChunkRunner.uniform(bitext, use_null)
+        packed = runner.packed
         looked_up = _packed.PackedCorpus(bitext, expected, use_null)
         for table in (runner.table, init_uniform(bitext, use_null)):
             for attr in ("es", "fs", "theta"):
@@ -422,59 +416,19 @@ class TestWorkers:
         monkeypatch.setattr(_packed, "CHUNK_CELLS", 4)
         bt = make_bitext([([1], [1])] * 5)  # two cells a pair with NULL: three chunks
         table = init_uniform(bt, use_null=True)
-        # Only map() starts processes, so no worker runs here.
-        fork = "fork" in multiprocessing.get_all_start_methods()
         for jobs, workers in ((64, 3), (2, 2), (1, 1), (0, 1)):
-            with _packed.ChunkRunner(bt, table, True, jobs) as runner:
-                assert runner.jobs == (workers if fork else 1)
+            runner = _packed.ChunkRunner(bt, table, True, jobs)
+            assert runner.jobs == workers
 
-    def test_chunks_run_in_process_where_fork_is_unavailable(self, monkeypatch, pools):
-        monkeypatch.setattr(_packed, "CHUNK_CELLS", 200)  # several chunks
-        rng = np.random.default_rng(11)
-        bt = random_id_bitext(rng, n_pairs=120, vocab=30, max_len=5)
-        config = Model1Config(iterations=2)
-        table1, trace1 = train(bt, config, jobs=1)
-
-        # As on Windows: fork is neither listed nor obtainable.
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.delitem(multiprocessing.context._concrete_contexts, "fork")
-        table2, trace2 = train(bt, config, jobs=2)
-        assert table2.rows == table1.rows
-        assert trace2 == trace1
-        assert len(_packed.PackedCorpus(bt, table1, True).chunks) > 1
-        assert pools == []
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork pool"
-    )
-    def test_a_dead_worker_ends_the_run(self):
-        # In a subprocess with a timeout, so that a pool waiting forever on
-        # its dead worker fails the test instead of hanging the suite.
-        script = textwrap.dedent("""
-            import os, signal
-            from alignkit import _packed
-            from alignkit.corpus import Bitext, SentencePair
-            from alignkit.errors import AlignkitError
-            from alignkit.model1 import init_uniform
-
-            def kill_own_worker(packed, c):
-                os.kill(os.getpid(), signal.SIGKILL)
-
-            _packed.CHUNK_CELLS = 2  # one pair a chunk
-            bitext = Bitext([SentencePair((1,), (1,))] * 4)
-            with _packed.ChunkRunner(bitext, init_uniform(bitext), True, 2) as runner:
-                try:
-                    runner.map(kill_own_worker)
-                except AlignkitError as exc:
-                    print(type(exc).__name__, exc.exit_code, exc)
-        """)
-        src = str(Path(_packed.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONPATH=path)
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        name, code, message = done.stdout.strip().split(" ", 2)
-        assert (name, code) == ("WorkerDiedError", "3")
-        assert "worker process died" in message
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_first_failing_chunk_wins_across_threads(self, monkeypatch, pools, jobs):
+        # One pair a chunk. Source word 3 has no mass under any row: pair 2
+        # fails, and so does pair 4, whose chunk a second thread may finish
+        # first; the error names pair 2 either way.
+        monkeypatch.setattr(_packed, "CHUNK_CELLS", 2)
+        table = TranslationTable({5: {1: 0.5, 2: 0.5}, 6: {1: 0.5, 2: 0.5}})
+        bitext = make_bitext([((1, 2), (5,)), ((1, 3), (5,)), ((2, 1), (6,)), ((3, 3, 3), (5, 6))])
+        with pytest.raises(NumericError) as caught:
+            em_step(bitext, table, NO_NULL, jobs=jobs)
+        assert str(caught.value).startswith("pair 2: ")
+        assert pools == ([2] if jobs == 2 else [])
