@@ -36,18 +36,20 @@ numpy releases the GIL in much of a chunk's array work. A pass writes
 only its own chunk's cells and reads the layout without changing it;
 prior_cells memoizes without a lock, so lexical_step builds it before
 the threads start; an errstate a pass sets holds in its own thread only,
-since numpy keeps errstate per context. Results come back, and are
-merged, in ascending chunk order. The chunks never depend on the worker
-count, so the merges add the same partial sums in the same order and
-results are bitwise identical no matter how many threads run the
-chunks. run_em is the one iteration loop: it writes the per-iteration
-log-likelihood line and warns when an iteration lowers the likelihood,
-which EM never does.
+since numpy keeps errstate per context. Results come back one at a
+time, in ascending chunk order, and are merged as they come, so a run
+holds at most jobs chunks' counts besides their sum. The chunks never
+depend on the worker count, so the merges add the same partial sums in
+the same order and results are bitwise identical no matter how many
+threads run the chunks. run_em is the one iteration loop: it writes
+the per-iteration log-likelihood line and warns when an iteration lowers
+the likelihood, which EM never does.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import deque
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Optional, Protocol, TextIO
 
@@ -332,18 +334,29 @@ class ChunkRunner:
         table, exact = uniform_start(bitext, use_null)
         return cls(bitext, table, use_null, jobs, exact)
 
-    def map(self, fn: Callable, *args) -> list:
-        """fn(packed, c, *args) for every chunk c, in ascending chunk order;
-        the first chunk's error, in chunk order, is the one raised."""
+    def map(self, fn: Callable, *args) -> Iterator:
+        """Yields fn(packed, c, *args) for every chunk c, in ascending chunk
+        order; the first chunk's error, in chunk order, is the one raised.
+        Chunk c + jobs starts only once the caller has taken chunk c, so a
+        caller that merges each result as it comes holds at most jobs of
+        them at once."""
         chunks = range(len(self.packed.chunks))
         if self.jobs == 1:
-            return [fn(self.packed, c, *args) for c in chunks]
+            for c in chunks:
+                yield fn(self.packed, c, *args)
+            return
         # Imported here: it costs a command about 3 ms of start-up, and most
         # runs are one chunk and start no pool.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(self.jobs) as pool:
-            return list(pool.map(lambda c: fn(self.packed, c, *args), chunks))
+            ahead = deque()
+            for c in chunks:
+                ahead.append(pool.submit(fn, self.packed, c, *args))
+                if len(ahead) == self.jobs:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
 
 
 def run_em(step: Callable, state, iterations: int, log_to: Optional[TextIO] = None):
@@ -375,7 +388,7 @@ def lexical_step(
     counts = np.zeros(len(table))
     ll = 0.0
     parts = runner.map(_chunk_counts, table.theta, prior, _lexical_pass, prior is None)
-    for part_counts, reports in parts:
+    for part_counts, reports in parts:  # merged as they come, in chunk order
         counts += part_counts
         ll += sum(reports)
     return table.normalized(counts), ll

@@ -12,11 +12,21 @@ error, 3 numeric failure.
 Options may also come from a flat `key=value` config file (one pair per
 line, `#` comments); explicit flags take precedence and environment
 variables are never consulted.
+
+A command process (`python -m alignkit.cli`, or the `alignkit` script)
+enters through run(), which runs main() with the cyclic garbage collector
+off and then ends the process without interpreter teardown. The process
+ends as soon as its command returns, so a collection during the command
+and the freeing of every object it built would both be wasted work: the
+objects a command builds hold no cycles that grow with its input. main()
+itself leaves the collector alone, so library callers and tests keep
+ordinary interpreter behaviour.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import logging
 import os
@@ -305,6 +315,11 @@ def cmd_eval(args) -> int:
         log.warning(
             "%d hypothesis sentences had no gold annotation and were skipped",
             len(report.skipped_hypotheses),
+        )
+    if report.missing_hypotheses:
+        log.warning(
+            "%d gold sentences had no hypothesis line and were not scored",
+            len(report.missing_hypotheses),
         )
     return 0
 
@@ -626,5 +641,25 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry point: main() with the cyclic GC off, then the
+    final flushes and os._exit, which skips interpreter teardown. A flush
+    that fails exits as main maps the error: 0 for a broken pipe, else 2
+    with the error on stderr. An exception escaping main takes the normal
+    interpreter path."""
+    gc.disable()
+    code = main()
+    logging.shutdown()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 0
+    except OSError as exc:
+        print(f"alignkit: error: {exc}", file=sys.stderr, flush=True)
+        code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -205,16 +205,19 @@ def read_ttable(lines: Iterable[str]) -> tuple[TranslationTable, list[str]]:
 
     Blank lines are skipped. The trailer is the run of lines at the end
     whose first field is not an integer; all lines before it are rows.
+    Lines may end in "\n". np.loadtxt ignores it in the rows, so only the
+    header, the trailer and the lines an error names are stripped.
     """
-    lines = [raw.rstrip("\n") for raw in lines]
+    if not isinstance(lines, list):
+        lines = list(lines)
     if not lines:
         raise DataFormatError("empty model file")
-    if lines[0] != HEADER:
+    if _bare(lines[0]) != HEADER:
         raise DataFormatError(f"model file must start with {HEADER!r}")
     end = len(lines)
-    while end > 1 and (not lines[end - 1] or not _is_int(lines[end - 1].split("\t", 1)[0])):
+    while end > 1 and not _is_row(lines[end - 1]):
         end -= 1
-    trailer = [line for line in lines[end:] if line]
+    trailer = [line for line in map(_bare, lines[end:]) if line]
     block = lines[1:end]
     try:
         entries = _parse_rows(block)
@@ -225,7 +228,7 @@ def read_ttable(lines: Iterable[str]) -> tuple[TranslationTable, list[str]]:
     ok[1:] &= (e[1:] > e[:-1]) | ((e[1:] == e[:-1]) & (f[1:] > f[:-1]))
     if not ok.all():
         k = int(np.argmin(ok))
-        where = f"model line {np.flatnonzero([bool(line) for line in block])[k] + 2}"
+        where = f"model line {np.flatnonzero([bool(_bare(line)) for line in block])[k] + 2}"
         if not 0.0 <= p[k] <= 1.0:
             raise DataFormatError(f"{where}: probability {float(p[k])} out of range")
         raise DataFormatError(f"{where}: ({e[k]}, {f[k]}) is not after ({e[k-1]}, {f[k-1]})")
@@ -234,7 +237,7 @@ def read_ttable(lines: Iterable[str]) -> tuple[TranslationTable, list[str]]:
 
 def _parse_rows(block: list[str]) -> np.ndarray:
     """e, f, p records of `e<TAB>f<TAB>p` lines; blank lines are skipped."""
-    if not any(block):
+    if not any(map(_bare, block)):
         return np.empty(0, dtype=_ROW_DTYPE)
     return np.loadtxt(block, delimiter="\t", dtype=_ROW_DTYPE, comments=None, ndmin=1)
 
@@ -249,12 +252,23 @@ def _first_row_error(block: list[str]) -> DataFormatError:
             lo = mid
         except ValueError:
             hi = mid
-    if not _is_int(block[lo].split("\t", 1)[0]):  # a trailer line; table rows follow
-        lo = next(k for k in range(lo + 1, len(block)) if _is_int(block[k].split("\t", 1)[0]))
+    if not _is_row(block[lo]):  # a trailer line; table rows follow
+        lo = next(k for k in range(lo + 1, len(block)) if _is_row(block[k]))
         return DataFormatError(f"model line {lo + 2}: table row after trailer")
     return DataFormatError(
-        f"model line {lo + 2}: expected e<TAB>f<TAB>prob (int, int, float), got {block[lo]!r}"
+        f"model line {lo + 2}: expected e<TAB>f<TAB>prob (int, int, float), got "
+        f"{_bare(block[lo])!r}"
     )
+
+
+def _bare(line: str) -> str:
+    """line without its trailing newline, if it has one."""
+    return line.rstrip("\n")
+
+
+def _is_row(line: str) -> bool:
+    """Whether line's first field is an integer, as a table row's is."""
+    return _is_int(_bare(line).split("\t", 1)[0])
 
 
 def _is_int(text: str) -> bool:

@@ -353,6 +353,26 @@ class TestEval:
         assert float(rows["aer"]) == pytest.approx(1 / 3)
         assert rows["evaluated"] == "1"
 
+    @pytest.mark.parametrize("hypotheses, missing", [("", 3), ("1-1\n", 2), ("1-1\n\n\n", 0)])
+    def test_gold_sentences_without_a_hypothesis_are_reported(
+        self, tmp_path, capsys, caplog, hypotheses, missing
+    ):
+        # A truncated hypothesis file scores only the sentences it has, so
+        # an empty one reads as perfect: the warning is the only notice.
+        (tmp_path / "hyp.txt").write_text(hypotheses, encoding="utf-8")
+        (tmp_path / "gold.txt").write_text("1 2 2 S\n2 1 1 S\n3 1 1 P\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            assert cli.main([
+                "eval", "--hypothesis", str(tmp_path / "hyp.txt"),
+                "--gold", str(tmp_path / "gold.txt"), "--tsv",
+            ]) == 0
+        rows = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+        assert rows["missing_hypotheses"] == str(missing)
+        assert rows["evaluated"] == str(3 - missing)
+        warnings = [r.getMessage() for r in caplog.records if "no hypothesis" in r.getMessage()]
+        expected = f"{missing} gold sentences had no hypothesis line and were not scored"
+        assert warnings == ([expected] if missing else [])
+
 
 class TestExtractPhrases:
     def test_writes_a_phrase_table(self, tmp_path, capsys):

@@ -421,6 +421,30 @@ class TestWorkers:
             assert runner.jobs == workers
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_are_taken_one_chunk_at_a_time(self, monkeypatch, jobs):
+        # A caller that merges each result as it comes holds at most jobs
+        # of them: no chunk starts more than jobs - 1 ahead of the one
+        # being taken, so at jobs=1 chunk c + 1 runs only after the caller
+        # has taken chunk c's result.
+        monkeypatch.setattr(_packed, "CHUNK_CELLS", 4)
+        bt = make_bitext([([1], [1])] * 9)  # two cells a pair with NULL: five chunks
+        runner = _packed.ChunkRunner(bt, init_uniform(bt, use_null=True), True, jobs)
+        assert len(runner.packed.chunks) == 5 and runner.jobs == jobs
+        started, taken = [], []
+
+        def fn(packed, c):
+            started.append(c)
+            return c
+
+        for c in runner.map(fn):
+            taken.append((c, max(started)))
+        assert sorted(started) == list(range(5))
+        assert [c for c, _ in taken] == list(range(5))
+        assert all(ahead <= c + jobs - 1 for c, ahead in taken)
+        if jobs == 1:
+            assert started == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_the_first_failing_chunk_wins_across_threads(self, monkeypatch, pools, jobs):
         # One pair a chunk. Source word 3 has no mass under any row: pair 2
         # fails, and so does pair 4, whose chunk a second thread may finish

@@ -127,6 +127,36 @@ class TestModelFileFormat:
         with pytest.raises(DataFormatError, match=message):
             read_ttable(lines)
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["alignkit-ttable v1", "", "1\t1\t0.5", "", "1\t4\t0.5", "", "diag\t4.0\t0.08", ""],
+            ["alignkit-ttable v1", "", ""],
+            [],
+            ["1\t2\t0.5"],
+            ["alignkit-ttable v1", "1\t1\t0.5", "", "1\t2", "diag\t4.0\t0.08"],
+            ["alignkit-ttable v1", "1\t1\t0.5", "", "diag\t4.0\t0.08", "1\t3\t0.5", "hmm"],
+            ["alignkit-ttable v1", "2\t1\t0.5", "", "1\t2\t0.5"],
+            ["alignkit-ttable v1", "1\t1\t0.5", "", "1\t3\t2.5"],
+        ],
+    )
+    def test_lines_with_and_without_newlines_read_alike(self, lines):
+        # A model file's lines come split (from the CLI) or as a file
+        # yields them; the table, the trailer and every error message,
+        # model line numbers included, must not depend on which.
+        def outcome(given):
+            try:
+                table, trailer = read_ttable(given)
+            except DataFormatError as exc:
+                return str(exc)
+            return entries(table), trailer
+
+        text = "".join(line + "\n" for line in lines)
+        expected = outcome(lines)
+        assert outcome([line + "\n" for line in lines]) == expected
+        assert outcome(io.StringIO(text)) == expected
+        assert outcome(text.splitlines()) == expected
+
 
 class TestSlots:
     def test_ids_outside_the_table_miss_instead_of_aliasing(self):
