@@ -47,6 +47,17 @@ class AlignmentSet:
                     f"link ({j},{i}) out of bounds for {self.m}x{self.n} pair"
                 )
 
+    @classmethod
+    def _derived(cls, links: frozenset[Link], m: int, n: int) -> AlignmentSet:
+        """A set over links that were checked against bounds no larger
+        than (m, n) when the set they came from was built, so
+        __post_init__'s per-link check is skipped."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "links", links)
+        object.__setattr__(a, "m", m)
+        object.__setattr__(a, "n", n)
+        return a
+
     def sorted_links(self) -> list[Link]:
         return sorted(self.links)
 
@@ -76,9 +87,7 @@ def to_set(func: AlignmentFunction) -> AlignmentSet:
 
 
 def transpose(a: AlignmentSet) -> AlignmentSet:
-    return AlignmentSet(
-        links=frozenset((i, j) for j, i in a.links), m=a.n, n=a.m
-    )
+    return AlignmentSet._derived(frozenset((i, j) for j, i in a.links), a.n, a.m)
 
 
 def _check_dims(fwd: AlignmentSet, rev: AlignmentSet) -> None:
@@ -90,12 +99,12 @@ def _check_dims(fwd: AlignmentSet, rev: AlignmentSet) -> None:
 
 def intersect(fwd: AlignmentSet, rev: AlignmentSet) -> AlignmentSet:
     _check_dims(fwd, rev)
-    return AlignmentSet(links=fwd.links & rev.links, m=fwd.m, n=fwd.n)
+    return AlignmentSet._derived(fwd.links & rev.links, fwd.m, fwd.n)
 
 
 def union(fwd: AlignmentSet, rev: AlignmentSet) -> AlignmentSet:
     _check_dims(fwd, rev)
-    return AlignmentSet(links=fwd.links | rev.links, m=fwd.m, n=fwd.n)
+    return AlignmentSet._derived(fwd.links | rev.links, fwd.m, fwd.n)
 
 
 def grow_diag_final(
@@ -115,17 +124,22 @@ def grow_diag_final(
     finished. Availability is judged against the post-growing state for
     every candidate, which keeps the "final-and" result a subset of the
     "final" result.
+
+    Both steps add only union links, so once all of them are aligned,
+    which holds from the start when the inputs are equal, neither step
+    has work left and neither runs.
     """
     if variant not in GDF_VARIANTS:
         raise DataFormatError(f"unknown grow-diag-final variant: {variant!r}")
     _check_dims(fwd, rev)
     both = fwd.links | rev.links
     aligned = set(fwd.links & rev.links)
+    left = len(both) - len(aligned)  # union links not yet aligned
     rows = {j for j, _ in aligned}
     cols = {i for _, i in aligned}
 
     changed = True
-    while changed:
+    while changed and left:
         changed = False
         for j, i in sorted(aligned):
             for dj, di in NEIGHBORS:
@@ -137,18 +151,22 @@ def grow_diag_final(
                     rows.add(cand[0])
                     cols.add(cand[1])
                     changed = True
+                    left -= 1
+            if not left:
+                break
 
-    grown_rows = frozenset(rows)
-    grown_cols = frozenset(cols)
-    for j, i in sorted(fwd.links) + sorted(rev.links):
-        if (j, i) in aligned:
-            continue
-        row_free = j not in grown_rows
-        col_free = i not in grown_cols
-        ok = (row_free and col_free) if variant == "final-and" else (row_free or col_free)
-        if ok:
-            aligned.add((j, i))
-    return AlignmentSet(links=frozenset(aligned), m=fwd.m, n=fwd.n)
+    if left:
+        grown_rows = frozenset(rows)
+        grown_cols = frozenset(cols)
+        for j, i in sorted(fwd.links) + sorted(rev.links):
+            if (j, i) in aligned:
+                continue
+            row_free = j not in grown_rows
+            col_free = i not in grown_cols
+            ok = (row_free and col_free) if variant == "final-and" else (row_free or col_free)
+            if ok:
+                aligned.add((j, i))
+    return AlignmentSet._derived(frozenset(aligned), fwd.m, fwd.n)
 
 
 HEURISTICS: dict[str, Callable[[AlignmentSet, AlignmentSet], AlignmentSet]] = {
@@ -214,6 +232,12 @@ def format_pharaoh_line(a: AlignmentSet) -> str:
     return " ".join(f"{j}-{i}" for j, i in a.sorted_links())
 
 
+def format_function_line(func: AlignmentFunction) -> str:
+    """format_pharaoh_line(to_set(func)) without building the set: the
+    targets are in source order, with at most one link per position."""
+    return " ".join(f"{j}-{i}" for j, i in enumerate(func.targets) if i is not None)
+
+
 def write_pharaoh(alignments: Iterable[AlignmentSet], out: TextIO) -> None:
     for a in alignments:
         out.write(format_pharaoh_line(a) + "\n")
@@ -227,7 +251,4 @@ def harmonize_dims(fwd: AlignmentSet, rev: AlignmentSet) -> tuple[AlignmentSet, 
     """
     m = max(fwd.m, rev.m)
     n = max(fwd.n, rev.n)
-    return (
-        AlignmentSet(links=fwd.links, m=m, n=n),
-        AlignmentSet(links=rev.links, m=m, n=n),
-    )
+    return AlignmentSet._derived(fwd.links, m, n), AlignmentSet._derived(rev.links, m, n)

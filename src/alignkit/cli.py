@@ -30,9 +30,11 @@ import gc
 import importlib
 import logging
 import os
+import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
+from functools import partial
 from itertools import islice
 from typing import TextIO
 
@@ -42,11 +44,12 @@ from typing import TextIO
 from .alignment import (
     HEURISTICS,
     AlignmentSet,
+    format_function_line,
     format_pharaoh_line,
     harmonize_dims,
     read_pharaoh,
     symmetrize,
-    to_set,
+    to_set,  # not called here, but perfbench/tracing.py hooks the name
     transpose,
     write_pharaoh,
 )
@@ -104,13 +107,38 @@ def _open_in(path: str):
         raise DataFormatError(f"input is not UTF-8: {path}: {exc}") from None
 
 
+def _create(path: str) -> TextIO:
+    """path opened for writing, as a new file when it names a regular file
+    with one link: that file is unlinked first, and its permission bits
+    carry over. On ext4, truncating a file that was itself written by
+    truncation waits for its data to be flushed; unlinking it does not.
+    A symlink, a hard-linked file or a device is opened in place, and so
+    is a file whose directory refuses the unlink."""
+    try:
+        st = os.lstat(path)
+        fresh = stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+        if fresh:
+            os.unlink(path)
+    except OSError:
+        fresh = False
+    if not fresh:
+        return open(path, "w", encoding="utf-8")
+    # Created with the old bits less the umask's, so it is never open to
+    # more users than the old file was, then given the old bits in full.
+    mode = stat.S_IMODE(st.st_mode)
+    fh = open(path, "w", encoding="utf-8", opener=partial(os.open, mode=mode))
+    with suppress(OSError):  # a file system without permission bits
+        os.fchmod(fh.fileno(), mode)
+    return fh
+
+
 @contextmanager
 def _open_out(path: str):
     if path == "-":
         yield sys.stdout
         sys.stdout.flush()
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _create(path) as fh:
             yield fh
 
 
@@ -195,10 +223,12 @@ def cmd_train(args) -> int:
         params = replace(params, table=params.table.pruned())
     with _open_out(args.output) as out:
         model.save_model(out, params)
-    if args.output != "-":
-        with open(args.output + ".source-vocab", "w", encoding="utf-8") as fh:
+    # A model written to stdout or a device such as /dev/null has no
+    # directory entry of its own for align to find sidecars next to.
+    if args.output != "-" and os.path.isfile(args.output):
+        with _open_out(args.output + ".source-vocab") as fh:
             bitext.source_vocab.save(fh)
-        with open(args.output + ".target-vocab", "w", encoding="utf-8") as fh:
+        with _open_out(args.output + ".target-vocab") as fh:
             bitext.target_vocab.save(fh)
     return 0
 
@@ -269,7 +299,7 @@ def cmd_align(args) -> int:
     )
     links = [""] * len(lines)  # a line with an empty side stays blank
     for lineno, alignment in zip(bitext.line_numbers, decode(bitext)):
-        links[lineno - 1] = format_pharaoh_line(to_set(alignment))
+        links[lineno - 1] = format_function_line(alignment)
     with _open_out(args.output) as out:
         out.writelines(line + "\n" for line in links)
     unknown = sum(p.source_ids.count(UNK_ID) + p.target_ids.count(UNK_ID) for p in bitext)
@@ -438,7 +468,12 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p = sub("train", cmd_train, help="estimate an alignment model from a bitext")
     p.add_argument("--model", choices=("model1", "model2", "hmm"), default="model1")
     p.add_argument("--bitext", required=True, help="`source ||| target` lines, or -")
-    p.add_argument("--output", required=True, help="model file to write")
+    p.add_argument(
+        "--output",
+        required=True,
+        help="model file to write; when it is a regular file, the vocabularies "
+        "go next to it as OUTPUT.source-vocab and OUTPUT.target-vocab",
+    )
     p.add_argument("--iters", type=int, default=5, help="EM iterations (default 5)")
     group = p.add_mutually_exclusive_group()
     group.add_argument(

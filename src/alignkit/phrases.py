@@ -45,29 +45,50 @@ def _spans(alignment: AlignmentSet, max_len: int):
     to source row j, and lo[i] and hi[i] the least and greatest source
     rows linked to target column i (n, -1, m and -1 when unaligned). The
     target hull [i1, i2] grows with j2, and a rectangle is consistent
-    exactly when every column of its hull has lo and hi inside [j1, j2]."""
+    exactly when every column of its hull has lo and hi inside [j1, j2].
+    low and high are min(lo) and max(hi) over the hull, kept up to date by
+    folding in each column as the hull widens over it."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     m, n = alignment.m, alignment.n
     first, last = [n] * m, [-1] * m
     lo, hi = [m] * n, [-1] * n
     for j, i in alignment.links:
-        first[j], last[j] = min(first[j], i), max(last[j], i)
-        lo[i], hi[i] = min(lo[i], j), max(hi[i], j)
+        if i < first[j]:
+            first[j] = i
+        if i > last[j]:
+            last[j] = i
+        if j < lo[i]:
+            lo[i] = j
+        if j > hi[i]:
+            hi[i] = j
     for j1 in range(m):
-        i1, i2 = n, -1
+        i1, i2 = n, -1  # empty while i1 > i2
+        low, high = m, -1
         for j2 in range(j1, min(m, j1 + max_len)):
-            if first[j2] < i1:
-                i1 = first[j2]
-            if last[j2] > i2:
-                i2 = last[j2]
-            if i2 < 0:
+            c1, c2 = first[j2], last[j2]
+            if c2 >= 0:
+                if i1 > i2:  # the first aligned row: start from its first column
+                    i1, i2 = c1, c1 - 1
+                if (c2 if c2 > i2 else i2) - (c1 if c1 < i1 else i1) >= max_len:
+                    break  # the hull only grows with j2
+                while i1 > c1:
+                    i1 -= 1
+                    if lo[i1] < low:
+                        low = lo[i1]
+                    if hi[i1] > high:
+                        high = hi[i1]
+                while i2 < c2:
+                    i2 += 1
+                    if lo[i2] < low:
+                        low = lo[i2]
+                    if hi[i2] > high:
+                        high = hi[i2]
+            elif i1 > i2:
                 continue
-            if i2 - i1 >= max_len:
-                break  # the hull only grows with j2
-            if min(lo[i1 : i2 + 1]) < j1:
+            if low < j1:
                 break  # a hull column links above j1, for every later j2 too
-            if max(hi[i1 : i2 + 1]) > j2:
+            if high > j2:
                 continue
             # Widen over unaligned target columns on either side.
             start = i1
@@ -140,6 +161,16 @@ def build_phrase_table(
 _BELOW_SPACE = bytes(range(0x20))
 
 
+class _Reprs(dict):
+    """repr of each float key, computed on its first lookup. A table's
+    ratios take few distinct values. All are positive and finite, so keys
+    that compare equal print alike, as 0.0 and -0.0 would not."""
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = repr(x)
+        return text
+
+
 def write_phrase_table(table: PhraseTable, out: TextIO) -> None:
     """One line per entry of `table.counts`, which is keyed by (source
     text, target text): `src ||| tgt ||| p(tgt|src) p(src|tgt) count`,
@@ -150,8 +181,9 @@ def write_phrase_table(table: PhraseTable, out: TextIO) -> None:
     else:  # a control character sorts below the space that ends a token
         key = lambda item: (item[0][0].split(" "), item[0][1].split(" "))
     src_totals, tgt_totals = table.src_marginals, table.tgt_marginals
+    text_of = _Reprs()
     out.writelines(
         f"{src}{SEPARATOR}{tgt}{SEPARATOR}"
-        f"{count / src_totals[src]!r} {count / tgt_totals[tgt]!r} {count}\n"
+        f"{text_of[count / src_totals[src]]} {text_of[count / tgt_totals[tgt]]} {count}\n"
         for (src, tgt), count in sorted(table.counts.items(), key=key)
     )

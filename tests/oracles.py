@@ -3,10 +3,12 @@
 Everything here is written as plain dictionary-and-loop Python with
 `math` only, enumerating alignment spaces directly where feasible. These
 routines intentionally share no code with the package so that agreement
-between the two is meaningful. The one exception is hmm_viterbi, a
-dense per-pair decoder over every state: it runs in numpy so that its
-sums are the very floats the package's group decoder adds, and exact
-ties break the same way.
+between the two is meaningful. There are two exceptions. hmm_viterbi, a
+dense per-pair decoder over every state, runs in numpy so that its sums
+are the very floats the package's group decoder adds, and exact ties
+break the same way. grow_diag_final_reference is the package's first
+grow-diag-final, kept as it was written: it takes and returns the
+package's AlignmentSet and raises its errors.
 
 Conventions (mirroring the package's external contracts):
   * a sentence pair is (source_ids, target_ids);
@@ -23,6 +25,9 @@ import math
 from collections import Counter
 
 import numpy as np
+
+from alignkit.alignment import AlignmentSet
+from alignkit.errors import DataFormatError, DimensionMismatchError
 
 NULL = -1
 
@@ -386,3 +391,73 @@ def phrase_table_brute(records, max_len: int):
         fwd, inv = count / src_totals[s], count / tgt_totals[t]
         lines.append(f"{' '.join(s)} ||| {' '.join(t)} ||| {fwd!r} {inv!r} {count}\n")
     return counts, src_totals, tgt_totals, "".join(lines)
+
+
+# --------------------------------------------------------------------------
+# Symmetrization
+
+NEIGHBORS = (
+    (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1),
+)
+
+GDF_VARIANTS = ("final", "final-and")
+
+
+def _check_dims(fwd: AlignmentSet, rev: AlignmentSet) -> None:
+    if (fwd.m, fwd.n) != (rev.m, rev.n):
+        raise DimensionMismatchError(
+            f"cannot combine {fwd.m}x{fwd.n} and {rev.m}x{rev.n} alignments"
+        )
+
+
+def grow_diag_final_reference(
+    fwd: AlignmentSet, rev: AlignmentSet, variant: str = "final"
+) -> AlignmentSet:
+    """Grow the intersection toward the union, then add leftover links.
+
+    Both inputs must already be in forward orientation (transpose the
+    reverse aligner's output first). Growing visits current links in
+    (j, i) order and their 8 neighbors in clockwise order from the
+    top-left, adding a neighbor that is in the union and whose source row
+    or target column is still unaligned; passes repeat until a fixpoint.
+
+    The final step scans forward links then reverse links in (j, i)
+    order and adds those whose row or column (variant "final") or row
+    and column (variant "final-and") were unaligned when growing
+    finished. Availability is judged against the post-growing state for
+    every candidate, which keeps the "final-and" result a subset of the
+    "final" result.
+    """
+    if variant not in GDF_VARIANTS:
+        raise DataFormatError(f"unknown grow-diag-final variant: {variant!r}")
+    _check_dims(fwd, rev)
+    both = fwd.links | rev.links
+    aligned = set(fwd.links & rev.links)
+    rows = {j for j, _ in aligned}
+    cols = {i for _, i in aligned}
+
+    changed = True
+    while changed:
+        changed = False
+        for j, i in sorted(aligned):
+            for dj, di in NEIGHBORS:
+                cand = (j + dj, i + di)
+                if cand in aligned or cand not in both:
+                    continue
+                if cand[0] not in rows or cand[1] not in cols:
+                    aligned.add(cand)
+                    rows.add(cand[0])
+                    cols.add(cand[1])
+                    changed = True
+
+    grown_rows = frozenset(rows)
+    grown_cols = frozenset(cols)
+    for j, i in sorted(fwd.links) + sorted(rev.links):
+        if (j, i) in aligned:
+            continue
+        row_free = j not in grown_rows
+        col_free = i not in grown_cols
+        ok = (row_free and col_free) if variant == "final-and" else (row_free or col_free)
+        if ok:
+            aligned.add((j, i))
+    return AlignmentSet(links=frozenset(aligned), m=fwd.m, n=fwd.n)

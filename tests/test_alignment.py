@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from alignkit.alignment import (
     AlignmentFunction,
     AlignmentSet,
+    format_function_line,
     format_pharaoh_line,
     grow_diag_final,
     harmonize_dims,
@@ -34,6 +36,29 @@ def alignment_pairs(draw, max_dim=10):
     cells = [(j, i) for j in range(m) for i in range(n)]
     fwd = draw(st.sets(st.sampled_from(cells)))
     rev = draw(st.sets(st.sampled_from(cells)))
+    return aset(fwd, m, n), aset(rev, m, n)
+
+
+@st.composite
+def gdf_inputs(draw, max_dim=8):
+    """Forward and reverse link sets over one pair: the reverse side is
+    random, equal to the forward side, disjoint from it or empty, and
+    either side may come first."""
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    fwd = draw(st.sets(cells, max_size=m * n))
+    kind = draw(st.sampled_from(["random", "equal", "disjoint", "empty"]))
+    if kind == "random":
+        rev = draw(st.sets(cells, max_size=m * n))
+    elif kind == "equal":
+        rev = set(fwd)
+    elif kind == "disjoint":
+        rev = draw(st.sets(cells, max_size=m * n)) - fwd
+    else:
+        rev = set()
+    if draw(st.booleans()):
+        fwd, rev = rev, fwd
     return aset(fwd, m, n), aset(rev, m, n)
 
 
@@ -72,6 +97,13 @@ class TestFunctionSetViews:
     def test_set_size_counts_non_null_entries(self):
         func = AlignmentFunction(targets=(2, None, 0, None), n=3)
         assert len(to_set(func)) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.lists(
+        st.one_of(st.none(), st.integers(0, n - 1)), max_size=12
+    ).map(lambda targets: AlignmentFunction(targets=tuple(targets), n=n))))
+    def test_function_line_matches_the_set_line(self, func):
+        assert format_function_line(func) == format_pharaoh_line(to_set(func))
 
 
 class TestTranspose:
@@ -151,6 +183,13 @@ class TestGrowDiagFinal:
         assert inter <= a_and <= uni
         assert inter <= a_or <= uni
         assert a_and <= a_or
+
+    @settings(max_examples=500, deadline=None)
+    @given(gdf_inputs(), st.sampled_from(["final", "final-and"]))
+    def test_matches_the_reference(self, pair, variant):
+        fwd, rev = pair
+        got = grow_diag_final(fwd, rev, variant)
+        assert got == oracles.grow_diag_final_reference(fwd, rev, variant)
 
     @settings(max_examples=50, deadline=None)
     @given(alignment_pairs())

@@ -2,6 +2,8 @@
 
 import io
 import logging
+import os
+import stat
 import sys
 
 import pytest
@@ -96,6 +98,16 @@ class TestTrain:
             code, _ = self.train_toy(tmp_path, "--model", kind, "--iters", "5")
         assert code == 0
         assert not [r for r in caplog.records if "is below iteration" in r.getMessage()]
+
+    def test_output_to_a_device_writes_no_sidecars(self, tmp_path):
+        (tmp_path / "null.model").symlink_to(os.devnull)
+        bitext = tmp_path / "toy.txt"
+        bitext.write_text(TOY, encoding="utf-8")
+        code = cli.main(
+            ["train", "--bitext", str(bitext), "--output", str(tmp_path / "null.model")]
+        )
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["null.model", "toy.txt"]
 
     def test_flat_model2_matches_model1(self, tmp_path):
         bitext = tmp_path / "toy.txt"
@@ -323,6 +335,65 @@ class TestSymmetrize:
         ])
         assert code == 2
         assert "lines" in capsys.readouterr().err
+
+
+class TestOutputFiles:
+    """A command writing over an output that already exists."""
+
+    LINE = b"0-0 1-1\n"
+
+    def symmetrize(self, tmp_path, output):
+        (tmp_path / "fwd.txt").write_text("0-0 1-1\n", encoding="utf-8")
+        (tmp_path / "rev.txt").write_text("0-0\n", encoding="utf-8")
+        return cli.main([
+            "symmetrize", "--forward", str(tmp_path / "fwd.txt"),
+            "--backward", str(tmp_path / "rev.txt"), "--output", str(output),
+        ])
+
+    def test_rerun_writes_a_fresh_file_with_the_same_bytes(self, tmp_path):
+        out = tmp_path / "sym.al"
+        old = b"an older, longer output\n" * 10
+        out.write_bytes(old)
+        with open(out, "rb") as reader:
+            assert self.symmetrize(tmp_path, out) == 0
+            assert reader.read() == old  # unlinked, not truncated
+        assert out.read_bytes() == self.LINE
+        assert self.symmetrize(tmp_path, out) == 0
+        assert out.read_bytes() == self.LINE
+
+    def test_symlinked_output_is_written_through(self, tmp_path):
+        target = tmp_path / "target.al"
+        target.write_bytes(b"old\n")
+        link = tmp_path / "link.al"
+        link.symlink_to(target)
+        assert self.symmetrize(tmp_path, link) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == self.LINE
+
+    def test_hard_linked_output_is_written_in_place(self, tmp_path):
+        out = tmp_path / "sym.al"
+        out.write_bytes(b"old\n")
+        os.link(out, tmp_path / "other.al")
+        assert self.symmetrize(tmp_path, out) == 0
+        assert out.read_bytes() == (tmp_path / "other.al").read_bytes() == self.LINE
+        assert out.stat().st_nlink == 2
+
+    @pytest.mark.parametrize("mode, umask", [(0o600, 0o022), (0o664, 0o077)])
+    def test_permission_bits_carry_over(self, tmp_path, mode, umask):
+        out = tmp_path / "sym.al"
+        out.write_bytes(b"old\n")
+        out.chmod(mode)
+        old_umask = os.umask(umask)
+        try:
+            assert self.symmetrize(tmp_path, out) == 0
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert out.read_bytes() == self.LINE
+
+    def test_device_output(self, tmp_path):
+        assert self.symmetrize(tmp_path, os.devnull) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 class TestEval:

@@ -1,5 +1,6 @@
 import io
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ import oracles
 from alignkit.alignment import AlignmentSet
 from alignkit.phrases import (
     PhrasePair,
+    _spans,
     build_phrase_table,
     extract_consistent_phrases,
     write_phrase_table,
@@ -107,6 +109,24 @@ class TestExtraction:
         ))
         got = spans(extract_consistent_phrases(aset(links, m, n), max_len=max_len))
         assert got == oracles.phrase_pairs_brute(links, m, n, max_len)
+
+
+    @given(
+        data=st.data(),
+        m=st.integers(1, 9),
+        n=st.integers(1, 9),
+        max_len=st.integers(1, 7),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_spans_yields_each_span_once(self, data, m, n, max_len):
+        # Mostly one link per source row, as aligners produce, with rows
+        # and columns left unaligned, so that hulls widen a column at a time.
+        column = st.integers(0, n - 1)
+        targets = data.draw(st.lists(st.one_of(st.none(), column), min_size=m, max_size=m))
+        extra = data.draw(st.sets(st.tuples(st.integers(0, m - 1), column), max_size=3))
+        links = {(j, i) for j, i in enumerate(targets) if i is not None} | extra
+        got = Counter(_spans(aset(links, m, n), max_len))
+        assert got == Counter(oracles.phrase_pairs_brute(links, m, n, max_len))
 
 
 class TestPhraseTable:
