@@ -222,7 +222,7 @@ def cmd_train(args) -> int:
     else:
         params = replace(params, table=params.table.pruned())
     with _open_out(args.output) as out:
-        model.save_model(out, params)
+        model.save_model(out, params, jobs=args.jobs)
     # A model written to stdout or a device such as /dev/null has no
     # directory entry of its own for align to find sidecars next to.
     if args.output != "-" and os.path.isfile(args.output):
@@ -519,7 +519,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
         "--jobs",
         type=int,
         default=_default_jobs(),
-        help="worker threads (default: all cores); results do not depend on it",
+        help="workers: EM threads and model-file writer processes; results do not "
+        "depend on it (default: all cores)",
     )
     p.add_argument(
         "--quiet", action="store_true", help="suppress per-iteration log-likelihoods"

@@ -106,6 +106,6 @@ def align_corpus(
     return aligned
 
 
-def save_model(out: TextIO, table: TranslationTable) -> None:
-    write_ttable(out, table)
+def save_model(out: TextIO, table: TranslationTable, jobs: int = 1) -> None:
+    write_ttable(out, table, jobs=jobs)
 

@@ -7,6 +7,9 @@ The terminal summary prints one PASS/FAIL line per acceptance criterion
 from __future__ import annotations
 
 import concurrent.futures
+import sys
+import warnings
+from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -93,6 +96,25 @@ def pools(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
     return started
+
+
+# ---------------------------------------------------------------------------
+# hypothesis
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """Load the module in which hypothesis's pytest plugin writes a failing
+    example up, with the DeprecationWarning that importing it raises (from
+    mypy_extensions, through libcst) ignored. Under filterwarnings = error,
+    the plugin's own import of it would turn a failing @given test into an
+    INTERNALERROR that ends the session and hides the example. Hypothesis
+    imports it whatever its phases are, so leaving out Phase.explain does
+    not help."""
+    if call.excinfo is not None and "hypothesis.extra._patching" not in sys.modules:
+        with warnings.catch_warnings(), suppress(ImportError):
+            warnings.simplefilter("ignore", DeprecationWarning)
+            import hypothesis.extra._patching  # noqa: F401
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 
 import alignkit
 from alignkit import cli
+from alignkit.ttable import MIN_PART
 
 SRC = str(Path(alignkit.__file__).resolve().parent.parent)
 
@@ -77,6 +78,23 @@ def test_the_pipeline_as_processes_matches_main_in_process(tmp_path, monkeypatch
     assert sorted(runs["process"]) == sorted(runs["main"])
     assert "phrases.txt" in runs["process"] and "rev.hmm.target-vocab" in runs["process"]
     assert runs["process"] == runs["main"]
+
+
+@pytest.mark.parametrize("model", ["model1", "model2", "hmm"])
+def test_a_model_on_stdout_is_the_file_one_writer_makes(tmp_path, monkeypatch, model):
+    # stdout is a pipe, so block buffered: the model's header sits in its
+    # buffer when train forks its writers, and a child that flushed its
+    # copy would print it twice.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--pairs", "400", "--vocab-size", "2000", "--seed", "5",
+                     "--output-bitext", "corpus.txt", "--output-gold", "gold.wpt"]) == 0
+    train = ["train", "--model", model, "--bitext", "corpus.txt", "--iters", "1",
+             "--init-iters", "1", "--quiet"]
+    result = alignkit_process([*train, "--output", "-", "--jobs", "2"], tmp_path)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert cli.main([*train, "--output", "one.model", "--jobs", "1"]) == 0
+    assert result.stdout.count(b"\n") > 2 * MIN_PART  # two writers or more
+    assert result.stdout == (tmp_path / "one.model").read_bytes()
 
 
 def test_stdout_matches_main_in_process(tmp_path, monkeypatch, capsys):

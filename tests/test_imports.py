@@ -142,6 +142,30 @@ def test_train_and_align_load_only_the_model_they_run(toy_files, model, loaded):
         assert out == f"{loaded}\n", argv
 
 
+def test_train_writes_its_model_without_a_process_module(tmp_path):
+    # The model-file writers are os.fork() children: train needs neither
+    # multiprocessing nor subprocess. The corpus gives two writers.
+    from alignkit import cli
+    from alignkit.ttable import MIN_PART
+
+    assert cli.main(["synth", "--pairs", "400", "--vocab-size", "2000", "--seed", "5",
+                     "--output-bitext", str(tmp_path / "corpus.txt"),
+                     "--output-gold", str(tmp_path / "gold.wpt")]) == 0
+    argv = ["train", "--bitext", "corpus.txt", "--output", "m", "--iters", "1", "--quiet",
+            "--jobs", "2"]
+    out = run_python(
+        "import os, sys\n"
+        "from alignkit import cli\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(len(forks), 'multiprocessing' in sys.modules, 'subprocess' in sys.modules)\n",
+        cwd=tmp_path,
+    )
+    assert out == "1 False False\n"
+    assert (tmp_path / "m").read_text(encoding="utf-8").count("\n") > 2 * MIN_PART
+
+
 def test_every_public_name_resolves_to_its_submodule_object():
     for name in alignkit.__all__:
         assert getattr(alignkit, name) is not None, name

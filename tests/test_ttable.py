@@ -1,12 +1,17 @@
 import io
+import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from alignkit import cli, ttable
 from alignkit.errors import DataFormatError
 from alignkit.ttable import (
     _WRITE_BATCH,
     HEADER,
+    MIN_PART,
     MSTEP_FLOOR,
     NULL_ID,
     TranslationTable,
@@ -156,6 +161,184 @@ class TestModelFileFormat:
         assert outcome([line + "\n" for line in lines]) == expected
         assert outcome(io.StringIO(text)) == expected
         assert outcome(text.splitlines()) == expected
+
+
+def table_of(size: int) -> TranslationTable:
+    """A table of size entries in rows of 1 to 5, whose ids repeat across
+    the rows and whose probabilities print in many lengths."""
+    if not size:
+        return TranslationTable({})
+    rng = np.random.default_rng(size)
+    lengths = rng.integers(1, 6, size=size)
+    lengths = lengths[: np.searchsorted(np.cumsum(lengths), size) + 1]
+    lengths[-1] -= lengths.sum() - size
+    es = np.repeat(np.arange(len(lengths)) - 1, lengths)  # the first row NULL
+    fs = np.concatenate([np.sort(rng.choice(40, k, replace=False)) for k in lengths])
+    probs = rng.random(size) ** 8
+    probs[::7] = 1.0
+    return TranslationTable.from_arrays(es, fs, probs)
+
+
+def reference_text(table: TranslationTable, trailer=()) -> str:
+    rows = "".join(f"{e}\t{f}\t{p!r}\n" for e, f, p in entries(table))
+    return HEADER + "\n" + rows + "".join(line + "\n" for line in trailer)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child os.fork() makes while the test runs; any
+    still running when it ends are killed and reaped."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield made
+    for pid in made:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+
+
+@contextmanager
+def within(seconds: int):
+    """A TimeoutError, instead of a hang, if the block takes longer."""
+
+    def timeout(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_in(where: str, monkeypatch, short: bool = False):
+    """Make _format_range fail in the parent or in the writer children:
+    raise, or (short=True) leave out the last line of its range."""
+    parent, real = os.getpid(), ttable._format_range
+
+    def format_range(table, lo, hi):
+        if (os.getpid() == parent) != (where == "parent"):
+            return real(table, lo, hi)
+        if short:
+            return real(table, lo, hi - 1)
+        raise RuntimeError(f"formatting failed in the {where}")
+
+    monkeypatch.setattr(ttable, "_format_range", format_range)
+
+
+SIZES = [0, 1, MIN_PART - 1, MIN_PART, 2 * MIN_PART, 2 * MIN_PART + 1, 7 * MIN_PART + 5]
+
+
+class TestWriters:
+    @pytest.mark.parametrize("size", SIZES)
+    def test_text_does_not_depend_on_the_writer_count(self, size, forks, tmp_path):
+        table = table_of(size)
+        assert len(table) == size
+        for trailer in ([], ["hmm\t5\t0.2", "jump\t-5\t0.1"]):
+            want = reference_text(table, trailer)
+            for jobs in (1, 2, 3, 7):
+                buf = io.StringIO()
+                write_ttable(buf, table, trailer, jobs=jobs)
+                assert buf.getvalue() == want, jobs
+                path = tmp_path / f"{jobs}.model"
+                with open(path, "w", encoding="utf-8") as fh:
+                    write_ttable(fh, table, trailer, jobs=jobs)
+                assert path.read_text(encoding="utf-8") == want, jobs
+        # One writer per MIN_PART entries, up to jobs: two runs per jobs.
+        expected = sum(max(1, min(jobs, size // MIN_PART)) - 1 for jobs in (1, 2, 3, 7))
+        assert len(forks) == 2 * 2 * expected
+        assert_no_child_left()
+
+    def test_without_fork_one_process_writes_everything(self, monkeypatch):
+        table = table_of(3 * MIN_PART + 2)
+        monkeypatch.delattr(os, "fork")
+        buf = io.StringIO()
+        write_ttable(buf, table, ["diag\t4.0\t0.08"], jobs=3)
+        assert buf.getvalue() == reference_text(table, ["diag\t4.0\t0.08"])
+
+    def test_nothing_forks_while_other_threads_run(self, forks, monkeypatch):
+        monkeypatch.setattr(ttable.threading, "active_count", lambda: 2)
+        table = table_of(2 * MIN_PART)
+        buf = io.StringIO()
+        write_ttable(buf, table, jobs=2)
+        assert buf.getvalue() == reference_text(table)
+        assert forks == []
+
+    def test_a_failed_fork_leaves_the_rest_to_this_process(self, forks, monkeypatch):
+        fork = os.fork  # the counting one: the first fork succeeds
+
+        def second_fails():
+            if forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        table = table_of(3 * MIN_PART + 2)
+        buf = io.StringIO()
+        write_ttable(buf, table, jobs=3)
+        assert buf.getvalue() == reference_text(table)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_a_failing_writer_is_an_error_naming_it(self, jobs, forks, monkeypatch):
+        fail_in("child", monkeypatch)
+        failed = f"model-file writer 2 of {jobs} failed with exit code 1"
+        with within(30), pytest.raises(OSError, match=failed):
+            write_ttable(io.StringIO(), table_of(3 * MIN_PART), jobs=jobs)
+        assert len(forks) == jobs - 1
+        assert_no_child_left()
+
+    def test_a_writer_that_sends_short_is_an_error(self, forks, monkeypatch):
+        fail_in("child", monkeypatch, short=True)
+        short = f"model-file writer 2 of 2 sent {MIN_PART - 1} of its {MIN_PART} lines"
+        with within(30), pytest.raises(OSError, match=short):
+            write_ttable(io.StringIO(), table_of(2 * MIN_PART), jobs=2)
+        assert_no_child_left()
+
+    def test_a_failure_in_this_process_reaps_the_writers(self, forks, monkeypatch):
+        # Each child's range is larger than a pipe holds, so the children
+        # are blocked writing when the parent gives up.
+        fail_in("parent", monkeypatch)
+        with within(30), pytest.raises(RuntimeError, match="formatting failed in the parent"):
+            write_ttable(io.StringIO(), table_of(3 * MIN_PART), jobs=3)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_train_exits_2_when_a_writer_fails(self, tmp_path, forks, monkeypatch, capsys):
+        corpus, model = tmp_path / "corpus.txt", tmp_path / "m"
+        assert cli.main(["synth", "--pairs", "400", "--vocab-size", "2000", "--seed", "5",
+                         "--output-bitext", str(corpus),
+                         "--output-gold", str(tmp_path / "gold.wpt")]) == 0
+        train = ["train", "--bitext", str(corpus), "--output", str(model), "--iters", "1",
+                 "--quiet", "--jobs", "2"]
+        assert cli.main(train) == 0
+        assert len(read_ttable(model.read_text().splitlines())[0]) >= 2 * MIN_PART
+        assert len(forks) == 1
+        capsys.readouterr()
+        fail_in("child", monkeypatch)
+        with within(30):
+            assert cli.main(train) == 2
+        err = capsys.readouterr().err
+        assert err == "alignkit: error: model-file writer 2 of 2 failed with exit code 1\n"
+        assert_no_child_left()
 
 
 class TestSlots:
