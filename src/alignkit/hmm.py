@@ -37,8 +37,11 @@ emissions from theta once, and the pass writes the state posteriors over
 them and reports the group's log-likelihood, its expected jumps per
 bucket and its expected departures from each position. Viterbi decoding
 and log_forward gather each chunk the same way, from decode_theta, and
-walk the same groups; Viterbi reads each pair's log transitions from its
-own length's matrix.
+walk the same groups. Viterbi reads each pair's log transitions from its
+own length's matrix, filled into the group's (B, N, S) block once per
+distinct length; with NULL the block holds the (N, N) transitions twice
+side by side, for the jumps out of real states and out of companions,
+so each step takes one argmax over all 2N predecessors.
 
 Because transitions renormalize per sentence length, the closed-form
 count-and-normalize jump update is not the exact M-step; re-estimation
@@ -278,12 +281,17 @@ def viterbi_decode(pair: SentencePair, params: HmmParams) -> AlignmentFunction:
     return align_corpus(Bitext([pair]), params)[0]
 
 
-def _viterbi(g: _Group, log_t: np.ndarray) -> list[tuple]:
-    """Each pair's best state path as target positions, None at a NULL
-    companion. States are real positions i and companions N + i; log_t
-    (B, N, N) holds log p(i -> i') at [b, i', i], -inf past the pair's n.
-    Scores run destination-major; every backpointer keeps the first maximum
-    over (real, companion) predecessors, so real positions win ties."""
+def _viterbi_sweep(g: _Group, log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Viterbi recursion over a group: each pair's (B, S) scores of the
+    best path into each state at its last position, and the (M, B, S)
+    backpointers, valid at positions 1 to m - 1 of each pair. States are
+    real positions i and, with NULL, companions N + i; log_t (B, N, S)
+    holds log p(i -> i') at [b, i', i], -inf past the pair's n, with NULL
+    the same (N, N) block again in columns N + i for the jumps out of
+    companions. Scores run destination-major: each step adds delta into
+    one buffer and takes one argmax over every predecessor, which keeps
+    the first maximum, so real positions beat their companions and smaller
+    positions win ties."""
     m_max, b_count, states = g.emit.shape
     n = len(g.q)
     with np.errstate(divide="ignore"):
@@ -291,24 +299,31 @@ def _viterbi(g: _Group, log_t: np.ndarray) -> list[tuple]:
         log_p0 = np.log(g.p0)
         delta = np.log(g.pi) + log_e[0]
     pointers = np.empty((m_max, b_count, states), dtype=np.int64)
+    buffer = np.empty((b_count, n, states))
+    rows = np.arange(0, buffer.size, states).reshape(b_count, n)  # where each row starts
+    positions = np.arange(n)
     for j, b in enumerate(g.layout.active[1:], 1):
         d = delta[:b]
-        scores = d[:, None, :n] + log_t[:b]
+        scores = np.add(d[:, None], log_t[:b], out=buffer[:b])
         best = scores.argmax(axis=2)
-        top = np.take_along_axis(scores, best[:, :, None], 2)[:, :, 0]
+        top = scores.ravel()[best + rows[:b]]
         if g.use_null:
-            scores = d[:, None, n:] + log_t[:b]
-            companion = scores.argmax(axis=2)
-            jump = np.take_along_axis(scores, companion[:, :, None], 2)[:, :, 0]
-            better = jump > top
-            best[better] = companion[better] + n
-            top[better] = jump[better]
             stay, move = d[:, :n] + log_p0, d[:, n:] + log_p0
             better = move > stay
-            pointers[j, :b, n:] = np.arange(n) + n * better
+            pointers[j, :b, n:] = positions + n * better
             d[:, n:] = np.where(better, move, stay) + log_e[j, :b, n:]
         pointers[j, :b, :n] = best
         d[:, :n] = top + log_e[j, :b, :n]
+    return delta, pointers
+
+
+def _viterbi(g: _Group, log_t: np.ndarray) -> list[tuple]:
+    """Each pair's best state path as target positions, None at a NULL
+    companion, from log_t (B, N, S), each pair's log transitions, with
+    NULL twice side by side (see _viterbi_sweep)."""
+    delta, pointers = _viterbi_sweep(g, log_t)
+    m_max, b_count, _ = pointers.shape
+    n = len(g.q)
     state = delta.argmax(axis=1)
     paths = np.empty((b_count, m_max), dtype=np.int64)
     for j in range(m_max - 1, -1, -1):
@@ -478,15 +493,16 @@ def align_corpus(bitext: Bitext, params: HmmParams) -> list[AlignmentFunction]:
     for c, chunk in enumerate(packed.chunks):
         for layout, block in chunk.blocks(packed.cells(c, theta)):
             g = _group(layout, block, jumps, use_null)
-            width = len(g.q)
-            ns = g.layout.ns.tolist()
-            log_t = np.full((len(ns), width, width), -math.inf)
-            for b, n in enumerate(ns):
+            width, ns = len(g.q), layout.ns.tolist()
+            # log_t[b, i', h, i]: the pair's block in each half h of its columns
+            log_t = np.full((len(ns), width, 1 + use_null, width), -math.inf)
+            for n in sorted(set(ns)):
                 if n not in log_rows:
                     with np.errstate(divide="ignore"):
                         log_rows[n] = np.log(_transition_matrix(n, jumps, use_null)[:n, :n]).T
-                log_t[b, :n, :n] = log_rows[n]
-            for k, n, targets in zip(g.layout.pairs, ns, _viterbi(g, log_t)):
+                log_t[layout.ns == n, :n, :, :n] = log_rows[n][:, None]
+            paths = _viterbi(g, log_t.reshape(len(ns), width, -1))
+            for k, n, targets in zip(layout.pairs, ns, paths):
                 aligned[k] = AlignmentFunction(targets=targets, n=n)
     return aligned
 

@@ -6,9 +6,12 @@ routines intentionally share no code with the package so that agreement
 between the two is meaningful. There are two exceptions. hmm_viterbi, a
 dense per-pair decoder over every state, runs in numpy so that its sums
 are the very floats the package's group decoder adds, and exact ties
-break the same way. grow_diag_final_reference is the package's first
-grow-diag-final, kept as it was written: it takes and returns the
-package's AlignmentSet and raises its errors.
+break the same way; group_viterbi_two_argmax is the group decoder's
+earlier step, kept as it was written, for the same reason.
+grow_diag_final_reference is the package's first grow-diag-final, kept
+as it was written: it takes and returns the package's AlignmentSet and
+raises its errors. rank_by_search and slots_by_search look ids up by
+binary search, as the package's table once did.
 
 Conventions (mirroring the package's external contracts):
   * a sentence pair is (source_ids, target_ids);
@@ -20,6 +23,7 @@ Conventions (mirroring the package's external contracts):
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -342,6 +346,72 @@ def hmm_viterbi(emit, trans, pi, n: int):
         if j > 0:
             state = int(pointers[j, state])
     return [s if s < n else None for s in path]
+
+
+def group_viterbi_two_argmax(emit, pi, p0, active, ms, log_t, use_null):
+    """Best state path of every pair of a Viterbi group, and the (B, S)
+    scores of the best path into each state at each pair's last position,
+    by one argmax over the real predecessors and one over the NULL
+    companions per step, a companion winning only when strictly better.
+
+    emit (M, B, S), pi (B, S) and p0 as in hmm._Group, pairs by descending
+    m with active[j] of them longer than j; log_t (B, N, N) holds log
+    p(i -> i') at [b, i', i]. Paths are lists of states, companions N + i."""
+    emit, log_t = np.asarray(emit), np.asarray(log_t)
+    m_max, b_count, states = emit.shape
+    n = log_t.shape[1]
+    with np.errstate(divide="ignore"):
+        log_e = np.log(emit)
+        log_p0 = np.log(p0)
+        delta = np.log(pi) + log_e[0]
+    pointers = np.empty((m_max, b_count, states), dtype=np.int64)
+    for j, b in enumerate(active[1:], 1):
+        d = delta[:b]
+        scores = d[:, None, :n] + log_t[:b]
+        best = scores.argmax(axis=2)
+        top = np.take_along_axis(scores, best[:, :, None], 2)[:, :, 0]
+        if use_null:
+            scores = d[:, None, n:] + log_t[:b]
+            companion = scores.argmax(axis=2)
+            jump = np.take_along_axis(scores, companion[:, :, None], 2)[:, :, 0]
+            better = jump > top
+            best[better] = companion[better] + n
+            top[better] = jump[better]
+            stay, move = d[:, :n] + log_p0, d[:, n:] + log_p0
+            better = move > stay
+            pointers[j, :b, n:] = np.arange(n) + n * better
+            d[:, n:] = np.where(better, move, stay) + log_e[j, :b, n:]
+        pointers[j, :b, :n] = best
+        d[:, :n] = top + log_e[j, :b, :n]
+    paths = []
+    for b, m in enumerate(ms):
+        state = int(delta[b].argmax())
+        path = [0] * m
+        for j in range(m - 1, -1, -1):
+            path[j] = state
+            if j:
+                state = int(pointers[j, b, state])
+        paths.append(path)
+    return paths, delta
+
+
+def rank_by_search(sorted_ids, ids):
+    """Position of each id in sorted_ids by binary search, and whether the
+    id is there."""
+    pos = np.searchsorted(sorted_ids, ids)
+    return pos, sorted_ids[np.minimum(pos, len(sorted_ids) - 1)] == ids
+
+
+def slots_by_search(entries, es, fs):
+    """Entry position of each cell (e, f), es broadcast against fs, among
+    entries, a sorted list of (e, f) tuples; len(entries) for a cell that
+    is not there."""
+    es, fs = np.broadcast_arrays(np.asarray(es, dtype=np.int64), np.asarray(fs, dtype=np.int64))
+    slots = []
+    for cell in zip(es.ravel().tolist(), fs.ravel().tolist()):
+        k = bisect.bisect_left(entries, cell)
+        slots.append(k if k < len(entries) and entries[k] == cell else len(entries))
+    return np.array(slots, dtype=np.int64).reshape(es.shape)
 
 
 # --------------------------------------------------------------------------

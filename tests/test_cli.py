@@ -243,6 +243,31 @@ class TestAlign:
         assert len(read(out).splitlines()) == 1
         assert any("out of vocabulary" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("model_name", ["model1", "hmm"])
+    def test_a_huge_target_id_in_the_model_changes_nothing(self, tmp_path, model_name):
+        # No corpus id reaches the extra row, and a lookup array sized by
+        # its id would not fit in memory.
+        bitext, model = tmp_path / "toy.txt", tmp_path / "toy.model"
+        bitext.write_text(TOY, encoding="utf-8")
+        assert cli.main([
+            "train", "--model", model_name, "--bitext", str(bitext), "--output", str(model),
+        ]) == 0
+        lines = read(model).splitlines(keepends=True)
+        rows = [k for k, line in enumerate(lines) if line.split("\t")[0].lstrip("-").isdigit()]
+        lines.insert(rows[-1] + 1, f"{10**14}\t0\t1.0\n")
+        huge = tmp_path / "huge.model"
+        huge.write_text("".join(lines), encoding="utf-8")
+        aligned = []
+        for path in (model, huge):
+            out = tmp_path / f"{path.name}.al"
+            assert cli.main([
+                "align", "--model-file", str(path), "--bitext", str(bitext),
+                "--output", str(out), "--source-vocab", f"{model}.source-vocab",
+                "--target-vocab", f"{model}.target-vocab",
+            ]) == 0
+            aligned.append(out.read_bytes())
+        assert aligned[0] == aligned[1] == b"0-0 1-1\n0-0 1-1\n"
+
     def test_row_not_summing_to_one_is_a_data_error(self, toy_model, capsys):
         bitext, model = toy_model
         lines = read(model).splitlines()

@@ -644,6 +644,56 @@ class TestGroupedViterbi:
                 assert alignment.n == pair.n
 
 
+class TestViterbiStep:
+    """_viterbi_sweep takes one argmax per step over every predecessor.
+    Its final scores and _viterbi's paths must be bitwise those of the
+    two-argmax step it replaced (oracles.group_viterbi_two_argmax), on
+    groups whose every log score is a small integer or -inf, so that exact
+    ties are everywhere, and whose pairs leave the group at ragged
+    positions."""
+
+    @staticmethod
+    def tie_heavy_group(rng, use_null, p0):
+        """A _Group and its (B, N, N) log transitions. np.log returns -k
+        exactly for exp(-k) at these k."""
+        b_count = int(rng.integers(1, 8))
+        ms = np.sort(rng.integers(1, 9, size=b_count))[::-1]
+        ns = rng.integers(1, 7, size=b_count)
+        m_max, n = int(ms[0]), int(ns.max())
+        real = np.arange(n) < ns[:, None]
+        columns = np.hstack([real, real]) if use_null else real
+        live = (np.arange(m_max)[:, None] < ms)[:, :, None] & columns
+        emit = np.exp(-rng.integers(0, 3, size=live.shape).astype(float))
+        emit[~live | (rng.random(live.shape) < 0.05)] = 0.0
+        pi = np.exp(-rng.integers(0, 3, size=columns.shape).astype(float)) * columns
+        log_t = -rng.integers(0, 3, size=(b_count, n, n)).astype(float)
+        log_t[~(real[:, :, None] & real[:, None, :]) | (rng.random(log_t.shape) < 0.1)] = -math.inf
+        active = [int((ms > j).sum()) for j in range(m_max)]
+        layout = _packed.Group(list(range(b_count)), ms, ns, active, None)
+        g = hmm._Group(layout, emit, pi, np.zeros((b_count, n)), np.zeros((n, n)), p0, use_null)
+        return g, log_t
+
+    @pytest.mark.parametrize(
+        "use_null, p0",
+        [(False, 0.0), (True, math.exp(-1.0)), (True, 0.0)],
+        ids=["no-null", "null", "null-p0-0"],
+    )
+    def test_matches_the_two_argmax_step(self, use_null, p0):
+        rng = np.random.default_rng(85)
+        for _ in range(300):
+            g, log_t = self.tie_heavy_group(rng, use_null, p0)
+            n = log_t.shape[1]
+            want_paths, want_delta = oracles.group_viterbi_two_argmax(
+                g.emit, g.pi, p0, g.layout.active, g.layout.ms.tolist(), log_t, use_null
+            )
+            stacked = np.concatenate([log_t, log_t], axis=2) if use_null else log_t
+            delta, _ = hmm._viterbi_sweep(g, stacked)
+            np.testing.assert_array_equal(delta, want_delta)
+            assert hmm._viterbi(g, stacked) == [
+                tuple(s if s < n else None for s in path) for path in want_paths
+            ]
+
+
 class TestTrain:
     def test_an_empty_bitext_trains_to_a_zero_trace(self):
         empty = make_bitext([])

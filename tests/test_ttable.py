@@ -6,6 +6,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import oracles
 from alignkit import cli, ttable
 from alignkit.errors import DataFormatError
 from alignkit.ttable import (
@@ -357,6 +358,70 @@ class TestSlots:
         assert len(table) == 0 and trailer == []
         assert table.slots([[1], [NULL_ID]], [3, 4]).tolist() == [[0, 0]] * 2
         assert table.theta.tolist() == [0.0, 0.0]
+
+
+class TestRank:
+    """_rank reads ids through lookup arrays where the span of values
+    shared with the sorted ids is small, and by binary search otherwise;
+    both must give oracles.rank_by_search's positions and flags, and slots
+    must map every unknown id to the miss slot."""
+
+    ODD_IDS = [NULL_ID, -2, -7, 2**62, -(2**62), 2**63 - 1, -(2**63)]
+
+    def queries(self, rng, sorted_ids):
+        """Ids around and between sorted_ids, with ODD_IDS mixed in."""
+        lo, hi = int(sorted_ids[0]), int(sorted_ids[-1])
+        ids = rng.integers(lo - 3, hi + 4, size=int(rng.integers(1, 60)))
+        odd = rng.choice(self.ODD_IDS, size=int(rng.integers(0, 3)))
+        return rng.permutation(np.concatenate([ids, odd]).astype(np.int64))
+
+    @pytest.mark.parametrize("dense_span", [0, ttable.DENSE_SPAN, 50])
+    def test_matches_binary_search(self, dense_span, monkeypatch):
+        monkeypatch.setattr(ttable, "DENSE_SPAN", dense_span)
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            sorted_ids = np.unique(rng.integers(-2, 30, size=int(rng.integers(1, 12))))
+            if rng.random() < 0.2:
+                sorted_ids = np.append(sorted_ids, rng.choice([2**62, 10**14]))
+            for ids in (self.queries(rng, sorted_ids), np.empty(0, dtype=np.int64)):
+                pos, known = ttable._rank(sorted_ids, ids)
+                want_pos, want_known = oracles.rank_by_search(sorted_ids, ids)
+                np.testing.assert_array_equal(pos, want_pos)
+                np.testing.assert_array_equal(known, want_known)
+
+    def test_huge_ids_size_no_lookup_array(self):
+        # A lookup array over any of these spans would not fit in memory.
+        for sorted_ids, ids in [
+            ([0, 2**62], [2**62, 0, 2**62]),
+            ([-(2**63), 5], [-(2**63), 5]),
+            ([7, 2**63 - 1], [2**63 - 1, 7, 2**63 - 1]),
+        ]:
+            sorted_ids, ids = np.array(sorted_ids), np.array(ids)
+            pos, known = ttable._rank(sorted_ids, ids)
+            np.testing.assert_array_equal(pos, oracles.rank_by_search(sorted_ids, ids)[0])
+            assert known.all()
+
+    @pytest.mark.parametrize("dense_span", [0, ttable.DENSE_SPAN])
+    def test_slots_match_binary_search(self, dense_span, monkeypatch):
+        monkeypatch.setattr(ttable, "DENSE_SPAN", dense_span)
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            rows = {
+                int(e): {int(f): 1.0 for f in rng.integers(0, 20, size=int(rng.integers(1, 5)))}
+                for e in rng.integers(-1, 15, size=int(rng.integers(1, 6)))
+            }
+            if rng.random() < 0.2:
+                rows[2**62] = {2**62: 1.0}
+            table = TranslationTable(rows)
+            entries = list(zip(table.es.tolist(), table.fs.tolist()))
+            es = self.queries(rng, table.row_ids)
+            fs = self.queries(rng, np.unique(table.fs))[: len(es)]
+            es = es[: len(fs)]
+            for query in [(es, fs), (es[:, None], fs), (es[:0], fs[:0])]:
+                np.testing.assert_array_equal(
+                    table.slots(*query), oracles.slots_by_search(entries, *query)
+                )
+            assert table.slots(es[0], fs[0]) == oracles.slots_by_search(entries, es[0], fs[0])
 
 
 def reference_normalized(table: TranslationTable, counts) -> dict:
