@@ -57,7 +57,7 @@ import numpy as np
 
 from .corpus import Bitext, SentencePair
 from .errors import NumericError
-from .ttable import NULL_ID, TranslationTable, distinct_sorted
+from .ttable import NULL_ID, TranslationTable, _rank, distinct_sorted
 
 CHUNK_CELLS = 1 << 20  # cap on the cells m * (n + NULL) of a chunk's pairs
 GROUP_CELLS = 1 << 16  # cap on pairs x max(longest m, longest n) x longest n of a group
@@ -101,7 +101,7 @@ def uniform_start(bitext: Bitext, use_null: bool) -> tuple[TranslationTable, np.
     table.slots would look up."""
     es, fs = corpus_cells(bitext.pairs, use_null)
     e_ids, f_ids = distinct_sorted(es), distinct_sorted(fs)
-    keys = np.searchsorted(e_ids, es) * len(f_ids) + np.searchsorted(f_ids, fs)
+    keys = _rank(e_ids, es)[0] * len(f_ids) + _rank(f_ids, fs)[0]
     del es, fs
     # Asked for the inverse, np.unique sorts; it does not hash (see distinct_sorted).
     entries, slots = np.unique(keys, return_inverse=True)

@@ -507,12 +507,12 @@ def align_corpus(bitext: Bitext, params: HmmParams) -> list[AlignmentFunction]:
     return aligned
 
 
-def save_model(out: TextIO, params: HmmParams, jobs: int = 1) -> None:
+def save_model(out: TextIO, params: HmmParams) -> None:
     jumps = params.jumps
     trailer = [f"{HMM_TRAILER}\t{jumps.w}\t{jumps.p0!r}"]
     for d in range(-jumps.w, jumps.w + 1):
         trailer.append(f"{JUMP_TRAILER}\t{d}\t{float(jumps.probs[d + jumps.w])!r}")
-    write_ttable(out, params.table, trailer, jobs=jobs)
+    write_ttable(out, params.table, trailer)
 
 
 def model_from(

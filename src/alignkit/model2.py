@@ -128,9 +128,9 @@ def align_corpus(bitext: Bitext, params: Model2Params) -> list[AlignmentFunction
     return model1.align_corpus(bitext, params.table, prior.use_null, prior)
 
 
-def save_model(out: TextIO, params: Model2Params, jobs: int = 1) -> None:
+def save_model(out: TextIO, params: Model2Params) -> None:
     trailer = [f"{DIAG_TRAILER}\t{params.prior.lam!r}\t{params.prior.p0!r}"]
-    write_ttable(out, params.table, trailer, jobs=jobs)
+    write_ttable(out, params.table, trailer)
 
 
 def model_from(

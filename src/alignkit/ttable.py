@@ -16,11 +16,19 @@ keeps the pad slot 0, so padding adds nothing to a sum and never wins
 an argmax. EM maps tables to tables: `normalized` is the M-step, and
 the table it returns shares its support arrays with its parent.
 
-Text format, used as the base of every model file:
+Model files, v2, the format `train` writes:
 
-    alignkit-ttable v1
-    e_id<TAB>f_id<TAB>prob        # sorted by (e_id, f_id), no repeats, NULL as -1
+    alignkit-ttable v2<TAB>N      # N entries
+    base64 of the target ids      # int64, sorted by (e_id, f_id), no repeats, NULL as -1
+    base64 of the source ids      # int64
+    base64 of the probabilities   # float64
     ... optional model-specific trailer lines ...
+
+Each body line is the standard padded base64 of one little-endian array
+of N values, so a write copies the table's arrays out and a read views
+them, without formatting or parsing a number. `read_ttable` also reads
+v1 files, where a text row `e_id<TAB>f_id<TAB>prob` stands for each
+entry after the header line `alignkit-ttable v1`; nothing writes v1.
 
 Each row of a model file sums to 1 within ROW_SUM_TOL. Decoders score
 every cell at least DECODE_FLOOR, so an entry at or below it decodes
@@ -30,12 +38,10 @@ saves a model.
 
 from __future__ import annotations
 
-import gc
-import os
-import threading
+import binascii
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Mapping, TextIO
 
 import numpy as np
 
@@ -43,19 +49,17 @@ from .errors import DataFormatError
 
 NULL_ID = -1
 
-HEADER = "alignkit-ttable v1"
+HEADER = "alignkit-ttable v2"
+HEADER_V1 = "alignkit-ttable v1"
 
 DECODE_FLOOR = 1e-12  # the least score a decoder gives any cell
 MSTEP_FLOOR = 1e-12  # the least expected count an M-step renormalizes
 ROW_SUM_TOL = 1e-9  # how far from 1 a model file's row may sum
 
-_ROW_DTYPE = [("e", np.int64), ("f", np.int64), ("p", np.float64)]
-_WRITE_BATCH = 1 << 16
-# The fewest entries write_ttable hands each writer. In a fresh `train`
-# process on a 2-vCPU VM, two writers broke even at about 12,000 entries:
-# a model of 6,864 took 3.7 ms in process and 5.6 ms on two, one of
-# 14,054 took 7.5 ms and 6.7 ms (medians of 20 alternating runs).
-MIN_PART = 1 << 13
+# The arrays of a v2 body, one a line: what each holds and its dtype.
+_BODY = (("target ids", "<i8"), ("source ids", "<i8"), ("probabilities", "<f8"))
+_ENCODE_BYTES = 3 << 16  # bytes of an array write_ttable encodes at a time
+_ROW_DTYPE = [("e", np.int64), ("f", np.int64), ("p", np.float64)]  # a v1 row
 # How many values per looked-up id _rank's lookup arrays may span.
 DENSE_SPAN = 4
 _INT64 = np.iinfo(np.int64)
@@ -213,130 +217,89 @@ def decode_theta(table: TranslationTable) -> np.ndarray:
     return theta
 
 
-def write_ttable(
-    out: TextIO, table: TranslationTable, trailer: Iterable[str] = (), jobs: int = 1
-) -> None:
-    """Write table and its trailer lines to out as a model file.
-
-    The entries are cut into contiguous ranges, one per writer: up to
-    jobs writers, with at least MIN_PART entries each. This process
-    formats the first range and children made by os.fork() format the
-    others, each sending its range back whole through a pipe, which this
-    process appends to out in range order. So the text does not depend
-    on the writer count. A child never touches out, stdout or logging,
-    and it ends with os._exit, so no buffer it inherited is flushed
-    twice. A child that fails or sends short raises an OSError naming
-    its writer, and every child is reaped before write_ttable returns or
-    raises. Nothing forks where os.fork does not exist or while this
-    process runs other threads, since a fork copies none of them and
-    Python 3.12 warns of it; `train` writes its model once
-    ChunkRunner.map's pool has exited. Should a fork fail, this process
-    writes the remaining ranges itself.
-    """
-    out.write(HEADER + "\n")
-    writers = min(jobs, len(table) // MIN_PART)
-    if writers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        writers = 1
-    bounds = [len(table) * k // writers for k in range(writers + 1)]
-    children = {}  # range index -> (pid, pipe read end) of its writer
-    try:
-        for k in range(1, writers):
-            try:
-                pipes = [read_end for _, read_end in children.values()]
-                children[k] = _fork_writer(table, bounds[k], bounds[k + 1], pipes)
-            except OSError:  # no process to spare
-                break
-        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            if k in children:
-                name = f"model-file writer {k + 1} of {writers}"
-                out.write(_collect(*children.pop(k), name, hi - lo))
-            else:
-                for text in _format_range(table, lo, hi):
-                    out.write(text)
-    finally:  # what an error left: a child blocked on its pipe stops on EPIPE
-        for pid, read_end in children.values():
-            os.close(read_end)
-            os.waitpid(pid, 0)
+def write_ttable(out: TextIO, table: TranslationTable, trailer: Iterable[str] = ()) -> None:
+    """Write table and its trailer lines to out as a v2 model file. Each
+    array is encoded _ENCODE_BYTES at a time, a multiple of 3, so the
+    pieces join into the array's one base64 text without building it."""
+    out.write(f"{HEADER}\t{len(table)}\n")
+    for array, (_, dtype) in zip((table.es, table.fs, table.theta[:-2]), _BODY):
+        data = memoryview(np.ascontiguousarray(array, dtype)).cast("B")
+        for lo in range(0, len(data), _ENCODE_BYTES):
+            piece = binascii.b2a_base64(data[lo : lo + _ENCODE_BYTES], newline=False)
+            out.write(piece.decode("ascii"))
+        out.write("\n")
     for text in trailer:
         out.write(text + "\n")
 
 
-def _fork_writer(
-    table: TranslationTable, lo: int, hi: int, pipes: list[int]
-) -> tuple[int, int]:
-    """(pid, pipe read end) of a child that formats entries [lo, hi) of
-    table, sends them through the pipe and exits, with status 0 once all
-    are sent. The child closes its copies of pipes, the read ends of the
-    earlier writers, so that each read end is this process's alone."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            gc.disable()  # a collection could finalize an inherited file
-            for fd in (read_end, *pipes):
-                os.close(fd)
-            data = "".join(_format_range(table, lo, hi)).encode()
-            with open(write_end, "wb") as pipe:
-                pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)  # else later children would hold it open
-    return pid, read_end
-
-
-def _collect(pid: int, read_end: int, name: str, lines: int) -> str:
-    """The text a writer child sends through read_end, once the child is
-    reaped; an OSError unless it exited 0 after sending all its lines."""
-    try:
-        with open(read_end, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status:
-        raise OSError(f"{name} failed with exit code {os.waitstatus_to_exitcode(status)}")
-    sent = data.count(b"\n")
-    if sent != lines:
-        raise OSError(f"{name} sent {sent} of its {lines} lines")
-    return data.decode()
-
-
-def _format_range(table: TranslationTable, lo: int, hi: int) -> Iterator[str]:
-    """The model-file lines of entries [lo, hi), in pieces of at most
-    _WRITE_BATCH lines, which bound the memory their strings take."""
-    for start in range(lo, hi, _WRITE_BATCH):
-        part = slice(start, min(start + _WRITE_BATCH, hi))
-        es, fs = _id_strings(table.es[part]), _id_strings(table.fs[part])
-        probs = map(repr, table.theta[part].tolist())
-        yield "\n".join(map("\t".join, zip(es, fs, probs))) + "\n"
-
-
-def _id_strings(ids: np.ndarray) -> list[str]:
-    """str of each id, formatting each distinct id once."""
-    distinct, inverse = np.unique(ids, return_inverse=True)
-    return np.array(list(map(str, distinct.tolist())), dtype=object)[inverse].tolist()
-
-
 def read_ttable(lines: Iterable[str]) -> tuple[TranslationTable, list[str]]:
-    """Parse a model file; returns the table and any trailer lines.
+    """Parse a v2 or v1 model file; returns the table and any trailer
+    lines. Lines may end in "\n". Errors name the model line at fault.
 
-    Blank lines are skipped. The trailer is the run of lines at the end
-    whose first field is not an integer; all lines before it are rows.
-    Lines may end in "\n". np.loadtxt ignores it in the rows, so only the
-    header, the trailer and the lines an error names are stripped.
+    In a v2 file, lines 2 to 4 are the body and the nonblank lines after
+    it the trailer. Each body line must be the canonical base64 of the N
+    values the header announces.
     """
     if not isinstance(lines, list):
         lines = list(lines)
     if not lines:
         raise DataFormatError("empty model file")
-    if _bare(lines[0]) != HEADER:
-        raise DataFormatError(f"model file must start with {HEADER!r}")
+    head, _, count = _bare(lines[0]).partition("\t")
+    if head == HEADER:
+        if not (count.isascii() and count.isdigit()):
+            raise DataFormatError(f"model line 1: expected {HEADER}<TAB>entries, got {count!r}")
+        body = [_decode(lines, k, int(count)) for k in range(2, 5)]
+        _check_entries(*body, lambda k, line: f"model line {line}: entry {k + 1}")
+        trailer = [line for line in map(_bare, lines[4:]) if line]
+        return TranslationTable.from_arrays(*body), trailer
+    if _bare(lines[0]) != HEADER_V1:
+        raise DataFormatError(f"model file must start with {HEADER!r} or {HEADER_V1!r}")
+    return _read_v1(lines)
+
+
+def _decode(lines: list[str], line: int, n: int) -> np.ndarray:
+    """The n values that model line `line` holds, as its _BODY entry says."""
+    name, dtype = _BODY[line - 2]
+    where = f"model line {line}"
+    if line > len(lines):
+        raise DataFormatError(f"{where}: missing; expected the {name}")
+    try:
+        raw = _bare(lines[line - 1]).encode("ascii")
+        data = binascii.a2b_base64(raw)
+        if binascii.b2a_base64(data, newline=False) != raw:
+            raise ValueError
+    except ValueError:  # not ASCII, bad padding, or not the one canonical text
+        raise DataFormatError(f"{where}: the {name} are not canonical base64") from None
+    if len(data) != 8 * n:
+        raise DataFormatError(f"{where}: {len(data)} bytes of {name}, not the {8 * n} of {n}")
+    return np.frombuffer(data, dtype)
+
+
+def _check_entries(e, f, p, where) -> None:
+    """Raise unless every probability is in [0, 1] and the entries are in
+    strictly ascending (e, f) order. where(k, line) names entry k, which
+    model line `line` of a v2 file holds."""
+    ok = (p >= 0.0) & (p <= 1.0)
+    ok[1:] &= (e[1:] > e[:-1]) | ((e[1:] == e[:-1]) & (f[1:] > f[:-1]))
+    if ok.all():
+        return
+    k = int(np.argmin(ok))
+    if not 0.0 <= p[k] <= 1.0:
+        raise DataFormatError(f"{where(k, 4)}: probability {float(p[k])} out of range")
+    raise DataFormatError(
+        f"{where(k, 2 if e[k] != e[k - 1] else 3)}: ({e[k]}, {f[k]}) is not after "
+        f"({e[k - 1]}, {f[k - 1]})"
+    )
+
+
+def _read_v1(lines: list[str]) -> tuple[TranslationTable, list[str]]:
+    """read_ttable of a v1 file, whose rows are `e<TAB>f<TAB>prob` text.
+
+    Blank lines are skipped. The trailer is the run of lines at the end
+    whose first field is not an integer; all lines before it are rows.
+    np.loadtxt ignores a row's "\n", so only the header, the trailer and
+    the lines an error names are stripped.
+    """
     end = len(lines)
     while end > 1 and not _is_row(lines[end - 1]):
         end -= 1
@@ -347,14 +310,11 @@ def read_ttable(lines: Iterable[str]) -> tuple[TranslationTable, list[str]]:
     except ValueError:
         raise _first_row_error(block) from None
     e, f, p = entries["e"], entries["f"], entries["p"]
-    ok = (p >= 0.0) & (p <= 1.0)
-    ok[1:] &= (e[1:] > e[:-1]) | ((e[1:] == e[:-1]) & (f[1:] > f[:-1]))
-    if not ok.all():
-        k = int(np.argmin(ok))
-        where = f"model line {np.flatnonzero([bool(_bare(line)) for line in block])[k] + 2}"
-        if not 0.0 <= p[k] <= 1.0:
-            raise DataFormatError(f"{where}: probability {float(p[k])} out of range")
-        raise DataFormatError(f"{where}: ({e[k]}, {f[k]}) is not after ({e[k-1]}, {f[k-1]})")
+
+    def where(k: int, _) -> str:  # the k-th nonblank line of block
+        return f"model line {np.flatnonzero([bool(_bare(line)) for line in block])[k] + 2}"
+
+    _check_entries(e, f, p, where)
     return TranslationTable.from_arrays(e, f, p), trailer
 
 

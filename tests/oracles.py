@@ -11,7 +11,9 @@ earlier step, kept as it was written, for the same reason.
 grow_diag_final_reference is the package's first grow-diag-final, kept
 as it was written: it takes and returns the package's AlignmentSet and
 raises its errors. rank_by_search and slots_by_search look ids up by
-binary search, as the package's table once did.
+binary search, as the package's table once did. model_text_v1 and
+model_text_v2 format a model file entry by entry, in the text format
+train wrote before v2 and in the base64 format it writes now.
 
 Conventions (mirroring the package's external contracts):
   * a sentence pair is (source_ids, target_ids);
@@ -23,9 +25,11 @@ Conventions (mirroring the package's external contracts):
 
 from __future__ import annotations
 
+import base64
 import bisect
 import itertools
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -412,6 +416,33 @@ def slots_by_search(entries, es, fs):
         k = bisect.bisect_left(entries, cell)
         slots.append(k if k < len(entries) and entries[k] == cell else len(entries))
     return np.array(slots, dtype=np.int64).reshape(es.shape)
+
+
+def model_entries(table) -> list[tuple[int, int, float]]:
+    """(e, f, prob) of every entry of a TranslationTable, in entry order."""
+    return list(zip(table.es.tolist(), table.fs.tolist(), table.theta[:-2].tolist()))
+
+
+def model_text_v1(entries, trailer=()) -> str:
+    """A v1 model file: the header line, one `e<TAB>f<TAB>repr(prob)` row
+    per (e, f, prob) entry, then the trailer lines."""
+    rows = "".join(f"{e}\t{f}\t{p!r}\n" for e, f, p in entries)
+    return "alignkit-ttable v1\n" + rows + "".join(line + "\n" for line in trailer)
+
+
+def model_text_v2(entries, trailer=()) -> str:
+    """A v2 model file: the header line with the entry count, the base64 of
+    the packed little-endian target ids, source ids and probabilities,
+    one line each, then the trailer lines."""
+    entries = list(entries)
+    columns = [
+        b"".join(struct.pack(code, entry[k]) for entry in entries)
+        for k, code in enumerate(("<q", "<q", "<d"))
+    ]
+    body = "".join(base64.b64encode(column).decode() + "\n" for column in columns)
+    return (
+        f"alignkit-ttable v2\t{len(entries)}\n" + body + "".join(line + "\n" for line in trailer)
+    )
 
 
 # --------------------------------------------------------------------------

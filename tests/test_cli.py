@@ -6,6 +6,7 @@ import os
 import stat
 import sys
 
+import numpy as np
 import pytest
 
 from alignkit import _packed, cli, hmm, model2
@@ -15,7 +16,8 @@ from alignkit.alignment import (
     symmetrize,
     transpose,
 )
-from alignkit.ttable import NULL_ID, read_ttable
+import oracles
+from alignkit.ttable import HEADER, NULL_ID, TranslationTable, read_ttable, write_ttable
 
 TOY = "das haus ||| the house\ndas buch ||| the book\n"
 
@@ -76,7 +78,7 @@ class TestTrain:
     def test_writes_model_and_vocabularies(self, tmp_path):
         code, model = self.train_toy(tmp_path)
         assert code == 0
-        assert read(model).startswith("alignkit-ttable v1\n")
+        assert read(model).startswith(f"{HEADER}\t")
         assert (tmp_path / "toy.model.source-vocab").exists()
         assert (tmp_path / "toy.model.target-vocab").exists()
 
@@ -252,11 +254,13 @@ class TestAlign:
         assert cli.main([
             "train", "--model", model_name, "--bitext", str(bitext), "--output", str(model),
         ]) == 0
-        lines = read(model).splitlines(keepends=True)
-        rows = [k for k, line in enumerate(lines) if line.split("\t")[0].lstrip("-").isdigit()]
-        lines.insert(rows[-1] + 1, f"{10**14}\t0\t1.0\n")
+        table, trailer = read_ttable(read(model).splitlines())
+        table = TranslationTable.from_arrays(
+            np.append(table.es, 10**14), np.append(table.fs, 0), np.append(table.theta[:-2], 1.0)
+        )
         huge = tmp_path / "huge.model"
-        huge.write_text("".join(lines), encoding="utf-8")
+        with open(huge, "w", encoding="utf-8") as out:
+            write_ttable(out, table, trailer)
         aligned = []
         for path in (model, huge):
             out = tmp_path / f"{path.name}.al"
@@ -270,13 +274,11 @@ class TestAlign:
 
     def test_row_not_summing_to_one_is_a_data_error(self, toy_model, capsys):
         bitext, model = toy_model
-        lines = read(model).splitlines()
-        e = lines[1].split("\t")[0]
-        for k, line in enumerate(lines[1:], start=1):
-            row_e, f, p = line.split("\t")
-            if row_e == e:
-                lines[k] = f"{row_e}\t{f}\t{float(p) / 2!r}"
-        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table, trailer = read_ttable(read(model).splitlines())
+        e = int(table.es[0])
+        probs = np.where(table.es == e, table.theta[:-2] / 2, table.theta[:-2])
+        with open(model, "w", encoding="utf-8") as out:
+            write_ttable(out, table.with_probs(probs), trailer)
         code = cli.main(["align", "--model-file", str(model), "--bitext", str(bitext)])
         assert code == 2
         assert f"target id {e} sum to" in capsys.readouterr().err
@@ -613,16 +615,20 @@ class TestExitCodes:
             "train", "--model", model_kind, "--bitext", str(bitext), "--output", str(model),
             "--iters", "1", "--quiet",
         ]) == 0
-        text = read(model).replace(old, new, 1)
-        assert text != read(model)
-        model.write_text(text, encoding="utf-8")
-        # The rejected row is the last line that `new` puts into the file.
-        line = text[: text.index(new) + len(new) - 1].count("\n") + 1
-        assert cli.main(["align", "--model-file", str(model), "--bitext", str(bitext)]) == 2
-        assert (
-            f"alignkit: error: {model}: model line {line}: {message}"
-            in capsys.readouterr().err
-        )
+        # The trained v2 file and the v1 file of its table, where `old` is.
+        table, trailer = read_ttable(read(model).splitlines())
+        texts = [read(model), oracles.model_text_v1(oracles.model_entries(table), trailer)]
+        edited = [text.replace(old, new, 1) for text in texts if old in text]
+        assert edited
+        for text in edited:
+            model.write_text(text, encoding="utf-8")
+            # The rejected row is the last line that `new` puts into the file.
+            line = text[: text.index(new) + len(new) - 1].count("\n") + 1
+            assert cli.main(["align", "--model-file", str(model), "--bitext", str(bitext)]) == 2
+            assert (
+                f"alignkit: error: {model}: model line {line}: {message}"
+                in capsys.readouterr().err
+            )
 
     def test_every_trailer_kind_maps_to_the_module_that_reads_it(self):
         assert cli.TRAILER_MODULES == {model2.DIAG_TRAILER: "model2", hmm.HMM_TRAILER: "hmm"}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from alignkit import _packed, model2
+from alignkit import _packed, model2, ttable
 from alignkit._packed import run_em
 from alignkit.alignment import to_set
 from alignkit.corpus import Bitext, SentencePair, load_bitext
@@ -116,6 +116,44 @@ class TestUniformStart:
                 assert (g.pairs, g.active) == (h.pairs, h.active)
                 for got, ref in zip((g.ms, g.ns, g.slots), (h.ms, h.ns, h.slots)):
                     assert_same_array(got, ref)
+
+
+    @pytest.mark.parametrize("dense_span", [0, ttable.DENSE_SPAN])
+    @pytest.mark.parametrize("use_null", [False, True])
+    def test_ranks_match_binary_search(self, monkeypatch, dense_span, use_null):
+        # uniform_start ranks the cells' ids by ttable._rank: through lookup
+        # arrays for ids close together, by binary search for ids near
+        # +-2**62, and always by binary search at DENSE_SPAN 0. Its table
+        # and slots must be those of ranks found by binary search.
+        monkeypatch.setattr(ttable, "DENSE_SPAN", dense_span)
+        rng = np.random.default_rng(8)
+        for far in (0, 2**62):
+            bitext = make_bitext(
+                (spread(p.source_ids, far), spread(p.target_ids, far))
+                for p in random_id_bitext(rng, 40, vocab=12, max_len=6).pairs
+            )
+            table, slots = _packed.uniform_start(bitext, use_null)
+            want_table, want_slots = uniform_start_by_search(bitext, use_null)
+            for attr in ("es", "fs", "theta"):
+                assert_same_array(getattr(table, attr), getattr(want_table, attr))
+            assert_same_array(slots, want_slots)
+
+
+def spread(ids, far: int) -> tuple[int, ...]:
+    """ids with the even ones moved up by far and the odd ones down."""
+    return tuple(i + far * (-1) ** i for i in ids)
+
+
+def uniform_start_by_search(bitext, use_null):
+    """uniform_start with each cell's ids ranked by np.searchsorted."""
+    es, fs = _packed.corpus_cells(bitext.pairs, use_null)
+    e_ids, f_ids = np.unique(es), np.unique(fs)
+    keys = np.searchsorted(e_ids, es) * len(f_ids) + np.searchsorted(f_ids, fs)
+    entries, slots = np.unique(keys, return_inverse=True)
+    row, col = np.divmod(entries, len(f_ids))
+    sizes = np.bincount(row)
+    table = TranslationTable.from_arrays(e_ids[row], f_ids[col], np.repeat(1.0 / sizes, sizes))
+    return table, slots
 
 
 class TestEmStep:

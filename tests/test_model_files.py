@@ -3,22 +3,27 @@
 `train` leaves out the table entries at or below the decode floor, which
 decode exactly like missing ones, so `align` on a saved file must give
 the alignments of the in-memory parameters of the same training run.
-The last test sends arbitrary model files through `align`, which may
-only succeed or fail with the data-error exit code.
+The v1 file of a trained table, the text format `train` wrote before v2,
+must align exactly as the v2 file does. The last test sends arbitrary
+model files of both versions through `align`, which may only succeed or
+fail with the data-error exit code.
 """
 
 import contextlib
 import io
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from alignkit import cli, hmm, model1, model2
 from alignkit.alignment import format_pharaoh_line, to_set
 from alignkit.ttable import (
     DECODE_FLOOR,
     HEADER,
+    HEADER_V1,
     ROW_SUM_TOL,
     TranslationTable,
     read_ttable,
@@ -105,6 +110,28 @@ class TestTrainedFiles:
         for lineno, alignment in zip(bitext.line_numbers, module.align_corpus(bitext, params)):
             expected[lineno - 1] = format_pharaoh_line(to_set(alignment))
         assert read(out).splitlines() == expected
+
+
+@pytest.mark.parametrize("kind", ["model1-null", "model2-null", "hmm-null", "hmm-no-null"])
+def test_the_v1_file_of_a_table_aligns_as_its_v2_file(tmp_path, corpus, kind):
+    model = tmp_path / "v2.model"
+    assert cli.main([
+        "train", "--bitext", str(corpus), "--output", str(model), "--iters", "3",
+        "--init-iters", "2", "--quiet", *MODELS[kind][1],
+    ]) == 0
+    table, trailer = read_ttable(read(model).splitlines())
+    v1 = tmp_path / "v1.model"
+    v1.write_text(oracles.model_text_v1(oracles.model_entries(table), trailer), encoding="utf-8")
+    aligned = []
+    for path in (model, v1):
+        out = tmp_path / f"{path.name}.al"
+        assert cli.main([
+            "align", "--model-file", str(path), "--bitext", str(corpus), "--output", str(out),
+            "--source-vocab", f"{model}.source-vocab", "--target-vocab", f"{model}.target-vocab",
+        ]) == 0
+        aligned.append(out.read_bytes())
+    assert aligned[0] == aligned[1]
+    assert aligned[0].count(b"-") > 100
 
 
 class TestPruning:
@@ -228,15 +255,49 @@ def join_lines(header, rows, trailer):
     return "\n".join([header, *rows, *trailer]) + "\n"
 
 
+int64s = st.one_of(st.integers(-2, 4), st.sampled_from([2**63 - 1, -(2**63), 10**14]))
+any_floats = st.one_of(st.floats(), st.sampled_from([0.0, 1.0, 5e-324, -0.0, math.nan]))
+
+
+@st.composite
+def v2_files(draw):
+    """v2 files: rows over known ids that sum to 1, or arbitrary entries,
+    possibly with the count, a body line or a character of it edited."""
+    if draw(st.booleans()):
+        entries = [
+            (int(e), int(f), float(p))
+            for e, f, p in (row.split("\t") for row in draw(normalized_rows()))
+        ]
+    else:
+        entries = draw(st.lists(st.tuples(int64s, int64s, any_floats), max_size=6))
+    trailer = draw(st.one_of(valid_trailers(), trailers()))
+    lines = oracles.model_text_v2(entries, trailer).split("\n")
+    edit = draw(st.sampled_from(["none"] * 4 + ["count", "cut", "char", "drop"]))
+    line = draw(st.integers(1, 4))
+    if edit == "count":
+        count = draw(st.one_of(st.integers(-1, 8).map(str), st.sampled_from(ODD_NUMBERS)))
+        lines[0] = f"{HEADER}\t{count}"
+    elif edit == "cut":
+        lines[line] = lines[line][: draw(st.integers(0, len(lines[line])))]
+    elif edit == "char" and lines[line]:
+        k = draw(st.integers(0, len(lines[line]) - 1))
+        char = draw(st.sampled_from(list("A/+=_- \t\u00e9") + [lines[line][k].swapcase()]))
+        lines[line] = lines[line][:k] + char + lines[line][k + 1 :]
+    elif edit == "drop":
+        del lines[line]
+    return "\n".join(lines)
+
+
 # Half the files are well formed, so that they reach the decoders.
 model_files = st.one_of(
-    st.builds(join_lines, st.just(HEADER), normalized_rows(), valid_trailers()),
+    st.builds(join_lines, st.just(HEADER_V1), normalized_rows(), valid_trailers()),
     st.builds(
         join_lines,
-        st.sampled_from([HEADER] * 4 + ["", "alignkit-ttable v2", HEADER + " "]),
+        st.sampled_from([HEADER_V1] * 4 + ["", HEADER, HEADER_V1 + " "]),
         st.one_of(normalized_rows(), raw_rows),
         trailers(),
     ),
+    v2_files(),
 )
 
 
@@ -250,7 +311,7 @@ def align_inputs(tmp_path_factory):
 
 
 @given(text=model_files)
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_any_model_file_aligns_or_is_a_data_error(align_inputs, text):
     model = align_inputs / "model"
     model.write_text(text, encoding="utf-8")

@@ -1,18 +1,20 @@
+import base64
 import io
 import os
-import signal
-from contextlib import contextmanager
+import string
+import struct
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from alignkit import cli, ttable
 from alignkit.errors import DataFormatError
 from alignkit.ttable import (
-    _WRITE_BATCH,
     HEADER,
-    MIN_PART,
     MSTEP_FLOOR,
     NULL_ID,
     TranslationTable,
@@ -24,6 +26,33 @@ from alignkit.ttable import (
 def entries(table: TranslationTable) -> list[tuple[int, int, float]]:
     """(e, f, prob) of every entry, in the order of the table's rows."""
     return [(e, f, p) for e, row in table.rows.items() for f, p in row.items()]
+
+
+ID_VALUES = st.one_of(
+    st.sampled_from([NULL_ID, 0, 1, 2**62, -(2**62), 2**62 - 1]),
+    st.integers(-(2**62), 2**62),
+)
+PROB_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072009e-308, 1e-12, 0.5]),
+    st.floats(0.0, 1.0),
+)
+TRAILERS = [
+    [],
+    ["diag\t4.0\t0.08"],
+    ["hmm\t1\t0.2", "jump\t-1\t0.25", "jump\t0\t0.5", "jump\t1\t0.25"],
+]
+
+
+# A small table of NULL_ID and ids far apart, and its model file's lines.
+SMALL = TranslationTable({NULL_ID: {3: 0.5, 2**62: 0.5}, 7: {3: 1.0}})
+SMALL_LINES = oracles.model_text_v2(oracles.model_entries(SMALL), ["diag\t4.0\t0.08"]).splitlines()
+
+
+def edited(line: int, text: str) -> list[str]:
+    """SMALL_LINES with model line `line` replaced by text."""
+    lines = list(SMALL_LINES)
+    lines[line - 1] = text
+    return lines
 
 
 def roundtrip(table: TranslationTable, trailer=()):
@@ -61,21 +90,23 @@ class TestModelFileFormat:
         assert text2 == text
 
     def test_bytes_match_a_per_entry_reference(self):
-        # Two one-entry rows, then three-entry rows, so that the row at the
-        # batch boundary straddles it; source ids repeat in every batch.
-        patterns = [{1: 5e-324, 4: 1e-12, 9: 1 - 1e-12}, {2: 1 / 3, 3: 1 / 3, 7: 1 / 3}]
-        rows = {NULL_ID: {5: 1.0}, 0: {8: 1.0}}
-        rows.update((e, patterns[e % 2]) for e in range(1, _WRITE_BATCH // 3 + 10))
-        table = TranslationTable(rows)
-        assert len(table) > _WRITE_BATCH
-        assert table.es[_WRITE_BATCH - 1] == table.es[_WRITE_BATCH]
-        buf = io.StringIO()
-        write_ttable(buf, table, ["diag\t4.0\t0.08"])
-        reference = "".join(f"{e}\t{f}\t{p!r}\n" for e, f, p in entries(table))
-        assert buf.getvalue() == f"{HEADER}\n{reference}diag\t4.0\t0.08\n"
-        empty = io.StringIO()
-        write_ttable(empty, TranslationTable({}))
-        assert empty.getvalue() == f"{HEADER}\n"
+        # More entries than one encoded piece holds, so that each body line
+        # joins several pieces; ids far apart; probabilities of every kind.
+        size = ttable._ENCODE_BYTES // 8 * 2 + 5
+        rng = np.random.default_rng(3)
+        es = np.repeat(np.arange(size // 5 + 1) * 2**40 - 1, 5)[:size]
+        fs = np.tile([-(2**62), NULL_ID, 0, 9, 2**62], size // 5 + 1)[:size]
+        probs = rng.random(size)
+        probs[::7], probs[1::7], probs[2::7] = 0.0, 1.0, 5e-324
+        table = TranslationTable.from_arrays(es, fs, probs)
+        text, _ = roundtrip(table, ["diag\t4.0\t0.08"])
+        assert text == oracles.model_text_v2(oracles.model_entries(table), ["diag\t4.0\t0.08"])
+        # Two entries: each array's base64 ends in padding.
+        table = TranslationTable({NULL_ID: {-(2**62): 5e-324}, 2**62: {0: 1.0}})
+        text, _ = roundtrip(table, ["hmm\t1\t0.2"])
+        assert text == oracles.model_text_v2(oracles.model_entries(table), ["hmm\t1\t0.2"])
+        assert text.splitlines()[1].endswith("=")
+        assert roundtrip(TranslationTable({}))[0] == f"{HEADER}\t0\n\n\n\n"
 
     def test_header_is_required(self):
         with pytest.raises(DataFormatError, match="alignkit-ttable"):
@@ -144,6 +175,11 @@ class TestModelFileFormat:
             ["alignkit-ttable v1", "1\t1\t0.5", "", "diag\t4.0\t0.08", "1\t3\t0.5", "hmm"],
             ["alignkit-ttable v1", "2\t1\t0.5", "", "1\t2\t0.5"],
             ["alignkit-ttable v1", "1\t1\t0.5", "", "1\t3\t2.5"],
+            SMALL_LINES,
+            SMALL_LINES[:1] + ["", "", ""],
+            SMALL_LINES + ["", "hmm\t1\t0.2", ""],
+            edited(1, f"{HEADER}\t2"),
+            SMALL_LINES[:3],
         ],
     )
     def test_lines_with_and_without_newlines_read_alike(self, lines):
@@ -164,182 +200,152 @@ class TestModelFileFormat:
         assert outcome(text.splitlines()) == expected
 
 
-def table_of(size: int) -> TranslationTable:
-    """A table of size entries in rows of 1 to 5, whose ids repeat across
-    the rows and whose probabilities print in many lengths."""
-    if not size:
-        return TranslationTable({})
-    rng = np.random.default_rng(size)
-    lengths = rng.integers(1, 6, size=size)
-    lengths = lengths[: np.searchsorted(np.cumsum(lengths), size) + 1]
-    lengths[-1] -= lengths.sum() - size
-    es = np.repeat(np.arange(len(lengths)) - 1, lengths)  # the first row NULL
-    fs = np.concatenate([np.sort(rng.choice(40, k, replace=False)) for k in lengths])
-    probs = rng.random(size) ** 8
-    probs[::7] = 1.0
-    return TranslationTable.from_arrays(es, fs, probs)
+def with_a_spare_bit(lines: list[str], line: int) -> list[str]:
+    """lines with a spare bit set in the last base64 group of model line
+    `line`, which must end in padding: the bytes it decodes to are the
+    same, but the text is not the canonical one."""
+    alphabet = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+    text = lines[line - 1]
+    k = len(text.rstrip("=")) - 1
+    lines = list(lines)
+    lines[line - 1] = text[:k] + alphabet[alphabet.index(text[k]) | 1] + text[k + 1 :]
+    return lines
 
 
-def reference_text(table: TranslationTable, trailer=()) -> str:
-    rows = "".join(f"{e}\t{f}\t{p!r}\n" for e, f, p in entries(table))
-    return HEADER + "\n" + rows + "".join(line + "\n" for line in trailer)
+def encode(*values, code="<q") -> str:
+    return base64.b64encode(struct.pack(f"<{len(values)}{code[1]}", *values)).decode()
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pid of every child os.fork() makes while the test runs; any
-    still running when it ends are killed and reaped."""
-    made = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    yield made
-    for pid in made:
-        try:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass
-
-
-@contextmanager
-def within(seconds: int):
-    """A TimeoutError, instead of a hang, if the block takes longer."""
-
-    def timeout(*_):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+# Each case: the file's lines, and the line and words its error names.
+MALFORMED = {
+    "no-count": ([HEADER] + SMALL_LINES[1:], 1, "entries, got ''"),
+    "bad-count": (edited(1, f"{HEADER}\tthree"), 1, "entries, got 'three'"),
+    "negative-count": (edited(1, f"{HEADER}\t-3"), 1, "entries, got '-3'"),
+    "non-ascii-count": (edited(1, f"{HEADER}\t\u0663"), 1, "entries, got"),
+    "count-below-the-body": (edited(1, f"{HEADER}\t2"), 2, "24 bytes of target ids, not the 16"),
+    "count-above-the-body": (edited(1, f"{HEADER}\t4"), 2, "24 bytes of target ids, not the 32"),
+    "missing-line": (SMALL_LINES[:3], 4, "missing; expected the probabilities"),
+    "no-body": (SMALL_LINES[:1], 2, "missing; expected the target ids"),
+    "truncated-line": (edited(3, SMALL_LINES[2][:-4]), 3, "21 bytes of source ids, not the 24"),
+    "cut-mid-group": (edited(3, SMALL_LINES[2][:-1]), 3, "source ids are not canonical base64"),
+    "blank-body-line": (edited(2, ""), 2, "0 bytes of target ids, not the 24"),
+    "space-in-the-body": (edited(4, " " + SMALL_LINES[3]), 4, "are not canonical base64"),
+    "url-safe-alphabet": (
+        edited(2, encode(NULL_ID, NULL_ID, 2**62 - 1).replace("/", "_")), 2, "not canonical base64"
+    ),
+    "surplus-padding": (edited(4, SMALL_LINES[3] + "===="), 4, "not canonical base64"),
+    "spare-bits-set": (
+        with_a_spare_bit(oracles.model_text_v2([(1, 2, 0.5), (1, 3, 0.5)]).splitlines(), 3),
+        3, "source ids are not canonical base64",
+    ),
+    "unsorted-targets": (edited(2, encode(NULL_ID, 7, NULL_ID)), 2,
+                         f"entry 3: \\(-1, 3\\) is not after \\(7, {2**62}\\)"),
+    "unsorted-sources": (edited(3, encode(2**62, 3, 3)), 3,
+                         f"entry 2: \\(-1, 3\\) is not after \\(-1, {2**62}\\)"),
+    "repeated-entry": (edited(3, encode(3, 3, 3)), 3,
+                       "entry 2: \\(-1, 3\\) is not after \\(-1, 3\\)"),
+    "nan": (edited(4, encode(0.5, float("nan"), 1.0, code="<d")), 4,
+            "entry 2: probability nan out of range"),
+    "above-one": (edited(4, encode(0.5, 0.5, 1.0000000000000002, code="<d")), 4,
+                  "entry 3: probability 1.0000000000000002 out of range"),
+    "negative": (edited(4, encode(-1e-300, 0.5, 1.0, code="<d")), 4,
+                 "entry 1: probability -1e-300 out of range"),
+}
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+class TestModelFileV2:
+    @given(
+        cells=st.lists(
+            st.tuples(ID_VALUES, ID_VALUES), unique=True, max_size=40
+        ).map(sorted),
+        data=st.data(),
+        trailer=st.sampled_from(TRAILERS),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_round_trip_is_bitwise(self, cells, data, trailer):
+        probs = data.draw(st.lists(PROB_VALUES, min_size=len(cells), max_size=len(cells)))
+        es, fs = zip(*cells) if cells else ((), ())
+        table = TranslationTable.from_arrays(es, fs, probs)
+        text, (loaded, loaded_trailer) = roundtrip(table, trailer)
+        assert text == oracles.model_text_v2(oracles.model_entries(table), trailer)
+        assert loaded.es.tobytes() == table.es.tobytes()
+        assert loaded.fs.tobytes() == table.fs.tobytes()
+        assert loaded.theta.tobytes() == table.theta.tobytes()
+        assert loaded_trailer == list(trailer)
+
+    @pytest.mark.parametrize("encode_bytes", [3, 6, 24, 3 << 16])
+    def test_the_text_does_not_depend_on_the_encoded_piece_size(self, encode_bytes, monkeypatch):
+        rng = np.random.default_rng(4)
+        es = np.repeat(np.arange(-1, 99), 7)
+        fs = np.tile(np.arange(7), 100) * 2**40
+        table = TranslationTable.from_arrays(es, fs, rng.random(len(es)))
+        want = oracles.model_text_v2(oracles.model_entries(table), ["diag\t4.0\t0.08"])
+        monkeypatch.setattr(ttable, "_ENCODE_BYTES", encode_bytes)
+        assert roundtrip(table, ["diag\t4.0\t0.08"])[0] == want
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_a_malformed_file_is_an_error_naming_its_line(self, case, tmp_path, capsys):
+        lines, line, message = MALFORMED[case]
+        with pytest.raises(DataFormatError, match=f"^model line {line}: .*{message}"):
+            read_ttable(lines)
+        model = tmp_path / "model"
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (tmp_path / "vocab").write_text("1\ta\t1\n", encoding="utf-8")
+        (tmp_path / "bitext").write_text("a ||| a\n", encoding="utf-8")
+        assert cli.main([
+            "align", "--model-file", str(model), "--bitext", str(tmp_path / "bitext"),
+            "--source-vocab", str(tmp_path / "vocab"), "--target-vocab", str(tmp_path / "vocab"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"alignkit: error: {model}: model line {line}: "), err
+        assert err.count("\n") == 1
 
 
-def fail_in(where: str, monkeypatch, short: bool = False):
-    """Make _format_range fail in the parent or in the writer children:
-    raise, or (short=True) leave out the last line of its range."""
-    parent, real = os.getpid(), ttable._format_range
-
-    def format_range(table, lo, hi):
-        if (os.getpid() == parent) != (where == "parent"):
-            return real(table, lo, hi)
-        if short:
-            return real(table, lo, hi - 1)
-        raise RuntimeError(f"formatting failed in the {where}")
-
-    monkeypatch.setattr(ttable, "_format_range", format_range)
-
-
-SIZES = [0, 1, MIN_PART - 1, MIN_PART, 2 * MIN_PART, 2 * MIN_PART + 1, 7 * MIN_PART + 5]
+def pieced_table() -> TranslationTable:
+    """A table of 700 entries with NULL_ID and ids far apart."""
+    rng = np.random.default_rng(9)
+    es = np.repeat(np.arange(-1, 99), 7)
+    fs = np.tile(np.arange(7), 100) * 2**40
+    return TranslationTable.from_arrays(es, fs, rng.random(len(es)))
 
 
 class TestWriters:
-    @pytest.mark.parametrize("size", SIZES)
-    def test_text_does_not_depend_on_the_writer_count(self, size, forks, tmp_path):
-        table = table_of(size)
-        assert len(table) == size
-        for trailer in ([], ["hmm\t5\t0.2", "jump\t-5\t0.1"]):
-            want = reference_text(table, trailer)
-            for jobs in (1, 2, 3, 7):
-                buf = io.StringIO()
-                write_ttable(buf, table, trailer, jobs=jobs)
-                assert buf.getvalue() == want, jobs
-                path = tmp_path / f"{jobs}.model"
-                with open(path, "w", encoding="utf-8") as fh:
-                    write_ttable(fh, table, trailer, jobs=jobs)
-                assert path.read_text(encoding="utf-8") == want, jobs
-        # One writer per MIN_PART entries, up to jobs: two runs per jobs.
-        expected = sum(max(1, min(jobs, size // MIN_PART)) - 1 for jobs in (1, 2, 3, 7))
-        assert len(forks) == 2 * 2 * expected
-        assert_no_child_left()
-
-    def test_without_fork_one_process_writes_everything(self, monkeypatch):
-        table = table_of(3 * MIN_PART + 2)
+    # write_ttable encodes in this process, piece by piece; these pin that
+    # it needs no os.fork and starts no process, with or without threads.
+    def test_without_fork_one_process_writes_everything(self, tmp_path, monkeypatch):
+        table, trailer = pieced_table(), ["diag\t4.0\t0.08"]
+        want = oracles.model_text_v2(oracles.model_entries(table), trailer)
+        monkeypatch.setattr(ttable, "_ENCODE_BYTES", 384)  # 48 entries a piece
         monkeypatch.delattr(os, "fork")
         buf = io.StringIO()
-        write_ttable(buf, table, ["diag\t4.0\t0.08"], jobs=3)
-        assert buf.getvalue() == reference_text(table, ["diag\t4.0\t0.08"])
+        write_ttable(buf, table, trailer)
+        assert buf.getvalue() == want
+        path = tmp_path / "model"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_ttable(fh, table, trailer)
+        assert path.read_text(encoding="utf-8") == want
 
-    def test_nothing_forks_while_other_threads_run(self, forks, monkeypatch):
-        monkeypatch.setattr(ttable.threading, "active_count", lambda: 2)
-        table = table_of(2 * MIN_PART)
-        buf = io.StringIO()
-        write_ttable(buf, table, jobs=2)
-        assert buf.getvalue() == reference_text(table)
+    def test_nothing_forks_while_other_threads_run(self, monkeypatch):
+        forks = []
+
+        def no_fork():
+            forks.append(os.getpid())
+            raise AssertionError("write_ttable forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(ttable, "_ENCODE_BYTES", 384)
+        table, release = pieced_table(), threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            assert threading.active_count() >= 2
+            buf = io.StringIO()
+            write_ttable(buf, table)
+        finally:
+            release.set()
+            other.join()
+        assert buf.getvalue() == oracles.model_text_v2(oracles.model_entries(table))
         assert forks == []
-
-    def test_a_failed_fork_leaves_the_rest_to_this_process(self, forks, monkeypatch):
-        fork = os.fork  # the counting one: the first fork succeeds
-
-        def second_fails():
-            if forks:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return fork()
-
-        monkeypatch.setattr(os, "fork", second_fails)
-        table = table_of(3 * MIN_PART + 2)
-        buf = io.StringIO()
-        write_ttable(buf, table, jobs=3)
-        assert buf.getvalue() == reference_text(table)
-        assert len(forks) == 1
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_a_failing_writer_is_an_error_naming_it(self, jobs, forks, monkeypatch):
-        fail_in("child", monkeypatch)
-        failed = f"model-file writer 2 of {jobs} failed with exit code 1"
-        with within(30), pytest.raises(OSError, match=failed):
-            write_ttable(io.StringIO(), table_of(3 * MIN_PART), jobs=jobs)
-        assert len(forks) == jobs - 1
-        assert_no_child_left()
-
-    def test_a_writer_that_sends_short_is_an_error(self, forks, monkeypatch):
-        fail_in("child", monkeypatch, short=True)
-        short = f"model-file writer 2 of 2 sent {MIN_PART - 1} of its {MIN_PART} lines"
-        with within(30), pytest.raises(OSError, match=short):
-            write_ttable(io.StringIO(), table_of(2 * MIN_PART), jobs=2)
-        assert_no_child_left()
-
-    def test_a_failure_in_this_process_reaps_the_writers(self, forks, monkeypatch):
-        # Each child's range is larger than a pipe holds, so the children
-        # are blocked writing when the parent gives up.
-        fail_in("parent", monkeypatch)
-        with within(30), pytest.raises(RuntimeError, match="formatting failed in the parent"):
-            write_ttable(io.StringIO(), table_of(3 * MIN_PART), jobs=3)
-        assert len(forks) == 2
-        assert_no_child_left()
-
-    def test_train_exits_2_when_a_writer_fails(self, tmp_path, forks, monkeypatch, capsys):
-        corpus, model = tmp_path / "corpus.txt", tmp_path / "m"
-        assert cli.main(["synth", "--pairs", "400", "--vocab-size", "2000", "--seed", "5",
-                         "--output-bitext", str(corpus),
-                         "--output-gold", str(tmp_path / "gold.wpt")]) == 0
-        train = ["train", "--bitext", str(corpus), "--output", str(model), "--iters", "1",
-                 "--quiet", "--jobs", "2"]
-        assert cli.main(train) == 0
-        assert len(read_ttable(model.read_text().splitlines())[0]) >= 2 * MIN_PART
-        assert len(forks) == 1
-        capsys.readouterr()
-        fail_in("child", monkeypatch)
-        with within(30):
-            assert cli.main(train) == 2
-        err = capsys.readouterr().err
-        assert err == "alignkit: error: model-file writer 2 of 2 failed with exit code 1\n"
-        assert_no_child_left()
 
 
 class TestSlots:
