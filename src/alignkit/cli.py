@@ -39,8 +39,8 @@ from itertools import islice
 from typing import TextIO
 
 # Each command imports the other modules it runs, so that it loads only
-# its own: the post stages start without numpy, and no command pays for
-# a model it does not run.
+# its own: the post stages and synth start without numpy, and no command
+# pays for a model it does not run.
 from .alignment import (
     HEURISTICS,
     AlignmentSet,

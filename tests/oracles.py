@@ -14,6 +14,9 @@ raises its errors. rank_by_search and slots_by_search look ids up by
 binary search, as the package's table once did. model_text_v1 and
 model_text_v2 format a model file entry by entry, in the text format
 train wrote before v2 and in the base64 format it writes now.
+synth_generate_numpy is the package's synthetic-corpus generator as it
+was written on numpy's `default_rng`, the stream the package reproduces
+without numpy; it builds the package's SynthRecord.
 
 Conventions (mirroring the package's external contracts):
   * a sentence pair is (source_ids, target_ids);
@@ -562,3 +565,48 @@ def grow_diag_final_reference(
         if ok:
             aligned.add((j, i))
     return AlignmentSet(links=frozenset(aligned), m=fwd.m, n=fwd.n)
+
+
+# --------------------------------------------------------------------------
+# Synthetic corpora
+
+
+def synth_generate_numpy(config):
+    from alignkit.synth import SynthRecord
+
+    rng = np.random.default_rng(config.seed)
+    records = []
+    for _ in range(config.pairs):
+        length = int(rng.integers(config.min_len, config.max_len + 1))
+        ids = rng.integers(0, config.vocab_size, size=length)
+
+        target = [f"t{k}" for k in ids]
+        # links as (source position in the clean sentence, target position)
+        links = [(j, j) for j in range(length)]
+        i = 0
+        while i + 1 < length:
+            if rng.random() < config.swap_rate:
+                target[i], target[i + 1] = target[i + 1], target[i]
+                links = [
+                    (j, i + 1 if t == i else i if t == i + 1 else t)
+                    for j, t in links
+                ]
+                i += 2
+            else:
+                i += 1
+
+        source = []
+        positions = []  # noisy-source position of each clean token
+        for k in ids:
+            positions.append(len(source))
+            source.append(f"s{k}")
+            if rng.random() < config.insert_rate:
+                source.append(f"s{int(rng.integers(0, config.vocab_size))}")
+
+        gold = AlignmentSet(
+            links=frozenset((positions[j], t) for j, t in links),
+            m=len(source),
+            n=length,
+        )
+        records.append(SynthRecord(tuple(source), tuple(target), gold))
+    return records

@@ -1,6 +1,6 @@
 """The package loads no submodule, and each command loads only the
-modules it runs: the post stages without numpy, a lexical model without
-the HMM.
+modules it runs: the post stages and synth without numpy, a lexical
+model without the HMM.
 
 Each check runs in a fresh interpreter, because the test process has
 long since imported numpy.
@@ -122,6 +122,21 @@ def test_post_stage_loads_only_its_own_modules(toy_files, stage):
         cwd=toy_files,
     )
     assert out == f"{POST_STAGE_MODULES[stage]}\n"
+
+
+def test_synth_loads_no_numpy_and_only_its_own_modules(tmp_path):
+    argv = ["synth", "--pairs", "20", "--vocab-size", str(2**40), "--swap-rate", "0.5",
+            "--insert-rate", "0.5", "--seed", "3", "--output-bitext", "corpus.txt",
+            "--output-gold", "gold.wpt"]
+    out = run_python(
+        "import sys\n"
+        "from alignkit import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print('numpy' in sys.modules)\n" + LOADED,
+        cwd=tmp_path,
+    )
+    assert out == "False\n['alignment', 'cli', 'corpus', 'errors', 'synth']\n"
+    assert (tmp_path / "gold.wpt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("model, loaded", [

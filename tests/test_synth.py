@@ -1,9 +1,21 @@
+import hashlib
 import io
+import itertools
+import random
 
+import numpy as np
 import pytest
 
+import oracles
 from alignkit.errors import ConfigError
-from alignkit.synth import SynthConfig, generate, write_gold_wpt
+from alignkit.synth import MAX_LEN, SynthConfig, _Generator, generate, write_gold_wpt
+
+# Upper bounds of the draws: every branch of numpy's bounded integers (no
+# draw, 32-bit Lemire, a bare 32-bit word, 64-bit Lemire), and 3 * 2**30
+# and 3 * 2**61, whose Lemire rejection thresholds (2**30 and 2**62) turn
+# a quarter of their first draws away.
+BOUNDS = [1, 2, 13, 1000, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**61, 2**63]
+SEEDS = [0, 2**32, 2**64 + 3, 2**130 + 11]
 
 
 class TestConfig:
@@ -24,6 +36,14 @@ class TestConfig:
             SynthConfig(pairs=1, seed=-1)
         with pytest.raises(ConfigError, match="vocab_size"):
             SynthConfig(pairs=1, vocab_size=2**63 + 1)
+
+    def test_max_len_is_bounded(self):
+        # Construction only: generating at such a length would fill memory.
+        SynthConfig(pairs=1, min_len=MAX_LEN, max_len=MAX_LEN)
+        with pytest.raises(ConfigError, match=r"max_len must be <= 2\*\*20"):
+            SynthConfig(pairs=1, max_len=MAX_LEN + 1)
+        with pytest.raises(ConfigError, match=r"2\*\*20, got 10000000000000"):
+            SynthConfig(pairs=1, min_len=10**13, max_len=10**13)
 
 
 class TestGenerate:
@@ -81,6 +101,53 @@ class TestGenerate:
         config = SynthConfig(pairs=50, vocab_size=10, min_len=4, max_len=6, seed=7)
         for record in generate(config):
             assert 4 <= len(record.target_tokens) <= 6
+
+
+class TestNumpyStream:
+    """`generate` draws numpy 2.x's `default_rng(seed)` stream without numpy."""
+
+    @pytest.mark.parametrize("vocab_size", BOUNDS)
+    def test_generate_matches_the_numpy_generator(self, vocab_size):
+        for seed, (swap_rate, insert_rate), (min_len, max_len) in itertools.product(
+            SEEDS,
+            [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.3, 0.2)],
+            [(1, 1), (4, 4), (1, 12)],
+        ):
+            config = SynthConfig(
+                pairs=8, vocab_size=vocab_size, min_len=min_len, max_len=max_len,
+                swap_rate=swap_rate, insert_rate=insert_rate, seed=seed,
+            )
+            assert generate(config) == oracles.synth_generate_numpy(config), config
+
+    @pytest.mark.parametrize("seed", SEEDS + [1, 2001])
+    def test_draws_match_default_rng(self, seed):
+        ours, numpy = _Generator(seed), np.random.default_rng(seed)
+        calls = random.Random(seed)
+        for _ in range(3000):
+            kind = calls.randrange(3)
+            high = calls.choice(BOUNDS)
+            low = calls.randrange(min(high, 3))
+            if kind == 0:
+                assert ours.random() == numpy.random()
+            elif kind == 1:
+                assert ours.integers(low, high) == int(numpy.integers(low, high)), high
+            else:
+                size = calls.randrange(6)
+                got = ours.integers(low, high, size=size)
+                assert got == numpy.integers(low, high, size=size).tolist(), high
+
+    def test_first_draws_are_pinned(self):
+        # The package's stream alone: if this passes while the comparisons
+        # with numpy fail, numpy's Generator changed, not the package.
+        rng = _Generator(2**64 + 3)
+        draws = []
+        for k in range(100):
+            draws.append(rng.random())
+            draws += [rng.integers(0, high) for high in BOUNDS]
+            draws.append(rng.integers(0, BOUNDS[k % len(BOUNDS)], size=3))
+        assert hashlib.sha256(repr(draws).encode()).hexdigest() == (
+            "446ba1fef0e2e95b739d2b9ece6b79b144c00e40853496bc06dbbc17be965741"
+        )
 
 
 class TestGoldOutput:
