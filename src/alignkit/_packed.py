@@ -48,7 +48,6 @@ the likelihood, which EM never does.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Optional, Protocol, TextIO
@@ -56,14 +55,12 @@ from typing import Callable, Iterator, NamedTuple, Optional, Protocol, TextIO
 import numpy as np
 
 from .corpus import Bitext, SentencePair
-from .errors import NumericError
+from .errors import NumericError, warn
 from .ttable import NULL_ID, TranslationTable, _rank, distinct_sorted
 
 CHUNK_CELLS = 1 << 20  # cap on the cells m * (n + NULL) of a chunk's pairs
 GROUP_CELLS = 1 << 16  # cap on pairs x max(longest m, longest n) x longest n of a group
 MONOTONE_SLACK = 1e-9  # rounding allowance before a likelihood drop is reported
-
-log = logging.getLogger(__name__)
 
 
 class PriorProvider(Protocol):
@@ -367,7 +364,8 @@ def run_em(step: Callable, state, iterations: int, log_to: Optional[TextIO] = No
     for it in range(iterations):
         state, ll = step(state)
         if trace and ll < trace[-1] - MONOTONE_SLACK:
-            log.warning(
+            warn(
+                __name__,
                 "iteration %d: log-likelihood %.6f is below iteration %d's %.6f",
                 it + 1, ll, it, trace[-1],
             )

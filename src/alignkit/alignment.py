@@ -11,12 +11,11 @@ fields, 0-based; an empty line is an empty alignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Callable, Iterable, Optional, TextIO
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .errors import DataFormatError, DimensionMismatchError
+from .errors import DataFormatError, DimensionMismatchError, Record
 
 Link = tuple[int, int]
 
@@ -29,33 +28,27 @@ NEIGHBORS: tuple[Link, ...] = (
 GDF_VARIANTS = ("final", "final-and")
 
 
-@dataclass(frozen=True)
-class AlignmentSet:
+class AlignmentSet(Record):
     """A set of links over an m-source x n-target sentence pair."""
 
-    links: frozenset[Link]
-    m: int
-    n: int
+    __slots__ = ("links", "m", "n")
 
-    def __post_init__(self):
-        object.__setattr__(self, "links", frozenset(self.links))
-        if self.m < 0 or self.n < 0:
+    def __init__(self, links: Iterable[Link], m: int, n: int) -> None:
+        links = frozenset(links)
+        if m < 0 or n < 0:
             raise DataFormatError("alignment dimensions must be non-negative")
-        for j, i in self.links:
-            if not (0 <= j < self.m and 0 <= i < self.n):
-                raise DataFormatError(
-                    f"link ({j},{i}) out of bounds for {self.m}x{self.n} pair"
-                )
+        for j, i in links:
+            if not (0 <= j < m and 0 <= i < n):
+                raise DataFormatError(f"link ({j},{i}) out of bounds for {m}x{n} pair")
+        self.links, self.m, self.n = links, m, n
 
     @classmethod
     def _derived(cls, links: frozenset[Link], m: int, n: int) -> AlignmentSet:
         """A set over links that were checked against bounds no larger
-        than (m, n) when the set they came from was built, so
-        __post_init__'s per-link check is skipped."""
+        than (m, n) when the set they came from was built, so __init__'s
+        per-link check is skipped."""
         a = object.__new__(cls)
-        object.__setattr__(a, "links", links)
-        object.__setattr__(a, "m", m)
-        object.__setattr__(a, "n", n)
+        a.links, a.m, a.n = links, m, n
         return a
 
     def sorted_links(self) -> list[Link]:
@@ -68,8 +61,7 @@ class AlignmentSet:
         return len(self.links)
 
 
-@dataclass(frozen=True)
-class AlignmentFunction:
+class AlignmentFunction(NamedTuple):
     """One aligned target position (or None) per source position."""
 
     targets: tuple[Optional[int], ...]
@@ -236,11 +228,6 @@ def format_function_line(func: AlignmentFunction) -> str:
     """format_pharaoh_line(to_set(func)) without building the set: the
     targets are in source order, with at most one link per position."""
     return " ".join(f"{j}-{i}" for j, i in enumerate(func.targets) if i is not None)
-
-
-def write_pharaoh(alignments: Iterable[AlignmentSet], out: TextIO) -> None:
-    for a in alignments:
-        out.write(format_pharaoh_line(a) + "\n")
 
 
 def harmonize_dims(fwd: AlignmentSet, rev: AlignmentSet) -> tuple[AlignmentSet, AlignmentSet]:

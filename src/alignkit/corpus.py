@@ -8,14 +8,10 @@ so that id order is reproducible for a fixed corpus.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import ConfigError, DataFormatError, DegeneratePairError
-
-log = logging.getLogger("alignkit")
+from .errors import ConfigError, DataFormatError, DegeneratePairError, Record, warn
 
 UNK_ID = 0
 UNK_TOKEN = "<unk>"
@@ -30,20 +26,31 @@ def tokenize(line: str, lowercase: bool = False) -> list[str]:
     return line.split()
 
 
-@dataclass
-class Vocabulary:
+class Vocabulary(Record):
     """Token <-> id mapping for one side of a parallel corpus.
 
     id 0 is the unknown token; ids 1..T cover the most frequent tokens.
     `frequency[0]` holds the number of token occurrences that fell below
-    the size threshold and were mapped to UNK.
+    the size threshold and were mapped to UNK. A mapping left out starts
+    with the unknown token alone.
     """
 
-    language: str = ""
-    token_to_id: dict[str, int] = field(default_factory=dict)
-    id_to_token: list[str] = field(default_factory=lambda: [UNK_TOKEN])
-    frequency: dict[int, int] = field(default_factory=lambda: {UNK_ID: 0})
-    threshold: int = 0
+    __slots__ = ("language", "token_to_id", "id_to_token", "frequency", "threshold")
+    __hash__ = None
+
+    def __init__(
+        self,
+        language: str = "",
+        token_to_id: dict[str, int] | None = None,
+        id_to_token: list[str] | None = None,
+        frequency: dict[int, int] | None = None,
+        threshold: int = 0,
+    ) -> None:
+        self.language = language
+        self.token_to_id = {} if token_to_id is None else token_to_id
+        self.id_to_token = [UNK_TOKEN] if id_to_token is None else id_to_token
+        self.frequency = {UNK_ID: 0} if frequency is None else frequency
+        self.threshold = threshold
 
     @classmethod
     def build(
@@ -126,16 +133,15 @@ class Vocabulary:
         return vocab
 
 
-@dataclass(frozen=True)
-class SentencePair:
+class SentencePair(Record):
     """One aligned sentence pair, already mapped to vocabulary ids."""
 
-    source_ids: tuple[int, ...]
-    target_ids: tuple[int, ...]
+    __slots__ = ("source_ids", "target_ids")
 
-    def __post_init__(self):
-        if not self.source_ids or not self.target_ids:
+    def __init__(self, source_ids: tuple[int, ...], target_ids: tuple[int, ...]) -> None:
+        if not source_ids or not target_ids:
             raise DegeneratePairError("sentence pair with an empty side")
+        self.source_ids, self.target_ids = source_ids, target_ids
 
     @property
     def m(self) -> int:
@@ -146,14 +152,24 @@ class SentencePair:
         return len(self.target_ids)
 
 
-@dataclass
-class Bitext:
-    """An encoded parallel corpus plus the vocabularies used to encode it."""
+class Bitext(Record):
+    """An encoded parallel corpus plus the vocabularies used to encode it,
+    and each pair's input line number."""
 
-    pairs: list[SentencePair]
-    source_vocab: Vocabulary | None = None
-    target_vocab: Vocabulary | None = None
-    line_numbers: list[int] = field(default_factory=list)  # each pair's input line
+    __slots__ = ("pairs", "source_vocab", "target_vocab", "line_numbers")
+    __hash__ = None
+
+    def __init__(
+        self,
+        pairs: list[SentencePair],
+        source_vocab: Vocabulary | None = None,
+        target_vocab: Vocabulary | None = None,
+        line_numbers: list[int] | None = None,
+    ) -> None:
+        self.pairs = pairs
+        self.source_vocab = source_vocab
+        self.target_vocab = target_vocab
+        self.line_numbers = [] if line_numbers is None else line_numbers
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -194,7 +210,7 @@ def iter_token_pairs(
         src = tokenize(src_text, lowercase)
         trg = tokenize(trg_text, lowercase)
         if not src or not trg:
-            log.warning("bitext line %d: empty side, pair skipped", lineno)
+            warn("alignkit", "bitext line %d: empty side, pair skipped", lineno)
             continue
         yield lineno, src, trg
 

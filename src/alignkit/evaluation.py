@@ -15,22 +15,20 @@ with 1-based positions and a missing flag meaning S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .alignment import AlignmentSet, Link
-from .errors import DataFormatError
+from .errors import DataFormatError, Record
 
 
-@dataclass(frozen=True)
-class LinkCounts:
+class LinkCounts(Record):
     """The four counts every metric is computed from: |A|, |S|, |A n S|
     and |A n P|. Empty hypothesis or gold sides count as perfect."""
 
-    a_size: int
-    s_size: int
-    a_and_s: int
-    a_and_p: int
+    __slots__ = ("a_size", "s_size", "a_and_s", "a_and_p")
+
+    def __init__(self, a_size: int, s_size: int, a_and_s: int, a_and_p: int) -> None:
+        self.a_size, self.s_size, self.a_and_s, self.a_and_p = a_size, s_size, a_and_s, a_and_p
 
     @classmethod
     def of(
@@ -74,14 +72,17 @@ def precision_recall(
     return counts.precision, counts.recall, counts.f1
 
 
-@dataclass
-class GoldAlignment:
+class GoldAlignment(Record):
     """Per-sentence sure and possible link sets, 0-based, keyed by the
     1-based sentence id of the gold file."""
 
-    sentences: dict[int, tuple[frozenset[Link], frozenset[Link]]] = field(
-        default_factory=dict
-    )
+    __slots__ = ("sentences",)
+    __hash__ = None
+
+    def __init__(
+        self, sentences: dict[int, tuple[frozenset[Link], frozenset[Link]]] | None = None
+    ) -> None:
+        self.sentences = {} if sentences is None else sentences
 
     def ids(self) -> list[int]:
         return sorted(self.sentences)
@@ -118,13 +119,27 @@ def parse_gold(lines: Iterable[str]) -> GoldAlignment:
     return gold
 
 
-@dataclass(frozen=True)
 class EvalReport(LinkCounts):
-    """Counts pooled over the matched sentences, with each sentence's own."""
+    """Counts pooled over the matched sentences, with each sentence's own,
+    the hypothesis ids with no gold entry (skipped_hypotheses) and the gold
+    ids with no hypothesis (missing_hypotheses)."""
 
-    per_sentence: dict[int, LinkCounts]
-    skipped_hypotheses: list[int]  # hypothesis ids with no gold entry
-    missing_hypotheses: list[int]  # gold ids with no hypothesis
+    __slots__ = ("per_sentence", "skipped_hypotheses", "missing_hypotheses")
+
+    def __init__(
+        self,
+        a_size: int,
+        s_size: int,
+        a_and_s: int,
+        a_and_p: int,
+        per_sentence: dict[int, LinkCounts],
+        skipped_hypotheses: list[int],
+        missing_hypotheses: list[int],
+    ) -> None:
+        super().__init__(a_size, s_size, a_and_s, a_and_p)
+        self.per_sentence = per_sentence
+        self.skipped_hypotheses = skipped_hypotheses
+        self.missing_hypotheses = missing_hypotheses
 
     @property
     def evaluated(self) -> int:

@@ -58,7 +58,6 @@ one cumsum of the matrix q[clamp(i' - i)] of the longest target.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, TextIO
@@ -68,7 +67,7 @@ import numpy as np
 from ._packed import ChunkRunner, Group, PackedCorpus, _chunk_counts, lexical_step, run_em
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
-from .errors import ConfigError, NumericError, trailer_error
+from .errors import ConfigError, NumericError, trailer_error, warn
 from .ttable import MSTEP_FLOOR, NULL_ID, TranslationTable, decode_theta, write_ttable
 
 HMM_TRAILER = "hmm"
@@ -78,8 +77,6 @@ JUMP_HALVINGS = 50  # backtracking steps before jump re-estimation gives up
 # longest sentence only adds empty buckets; the bound stops a mistyped --w
 # from allocating gigabytes for the 2w + 1 jump buckets.
 MAX_WINDOW = 1000
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(eq=False)
@@ -435,7 +432,8 @@ def _reestimate_jumps(jumps: JumpTable, stats: tuple[np.ndarray, np.ndarray]) ->
         if _jump_objective(step, stats, w) >= base:
             return JumpTable(w=w, probs=step, p0=jumps.p0)
         step = 0.5 * step + 0.5 * old
-    log.warning(
+    warn(
+        __name__,
         "jump re-estimation lowered the EM objective after %d halvings; "
         "kept the previous jump table", JUMP_HALVINGS,
     )

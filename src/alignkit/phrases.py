@@ -18,17 +18,16 @@ hull. The result is exactly the set of rectangles passing (a)-(c).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .alignment import AlignmentSet
 from .corpus import SEPARATOR
+from .errors import Record
 
 
-@dataclass(frozen=True, order=True)
-class PhrasePair:
+class PhrasePair(NamedTuple):
     """Inclusive 0-based spans: source [src_start, src_end], target
     [tgt_start, tgt_end]."""
 
@@ -106,15 +105,18 @@ def extract_consistent_phrases(
     return sorted(PhrasePair(*span) for span in _spans(alignment, max_len))
 
 
-@dataclass
-class PhraseTable:
+class PhraseTable(Record):
     """Co-occurrence counts over phrase pairs with relative frequencies in
     both directions. A phrase is keyed by its text, its tokens joined by
     single spaces; `counts` maps (source text, target text) pairs."""
 
-    counts: Counter
-    src_marginals: Counter
-    tgt_marginals: Counter
+    __slots__ = ("counts", "src_marginals", "tgt_marginals")
+    __hash__ = None
+
+    def __init__(self, counts: Counter, src_marginals: Counter, tgt_marginals: Counter) -> None:
+        self.counts = counts
+        self.src_marginals = src_marginals
+        self.tgt_marginals = tgt_marginals
 
     def __len__(self) -> int:
         return len(self.counts)

@@ -18,41 +18,46 @@ slash, so tokens may contain slashes); spans as TSV rows
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 from .alignment import AlignmentSet
-from .errors import DataFormatError
+from .errors import DataFormatError, Record
 
 OUTSIDE_TAG = "O"
 
 
-@dataclass(frozen=True)
-class LabeledSentence:
-    tokens: tuple[str, ...]
-    tags: tuple[str, ...]
+class LabeledSentence(Record):
+    __slots__ = ("tokens", "tags")
 
-    def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.tags):
-            raise ValueError(
-                f"{len(self.tokens)} tokens but {len(self.tags)} tags"
-            )
+    def __init__(self, tokens: tuple[str, ...], tags: tuple[str, ...]) -> None:
+        if len(tokens) != len(tags):
+            raise ValueError(f"{len(tokens)} tokens but {len(tags)} tags")
+        self.tokens, self.tags = tokens, tags
 
     def __len__(self) -> int:
         return len(self.tokens)
 
 
-@dataclass(frozen=True, order=True)
-class Span:
-    """Inclusive 0-based [start, end] with a label."""
+class Span(Record):
+    """Inclusive 0-based [start, end] with a label, ordered as the tuple
+    (start, end, label)."""
 
-    start: int
-    end: int
-    label: str
+    __slots__ = ("start", "end", "label")
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"bad span [{self.start}, {self.end}]")
+    def __init__(self, start: int, end: int, label: str) -> None:
+        if start < 0 or end < start:
+            raise ValueError(f"bad span [{start}, {end}]")
+        self.start, self.end, self.label = start, end, label
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() < other._values()
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() <= other._values()
 
 
 def project_token_labels(

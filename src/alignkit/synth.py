@@ -25,55 +25,61 @@ changes its `Generator` stream does not change it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterator, NamedTuple
 
 from .alignment import AlignmentSet
-from .errors import ConfigError
+from .errors import ConfigError, Record
 
 MAX_VOCAB = 2**63  # token ids are drawn as int64 values below vocab_size
 MAX_LEN = 2**20  # a pair's ids are drawn as one list, so this bounds its memory
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    pairs: int
-    vocab_size: int = 500
-    min_len: int = 3
-    max_len: int = 12
-    swap_rate: float = 0.0
-    insert_rate: float = 0.0
-    seed: int = 0
+class SynthConfig(Record):
+    __slots__ = (
+        "pairs", "vocab_size", "min_len", "max_len", "swap_rate", "insert_rate", "seed"
+    )
 
-    def __post_init__(self) -> None:
-        if self.pairs < 1:
-            raise ConfigError(f"pairs must be >= 1, got {self.pairs}")
-        if not 1 <= self.vocab_size <= MAX_VOCAB:
-            raise ConfigError(f"vocab_size must be in [1, 2**63], got {self.vocab_size}")
-        if not 1 <= self.min_len <= self.max_len:
-            raise ConfigError(
-                f"need 1 <= min_len <= max_len, got [{self.min_len}, {self.max_len}]"
-            )
-        if self.max_len > MAX_LEN:
-            raise ConfigError(f"max_len must be <= 2**20, got {self.max_len}")
-        for name in ("swap_rate", "insert_rate"):
-            rate = getattr(self, name)
+    def __init__(
+        self,
+        pairs: int,
+        vocab_size: int = 500,
+        min_len: int = 3,
+        max_len: int = 12,
+        swap_rate: float = 0.0,
+        insert_rate: float = 0.0,
+        seed: int = 0,
+    ) -> None:
+        if pairs < 1:
+            raise ConfigError(f"pairs must be >= 1, got {pairs}")
+        if not 1 <= vocab_size <= MAX_VOCAB:
+            raise ConfigError(f"vocab_size must be in [1, 2**63], got {vocab_size}")
+        if not 1 <= min_len <= max_len:
+            raise ConfigError(f"need 1 <= min_len <= max_len, got [{min_len}, {max_len}]")
+        if max_len > MAX_LEN:
+            raise ConfigError(f"max_len must be <= 2**20, got {max_len}")
+        for name, rate in (("swap_rate", swap_rate), ("insert_rate", insert_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+        self.pairs, self.vocab_size, self.seed = pairs, vocab_size, seed
+        self.min_len, self.max_len = min_len, max_len
+        self.swap_rate, self.insert_rate = swap_rate, insert_rate
 
 
-@dataclass(frozen=True)
-class SynthRecord:
+class SynthRecord(NamedTuple):
     source_tokens: tuple[str, ...]
     target_tokens: tuple[str, ...]
     gold: AlignmentSet
 
 
 def generate(config: SynthConfig) -> list[SynthRecord]:
+    return list(iter_records(config))
+
+
+def iter_records(config: SynthConfig) -> Iterator[SynthRecord]:
+    """The records of `generate`, one at a time."""
     rng = _Generator(config.seed)
-    records = []
     for _ in range(config.pairs):
         length = rng.integers(config.min_len, config.max_len + 1)
         ids = rng.integers(0, config.vocab_size, size=length)
@@ -103,15 +109,13 @@ def generate(config: SynthConfig) -> list[SynthRecord]:
             m=len(source),
             n=length,
         )
-        records.append(SynthRecord(tuple(source), tuple(target), gold))
-    return records
+        yield SynthRecord(tuple(source), tuple(target), gold)
 
 
-def write_gold_wpt(records: Iterable[SynthRecord], out: TextIO) -> None:
-    """Gold links as WPT lines `sentence_id src tgt S`, all 1-based."""
-    for sid, record in enumerate(records, start=1):
-        for j, i in record.gold.sorted_links():
-            out.write(f"{sid} {j + 1} {i + 1} S\n")
+def gold_wpt_lines(sid: int, gold: AlignmentSet) -> str:
+    """The gold links of sentence sid as WPT lines `sentence_id src tgt S`,
+    all 1-based."""
+    return "".join(f"{sid} {j + 1} {i + 1} S\n" for j, i in gold.sorted_links())
 
 
 # --------------------------------------------------------------------------

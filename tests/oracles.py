@@ -16,7 +16,10 @@ model_text_v2 format a model file entry by entry, in the text format
 train wrote before v2 and in the base64 format it writes now.
 synth_generate_numpy is the package's synthetic-corpus generator as it
 was written on numpy's `default_rng`, the stream the package reproduces
-without numpy; it builds the package's SynthRecord.
+without numpy; it builds the package's SynthRecord. REFERENCE_RECORDS
+holds the package's records as they were written with `dataclasses`
+(in DataclassRecords), which the package's plain classes must agree
+with; they raise the package's errors.
 
 Conventions (mirroring the package's external contracts):
   * a sentence pair is (source_ids, target_ids);
@@ -34,11 +37,18 @@ import itertools
 import math
 import struct
 from collections import Counter
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from alignkit.alignment import AlignmentSet
-from alignkit.errors import DataFormatError, DimensionMismatchError
+from alignkit.errors import (
+    ConfigError,
+    DataFormatError,
+    DegeneratePairError,
+    DimensionMismatchError,
+)
 
 NULL = -1
 
@@ -610,3 +620,144 @@ def synth_generate_numpy(config):
         )
         records.append(SynthRecord(tuple(source), tuple(target), gold))
     return records
+
+
+# --------------------------------------------------------------------------
+# Records, as they were written with dataclasses
+
+
+class DataclassRecords:
+    """The package's records as they were written with dataclasses."""
+
+    @dataclass(frozen=True)
+    class AlignmentSet:
+        links: frozenset
+        m: int
+        n: int
+
+        def __post_init__(self):
+            object.__setattr__(self, "links", frozenset(self.links))
+            if self.m < 0 or self.n < 0:
+                raise DataFormatError("alignment dimensions must be non-negative")
+            for j, i in self.links:
+                if not (0 <= j < self.m and 0 <= i < self.n):
+                    raise DataFormatError(
+                        f"link ({j},{i}) out of bounds for {self.m}x{self.n} pair"
+                    )
+
+    @dataclass(frozen=True)
+    class AlignmentFunction:
+        targets: tuple[Optional[int], ...]
+        n: int
+
+    @dataclass
+    class Vocabulary:
+        language: str = ""
+        token_to_id: dict[str, int] = field(default_factory=dict)
+        id_to_token: list[str] = field(default_factory=lambda: ["<unk>"])
+        frequency: dict[int, int] = field(default_factory=lambda: {0: 0})
+        threshold: int = 0
+
+    @dataclass(frozen=True)
+    class SentencePair:
+        source_ids: tuple[int, ...]
+        target_ids: tuple[int, ...]
+
+        def __post_init__(self):
+            if not self.source_ids or not self.target_ids:
+                raise DegeneratePairError("sentence pair with an empty side")
+
+    @dataclass
+    class Bitext:
+        pairs: list
+        source_vocab: Optional[Vocabulary] = None
+        target_vocab: Optional[Vocabulary] = None
+        line_numbers: list[int] = field(default_factory=list)
+
+    @dataclass(frozen=True)
+    class LinkCounts:
+        a_size: int
+        s_size: int
+        a_and_s: int
+        a_and_p: int
+
+    @dataclass
+    class GoldAlignment:
+        sentences: dict = field(default_factory=dict)
+
+    @dataclass(frozen=True)
+    class EvalReport(LinkCounts):
+        per_sentence: dict
+        skipped_hypotheses: list[int]
+        missing_hypotheses: list[int]
+
+    @dataclass(frozen=True, order=True)
+    class PhrasePair:
+        src_start: int
+        src_end: int
+        tgt_start: int
+        tgt_end: int
+
+    @dataclass
+    class PhraseTable:
+        counts: Counter
+        src_marginals: Counter
+        tgt_marginals: Counter
+
+    @dataclass(frozen=True)
+    class LabeledSentence:
+        tokens: tuple[str, ...]
+        tags: tuple[str, ...]
+
+        def __post_init__(self) -> None:
+            if len(self.tokens) != len(self.tags):
+                raise ValueError(f"{len(self.tokens)} tokens but {len(self.tags)} tags")
+
+    @dataclass(frozen=True, order=True)
+    class Span:
+        start: int
+        end: int
+        label: str
+
+        def __post_init__(self) -> None:
+            if self.start < 0 or self.end < self.start:
+                raise ValueError(f"bad span [{self.start}, {self.end}]")
+
+    @dataclass(frozen=True)
+    class SynthConfig:
+        pairs: int
+        vocab_size: int = 500
+        min_len: int = 3
+        max_len: int = 12
+        swap_rate: float = 0.0
+        insert_rate: float = 0.0
+        seed: int = 0
+
+        def __post_init__(self) -> None:
+            if self.pairs < 1:
+                raise ConfigError(f"pairs must be >= 1, got {self.pairs}")
+            if not 1 <= self.vocab_size <= 2**63:
+                raise ConfigError(f"vocab_size must be in [1, 2**63], got {self.vocab_size}")
+            if not 1 <= self.min_len <= self.max_len:
+                raise ConfigError(
+                    f"need 1 <= min_len <= max_len, got [{self.min_len}, {self.max_len}]"
+                )
+            if self.max_len > 2**20:
+                raise ConfigError(f"max_len must be <= 2**20, got {self.max_len}")
+            for name in ("swap_rate", "insert_rate"):
+                rate = getattr(self, name)
+                if not 0.0 <= rate <= 1.0:
+                    raise ConfigError(f"{name} must be in [0, 1], got {rate}")
+            if self.seed < 0:
+                raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    @dataclass(frozen=True)
+    class SynthRecord:
+        source_tokens: tuple[str, ...]
+        target_tokens: tuple[str, ...]
+        gold: object
+
+
+REFERENCE_RECORDS = {
+    name: cls for name, cls in vars(DataclassRecords).items() if isinstance(cls, type)
+}

@@ -55,6 +55,20 @@ class TestSynth:
         assert code == 0
         assert read(tmp_path / "gold.txt") == "0-0 1-1\n" * 3
 
+    def test_one_output_may_be_stdout(self, tmp_path, capsys):
+        # Both files are written in one pass, so they cannot share stdout.
+        args = ["synth", "--pairs", "4", "--vocab-size", "10", "--seed", "1"]
+        files = ["--output-bitext", str(tmp_path / "b.txt"), "--output-gold", str(tmp_path / "g")]
+        assert cli.main(args + files) == 0
+        assert cli.main(args + files[:2] + ["--output-gold", "-"]) == 0
+        assert capsys.readouterr().out == read(tmp_path / "g")
+        assert cli.main(args + ["--output-bitext", "-"] + files[2:]) == 0
+        assert capsys.readouterr().out == read(tmp_path / "b.txt")
+        assert cli.main(args + ["--output-bitext", "-", "--output-gold", "-"]) == 1
+        assert capsys.readouterr() == (
+            "", "alignkit: error: only one of --output-bitext/--output-gold may be stdout\n"
+        )
+
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         code = cli.main([
             "synth", "--pairs", "3", "--seed", "-1",

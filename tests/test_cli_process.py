@@ -137,6 +137,27 @@ def test_the_oov_warning_reaches_stderr(tmp_path):
     )
 
 
+def test_an_eval_warning_reaches_stderr(tmp_path):
+    (tmp_path / "hyp.al").write_text("0-0\n", encoding="utf-8")
+    (tmp_path / "gold.wpt").write_text("1 1 1 S\n2 1 1 S\n", encoding="utf-8")
+    result = alignkit_process(
+        ["eval", "--hypothesis", "hyp.al", "--gold", "gold.wpt", "--tsv"], tmp_path
+    )
+    assert (result.returncode, result.stdout.count(b"\n")) == (0, 11)
+    assert result.stderr.decode() == (
+        "WARNING: 1 gold sentences had no hypothesis line and were not scored\n"
+    )
+
+
+def test_a_train_warning_reaches_stderr(tmp_path):
+    (tmp_path / "bitext.txt").write_text("a b ||| x y\n ||| z\nc ||| z\n", encoding="utf-8")
+    result = alignkit_process(
+        ["train", "--bitext", "bitext.txt", "--output", "m", "--quiet"], tmp_path
+    )
+    assert (result.returncode, result.stdout) == (0, b"")
+    assert result.stderr.decode() == "WARNING: bitext line 2: empty side, pair skipped\n"
+
+
 def test_a_pipe_closed_early_ends_the_run_quietly(tmp_path):
     # The output is larger than a pipe's buffer, so align is still writing
     # when the reader goes away.

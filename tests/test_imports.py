@@ -1,6 +1,7 @@
 """The package loads no submodule, and each command loads only the
-modules it runs: the post stages and synth without numpy, a lexical
-model without the HMM.
+modules it runs: the post stages and synth without numpy, dataclasses or
+logging, a lexical model without the HMM, and no command logging until
+it warns.
 
 Each check runs in a fresh interpreter, because the test process has
 long since imported numpy.
@@ -124,19 +125,73 @@ def test_post_stage_loads_only_its_own_modules(toy_files, stage):
     assert out == f"{POST_STAGE_MODULES[stage]}\n"
 
 
+SYNTH = ["synth", "--pairs", "20", "--vocab-size", str(2**40), "--swap-rate", "0.5",
+         "--insert-rate", "0.5", "--seed", "3", "--output-bitext", "corpus.txt",
+         "--output-gold", "gold.wpt"]
+
+
 def test_synth_loads_no_numpy_and_only_its_own_modules(tmp_path):
-    argv = ["synth", "--pairs", "20", "--vocab-size", str(2**40), "--swap-rate", "0.5",
-            "--insert-rate", "0.5", "--seed", "3", "--output-bitext", "corpus.txt",
-            "--output-gold", "gold.wpt"]
     out = run_python(
         "import sys\n"
         "from alignkit import cli\n"
-        f"assert cli.main({argv!r}) == 0\n"
+        f"assert cli.main({SYNTH!r}) == 0\n"
         "print('numpy' in sys.modules)\n" + LOADED,
         cwd=tmp_path,
     )
     assert out == "False\n['alignment', 'cli', 'corpus', 'errors', 'synth']\n"
     assert (tmp_path / "gold.wpt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv + ["--output", "out.txt"] for argv in POST_STAGES.values()] + [SYNTH],
+    ids=[*POST_STAGES, "synth"],
+)
+def test_numpy_free_commands_load_neither_dataclasses_nor_logging(toy_files, argv):
+    # dataclasses imports inspect, which numpy would otherwise have loaded.
+    out = run_python(
+        "import sys\n"
+        "from alignkit import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print([m for m in ('dataclasses', 'inspect', 'logging') if m in sys.modules])\n",
+        cwd=toy_files,
+    )
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize("model", ["model1", "model2", "hmm"])
+def test_train_and_align_load_logging_only_to_warn(toy_files, model):
+    unknown = toy_files / "unknown.txt"
+    unknown.write_text("a q ||| x y\n", encoding="utf-8")
+    for argv, warns in (
+        (["train", "--model", model, "--bitext", "bitext.txt", "--output", "toy.model",
+          "--iters", "1", "--quiet"], False),
+        (["align", "--model-file", "toy.model", "--bitext", "bitext.txt",
+          "--output", "out.al"], False),
+        (["align", "--model-file", "toy.model", "--bitext", "unknown.txt",
+          "--output", "out.al"], True),
+    ):
+        out = run_python(
+            "import sys\n"
+            "from alignkit import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print('logging' in sys.modules)\n",
+            cwd=toy_files,
+        )
+        assert out == f"{warns}\n", argv
+
+
+def test_a_library_warning_leaves_logging_to_the_caller():
+    # Outside a command run, a warning goes through logging's last-resort
+    # handler, unformatted, and sets up no handler of its own.
+    out = run_python(
+        "import io, logging, sys\n"
+        "from alignkit.corpus import load_bitext\n"
+        "sys.stderr = io.StringIO()\n"
+        "bitext = load_bitext(['a ||| x', 'b ||| '])\n"
+        "print(len(bitext), logging.getLogger().handlers, repr(sys.stderr.getvalue()))\n"
+    )
+    assert out == "1 [] 'bitext line 2: empty side, pair skipped\\n'\n"
 
 
 @pytest.mark.parametrize("model, loaded", [

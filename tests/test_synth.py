@@ -1,5 +1,4 @@
 import hashlib
-import io
 import itertools
 import random
 
@@ -8,7 +7,7 @@ import pytest
 
 import oracles
 from alignkit.errors import ConfigError
-from alignkit.synth import MAX_LEN, SynthConfig, _Generator, generate, write_gold_wpt
+from alignkit.synth import MAX_LEN, SynthConfig, _Generator, generate, gold_wpt_lines
 
 # Upper bounds of the draws: every branch of numpy's bounded integers (no
 # draw, 32-bit Lemire, a bare 32-bit word, 64-bit Lemire), and 3 * 2**30
@@ -155,7 +154,6 @@ class TestGoldOutput:
         records = generate(
             SynthConfig(pairs=2, vocab_size=5, min_len=2, max_len=2, seed=8)
         )
-        out = io.StringIO()
-        write_gold_wpt(records, out)
-        lines = out.getvalue().splitlines()
+        text = "".join(gold_wpt_lines(sid, r.gold) for sid, r in enumerate(records, start=1))
+        lines = text.splitlines()
         assert lines == ["1 1 1 S", "1 2 2 S", "2 1 1 S", "2 2 2 S"]
