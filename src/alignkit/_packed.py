@@ -24,26 +24,25 @@ sums the weights per slot in one bincount. _lexical_pass, the pass of
 Model 1 and Model 2, normalizes each source position's cells over its
 rows; hmm.py's _bw_pass runs forward-backward.
 
-A training run packs its corpus once, in a ChunkRunner. Model training
-starts from uniform_start: one sort of the corpus cells' (e, f) keys
-gives both the uniform start table and every cell's slot in it, so the
-runner lays the chunks out without looking a cell up; a runner on any
-other table looks the cells up with table.slots. The runner maps the
-driver over the chunks, in process for one worker or one chunk, and
-otherwise on a thread pool that lives for the one map call. The threads
-share the packed corpus and theta, so nothing is copied or pickled, and
-numpy releases the GIL in much of a chunk's array work. A pass writes
-only its own chunk's cells and reads the layout without changing it;
-prior_cells memoizes without a lock, so lexical_step builds it before
-the threads start; an errstate a pass sets holds in its own thread only,
-since numpy keeps errstate per context. Results come back one at a
-time, in ascending chunk order, and are merged as they come, so a run
-holds at most jobs chunks' counts besides their sum. The chunks never
-depend on the worker count, so the merges add the same partial sums in
-the same order and results are bitwise identical no matter how many
-threads run the chunks. run_em is the one iteration loop: it writes
-the per-iteration log-likelihood line and warns when an iteration lowers
-the likelihood, which EM never does.
+A model run holds one PackedCorpus. Training starts from uniform_packed:
+one sort of the corpus cells' (e, f) keys gives both the uniform start
+table and every cell's slot in it, so the chunks are laid out without
+looking a cell up; on any other table the cells are looked up with
+table.slots. Model 2's fixed prior is laid out beside the slots while
+packing. PackedCorpus.map runs the driver over the chunks, in process for
+one worker or one chunk, and otherwise on a thread pool that lives for
+the one map call. The threads share the packed corpus and theta, so
+nothing is copied or pickled, and numpy releases the GIL in much of a
+chunk's array work. A pass writes only its own chunk's cells and no
+module state, so the threads share nothing mutable; an errstate a pass
+sets holds in its own thread only. Results come back one at a time, in
+ascending chunk order, and are merged as they come, so a run holds at
+most jobs chunks' counts besides their sum. The chunks never depend on
+the worker count, so the merges add the same partial sums in the same
+order and results are bitwise identical however many threads run them.
+run_em is the one iteration loop: it writes the per-iteration
+log-likelihood line and warns when an iteration lowers the likelihood,
+which EM never does.
 """
 
 from __future__ import annotations
@@ -120,20 +119,15 @@ class Group(NamedTuple):
     active: list[int]
     slots: np.ndarray
 
-    def shapes(self) -> Iterator[tuple[int, int, int, int]]:
-        """(b0, b1, m, n) for each run of pairs b0..b1 - 1 of one shape."""
-        cuts = np.flatnonzero((np.diff(self.ms) != 0) | (np.diff(self.ns) != 0)) + 1
-        bounds = [0, *cuts.tolist(), len(self.pairs)]
-        for b0, b1 in zip(bounds, bounds[1:]):
-            yield b0, b1, int(self.ms[b0]), int(self.ns[b0])
-
 
 class Chunk(NamedTuple):
     """A run of pairs as groups, whose slots are views, one after another,
-    of the flat array slots."""
+    of the flat array slots; prior, when the corpus has one, is the prior's
+    value of each cell, laid out like slots, padding 0."""
 
     slots: np.ndarray
     groups: list[Group]
+    prior: Optional[np.ndarray]
 
     def blocks(self, cells: np.ndarray) -> Iterator[tuple[Group, np.ndarray]]:
         """Each group, with its view of a flat per-cell array shaped like slots."""
@@ -171,13 +165,17 @@ def _group_cuts(ms: list[int], ns: list[int]) -> list[tuple[int, int]]:
 
 
 class PackedCorpus:
-    """A bitext's chunks and groups as slot indices into a fixed table's theta."""
+    """A bitext's chunks and groups as slot indices into a fixed table's
+    theta, with a fixed prior's cells beside them when given; maps chunk
+    functions over the chunks on up to jobs threads, one per chunk at most."""
 
     def __init__(
         self,
         bitext: Bitext,
         table: TranslationTable,
         use_null: bool,
+        prior: Optional[PriorProvider] = None,
+        jobs: int = 1,
         exact: Optional[np.ndarray] = None,
     ):
         """exact, when given, is each corpus cell's slot in table, cells as
@@ -185,7 +183,12 @@ class PackedCorpus:
         looks them up."""
         self.use_null = use_null
         self.pairs = bitext.pairs
+        # Held for the run though only its length is read: freeing the start
+        # table after the first step let glibc trim and re-fault the heap top
+        # on every E-step (HMM, 120 long pairs: 4.8x the page faults, +28% time).
+        self.table = table
         self.n_slots = len(table)
+        self.prior = prior
         if exact is None:
             exact = table.slots(*corpus_cells(bitext.pairs, use_null))
         rows, ms = pair_lengths(bitext.pairs, use_null)
@@ -193,13 +196,15 @@ class PackedCorpus:
         starts = np.cumsum(cells) - cells
         ns = rows - use_null
         self.max_n = int(ns.max(initial=0))  # the longest target
+        matrices: dict = {}  # prior.matrix of each (m, n), built once
         self.chunks = [
-            self._chunk(lo, hi, exact, starts, ms, ns) for lo, hi in chunk_bounds(cells)
+            self._chunk(lo, hi, exact, starts, ms, ns, matrices)
+            for lo, hi in chunk_bounds(cells)
         ]
-        self._priors: dict = {}
+        self.jobs = max(1, min(jobs, len(self.chunks)))
 
-    def _chunk(self, lo, hi, exact, starts, ms, ns) -> Chunk:
-        use_null = self.use_null
+    def _chunk(self, lo, hi, exact, starts, ms, ns, matrices) -> Chunk:
+        use_null, prior = self.use_null, self.prior
         order = (lo + np.lexsort((-ns[lo:hi], -ms[lo:hi]))).tolist()
         sorted_ms, sorted_ns = ms[order], ns[order]
         spans = _group_cuts(sorted_ms.tolist(), sorted_ns.tolist())
@@ -209,74 +214,102 @@ class PackedCorpus:
         ]
         sizes = [m * b * c for m, b, c in shapes]
         slots = np.full(sum(sizes), self.n_slots + 1, dtype=np.int64)  # the pad slot
+        weights = None if prior is None else np.zeros(len(slots))
         groups, offset = [], 0
         for (start, stop), shape, size in zip(spans, shapes, sizes):
-            g_ms = sorted_ms[start:stop]
+            g_ms, g_ns = sorted_ms[start:stop], sorted_ns[start:stop]
             counts = np.bincount(g_ms, minlength=shape[0] + 1)
             g = Group(
-                order[start:stop], g_ms, sorted_ns[start:stop],
-                (len(g_ms) - np.cumsum(counts)[:-1]).tolist(),
+                order[start:stop], g_ms, g_ns, (len(g_ms) - np.cumsum(counts)[:-1]).tolist(),
                 slots[offset : offset + size].reshape(shape),
             )
+            # Pairs b0..b1 - 1 of one shape (m, n) are laid out together.
+            cuts = np.flatnonzero((np.diff(g_ms) != 0) | (np.diff(g_ns) != 0)) + 1
+            bounds = [0, *cuts.tolist(), stop - start]
+            for b0, b1 in zip(bounds, bounds[1:]):
+                m, n = int(g_ms[b0]), int(g_ns[b0])
+                pair_cells = exact[starts[g.pairs[b0:b1]][:, None] + np.arange((n + use_null) * m)]
+                self._place(g.slots, b0, b1, pair_cells.reshape(b1 - b0, n + use_null, m))
+                if prior is not None:
+                    if (m, n) not in matrices:
+                        matrices[m, n] = prior.matrix(m, n, use_null)
+                    block = weights[offset : offset + size].reshape(shape)
+                    self._place(block, b0, b1, matrices[m, n][None])
             offset += size
-            for b0, b1, m, n in g.shapes():
-                pair_cells = exact[
-                    starts[g.pairs[b0:b1]][:, None] + np.arange((n + use_null) * m)
-                ].reshape(b1 - b0, n + use_null, m)
-                g.slots[:m, b0:b1, :n] = pair_cells[:, :n].transpose(2, 0, 1)
-                if use_null:
-                    g.slots[:m, b0:b1, -1] = pair_cells[:, n].T
             groups.append(g)
-        return Chunk(slots, groups)
+        return Chunk(slots, groups, weights)
+
+    def _place(self, block: np.ndarray, b0: int, b1: int, cells: np.ndarray) -> None:
+        """Writes cells, (pairs, n + NULL, m) with NULL last, into pairs b0
+        to b1 - 1 of a group's position-major block."""
+        n, m = cells.shape[1] - self.use_null, cells.shape[2]
+        block[:m, b0:b1, :n] = cells[:, :n].transpose(2, 0, 1)
+        if self.use_null:
+            block[:m, b0:b1, -1] = cells[:, n].T
 
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def prior_cells(self, prior: PriorProvider) -> list[np.ndarray]:
-        """prior.matrix laid out like each chunk's slots, padding 0; built once
-        per prior."""
-        cached = self._priors.get(prior)
-        if cached is None:
-            cached = self._priors[prior] = []
-            for chunk in self.chunks:
-                cells = np.zeros(len(chunk.slots))
-                for g, block in chunk.blocks(cells):
-                    for b0, b1, m, n in g.shapes():
-                        matrix = prior.matrix(m, n, self.use_null)
-                        block[:m, b0:b1, :n] = matrix[:n].T[:, None, :]
-                        if self.use_null:
-                            block[:m, b0:b1, -1] = matrix[n][:, None]
-                cached.append(cells)
-        return cached
-
-    def cells(
-        self, c: int, theta: np.ndarray, prior: Optional[PriorProvider] = None
-    ) -> np.ndarray:
+    def cells(self, c: int, theta: np.ndarray) -> np.ndarray:
         """Chunk c's cells of theta, laid out like its slots, times the prior
-        when given."""
-        cells = theta[self.chunks[c].slots]
-        if prior is not None:
-            cells *= self.prior_cells(prior)[c]
+        when there is one."""
+        chunk = self.chunks[c]
+        cells = theta[chunk.slots]
+        if chunk.prior is not None:
+            cells *= chunk.prior
         return cells
+
+    def blocks(self, theta: np.ndarray) -> Iterator[tuple[Group, np.ndarray]]:
+        """Every chunk's groups, in chunk order, each with its view of its
+        chunk's cells of theta."""
+        for c, chunk in enumerate(self.chunks):
+            yield from chunk.blocks(self.cells(c, theta))
+
+    def map(self, fn: Callable, *args) -> Iterator:
+        """Yields fn(self, c, *args) for every chunk c, in ascending chunk
+        order; the first chunk's error, in chunk order, is the one raised.
+        Chunk c + jobs starts only once the caller has taken chunk c, so a
+        caller that merges each result as it comes holds at most jobs of
+        them at once."""
+        chunks = range(len(self.chunks))
+        if self.jobs == 1:
+            for c in chunks:
+                yield fn(self, c, *args)
+            return
+        # Imported here: it costs a command about 3 ms of start-up, and most
+        # runs are one chunk and start no pool.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(self.jobs) as pool:
+            ahead = deque()
+            for c in chunks:
+                ahead.append(pool.submit(fn, self, c, *args))
+                if len(ahead) == self.jobs:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
+
+
+def uniform_packed(
+    bitext: Bitext, use_null: bool, prior: Optional[PriorProvider] = None, jobs: int = 1
+) -> tuple[TranslationTable, PackedCorpus]:
+    """uniform_start's table, and the corpus packed on it from its sort."""
+    table, exact = uniform_start(bitext, use_null)
+    return table, PackedCorpus(bitext, table, use_null, prior, jobs, exact)
 
 
 def _chunk_counts(
-    packed: PackedCorpus,
-    c: int,
-    theta: np.ndarray,
-    prior: Optional[PriorProvider],
-    group_pass: Callable,
-    *args,
+    packed: PackedCorpus, c: int, theta: np.ndarray, group_pass: Callable, *args
 ) -> tuple[np.ndarray, list]:
     """The E-step of chunk c, for every model: its cells of theta, times the
-    prior when given, go group by group to group_pass(packed, g, block,
-    *args). The pass overwrites the block with the group's posterior weights
-    and returns (report, failures), failures as (pair, position, message).
-    Returns the weights summed per slot in one bincount and the groups'
-    reports; a failure raises NumericError naming the first failing pair in
-    corpus order."""
+    prior when there is one, go group by group to group_pass(packed, g,
+    block, *args). The pass overwrites the block with the group's posterior
+    weights and returns (report, failures), failures as (pair, position,
+    message). Returns the weights summed per slot in one bincount and the
+    groups' reports; a failure raises NumericError naming the first failing
+    pair in corpus order."""
     chunk = packed.chunks[c]
-    cells = packed.cells(c, theta, prior)
+    cells = packed.cells(c, theta)
     reports, failures = [], []
     for g, block in chunk.blocks(cells):
         report, failed = group_pass(packed, g, block, *args)
@@ -289,10 +322,11 @@ def _chunk_counts(
     return counts[: packed.n_slots], reports  # miss and pad slots dropped
 
 
-def _lexical_pass(packed: PackedCorpus, g: Group, block: np.ndarray, uniform: bool):
+def _lexical_pass(packed: PackedCorpus, g: Group, block: np.ndarray):
     """Group pass of Model 1 and Model 2 (see _chunk_counts): normalizes each
     source position's cells over its rows; reports the group's
-    log-likelihood, with Model 1's uniform alignment term when uniform."""
+    log-likelihood, with Model 1's uniform alignment term when the corpus
+    has no prior."""
     denom = block.sum(axis=2)
     denom[np.arange(len(denom))[:, None] >= g.ms] = 1.0  # past a pair's m
     bad = denom <= 0.0
@@ -304,56 +338,9 @@ def _lexical_pass(packed: PackedCorpus, g: Group, block: np.ndarray, uniform: bo
         ]
     block /= denom[:, :, None]
     ll = float(np.log(denom).sum())
-    if uniform:
+    if packed.prior is None:
         ll -= float(g.ms @ np.log(g.ns + packed.use_null))
     return ll, []
-
-
-class ChunkRunner:
-    """Packs a bitext once and maps chunk functions over its fixed chunks,
-    on up to jobs threads, one per chunk at most."""
-
-    def __init__(
-        self,
-        bitext: Bitext,
-        table: TranslationTable,
-        use_null: bool,
-        jobs: int = 1,
-        exact: Optional[np.ndarray] = None,
-    ):
-        self.table = table
-        self.packed = PackedCorpus(bitext, table, use_null, exact)
-        self.jobs = max(1, min(jobs, len(self.packed.chunks)))
-
-    @classmethod
-    def uniform(cls, bitext: Bitext, use_null: bool, jobs: int = 1) -> ChunkRunner:
-        """A runner on uniform_start's table, packed from its sort."""
-        table, exact = uniform_start(bitext, use_null)
-        return cls(bitext, table, use_null, jobs, exact)
-
-    def map(self, fn: Callable, *args) -> Iterator:
-        """Yields fn(packed, c, *args) for every chunk c, in ascending chunk
-        order; the first chunk's error, in chunk order, is the one raised.
-        Chunk c + jobs starts only once the caller has taken chunk c, so a
-        caller that merges each result as it comes holds at most jobs of
-        them at once."""
-        chunks = range(len(self.packed.chunks))
-        if self.jobs == 1:
-            for c in chunks:
-                yield fn(self.packed, c, *args)
-            return
-        # Imported here: it costs a command about 3 ms of start-up, and most
-        # runs are one chunk and start no pool.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(self.jobs) as pool:
-            ahead = deque()
-            for c in chunks:
-                ahead.append(pool.submit(fn, self.packed, c, *args))
-                if len(ahead) == self.jobs:
-                    yield ahead.popleft().result()
-            while ahead:
-                yield ahead.popleft().result()
 
 
 def run_em(step: Callable, state, iterations: int, log_to: Optional[TextIO] = None):
@@ -376,29 +363,14 @@ def run_em(step: Callable, state, iterations: int, log_to: Optional[TextIO] = No
 
 
 def lexical_step(
-    runner: ChunkRunner, table: TranslationTable, prior: Optional[PriorProvider] = None
+    packed: PackedCorpus, table: TranslationTable
 ) -> tuple[TranslationTable, float]:
-    """One lexical EM step on a table of the runner's support, Model 1
+    """One lexical EM step on a table of the packed corpus's support, Model 1
     without a prior and Model 2 with one: the re-estimated table and the
     log-likelihood of the input table."""
-    if prior is not None:
-        runner.packed.prior_cells(prior)  # memoized without a lock: built before the threads
     counts = np.zeros(len(table))
     ll = 0.0
-    parts = runner.map(_chunk_counts, table.theta, prior, _lexical_pass, prior is None)
-    for part_counts, reports in parts:  # merged as they come, in chunk order
-        counts += part_counts
+    for part_counts, reports in packed.map(_chunk_counts, table.theta, _lexical_pass):
+        counts += part_counts  # merged as they come, in chunk order
         ll += sum(reports)
     return table.normalized(counts), ll
-
-
-def train_lexical(
-    runner: ChunkRunner,
-    iterations: int,
-    prior: Optional[PriorProvider] = None,
-    log_to: Optional[TextIO] = None,
-) -> tuple[TranslationTable, list[float]]:
-    """Lexical EM from the runner's table; returns the final table and the
-    trace."""
-    step = lambda table: lexical_step(runner, table, prior)
-    return run_em(step, runner.table, iterations, log_to)

@@ -64,7 +64,7 @@ from typing import NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
-from ._packed import ChunkRunner, Group, PackedCorpus, _chunk_counts, lexical_step, run_em
+from ._packed import Group, PackedCorpus, _chunk_counts, lexical_step, run_em, uniform_packed
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, NumericError, trailer_error, warn
@@ -131,19 +131,10 @@ class HmmConfig:
             raise ConfigError(f"null transition mass must be in [0, 1), got {self.p0}")
 
 
-# Filled from the E-step's threads without a lock: two threads that miss
-# the same key store equal arrays, so either store may win.
-_CLIP_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
 def _clip_index(n: int, w: int) -> np.ndarray:
     """(n, n) matrix of bucket indices for the jump from row pos to col pos."""
-    key = (n, w)
-    cached = _CLIP_CACHE.get(key)
-    if cached is None:
-        pos = np.arange(1, n + 1)
-        cached = _CLIP_CACHE[key] = np.clip(pos[None, :] - pos[:, None], -w, w) + w
-    return cached
+    pos = np.arange(1, n + 1)
+    return np.clip(pos[None, :] - pos[:, None], -w, w) + w
 
 
 def _transition_matrix(n: int, jumps: JumpTable, use_null: bool) -> np.ndarray:
@@ -268,7 +259,7 @@ def log_forward(pair: SentencePair, params: HmmParams) -> float:
     """log of the total probability of the source sentence, summed over all
     state paths. Lexical lookups are floored, so the value is finite."""
     packed = PackedCorpus(Bitext([pair]), params.table, params.use_null)
-    ((g, block),) = packed.chunks[0].blocks(packed.cells(0, decode_theta(params.table)))
+    ((g, block),) = packed.blocks(decode_theta(params.table))
     group = _group(g, block, params.jumps, params.use_null)
     return float(np.log(_scaled_forward(group)[2]).sum())
 
@@ -377,17 +368,16 @@ def _bw_pass(packed: PackedCorpus, layout: Group, block: np.ndarray, jumps: Jump
     return (float(np.log(scales).sum()), buckets, layout.ns, xi.sum(axis=2)), []
 
 
-def _bw_statistics(runner: ChunkRunner, theta, jumps: JumpTable):
+def _bw_statistics(packed: PackedCorpus, theta, jumps: JumpTable):
     """The Baum-Welch E-step: (expected lexical counts, jump statistics, ll
     of the input). The jump statistics are (buckets, departures): expected
     jumps per bucket, and departures[n, i] the expected jumps out of
     position i of the n-word targets."""
-    packed = runner.packed
     counts = np.zeros(packed.n_slots)
     buckets = np.zeros(2 * jumps.w + 1)
     departures = np.zeros((packed.max_n + 1, packed.max_n))
     ll = 0.0
-    for part_counts, reports in runner.map(_chunk_counts, theta, None, _bw_pass, jumps):
+    for part_counts, reports in packed.map(_chunk_counts, theta, _bw_pass, jumps):
         counts += part_counts
         for group_ll, group_buckets, ns, group_departures in reports:
             ll += group_ll
@@ -402,14 +392,17 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> float:
     return float(x[held] @ np.log(y[held]))
 
 
-def _jump_objective(q: np.ndarray, stats: tuple[np.ndarray, np.ndarray], w: int) -> float:
+def _jump_objective(
+    q: np.ndarray, stats: tuple[np.ndarray, np.ndarray], clip: np.ndarray
+) -> float:
     """EM auxiliary objective for the jump block (constants dropped),
 
         buckets . log q - sum_{n, i} departures[n, i] log Z_n(i),
 
-    with Z_n(i) = sum_{k=1..n} q[clamp(k - i)] read from one cumsum."""
+    with Z_n(i) = sum_{k=1..n} q[clamp(k - i)] read from one cumsum; clip
+    is the _clip_index of the longest target, departures.shape[1]."""
     buckets, departures = stats
-    z = np.cumsum(q[_clip_index(departures.shape[1], w)], axis=1).T  # Z_n(i) at [n - 1, i]
+    z = np.cumsum(q[clip], axis=1).T  # Z_n(i) at [n - 1, i]
     return _xlogy(buckets, q) - _xlogy(departures[1:], z)
 
 
@@ -426,10 +419,11 @@ def _reestimate_jumps(jumps: JumpTable, stats: tuple[np.ndarray, np.ndarray]) ->
     cand = np.maximum(buckets, MSTEP_FLOOR)
     cand = cand / cand.sum()
     old = jumps.probs
-    base = _jump_objective(old, stats, w)
+    clip = _clip_index(stats[1].shape[1], w)  # one for up to JUMP_HALVINGS + 1 objectives
+    base = _jump_objective(old, stats, clip)
     step = cand
     for _ in range(JUMP_HALVINGS):
-        if _jump_objective(step, stats, w) >= base:
+        if _jump_objective(step, stats, clip) >= base:
             return JumpTable(w=w, probs=step, p0=jumps.p0)
         step = 0.5 * step + 0.5 * old
     warn(
@@ -449,13 +443,13 @@ def baum_welch_step(
     """One forward-backward pass over the corpus; returns updated params and
     the corpus log-likelihood (sum of log partition values) of the input.
     config is not read: params hold the whole model."""
-    return _bw_iteration(ChunkRunner(bitext, params.table, params.use_null, jobs), params)
+    return _bw_iteration(PackedCorpus(bitext, params.table, params.use_null, jobs=jobs), params)
 
 
-def _bw_iteration(runner: ChunkRunner, params: HmmParams) -> tuple[HmmParams, float]:
-    """One Baum-Welch EM step on params of the runner's support: the
+def _bw_iteration(packed: PackedCorpus, params: HmmParams) -> tuple[HmmParams, float]:
+    """One Baum-Welch EM step on params of the packed corpus's support: the
     re-estimated params and the log-likelihood of the input."""
-    counts, stats, ll = _bw_statistics(runner, params.table.theta, params.jumps)
+    counts, stats, ll = _bw_statistics(packed, params.table.theta, params.jumps)
     jumps = _reestimate_jumps(params.jumps, stats)
     return HmmParams(params.table.normalized(counts), jumps, params.use_null), ll
 
@@ -470,11 +464,11 @@ def train(
     uniform jumps, then run Baum-Welch on the same packed corpus, writing
     its trace to log_to when given. With iterations=0 the warmed-up params
     are returned."""
-    runner = ChunkRunner.uniform(bitext, config.use_null, jobs)
-    warm_up = lambda table: lexical_step(runner, table)
-    table, _ = run_em(warm_up, runner.table, config.model1_iterations)
+    table, packed = uniform_packed(bitext, config.use_null, jobs=jobs)
+    warm_up = lambda table: lexical_step(packed, table)
+    table, _ = run_em(warm_up, table, config.model1_iterations)
     start = HmmParams(table, uniform_jumps(config.w, config.p0), config.use_null)
-    step = lambda params: _bw_iteration(runner, params)
+    step = lambda params: _bw_iteration(packed, params)
     return run_em(step, start, config.iterations, log_to)
 
 
@@ -484,24 +478,22 @@ def align_corpus(bitext: Bitext, params: HmmParams) -> list[AlignmentFunction]:
     the smaller state index at every backpointer, so real positions beat
     their NULL companions."""
     packed = PackedCorpus(bitext, params.table, params.use_null)
-    theta = decode_theta(params.table)
     jumps, use_null = params.jumps, params.use_null
     log_rows: dict[int, np.ndarray] = {}  # per target length n, built once
     aligned: list = [None] * len(packed)
-    for c, chunk in enumerate(packed.chunks):
-        for layout, block in chunk.blocks(packed.cells(c, theta)):
-            g = _group(layout, block, jumps, use_null)
-            width, ns = len(g.q), layout.ns.tolist()
-            # log_t[b, i', h, i]: the pair's block in each half h of its columns
-            log_t = np.full((len(ns), width, 1 + use_null, width), -math.inf)
-            for n in sorted(set(ns)):
-                if n not in log_rows:
-                    with np.errstate(divide="ignore"):
-                        log_rows[n] = np.log(_transition_matrix(n, jumps, use_null)[:n, :n]).T
-                log_t[layout.ns == n, :n, :, :n] = log_rows[n][:, None]
-            paths = _viterbi(g, log_t.reshape(len(ns), width, -1))
-            for k, n, targets in zip(layout.pairs, ns, paths):
-                aligned[k] = AlignmentFunction(targets=targets, n=n)
+    for layout, block in packed.blocks(decode_theta(params.table)):
+        g = _group(layout, block, jumps, use_null)
+        width, ns = len(g.q), layout.ns.tolist()
+        # log_t[b, i', h, i]: the pair's block in each half h of its columns
+        log_t = np.full((len(ns), width, 1 + use_null, width), -math.inf)
+        for n in sorted(set(ns)):
+            if n not in log_rows:
+                with np.errstate(divide="ignore"):
+                    log_rows[n] = np.log((1.0 - g.p0) * _transition_matrix(n, jumps, False)).T
+            log_t[layout.ns == n, :n, :, :n] = log_rows[n][:, None]
+        paths = _viterbi(g, log_t.reshape(len(ns), width, -1))
+        for k, n, targets in zip(layout.pairs, ns, paths):
+            aligned[k] = AlignmentFunction(targets=targets, n=n)
     return aligned
 
 

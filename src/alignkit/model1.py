@@ -20,7 +20,9 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from ._packed import ChunkRunner, PackedCorpus, PriorProvider, train_lexical, uniform_start
+from ._packed import (
+    PackedCorpus, PriorProvider, lexical_step, run_em, uniform_packed, uniform_start
+)
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError
@@ -54,8 +56,7 @@ def em_step(
 ) -> tuple[TranslationTable, float]:
     """One EM iteration; returns the re-estimated table and the corpus
     log-likelihood of the *input* table."""
-    table, (ll,) = train_lexical(ChunkRunner(bitext, table, config.use_null, jobs), 1)
-    return table, ll
+    return lexical_step(PackedCorpus(bitext, table, config.use_null, jobs=jobs), table)
 
 
 def train(
@@ -67,8 +68,9 @@ def train(
     """EM from the uniform initializer; returns the final table and the
     per-iteration log-likelihood trace (evaluated before each update),
     which is also written to log_to when given."""
-    runner = ChunkRunner.uniform(bitext, config.use_null, jobs)
-    return train_lexical(runner, config.iterations, log_to=log_to)
+    table, packed = uniform_packed(bitext, config.use_null, jobs=jobs)
+    step = lambda table: lexical_step(packed, table)
+    return run_em(step, table, config.iterations, log_to)
 
 
 def posterior_align(
@@ -91,18 +93,16 @@ def align_corpus(
     NULL row's presence in the table decides whether NULL competes."""
     if use_null is None:
         use_null = NULL_ID in table.row_ids
-    packed = PackedCorpus(bitext, table, use_null)
-    theta = decode_theta(table)
+    packed = PackedCorpus(bitext, table, use_null, prior)
     aligned: list = [None] * len(packed)
-    for c, chunk in enumerate(packed.chunks):
-        for g, block in chunk.blocks(packed.cells(c, theta, prior)):
-            real = block[:, :, : block.shape[2] - use_null]
-            best = real.argmax(axis=2)
-            if use_null:
-                best[block[:, :, -1] > real.max(axis=2)] = -1  # NULL
-            for k, m, n, targets in zip(g.pairs, g.ms.tolist(), g.ns.tolist(), best.T.tolist()):
-                targets = tuple(None if i < 0 else i for i in targets[:m])
-                aligned[k] = AlignmentFunction(targets=targets, n=n)
+    for g, block in packed.blocks(decode_theta(table)):
+        real = block[:, :, : block.shape[2] - use_null]
+        best = real.argmax(axis=2)
+        if use_null:
+            best[block[:, :, -1] > real.max(axis=2)] = -1  # NULL
+        for k, m, n, targets in zip(g.pairs, g.ms.tolist(), g.ns.tolist(), best.T.tolist()):
+            targets = tuple(None if i < 0 else i for i in targets[:m])
+            aligned[k] = AlignmentFunction(targets=targets, n=n)
     return aligned
 
 

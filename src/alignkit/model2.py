@@ -21,7 +21,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from . import model1
-from ._packed import ChunkRunner, train_lexical
+from ._packed import PackedCorpus, lexical_step, run_em, uniform_packed
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, trailer_error
@@ -48,20 +48,13 @@ class DiagonalPrior:
 
     def matrix(self, m: int, n: int, use_null: bool) -> np.ndarray:
         """Prior over target rows (NULL last when enabled) per source column."""
-        key = (self.lam, self.p0, m, n, use_null)
-        cached = _MATRIX_CACHE.get(key)
-        if cached is None:
-            i = np.arange(1, n + 1, dtype=float)[:, None]
-            j = np.arange(1, m + 1, dtype=float)[None, :]
-            weights = np.exp(self.lam * -np.abs(j / m - i / n))
-            rows = (1.0 - self.p0) * weights / weights.sum(axis=0)
-            if use_null:
-                rows = np.vstack([rows, np.full((1, m), self.p0)])
-            cached = _MATRIX_CACHE[key] = rows
-        return cached
-
-
-_MATRIX_CACHE: dict[tuple, np.ndarray] = {}
+        i = np.arange(1, n + 1, dtype=float)[:, None]
+        j = np.arange(1, m + 1, dtype=float)[None, :]
+        weights = np.exp(self.lam * -np.abs(j / m - i / n))
+        rows = (1.0 - self.p0) * weights / weights.sum(axis=0)
+        if use_null:
+            rows = np.vstack([rows, np.full((1, m), self.p0)])
+        return rows
 
 
 @dataclass(frozen=True)
@@ -99,8 +92,8 @@ def em_step(
     the length constant eps = 1, so its log eps term is left out.
     """
     prior = params.prior
-    runner = ChunkRunner(bitext, params.table, prior.use_null, jobs)
-    table, (ll,) = train_lexical(runner, 1, prior)
+    packed = PackedCorpus(bitext, params.table, prior.use_null, prior, jobs)
+    table, ll = lexical_step(packed, params.table)
     return Model2Params(table=table, prior=prior), ll
 
 
@@ -111,8 +104,9 @@ def train(
     log_to: Optional[TextIO] = None,
 ) -> tuple[Model2Params, list[float]]:
     prior = config.prior()
-    runner = ChunkRunner.uniform(bitext, prior.use_null, jobs)
-    table, trace = train_lexical(runner, config.iterations, prior, log_to)
+    table, packed = uniform_packed(bitext, prior.use_null, prior, jobs)
+    step = lambda table: lexical_step(packed, table)
+    table, trace = run_em(step, table, config.iterations, log_to)
     return Model2Params(table=table, prior=prior), trace
 
 

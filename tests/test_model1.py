@@ -73,7 +73,7 @@ def assert_same_array(got, want):
 
 
 class TestUniformStart:
-    """ChunkRunner.uniform packs its corpus from the sort that builds the
+    """uniform_packed packs its corpus from the sort that builds the
     start table. The table must equal one built row by row, and the layout
     one whose every cell PackedCorpus looks up in that table, bitwise."""
 
@@ -100,10 +100,9 @@ class TestUniformStart:
         expected = TranslationTable(
             {e: {f: 1.0 / len(fs) for f in fs} for e, fs in cooccurring.items()}
         )
-        runner = _packed.ChunkRunner.uniform(bitext, use_null)
-        packed = runner.packed
+        start, packed = _packed.uniform_packed(bitext, use_null)
         looked_up = _packed.PackedCorpus(bitext, expected, use_null)
-        for table in (runner.table, init_uniform(bitext, use_null)):
+        for table in (start, init_uniform(bitext, use_null)):
             for attr in ("es", "fs", "theta"):
                 assert_same_array(getattr(table, attr), getattr(expected, attr))
         if chunk_cells == 40 and name in ("random", "repeated pairs"):
@@ -301,30 +300,36 @@ class TestTrainIsChainedSteps:
                 assert_same_array(getattr(got, name), getattr(want, name))
 
 
-def lexical_counts(packed, theta, prior):
-    """Expected counts and log-likelihood of chunk 0 under the lexical pass."""
-    counts, reports = _packed._chunk_counts(
-        packed, 0, theta, prior, _packed._lexical_pass, prior is None
-    )
-    return counts, sum(reports)
+def lexical_counts(packed, theta):
+    """Expected counts and log-likelihood under the lexical pass, summed
+    over every chunk."""
+    counts, ll = np.zeros(packed.n_slots), 0.0
+    for c in range(len(packed.chunks)):
+        chunk_counts, reports = _packed._chunk_counts(packed, c, theta, _packed._lexical_pass)
+        counts += chunk_counts
+        ll += sum(reports)
+    return counts, ll
 
 
 class TestGroupedEStep:
     """The lexical E-step runs on the packed groups, one gather, sum and
     division per group. At GROUP_CELLS = 300 the groups mix m and n; the
     counts and log-likelihood must be those of one-pair groups, summed, and
-    of the enumeration oracles."""
+    of the enumeration oracles. At CHUNK_CELLS = 600 the corpus splits, so
+    each chunk reads its own part of the prior laid out at packing."""
 
     # Small enough to enumerate, m = 1 and n = 1 included.
     SHAPES = [(1, 1), (3, 1), (1, 4), (4, 4), (2, 3), (4, 2), (1, 2), (3, 3), (2, 1), (4, 3)]
 
+    @pytest.mark.parametrize("chunk_cells", [1 << 20, 600])
     @pytest.mark.parametrize(
         "use_null, p0", [(False, None), (True, None), (False, 0.0), (True, 0.3)]
     )
     def test_counts_and_likelihood_match_one_pair_groups_and_the_oracles(
-        self, monkeypatch, use_null, p0
+        self, monkeypatch, use_null, p0, chunk_cells
     ):
         monkeypatch.setattr(_packed, "GROUP_CELLS", 300)
+        monkeypatch.setattr(_packed, "CHUNK_CELLS", chunk_cells)
         rng = np.random.default_rng(91)
         for _ in range(5):
             shapes = self.SHAPES + [tuple(rng.integers(5, 13, size=2)) for _ in range(12)]
@@ -336,13 +341,14 @@ class TestGroupedEStep:
             table, flat = random_table(rng, range(1, 6), range(1, 6), include_null=use_null)
             theta = table.theta
             prior = None if p0 is None else DiagonalPrior(float(rng.choice([0.0, 3.0])), p0)
-            packed = _packed.PackedCorpus(bitext, table, use_null)
-            (chunk,) = packed.chunks
-            assert len(chunk.groups) >= 4
-            assert any(len(set(g.ms.tolist())) > 1 for g in chunk.groups)
-            assert any(len(set(g.ns.tolist())) > 1 for g in chunk.groups)
+            packed = _packed.PackedCorpus(bitext, table, use_null, prior)
+            assert (len(packed.chunks) > 1) == (chunk_cells == 600)
+            groups = [g for chunk in packed.chunks for g in chunk.groups]
+            assert len(groups) >= 4
+            assert any(len(set(g.ms.tolist())) > 1 for g in groups)
+            assert any(len(set(g.ns.tolist())) > 1 for g in groups)
             leave_nan_in_freed_memory()
-            counts, ll = lexical_counts(packed, theta, prior)
+            counts, ll = lexical_counts(packed, theta)
             assert not np.isnan(counts).any()
 
             ref_counts = np.zeros_like(counts)
@@ -351,8 +357,8 @@ class TestGroupedEStep:
             oracle_ll = 0.0
             for k, pair in enumerate(bitext.pairs):
                 src, tgt = pair.source_ids, pair.target_ids
-                one = _packed.PackedCorpus(make_bitext([(src, tgt)]), table, use_null)
-                one_counts, one_ll = lexical_counts(one, theta, prior)
+                one = _packed.PackedCorpus(make_bitext([(src, tgt)]), table, use_null, prior)
+                one_counts, one_ll = lexical_counts(one, theta)
                 ref_counts += one_counts
                 ref_ll += one_ll
                 if prior is not None:
@@ -377,7 +383,7 @@ class TestGroupedEStep:
                     make_bitext([(p.source_ids, p.target_ids) for p in bitext.pairs[:10]]),
                     table, use_null,
                 )
-                small_counts, _ = lexical_counts(small, theta, None)
+                small_counts, _ = lexical_counts(small, theta)
                 expected = [oracle_counts.get(key, 0.0) for key in zip(table.es, table.fs)]
                 np.testing.assert_allclose(small_counts, expected, rtol=1e-10, atol=1e-12)
 
@@ -455,8 +461,8 @@ class TestWorkers:
         bt = make_bitext([([1], [1])] * 5)  # two cells a pair with NULL: three chunks
         table = init_uniform(bt, use_null=True)
         for jobs, workers in ((64, 3), (2, 2), (1, 1), (0, 1)):
-            runner = _packed.ChunkRunner(bt, table, True, jobs)
-            assert runner.jobs == workers
+            packed = _packed.PackedCorpus(bt, table, True, jobs=jobs)
+            assert packed.jobs == workers
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_results_are_taken_one_chunk_at_a_time(self, monkeypatch, jobs):
@@ -466,15 +472,15 @@ class TestWorkers:
         # has taken chunk c's result.
         monkeypatch.setattr(_packed, "CHUNK_CELLS", 4)
         bt = make_bitext([([1], [1])] * 9)  # two cells a pair with NULL: five chunks
-        runner = _packed.ChunkRunner(bt, init_uniform(bt, use_null=True), True, jobs)
-        assert len(runner.packed.chunks) == 5 and runner.jobs == jobs
+        packed = _packed.PackedCorpus(bt, init_uniform(bt, use_null=True), True, jobs=jobs)
+        assert len(packed.chunks) == 5 and packed.jobs == jobs
         started, taken = [], []
 
         def fn(packed, c):
             started.append(c)
             return c
 
-        for c in runner.map(fn):
+        for c in packed.map(fn):
             taken.append((c, max(started)))
         assert sorted(started) == list(range(5))
         assert [c for c, _ in taken] == list(range(5))
