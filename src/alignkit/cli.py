@@ -1,10 +1,10 @@
 """Batch command-line interface for the alignment pipeline.
 
-Subcommands compose through files (or stdin/stdout for `align` and
-`symmetrize`): synth | train | align | symmetrize | eval |
-extract-phrases | project. Every run is a pure function of its flags,
-input files, and seed; repeated runs are bitwise identical, whatever
---jobs is.
+Subcommands compose through files, or through stdin and stdout given as
+`-`: synth | train | align | symmetrize | eval | extract-phrases |
+project. At most one input file of a command may be stdin. Every run is
+a pure function of its flags, input files, and seed; repeated runs are
+bitwise identical, whatever --jobs is.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data/format
 error, 3 numeric failure.
@@ -88,6 +88,11 @@ write_phrase_table = _deferred("phrases", "write_phrase_table")
 # (model2.DIAG_TRAILER, hmm.HMM_TRAILER). A file without a trailer holds a
 # lexical model, which model1 decodes.
 TRAILER_MODULES = {"diag": "model2", "hmm": "hmm"}
+
+# The dests of the flags that name an input file, in the order a second
+# stdin input's error names them.
+INPUT_FLAGS = ("config", "model_file", "bitext", "source_vocab", "target_vocab", "alignments",
+               "annotations", "forward", "backward", "hypothesis", "gold")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -272,7 +277,7 @@ def _load_any_model(path: str):
     return lambda bitext: model.align_corpus(bitext, params)
 
 
-def _load_vocab(explicit: str | None, default_path: str, language: str):
+def _load_vocab(explicit: str | None, default_path: str):
     from .corpus import Vocabulary
 
     path = explicit or default_path
@@ -284,7 +289,7 @@ def _load_vocab(explicit: str | None, default_path: str, language: str):
             f"model, or pass --source-vocab/--target-vocab"
         ) from None
     try:
-        return Vocabulary.load(lines, language=language)
+        return Vocabulary.load(lines)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
@@ -293,12 +298,8 @@ def cmd_align(args) -> int:
     from .corpus import UNK_ID, UNK_TOKEN
 
     decode = _load_any_model(args.model_file)
-    source_vocab = _load_vocab(
-        args.source_vocab, args.model_file + ".source-vocab", "source"
-    )
-    target_vocab = _load_vocab(
-        args.target_vocab, args.model_file + ".target-vocab", "target"
-    )
+    source_vocab = _load_vocab(args.source_vocab, args.model_file + ".source-vocab")
+    target_vocab = _load_vocab(args.target_vocab, args.model_file + ".target-vocab")
 
     with _open_in(args.bitext) as src:
         lines = list(src)
@@ -324,8 +325,6 @@ def cmd_align(args) -> int:
 
 
 def cmd_symmetrize(args) -> int:
-    if args.forward == "-" and args.backward == "-":
-        raise ConfigError("only one of --forward/--backward may be stdin")
     forward = _read_alignments(args.forward)
     backward = _read_alignments(args.backward, (args.forward, len(forward)))
     with _open_out(args.output) as out:
@@ -362,24 +361,23 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _read_token_records(path: str) -> list[tuple[list[str], list[str]]]:
-    from .corpus import parse_bitext_line, tokenize
+def _read_records(args) -> tuple[list[tuple[list[str], list[str]]], list[AlignmentSet]]:
+    """The token pairs of every --bitext line, empty sides included, and
+    the --alignments lines, which must match them line for line."""
+    from .corpus import iter_token_pairs
 
-    records = []
-    with _open_in(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            src_text, tgt_text = parse_bitext_line(raw, lineno)
-            records.append((tokenize(src_text), tokenize(tgt_text)))
-    return records
+    with _open_in(args.bitext) as fh:
+        records = [(src, tgt) for _, src, tgt in iter_token_pairs(fh)]
+    alignments = _read_alignments(
+        args.alignments, (args.bitext, len(records)), [(len(s), len(t)) for s, t in records]
+    )
+    return records, alignments
 
 
 def cmd_extract_phrases(args) -> int:
     if args.max_len < 1:
         raise ConfigError(f"--max-len must be >= 1, got {args.max_len}")
-    records = _read_token_records(args.bitext)
-    alignments = _read_alignments(
-        args.alignments, (args.bitext, len(records)), [(len(s), len(t)) for s, t in records]
-    )
+    records, alignments = _read_records(args)
     table = build_phrase_table(
         ((src, tgt, a) for (src, tgt), a in zip(records, alignments)),
         max_len=args.max_len,
@@ -392,10 +390,7 @@ def cmd_extract_phrases(args) -> int:
 def cmd_project(args) -> int:
     from . import projection
 
-    records = _read_token_records(args.bitext)
-    alignments = _read_alignments(
-        args.alignments, (args.bitext, len(records)), [(len(s), len(t)) for s, t in records]
-    )
+    records, alignments = _read_records(args)
     if args.layer == "tokens":
         with _open_in(args.annotations) as fh:
             annotated = projection.read_labeled(fh)
@@ -454,25 +449,20 @@ def cmd_synth(args) -> int:
 # parser construction and config files
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--config",
-        metavar="FILE",
-        help="flat key=value file supplying defaults for this subcommand "
-        "(explicit flags win)",
-    )
-
-
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and the subparser of each command by name."""
     parser = _Parser(prog="alignkit", description=__doc__.split("\n\n")[0])
     subs = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     def sub(name: str, func, **kwargs) -> argparse.ArgumentParser:
         p = subs.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        _add_common(p)
-        registry[name] = p
+        p.add_argument(
+            "--config",
+            metavar="FILE",
+            help="flat key=value file supplying defaults for this subcommand "
+            "(explicit flags win)",
+        )
         return p
 
     p = sub("train", cmd_train, help="estimate an alignment model from a bitext")
@@ -539,8 +529,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--model-file", required=True, help="file written by train")
     p.add_argument("--bitext", required=True, help="`source ||| target` lines, or -")
     p.add_argument("--output", default="-", help="Pharaoh lines (default stdout)")
-    p.add_argument("--source-vocab", default=None, help=argparse.SUPPRESS)
-    p.add_argument("--target-vocab", default=None, help=argparse.SUPPRESS)
+    for side in ("source", "target"):
+        p.add_argument(f"--{side}-vocab", help=f"vocabulary (default: MODEL_FILE.{side}-vocab)")
     p.add_argument("--lowercase", action="store_true", help="lowercase all tokens")
     p.add_argument(
         "--reverse",
@@ -611,7 +601,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--output-gold", required=True)
     p.add_argument("--gold-format", choices=("wpt", "pharaoh"), default="wpt")
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def _coerce(action: argparse.Action, value: str, where: str):
@@ -663,14 +653,17 @@ def _load_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     errors.command_run = True
-    parser, registry = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
-            registry[args.command].set_defaults(
-                **_load_config_file(args.config, registry[args.command])
-            )
+            sub = commands[args.command]
+            sub.set_defaults(**_load_config_file(args.config, sub))
             args = parser.parse_args(argv)
+        stdin = [dest for dest in INPUT_FLAGS if vars(args).get(dest) == "-"]
+        if len(stdin) > 1:
+            flags = "/".join("--" + dest.replace("_", "-") for dest in stdin[:2])
+            raise ConfigError(f"only one of {flags} may be stdin")
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0

@@ -35,47 +35,37 @@ class Vocabulary(Record):
     with the unknown token alone.
     """
 
-    __slots__ = ("language", "token_to_id", "id_to_token", "frequency", "threshold")
+    __slots__ = ("token_to_id", "id_to_token", "frequency")
     __hash__ = None
 
     def __init__(
         self,
-        language: str = "",
         token_to_id: dict[str, int] | None = None,
         id_to_token: list[str] | None = None,
         frequency: dict[int, int] | None = None,
-        threshold: int = 0,
     ) -> None:
-        self.language = language
         self.token_to_id = {} if token_to_id is None else token_to_id
         self.id_to_token = [UNK_TOKEN] if id_to_token is None else id_to_token
         self.frequency = {UNK_ID: 0} if frequency is None else frequency
-        self.threshold = threshold
 
     @classmethod
     def build(
-        cls,
-        sentences: Iterable[Sequence[str]],
-        max_size: int | None = None,
-        language: str = "",
+        cls, sentences: Iterable[Sequence[str]], max_size: int | None = None
     ) -> "Vocabulary":
         counts = Counter()
         for sent in sentences:
             counts.update(sent)
+        if max_size is not None and max_size < 1:
+            raise ConfigError(f"vocabulary size must be >= 1, got {max_size}")
         ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        if max_size is not None:
-            if max_size < 1:
-                raise ConfigError(f"vocabulary size must be >= 1, got {max_size}")
-            kept, dropped = ranked[:max_size], ranked[max_size:]
-        else:
-            kept, dropped = ranked, []
-        vocab = cls(language=language, threshold=len(kept))
+        kept = ranked[:max_size]
+        vocab = cls()
         for token, count in kept:
             idx = len(vocab.id_to_token)
             vocab.token_to_id[token] = idx
             vocab.id_to_token.append(token)
             vocab.frequency[idx] = count
-        vocab.frequency[UNK_ID] = sum(count for _, count in dropped)
+        vocab.frequency[UNK_ID] = sum(count for _, count in ranked[len(kept):])
         return vocab
 
     @property
@@ -103,8 +93,8 @@ class Vocabulary(Record):
             out.write(f"{idx}\t{token}\t{self.frequency.get(idx, 0)}\n")
 
     @classmethod
-    def load(cls, lines: Iterable[str], language: str = "") -> "Vocabulary":
-        vocab = cls(language=language)
+    def load(cls, lines: Iterable[str]) -> "Vocabulary":
+        vocab = cls()
         expected = 1
         for lineno, raw in enumerate(lines, start=1):
             line = raw.rstrip("\n")
@@ -129,7 +119,6 @@ class Vocabulary(Record):
             vocab.id_to_token.append(parts[1])
             vocab.frequency[idx] = count
             expected += 1
-        vocab.threshold = len(vocab.id_to_token) - 1
         return vocab
 
 
@@ -178,18 +167,6 @@ class Bitext(Record):
         return iter(self.pairs)
 
 
-def encode_pair(
-    source_tokens: Sequence[str],
-    target_tokens: Sequence[str],
-    source_vocab: Vocabulary,
-    target_vocab: Vocabulary,
-) -> SentencePair:
-    """Map one token pair to ids; raises DegeneratePairError on an empty side."""
-    return SentencePair(
-        source_vocab.encode(source_tokens), target_vocab.encode(target_tokens)
-    )
-
-
 def parse_bitext_line(raw: str, lineno: int) -> tuple[str, str]:
     line = raw.rstrip("\n")
     before, sep, after = line.partition(SEPARATOR)
@@ -197,22 +174,15 @@ def parse_bitext_line(raw: str, lineno: int) -> tuple[str, str]:
         raise DataFormatError(f"bitext line {lineno}: missing '{SEPARATOR}' separator")
     return before, after
 
+
 def iter_token_pairs(
     lines: Iterable[str], lowercase: bool = False
 ) -> Iterator[tuple[int, list[str], list[str]]]:
-    """Yield (lineno, source tokens, target tokens) for well-formed lines.
-
-    Pairs where either side tokenizes to nothing are skipped with a warning;
-    the relative order of surviving pairs is preserved.
-    """
+    """Yield (lineno, source tokens, target tokens) for every line; either
+    side may be empty."""
     for lineno, raw in enumerate(lines, start=1):
         src_text, trg_text = parse_bitext_line(raw, lineno)
-        src = tokenize(src_text, lowercase)
-        trg = tokenize(trg_text, lowercase)
-        if not src or not trg:
-            warn("alignkit", "bitext line %d: empty side, pair skipped", lineno)
-            continue
-        yield lineno, src, trg
+        yield lineno, tokenize(src_text, lowercase), tokenize(trg_text, lowercase)
 
 
 def load_bitext(
@@ -229,24 +199,24 @@ def load_bitext(
     (frequency-ranked, truncated to `max_vocab` entries per side). With
     `swap`, the two fields of every line trade roles; this is how the
     reverse alignment direction is trained without rewriting the corpus.
+    Pairs where either side tokenizes to nothing are skipped with a
+    warning; the relative order of surviving pairs is preserved.
     """
     token_pairs = []
     line_numbers = []
     for lineno, src, trg in iter_token_pairs(lines, lowercase):
-        if swap:
-            src, trg = trg, src
-        token_pairs.append((src, trg))
+        if not src or not trg:
+            warn("alignkit", "bitext line %d: empty side, pair skipped", lineno)
+            continue
+        token_pairs.append((trg, src) if swap else (src, trg))
         line_numbers.append(lineno)
     if source_vocab is None:
-        source_vocab = Vocabulary.build(
-            (src for src, _ in token_pairs), max_size=max_vocab, language="source"
-        )
+        source_vocab = Vocabulary.build((src for src, _ in token_pairs), max_size=max_vocab)
     if target_vocab is None:
-        target_vocab = Vocabulary.build(
-            (trg for _, trg in token_pairs), max_size=max_vocab, language="target"
-        )
+        target_vocab = Vocabulary.build((trg for _, trg in token_pairs), max_size=max_vocab)
     pairs = [
-        encode_pair(src, trg, source_vocab, target_vocab) for src, trg in token_pairs
+        SentencePair(source_vocab.encode(src), target_vocab.encode(trg))
+        for src, trg in token_pairs
     ]
     return Bitext(pairs, source_vocab, target_vocab, line_numbers)
 

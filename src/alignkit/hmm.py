@@ -127,8 +127,7 @@ class HmmConfig:
             )
         if not 1 <= self.w <= MAX_WINDOW:
             raise ConfigError(f"jump window must be in [1, {MAX_WINDOW}], got {self.w}")
-        if not 0.0 <= self.p0 < 1.0:
-            raise ConfigError(f"null transition mass must be in [0, 1), got {self.p0}")
+        uniform_jumps(self.w, self.p0)  # reuse JumpTable's p0 check
 
 
 def _clip_index(n: int, w: int) -> np.ndarray:

@@ -117,42 +117,41 @@ def project_spans(
     return sorted(kept)
 
 
+def _per_record(
+    project, records: Sequence, alignments: Sequence[AlignmentSet], what: str
+) -> list:
+    """project(record, alignment) for each record; the two streams must
+    agree in length, and a record's ValueError becomes a data error that
+    names the record."""
+    if len(records) != len(alignments):
+        raise DataFormatError(
+            f"record {min(len(records), len(alignments)) + 1}: "
+            f"{len(records)} {what} but {len(alignments)} alignments"
+        )
+    out = []
+    for k, (record, alignment) in enumerate(zip(records, alignments), start=1):
+        try:
+            out.append(project(record, alignment))
+        except ValueError as exc:
+            raise DataFormatError(f"record {k}: {exc}") from exc
+    return out
+
+
 def project_corpus(
     annotated: Sequence[LabeledSentence],
     alignments: Sequence[AlignmentSet],
 ) -> list[list[str]]:
     """Project token labels record by record; the two streams must agree
     in length and per-record source length."""
-    if len(annotated) != len(alignments):
-        raise DataFormatError(
-            f"record {min(len(annotated), len(alignments)) + 1}: "
-            f"{len(annotated)} annotated sentences but {len(alignments)} alignments"
-        )
-    out = []
-    for k, (sentence, alignment) in enumerate(zip(annotated, alignments), start=1):
-        try:
-            out.append(project_token_labels(sentence.tags, alignment))
-        except ValueError as exc:
-            raise DataFormatError(f"record {k}: {exc}") from exc
-    return out
+    tags = [sentence.tags for sentence in annotated]
+    return _per_record(project_token_labels, tags, alignments, "annotated sentences")
 
 
 def project_corpus_spans(
     spans_by_sentence: Sequence[Sequence[Span]],
     alignments: Sequence[AlignmentSet],
 ) -> list[list[Span]]:
-    if len(spans_by_sentence) != len(alignments):
-        raise DataFormatError(
-            f"record {min(len(spans_by_sentence), len(alignments)) + 1}: "
-            f"{len(spans_by_sentence)} span records but {len(alignments)} alignments"
-        )
-    out = []
-    for k, (spans, alignment) in enumerate(zip(spans_by_sentence, alignments), start=1):
-        try:
-            out.append(project_spans(spans, alignment))
-        except ValueError as exc:
-            raise DataFormatError(f"record {k}: {exc}") from exc
-    return out
+    return _per_record(project_spans, spans_by_sentence, alignments, "span records")
 
 
 def parse_labeled_line(raw: str, lineno: int = 0) -> LabeledSentence:

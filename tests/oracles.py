@@ -652,11 +652,9 @@ class DataclassRecords:
 
     @dataclass
     class Vocabulary:
-        language: str = ""
         token_to_id: dict[str, int] = field(default_factory=dict)
         id_to_token: list[str] = field(default_factory=lambda: ["<unk>"])
         frequency: dict[int, int] = field(default_factory=lambda: {0: 0})
-        threshold: int = 0
 
     @dataclass(frozen=True)
     class SentencePair:

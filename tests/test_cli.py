@@ -547,6 +547,85 @@ class TestProject:
         assert "sentence id 2" in capsys.readouterr().err
 
 
+class TestEmptySideRecords:
+    """A bitext line with an empty side stays a record of extract-phrases
+    and project, matched by the blank line align writes for it."""
+
+    BITEXT = "das haus ||| the house\n ||| the book\ndas buch ||| \ndas buch ||| the book\n"
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        (tmp_path / "toy.txt").write_text(TOY, encoding="utf-8")
+        (tmp_path / "bitext.txt").write_text(self.BITEXT, encoding="utf-8")
+        model = str(tmp_path / "toy.model")
+        assert cli.main([
+            "train", "--bitext", str(tmp_path / "toy.txt"), "--output", model,
+            "--iters", "20", "--no-null", "--quiet",
+        ]) == 0
+        assert cli.main([
+            "align", "--model-file", model, "--bitext", str(tmp_path / "bitext.txt"),
+            "--output", str(tmp_path / "align.txt"),
+        ]) == 0
+        assert read(tmp_path / "align.txt") == "0-0 1-1\n\n\n0-0 1-1\n"
+        return ["--bitext", str(tmp_path / "bitext.txt"), "--alignments", str(tmp_path / "align.txt")]
+
+    def test_extract_phrases(self, inputs, capsys):
+        assert cli.main(["extract-phrases", *inputs]) == 0
+        assert capsys.readouterr().out == (
+            "buch ||| book ||| 1.0 1.0 1\n"
+            "das ||| the ||| 1.0 1.0 2\n"
+            "das buch ||| the book ||| 1.0 1.0 1\n"
+            "das haus ||| the house ||| 1.0 1.0 1\n"
+            "haus ||| house ||| 1.0 1.0 1\n"
+        )
+
+    def test_project_tokens(self, inputs, tmp_path, capsys):
+        (tmp_path / "ann.txt").write_text(
+            "das/DET haus/N\n\ndas/DET buch/N\ndas/DET buch/N\n", encoding="utf-8"
+        )
+        assert cli.main(["project", *inputs, "--annotations", str(tmp_path / "ann.txt")]) == 0
+        assert capsys.readouterr().out == "the/DET house/N\nthe/O book/O\n\nthe/DET book/N\n"
+
+    def test_project_spans(self, inputs, tmp_path, capsys):
+        (tmp_path / "spans.tsv").write_text("1\t1\t1\tLOC\n3\t0\t1\tX\n4\t0\t1\tY\n")
+        assert cli.main([
+            "project", *inputs, "--annotations", str(tmp_path / "spans.tsv"), "--layer", "spans",
+        ]) == 0
+        assert capsys.readouterr().out == "1\t1\t1\tLOC\n4\t0\t1\tY\n"
+
+
+class TestStdin:
+    """At most one input file of a command, the config file included, may
+    be stdin; the check runs before the command does."""
+
+    @pytest.mark.parametrize("argv, stdin, flags", [
+        (["symmetrize", "--forward", "-", "--backward", "-"], "0-0\n", "--forward/--backward"),
+        (["eval", "--hypothesis", "-", "--gold", "-"], "0-0\n0-0\n", "--hypothesis/--gold"),
+        (["align", "--model-file", "-", "--bitext", "-", "--source-vocab", "v",
+          "--target-vocab", "v"], "", "--model-file/--bitext"),
+        (["align", "--model-file", "m", "--bitext", "-", "--config", "vocab.cfg"], "",
+         "--bitext/--source-vocab"),
+        (["extract-phrases", "--bitext", "-", "--alignments", "-"], "a ||| x\n",
+         "--bitext/--alignments"),
+        (["project", "--bitext", "b", "--alignments", "-", "--annotations", "-"], "0-0\n",
+         "--alignments/--annotations"),
+        (["train", "--config", "-", "--bitext", "-", "--output", "m"], "iters=1\n",
+         "--config/--bitext"),
+    ], ids=["symmetrize", "eval", "align", "align-config", "extract-phrases", "project",
+            "train"])
+    def test_a_second_stdin_input_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, argv, stdin, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "vocab.cfg").write_text("source_vocab=-\n", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"alignkit: error: only one of {flags} may be stdin\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.cfg"]
+
+
 class TestExitCodes:
     def test_unknown_command(self):
         assert cli.main(["frobnicate"]) == 1

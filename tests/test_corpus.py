@@ -57,10 +57,10 @@ class TestVocabulary:
         assert vocab.decode(ids) == ["y", "x", UNK_TOKEN]
 
     def test_save_load_round_trip(self):
-        vocab = Vocabulary.build([["a", "b", "b"]], language="source")
+        vocab = Vocabulary.build([["a", "b", "b"]])
         buf = io.StringIO()
         vocab.save(buf)
-        loaded = Vocabulary.load(buf.getvalue().splitlines(), language="source")
+        loaded = Vocabulary.load(buf.getvalue().splitlines())
         assert loaded.token_to_id == vocab.token_to_id
         assert loaded.frequency == vocab.frequency
 

@@ -38,11 +38,9 @@ CALLS = {
     AlignmentSet: call(st.frozensets(st.tuples(small, small), max_size=3), small, small),
     AlignmentFunction: call(st.lists(st.none() | small, max_size=3).map(tuple), small),
     Vocabulary: call(
-        language=st.sampled_from(["", "source"]),
         token_to_id=st.dictionaries(st.sampled_from("ab"), st.integers(1, 2), max_size=2),
         id_to_token=st.lists(st.sampled_from("ab"), max_size=2),
         frequency=int_dicts,
-        threshold=st.integers(0, 2),
     ),
     SentencePair: call(ids, ids),
     Bitext: call(
@@ -120,7 +118,7 @@ def test_records_agree_with_their_dataclasses(cls, data):
 
 
 @pytest.mark.parametrize("record", [
-    AlignmentSet({(0, 1)}, 1, 2), AlignmentFunction((None, 0), 1), Vocabulary("x"),
+    AlignmentSet({(0, 1)}, 1, 2), AlignmentFunction((None, 0), 1), Vocabulary({"x": 1}, ["<unk>", "x"]),
     SentencePair((1,), (2, 3)), Bitext([SentencePair((1,), (2,))], line_numbers=[1]),
     LinkCounts(1, 2, 1, 1), GoldAlignment({1: (frozenset(), frozenset())}),
     EvalReport(1, 2, 1, 1, {1: LinkCounts(1, 2, 1, 1)}, [3], []),
