@@ -422,8 +422,12 @@ def cmd_synth(args) -> int:
     from .corpus import write_bitext_line
     from .synth import SynthConfig, gold_wpt_lines, iter_records
 
-    if args.output_bitext == "-" and args.output_gold == "-":
+    paths = (args.output_bitext, args.output_gold)
+    if paths == ("-", "-"):
         raise ConfigError("only one of --output-bitext/--output-gold may be stdout")
+    # Opening the second would unlink the file the first just created.
+    if "-" not in paths and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        raise ConfigError(f"--output-bitext and --output-gold name one file: {paths[1]}")
 
     config = SynthConfig(
         pairs=args.pairs,

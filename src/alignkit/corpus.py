@@ -68,23 +68,12 @@ class Vocabulary(Record):
         vocab.frequency[UNK_ID] = sum(count for _, count in ranked[len(kept):])
         return vocab
 
-    @property
-    def size(self) -> int:
-        """Number of ids, including the reserved unknown id."""
-        return len(self.id_to_token)
-
     def id(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
-
-    def token(self, idx: int) -> str:
-        return self.id_to_token[idx]
 
     def encode(self, tokens: Sequence[str]) -> tuple[int, ...]:
         get = self.token_to_id.get
         return tuple(get(tok, UNK_ID) for tok in tokens)
-
-    def decode(self, ids: Sequence[int]) -> list[str]:
-        return [self.id_to_token[i] for i in ids]
 
     def save(self, out: TextIO) -> None:
         """Write `id<TAB>token<TAB>count` rows, ids ascending; id 0 implicit."""

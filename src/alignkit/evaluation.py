@@ -15,7 +15,7 @@ with 1-based positions and a missing flag meaning S.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from .alignment import AlignmentSet, Link
 from .errors import DataFormatError, Record
@@ -146,28 +146,23 @@ class EvalReport(LinkCounts):
         return len(self.per_sentence)
 
 
-def evaluate_corpus(
-    hypotheses: Sequence[AlignmentSet] | Mapping[int, AlignmentSet],
-    gold: GoldAlignment,
-) -> EvalReport:
-    """Score hypotheses against gold; sentence ids are 1-based. A list of
-    hypotheses is keyed by position: element k is sentence k + 1.
+def evaluate_corpus(hypotheses: Sequence[AlignmentSet], gold: GoldAlignment) -> EvalReport:
+    """Score hypotheses against gold, where hypothesis k is sentence k + 1
+    (gold sentence ids are 1-based).
 
     Hypotheses without a gold entry are skipped (they land in
     `skipped_hypotheses`); gold sentences without a hypothesis are
     reported in `missing_hypotheses`. Only matched sentences contribute
     to the pooled counts.
     """
-    if not isinstance(hypotheses, Mapping):
-        hypotheses = {k + 1: a for k, a in enumerate(hypotheses)}
     per_sentence: dict[int, LinkCounts] = {}
     skipped = []
-    for sid in sorted(hypotheses):
+    for sid, hypothesis in enumerate(hypotheses, start=1):
         entry = gold.sentences.get(sid)
         if entry is None:
             skipped.append(sid)
         else:
-            per_sentence[sid] = LinkCounts.of(hypotheses[sid].links, *entry)
+            per_sentence[sid] = LinkCounts.of(hypothesis.links, *entry)
     counts = per_sentence.values()
     return EvalReport(
         a_size=sum(c.a_size for c in counts),
@@ -176,7 +171,7 @@ def evaluate_corpus(
         a_and_p=sum(c.a_and_p for c in counts),
         per_sentence=per_sentence,
         skipped_hypotheses=skipped,
-        missing_hypotheses=[sid for sid in gold.ids() if sid not in hypotheses],
+        missing_hypotheses=[sid for sid in gold.ids() if sid not in per_sentence],
     )
 
 

@@ -24,7 +24,6 @@ from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .alignment import AlignmentSet
 from .corpus import SEPARATOR
-from .errors import Record
 
 
 class PhrasePair(NamedTuple):
@@ -105,41 +104,14 @@ def extract_consistent_phrases(
     return sorted(PhrasePair(*span) for span in _spans(alignment, max_len))
 
 
-class PhraseTable(Record):
-    """Co-occurrence counts over phrase pairs with relative frequencies in
-    both directions. A phrase is keyed by its text, its tokens joined by
-    single spaces; `counts` maps (source text, target text) pairs."""
-
-    __slots__ = ("counts", "src_marginals", "tgt_marginals")
-    __hash__ = None
-
-    def __init__(self, counts: Counter, src_marginals: Counter, tgt_marginals: Counter) -> None:
-        self.counts = counts
-        self.src_marginals = src_marginals
-        self.tgt_marginals = tgt_marginals
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def forward(self, src: Sequence[str], tgt: Sequence[str]) -> float:
-        """p(tgt | src) as a relative frequency."""
-        src, tgt = " ".join(src), " ".join(tgt)
-        total = self.src_marginals[src]
-        return self.counts[(src, tgt)] / total if total else 0.0
-
-    def inverse(self, src: Sequence[str], tgt: Sequence[str]) -> float:
-        """p(src | tgt) as a relative frequency."""
-        src, tgt = " ".join(src), " ".join(tgt)
-        total = self.tgt_marginals[tgt]
-        return self.counts[(src, tgt)] / total if total else 0.0
-
-
 def build_phrase_table(
     records: Iterable[tuple[Sequence[str], Sequence[str], AlignmentSet]],
     max_len: int = 7,
-) -> PhraseTable:
-    """Accumulate phrase-pair counts over (source tokens, target tokens,
-    alignment) records. No token may hold a space."""
+) -> Counter[tuple[str, str]]:
+    """The count of every consistent phrase pair over (source tokens,
+    target tokens, alignment) records, keyed by (source text, target
+    text), each text its tokens joined by single spaces. No token may
+    hold a space."""
     pairs: list[tuple[str, str]] = []
     for src, tgt, alignment in records:
         if alignment.m != len(src) or alignment.n != len(tgt):
@@ -153,9 +125,7 @@ def build_phrase_table(
             (" ".join(src[j1 : j2 + 1]), " ".join(tgt[i1 : i2 + 1]))
             for j1, j2, i1, i2 in _spans(alignment, max_len)
         ]
-    return PhraseTable(
-        Counter(pairs), Counter(map(itemgetter(0), pairs)), Counter(map(itemgetter(1), pairs))
-    )
+    return Counter(pairs)
 
 
 # Every byte below the space. UTF-8 writes U+0000-U+001F as these bytes
@@ -173,19 +143,24 @@ class _Reprs(dict):
         return text
 
 
-def write_phrase_table(table: PhraseTable, out: TextIO) -> None:
-    """One line per entry of `table.counts`, which is keyed by (source
-    text, target text): `src ||| tgt ||| p(tgt|src) p(src|tgt) count`,
-    sorted by the source tokens, then by the target tokens."""
-    text = "".join(chain.from_iterable(table.counts)).encode()
+def write_phrase_table(counts: Counter[tuple[str, str]], out: TextIO) -> None:
+    """One line per pair of `counts`, as build_phrase_table returns them:
+    `src ||| tgt ||| p(tgt|src) p(src|tgt) count`, sorted by the source
+    tokens, then by the target tokens. Each probability is the pair's
+    count over the count of all pairs sharing its source (target) text."""
+    src_totals: dict[str, int] = {}
+    tgt_totals: dict[str, int] = {}
+    for (src, tgt), count in counts.items():
+        src_totals[src] = src_totals.get(src, 0) + count
+        tgt_totals[tgt] = tgt_totals.get(tgt, 0) + count
+    text = "".join(chain.from_iterable(counts)).encode()
     if len(text.translate(None, _BELOW_SPACE)) == len(text):
         key = itemgetter(0)
     else:  # a control character sorts below the space that ends a token
         key = lambda item: (item[0][0].split(" "), item[0][1].split(" "))
-    src_totals, tgt_totals = table.src_marginals, table.tgt_marginals
     text_of = _Reprs()
     out.writelines(
         f"{src}{SEPARATOR}{tgt}{SEPARATOR}"
         f"{text_of[count / src_totals[src]]} {text_of[count / tgt_totals[tgt]]} {count}\n"
-        for (src, tgt), count in sorted(table.counts.items(), key=key)
+        for (src, tgt), count in sorted(counts.items(), key=key)
     )

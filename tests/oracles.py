@@ -696,12 +696,6 @@ class DataclassRecords:
         tgt_start: int
         tgt_end: int
 
-    @dataclass
-    class PhraseTable:
-        counts: Counter
-        src_marginals: Counter
-        tgt_marginals: Counter
-
     @dataclass(frozen=True)
     class LabeledSentence:
         tokens: tuple[str, ...]

@@ -69,6 +69,19 @@ class TestSynth:
             "", "alignkit: error: only one of --output-bitext/--output-gold may be stdout\n"
         )
 
+    @pytest.mark.parametrize("gold", ["./s.txt", "link"])
+    def test_outputs_naming_one_file_are_a_usage_error(self, tmp_path, monkeypatch, capsys, gold):
+        # Opening the second output would unlink the first, and the bitext
+        # would be lost with exit code 0.
+        monkeypatch.chdir(tmp_path)
+        os.symlink("s.txt", "link")
+        args = ["synth", "--pairs", "3", "--output-bitext", "s.txt", "--output-gold", gold]
+        assert cli.main(args) == 1
+        assert capsys.readouterr() == (
+            "", f"alignkit: error: --output-bitext and --output-gold name one file: {gold}\n"
+        )
+        assert sorted(os.listdir()) == ["link"] and not os.path.exists("link")
+
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         code = cli.main([
             "synth", "--pairs", "3", "--seed", "-1",

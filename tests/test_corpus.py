@@ -37,7 +37,7 @@ class TestVocabulary:
         assert vocab.id("a") == 2
         assert vocab.id("c") == 3
         assert vocab.id("zzz") == UNK_ID
-        assert vocab.token(UNK_ID) == UNK_TOKEN
+        assert vocab.id_to_token[UNK_ID] == UNK_TOKEN
 
     def test_frequency_ties_break_alphabetically(self):
         vocab = Vocabulary.build([["b", "a"]])
@@ -46,7 +46,7 @@ class TestVocabulary:
 
     def test_truncation_counts_dropped_mass_as_unk(self):
         vocab = Vocabulary.build([["a", "a", "b", "c"]], max_size=1)
-        assert vocab.size == 2  # unk + a
+        assert len(vocab.id_to_token) == 2  # unk + a
         assert vocab.id("a") == 1
         assert vocab.id("b") == UNK_ID
         assert vocab.frequency[UNK_ID] == 2
@@ -54,7 +54,7 @@ class TestVocabulary:
     def test_encode_decode_round_trip(self):
         vocab = Vocabulary.build([["x", "y"]])
         ids = vocab.encode(["y", "x", "new"])
-        assert vocab.decode(ids) == ["y", "x", UNK_TOKEN]
+        assert [vocab.id_to_token[i] for i in ids] == ["y", "x", UNK_TOKEN]
 
     def test_save_load_round_trip(self):
         vocab = Vocabulary.build([["a", "b", "b"]])

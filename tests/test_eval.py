@@ -140,12 +140,6 @@ class TestEvaluateCorpus:
         ) / 2
         assert report.aer != pytest.approx(mean_of_sentences)
 
-    def test_mapping_keys_select_gold_sentences(self):
-        gold = parse_gold(["5 1 1 S"])
-        report = evaluate_corpus({5: aset({(0, 0)})}, gold)
-        assert report.aer == 0.0
-        assert report.evaluated == 1
-
     def test_unmatched_sentences_are_reported(self):
         gold = parse_gold(["1 1 1 S", "4 1 1 S"])
         report = evaluate_corpus([aset({(0, 0)}), aset({(0, 0)})], gold)

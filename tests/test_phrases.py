@@ -129,17 +129,28 @@ class TestExtraction:
         assert got == Counter(oracles.phrase_pairs_brute(links, m, n, max_len))
 
 
+def written(counts):
+    """{(source text, target text): (p(tgt|src), p(src|tgt), count)} of
+    the lines write_phrase_table writes for counts."""
+    out = io.StringIO()
+    write_phrase_table(counts, out)
+    table = {}
+    for line in out.getvalue().split("\n")[:-1]:
+        src, tgt, scores = line.split(" ||| ")
+        fwd, inv, count = scores.split(" ")
+        table[(src, tgt)] = (float(fwd), float(inv), int(count))
+    return table
+
+
 class TestPhraseTable:
     def test_relative_frequencies(self):
         # Three identical sentences and one variant: the source phrase
         # ("a",) pairs with ("x",) three times and ("y",) once.
         a = aset({(0, 0)}, 1, 1)
         records = [(["a"], ["x"], a)] * 3 + [(["a"], ["y"], a)]
-        table = build_phrase_table(records)
-        assert table.forward(("a",), ("x",)) == 0.75
-        assert table.forward(("a",), ("y",)) == 0.25
-        assert table.inverse(("a",), ("x",)) == 1.0
-        assert table.counts[("a", "x")] == 3
+        counts = build_phrase_table(records)
+        assert counts == Counter({("a", "x"): 3, ("a", "y"): 1})
+        assert written(counts) == {("a", "x"): (0.75, 1.0, 3), ("a", "y"): (0.25, 1.0, 1)}
 
     def test_forward_distribution_sums_to_one_per_source(self):
         a = aset({(0, 0), (1, 1)}, 2, 2)
@@ -147,23 +158,29 @@ class TestPhraseTable:
             (["a", "b"], ["x", "y"], a),
             (["a", "b"], ["x", "z"], a),
         ]
-        table = build_phrase_table(records)
-        assert set(table.src_marginals) == {"a", "b", "a b"}
-        for src in table.src_marginals:
-            total = sum(
-                table.forward(s.split(), t.split()) for (s, t) in table.counts if s == src
-            )
+        table = written(build_phrase_table(records))
+        assert {s for s, _ in table} == {"a", "b", "a b"}
+        for src in ("a", "b", "a b"):
+            total = sum(fwd for (s, _), (fwd, _, _) in table.items() if s == src)
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_single_record_probabilities_are_one(self):
-        table = build_phrase_table([(["a"], ["x"], aset({(0, 0)}, 1, 1))])
-        assert table.forward(("a",), ("x",)) == 1.0
-        assert table.inverse(("a",), ("x",)) == 1.0
+        counts = build_phrase_table([(["a"], ["x"], aset({(0, 0)}, 1, 1))])
+        assert counts == Counter({("a", "x"): 1})
+        assert written(counts) == {("a", "x"): (1.0, 1.0, 1)}
 
-    def test_unseen_pairs_score_zero(self):
-        table = build_phrase_table([(["a"], ["x"], aset({(0, 0)}, 1, 1))])
-        assert table.forward(("q",), ("x",)) == 0.0
-        assert table.inverse(("a",), ("q",)) == 0.0
+    def test_length_is_the_number_of_distinct_pairs(self):
+        # perfbench's phrases.pairs counter reads len() of the result.
+        a = aset({(0, 0), (1, 1)}, 2, 2)
+        records = [(["a", "b"], ["x", "y"], a)] * 3 + [(["a", "c"], ["x", "y"], a)]
+        counts = build_phrase_table(records)
+        pairs = {
+            (" ".join(src[j1 : j2 + 1]), " ".join(tgt[i1 : i2 + 1]))
+            for src, tgt, alignment in records
+            for j1, j2, i1, i2 in _spans(alignment, 7)
+        }
+        assert len(counts) == len(pairs) == 5
+        assert sum(counts.values()) == 12
 
     def test_dimension_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
@@ -194,18 +211,37 @@ class TestPhraseTable:
             links = set(rng.sample(cells, rng.randint(0, min(len(cells), 6))))
             records.append((src, tgt, aset(links, m, n)))
             reference_records.append((src, tgt, links))
-        counts, src_totals, tgt_totals, text = oracles.phrase_table_brute(
-            reference_records, max_len=4
-        )
+        counts, _, _, text = oracles.phrase_table_brute(reference_records, max_len=4)
         table = build_phrase_table(records, max_len=4)
         out = io.StringIO()
         write_phrase_table(table, out)
         assert out.getvalue() == text
         joined = lambda tokens: " ".join(tokens)
-        assert table.counts == {(joined(s), joined(t)): c for (s, t), c in counts.items()}
-        assert table.src_marginals == {joined(s): c for s, c in src_totals.items()}
-        assert table.tgt_marginals == {joined(t): c for t, c in tgt_totals.items()}
+        assert table == {(joined(s), joined(t)): c for (s, t), c in counts.items()}
         assert repr(1 / 3) in text and repr(2 / 7) in text
+
+    @given(data=st.data(), tokens=st.sampled_from([["a", "b", "ab"], ["a", "b", "a\x01", "\x1f"]]))
+    @settings(max_examples=100, deadline=None)
+    def test_each_line_matches_the_per_pair_counts(self, data, tokens):
+        # Every written count, and both ratios as that count over the
+        # occurrences of its source or target phrase among all extracted
+        # pairs, counted one pair at a time. A control character takes
+        # the token-splitting sort.
+        records, reference_records = [], []
+        for _ in range(data.draw(st.integers(1, 8))):
+            m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+            src = data.draw(st.lists(st.sampled_from(tokens), min_size=m, max_size=m))
+            tgt = data.draw(st.lists(st.sampled_from(tokens), min_size=n, max_size=n))
+            cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+            links = data.draw(st.sets(cells, max_size=m * n))
+            records.append((src, tgt, aset(links, m, n)))
+            reference_records.append((src, tgt, links))
+        counts, src_totals, tgt_totals, _ = oracles.phrase_table_brute(reference_records, max_len=3)
+        expected = {
+            (" ".join(s), " ".join(t)): (c / src_totals[s], c / tgt_totals[t], c)
+            for (s, t), c in counts.items()
+        }
+        assert written(build_phrase_table(records, max_len=3)) == expected
 
     @pytest.mark.parametrize("tokens", [
         ["a", "b", "ab", "a-", "bé", "é"],

@@ -6,7 +6,6 @@ a plain tuple of their fields and order as one."""
 
 import copy
 import pickle
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,7 @@ import oracles
 from alignkit.alignment import AlignmentFunction, AlignmentSet
 from alignkit.corpus import Bitext, SentencePair, Vocabulary
 from alignkit.evaluation import EvalReport, GoldAlignment, LinkCounts
-from alignkit.phrases import PhrasePair, PhraseTable
+from alignkit.phrases import PhrasePair
 from alignkit.projection import LabeledSentence, Span
 from alignkit.synth import SynthConfig, SynthRecord
 
@@ -53,7 +52,6 @@ CALLS = {
     GoldAlignment: call(sentences=int_dicts),
     EvalReport: call(small, small, small, small, int_dicts, int_lists, int_lists),
     PhrasePair: call(small, small, small, small),
-    PhraseTable: call(*[st.dictionaries(words, st.integers(1, 2), max_size=2).map(Counter)] * 3),
     LabeledSentence: call(words, words),
     Span: call(small, small, st.sampled_from(["LOC", "PER"])),
     SynthConfig: call(
@@ -122,7 +120,7 @@ def test_records_agree_with_their_dataclasses(cls, data):
     SentencePair((1,), (2, 3)), Bitext([SentencePair((1,), (2,))], line_numbers=[1]),
     LinkCounts(1, 2, 1, 1), GoldAlignment({1: (frozenset(), frozenset())}),
     EvalReport(1, 2, 1, 1, {1: LinkCounts(1, 2, 1, 1)}, [3], []),
-    PhrasePair(0, 1, 0, 0), PhraseTable(Counter(), Counter(), Counter()),
+    PhrasePair(0, 1, 0, 0),
     LabeledSentence(("a",), ("O",)), Span(0, 1, "PER"), SynthConfig(3, seed=2),
     SynthRecord(("s1",), ("t1",), AlignmentSet({(0, 0)}, 1, 1)),
 ], ids=lambda record: type(record).__name__)
