@@ -43,8 +43,7 @@ import stat
 import sys
 from contextlib import contextmanager, suppress
 from functools import partial
-from itertools import islice
-from typing import TextIO
+from typing import IO
 
 # Each command imports the other modules it runs, so that it loads only
 # its own: the post stages and synth start without numpy, and no command
@@ -105,26 +104,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _open_in(path: str):
+def _open_in(path: str, binary: bool = False):
     """The UTF-8 text file at path, or stdin for "-"; bytes that do not
-    decode are a data error naming the path."""
+    decode are a data error naming the path. A binary file is decoded by
+    its reader, whose UnicodeDecodeError is mapped the same way."""
     try:
         if path == "-":
-            yield sys.stdin
+            yield sys.stdin.buffer if binary else sys.stdin
         else:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, "rb") if binary else open(path, encoding="utf-8") as fh:
                 yield fh
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"input is not UTF-8: {path}: {exc}") from None
 
 
-def _create(path: str) -> TextIO:
-    """path opened for writing, as a new file when it names a regular file
-    with one link: that file is unlinked first, and its permission bits
-    carry over. On ext4, truncating a file that was itself written by
-    truncation waits for its data to be flushed; unlinking it does not.
-    A symlink, a hard-linked file or a device is opened in place, and so
-    is a file whose directory refuses the unlink."""
+def _create(path: str, binary: bool = False) -> IO:
+    """path opened for writing, in binary or as UTF-8 text, as a new file
+    when it names a regular file with one link: that file is unlinked
+    first, and its permission bits carry over. On ext4, truncating a file
+    that was itself written by truncation waits for its data to be
+    flushed; unlinking it does not. A symlink, a hard-linked file or a
+    device is opened in place, and so is a file whose directory refuses
+    the unlink."""
     try:
         st = os.lstat(path)
         fresh = stat.S_ISREG(st.st_mode) and st.st_nlink == 1
@@ -132,24 +133,31 @@ def _create(path: str) -> TextIO:
             os.unlink(path)
     except OSError:
         fresh = False
+    how = {"mode": "wb"} if binary else {"mode": "w", "encoding": "utf-8"}
     if not fresh:
-        return open(path, "w", encoding="utf-8")
+        return open(path, **how)
     # Created with the old bits less the umask's, so it is never open to
     # more users than the old file was, then given the old bits in full.
     mode = stat.S_IMODE(st.st_mode)
-    fh = open(path, "w", encoding="utf-8", opener=partial(os.open, mode=mode))
+    fh = open(path, **how, opener=partial(os.open, mode=mode))
     with suppress(OSError):  # a file system without permission bits
         os.fchmod(fh.fileno(), mode)
     return fh
 
 
 @contextmanager
-def _open_out(path: str):
+def _open_out(path: str, binary: bool = False):
+    """The file at path for writing, or stdout for "-"; binary stdout is
+    its buffer, which gets the bytes only after the text layer's."""
     if path == "-":
-        yield sys.stdout
-        sys.stdout.flush()
+        out = sys.stdout
+        if binary:
+            out.flush()  # what the text layer holds goes out first
+            out = out.buffer
+        yield out
+        out.flush()
     else:
-        with _create(path) as fh:
+        with _create(path, binary) as fh:
             yield fh
 
 
@@ -234,7 +242,7 @@ def cmd_train(args) -> int:
         from dataclasses import replace
 
         params = replace(params, table=params.table.pruned())
-    with _open_out(args.output) as out:
+    with _open_out(args.output, binary=True) as out:
         model.save_model(out, params)
     # A model written to stdout or a device such as /dev/null has no
     # directory entry of its own for align to find sidecars next to.
@@ -255,9 +263,12 @@ def _load_any_model(path: str):
     Errors name the path."""
     from .ttable import ROW_SUM_TOL
 
-    lines = _read_lines(path)
+    with _open_in(path, binary=True) as fh:  # a v2 or v1 file that is not UTF-8 fails here
+        try:
+            table, trailer, line_numbers = read_ttable(fh.read())
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
     try:
-        table, trailer = read_ttable(lines)
         e, total = table.worst_row()
         if abs(total - 1.0) > ROW_SUM_TOL:
             raise DataFormatError(f"the probabilities of target id {e} sum to {total!r}, not 1")
@@ -269,9 +280,7 @@ def _load_any_model(path: str):
         if kind not in TRAILER_MODULES:
             raise DataFormatError(f"unrecognized model trailer {kind!r}")
         model = importlib.import_module(f".{TRAILER_MODULES[kind]}", __package__)
-        # The model line of each trailer row: the file's last nonblank lines.
-        last = (k for k in range(len(lines), 0, -1) if lines[k - 1])
-        params = model.model_from(table, trailer, list(islice(last, len(trailer)))[::-1])
+        params = model.model_from(table, trailer, line_numbers)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     return lambda bitext: model.align_corpus(bitext, params)
@@ -418,6 +427,16 @@ def cmd_project(args) -> int:
     return 0
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one file, whether it exists or not."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return False
+
+
 def cmd_synth(args) -> int:
     from .corpus import write_bitext_line
     from .synth import SynthConfig, gold_wpt_lines, iter_records
@@ -425,8 +444,9 @@ def cmd_synth(args) -> int:
     paths = (args.output_bitext, args.output_gold)
     if paths == ("-", "-"):
         raise ConfigError("only one of --output-bitext/--output-gold may be stdout")
-    # Opening the second would unlink the file the first just created.
-    if "-" not in paths and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+    # Opening the second would unlink the file the first just created, or
+    # truncate it when the two are hard links.
+    if "-" not in paths and _same_file(*paths):
         raise ConfigError(f"--output-bitext and --output-gold name one file: {paths[1]}")
 
     config = SynthConfig(

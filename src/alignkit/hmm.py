@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, TextIO
+from typing import BinaryIO, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -496,7 +496,7 @@ def align_corpus(bitext: Bitext, params: HmmParams) -> list[AlignmentFunction]:
     return aligned
 
 
-def save_model(out: TextIO, params: HmmParams) -> None:
+def save_model(out: BinaryIO, params: HmmParams) -> None:
     jumps = params.jumps
     trailer = [f"{HMM_TRAILER}\t{jumps.w}\t{jumps.p0!r}"]
     for d in range(-jumps.w, jumps.w + 1):

@@ -16,7 +16,7 @@ corpus log-likelihood it reports leaves it out:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TextIO
+from typing import BinaryIO, Optional, TextIO
 
 import numpy as np
 
@@ -106,6 +106,6 @@ def align_corpus(
     return aligned
 
 
-def save_model(out: TextIO, table: TranslationTable) -> None:
+def save_model(out: BinaryIO, table: TranslationTable) -> None:
     write_ttable(out, table)
 

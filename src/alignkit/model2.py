@@ -16,7 +16,7 @@ Model 1 without NULL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO
+from typing import BinaryIO, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -122,7 +122,7 @@ def align_corpus(bitext: Bitext, params: Model2Params) -> list[AlignmentFunction
     return model1.align_corpus(bitext, params.table, prior.use_null, prior)
 
 
-def save_model(out: TextIO, params: Model2Params) -> None:
+def save_model(out: BinaryIO, params: Model2Params) -> None:
     trailer = [f"{DIAG_TRAILER}\t{params.prior.lam!r}\t{params.prior.p0!r}"]
     write_ttable(out, params.table, trailer)
 

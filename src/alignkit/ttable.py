@@ -16,19 +16,26 @@ keeps the pad slot 0, so padding adds nothing to a sum and never wins
 an argmax. EM maps tables to tables: `normalized` is the M-step, and
 the table it returns shares its support arrays with its parent.
 
-Model files, v2, the format `train` writes:
+Model files, v3, the format `train` writes:
 
-    alignkit-ttable v2<TAB>N      # N entries
-    base64 of the target ids      # int64, sorted by (e_id, f_id), no repeats, NULL as -1
-    base64 of the source ids      # int64
-    base64 of the probabilities   # float64
-    ... optional model-specific trailer lines ...
+    alignkit-ttable v3<TAB>N      # N entries
+    the body: 24 * N bytes        # model line 2
+    a newline
+    ... optional model-specific trailer lines, UTF-8 ...
 
-Each body line is the standard padded base64 of one little-endian array
-of N values, so a write copies the table's arrays out and a read views
-them, without formatting or parsing a number. `read_ttable` also reads
-v1 files, where a text row `e_id<TAB>f_id<TAB>prob` stands for each
-entry after the header line `alignkit-ttable v1`; nothing writes v1.
+The body is three little-endian arrays of N values back to back: the
+target ids (int64, sorted by (e_id, f_id), no repeats, NULL as -1), the
+source ids (int64) and the probabilities (float64). So a write copies
+the table's arrays out and a read copies them in, without formatting,
+parsing or decoding a number; only the header and the trailer are text.
+The body counts as model line 2, whatever bytes it holds, and the
+trailer starts on model line 3.
+
+`read_ttable` also reads the two text formats `train` wrote before.
+In v2, the header is `alignkit-ttable v2<TAB>N` and lines 2 to 4 each
+hold the standard padded base64 of one of the three arrays. In v1, a
+text row `e_id<TAB>f_id<TAB>prob` stands for each entry after the header
+line `alignkit-ttable v1`. Nothing writes either any more.
 
 Each row of a model file sums to 1 within ROW_SUM_TOL. Decoders score
 every cell at least DECODE_FLOOR, so an entry at or below it decodes
@@ -41,7 +48,7 @@ from __future__ import annotations
 import binascii
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, TextIO
+from typing import BinaryIO, Iterable, Mapping
 
 import numpy as np
 
@@ -49,16 +56,16 @@ from .errors import DataFormatError
 
 NULL_ID = -1
 
-HEADER = "alignkit-ttable v2"
+HEADER = "alignkit-ttable v3"
+HEADER_V2 = "alignkit-ttable v2"
 HEADER_V1 = "alignkit-ttable v1"
 
 DECODE_FLOOR = 1e-12  # the least score a decoder gives any cell
 MSTEP_FLOOR = 1e-12  # the least expected count an M-step renormalizes
 ROW_SUM_TOL = 1e-9  # how far from 1 a model file's row may sum
 
-# The arrays of a v2 body, one a line: what each holds and its dtype.
+# The arrays of a body, in order (in v2 one a line): what each holds and its dtype.
 _BODY = (("target ids", "<i8"), ("source ids", "<i8"), ("probabilities", "<f8"))
-_ENCODE_BYTES = 3 << 16  # bytes of an array write_ttable encodes at a time
 _ROW_DTYPE = [("e", np.int64), ("f", np.int64), ("p", np.float64)]  # a v1 row
 # How many values per looked-up id _rank's lookup arrays may span.
 DENSE_SPAN = 4
@@ -114,7 +121,9 @@ class TranslationTable:
         self.es = np.ascontiguousarray(es, dtype=np.int64)
         self.fs = np.ascontiguousarray(fs, dtype=np.int64)
         self.es.flags.writeable = self.fs.flags.writeable = False
-        self.row_starts = np.flatnonzero(np.diff(self.es, prepend=self.es[:1] - 1))
+        new_row = np.ones(len(self.es), dtype=bool)
+        np.not_equal(self.es[1:], self.es[:-1], out=new_row[1:])
+        self.row_starts = np.flatnonzero(new_row)
         self.row_ids = self.es[self.row_starts]
         self._set_probs(probs)
 
@@ -217,54 +226,103 @@ def decode_theta(table: TranslationTable) -> np.ndarray:
     return theta
 
 
-def write_ttable(out: TextIO, table: TranslationTable, trailer: Iterable[str] = ()) -> None:
-    """Write table and its trailer lines to out as a v2 model file. Each
-    array is encoded _ENCODE_BYTES at a time, a multiple of 3, so the
-    pieces join into the array's one base64 text without building it."""
-    out.write(f"{HEADER}\t{len(table)}\n")
+def write_ttable(out: BinaryIO, table: TranslationTable, trailer: Iterable[str] = ()) -> None:
+    """Write table and its trailer lines to the binary stream out as a v3
+    model file."""
+    out.write(f"{HEADER}\t{len(table)}\n".encode("ascii"))
     for array, (_, dtype) in zip((table.es, table.fs, table.theta[:-2]), _BODY):
-        data = memoryview(np.ascontiguousarray(array, dtype)).cast("B")
-        for lo in range(0, len(data), _ENCODE_BYTES):
-            piece = binascii.b2a_base64(data[lo : lo + _ENCODE_BYTES], newline=False)
-            out.write(piece.decode("ascii"))
-        out.write("\n")
-    for text in trailer:
-        out.write(text + "\n")
+        out.write(np.ascontiguousarray(array, dtype))
+    out.write("".join(["\n", *(text + "\n" for text in trailer)]).encode("utf-8"))
 
 
-def read_ttable(lines: Iterable[str]) -> tuple[TranslationTable, list[str]]:
-    """Parse a v2 or v1 model file; returns the table and any trailer
-    lines. Lines may end in "\n". Errors name the model line at fault.
+def read_ttable(data: bytes) -> tuple[TranslationTable, list[str], list[int]]:
+    """Parse the bytes of a v3, v2 or v1 model file; returns the table, the
+    trailer rows and the model line of each. Errors name the model line
+    at fault.
 
-    In a v2 file, lines 2 to 4 are the body and the nonblank lines after
-    it the trailer. Each body line must be the canonical base64 of the N
+    A v3 file's body is copied into the table's arrays, so the table
+    keeps nothing of data alive. v2 and v1 files are decoded whole as
+    UTF-8, and a file that does not decode raises UnicodeDecodeError. In
+    a v2 file, lines 2 to 4 are the body and the nonblank lines after it
+    the trailer. Each body line must be the canonical base64 of the N
     values the header announces.
     """
-    if not isinstance(lines, list):
-        lines = list(lines)
+    end = data.find(b"\n")  # of the header line
+    head, _, count = (data if end < 0 else data[:end]).partition(b"\t")
+    if head == HEADER.encode("ascii"):
+        return _read_v3(data, count.decode("utf-8", "backslashreplace"), end)
+    lines = data.decode("utf-8").splitlines()
     if not lines:
         raise DataFormatError("empty model file")
-    head, _, count = _bare(lines[0]).partition("\t")
-    if head == HEADER:
-        if not (count.isascii() and count.isdigit()):
-            raise DataFormatError(f"model line 1: expected {HEADER}<TAB>entries, got {count!r}")
-        body = [_decode(lines, k, int(count)) for k in range(2, 5)]
-        _check_entries(*body, lambda k, line: f"model line {line}: entry {k + 1}")
-        trailer = [line for line in map(_bare, lines[4:]) if line]
-        return TranslationTable.from_arrays(*body), trailer
-    if _bare(lines[0]) != HEADER_V1:
-        raise DataFormatError(f"model file must start with {HEADER!r} or {HEADER_V1!r}")
-    return _read_v1(lines)
+    head, _, count = lines[0].partition("\t")
+    if head != HEADER_V2:
+        if lines[0] != HEADER_V1:
+            raise DataFormatError(
+                f"model file must start with {HEADER!r}, {HEADER_V2!r} or {HEADER_V1!r}"
+            )
+        return _read_v1(lines)
+    n = _count(count, HEADER_V2)
+    body = [_decode(lines, k, n) for k in range(2, 5)]
+    _check_entries(*body, lambda k, line: f"model line {line}: entry {k + 1}")
+    return (TranslationTable.from_arrays(*body), *_trailer(lines[4:], 5))
+
+
+def _count(count: str, header: str) -> int:
+    """The entry count of a header line whose count field is count."""
+    if not (count.isascii() and count.isdigit()):
+        raise DataFormatError(f"model line 1: expected {header}<TAB>entries, got {count!r}")
+    return int(count)
+
+
+def _read_v3(data: bytes, count: str, end: int) -> tuple[TranslationTable, list[str], list[int]]:
+    """read_ttable of a v3 file, whose header line has the count field
+    count and ends at data[end] (-1: it has no newline). The body's size
+    is checked against the count before anything is sized by it."""
+    n = _count(count, HEADER)
+    if end < 0:
+        raise DataFormatError("model line 1: no newline after the header")
+    start, size = end + 1, 24 * n
+    where = "model line 2"
+    if len(data) - start < size:
+        raise DataFormatError(
+            f"{where}: {len(data) - start} bytes of entries, not the {size} of {n}"
+        )
+    if len(data) == start + size:
+        raise DataFormatError(f"{where}: no newline after the {size} bytes of {n} entries")
+    if data[start + size] != ord("\n"):
+        raise DataFormatError(f"{where}: more than the {size} bytes of {n} entries")
+    # Copies of the ids, and a view of the probabilities, which theta copies.
+    e, f, p = (
+        np.frombuffer(data, dtype, n, start + 8 * n * k) for k, (_, dtype) in enumerate(_BODY)
+    )
+    e, f = e.copy(), f.copy()
+    _check_entries(e, f, p, lambda k, _: f"{where}: entry {k + 1}")
+    tail = data[start + size + 1 :]
+    try:
+        text = tail.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The lines before the bad byte, and the line it is on.
+        line = 2 + len((tail[: exc.start].decode("utf-8") + "x").splitlines())
+        raise DataFormatError(f"model line {line}: not UTF-8: {exc.reason}") from None
+    return (TranslationTable.from_arrays(e, f, p), *_trailer(text.splitlines(), 3))
+
+
+def _trailer(lines: list[str], first: int) -> tuple[list[str], list[int]]:
+    """The nonblank lines of lines, which start on model line `first`, and
+    the model line of each."""
+    rows = [(k, line) for k, line in enumerate(lines, start=first) if line]
+    return [line for _, line in rows], [k for k, _ in rows]
 
 
 def _decode(lines: list[str], line: int, n: int) -> np.ndarray:
-    """The n values that model line `line` holds, as its _BODY entry says."""
+    """The n values that model line `line` of a v2 file holds, as its
+    _BODY entry says."""
     name, dtype = _BODY[line - 2]
     where = f"model line {line}"
     if line > len(lines):
         raise DataFormatError(f"{where}: missing; expected the {name}")
     try:
-        raw = _bare(lines[line - 1]).encode("ascii")
+        raw = lines[line - 1].encode("ascii")
         data = binascii.a2b_base64(raw)
         if binascii.b2a_base64(data, newline=False) != raw:
             raise ValueError
@@ -292,18 +350,15 @@ def _check_entries(e, f, p, where) -> None:
     )
 
 
-def _read_v1(lines: list[str]) -> tuple[TranslationTable, list[str]]:
+def _read_v1(lines: list[str]) -> tuple[TranslationTable, list[str], list[int]]:
     """read_ttable of a v1 file, whose rows are `e<TAB>f<TAB>prob` text.
 
     Blank lines are skipped. The trailer is the run of lines at the end
     whose first field is not an integer; all lines before it are rows.
-    np.loadtxt ignores a row's "\n", so only the header, the trailer and
-    the lines an error names are stripped.
     """
     end = len(lines)
     while end > 1 and not _is_row(lines[end - 1]):
         end -= 1
-    trailer = [line for line in map(_bare, lines[end:]) if line]
     block = lines[1:end]
     try:
         entries = _parse_rows(block)
@@ -312,15 +367,15 @@ def _read_v1(lines: list[str]) -> tuple[TranslationTable, list[str]]:
     e, f, p = entries["e"], entries["f"], entries["p"]
 
     def where(k: int, _) -> str:  # the k-th nonblank line of block
-        return f"model line {np.flatnonzero([bool(_bare(line)) for line in block])[k] + 2}"
+        return f"model line {np.flatnonzero([bool(line) for line in block])[k] + 2}"
 
     _check_entries(e, f, p, where)
-    return TranslationTable.from_arrays(e, f, p), trailer
+    return (TranslationTable.from_arrays(e, f, p), *_trailer(lines[end:], end + 1))
 
 
 def _parse_rows(block: list[str]) -> np.ndarray:
     """e, f, p records of `e<TAB>f<TAB>p` lines; blank lines are skipped."""
-    if not any(map(_bare, block)):
+    if not any(block):
         return np.empty(0, dtype=_ROW_DTYPE)
     return np.loadtxt(block, delimiter="\t", dtype=_ROW_DTYPE, comments=None, ndmin=1)
 
@@ -340,18 +395,13 @@ def _first_row_error(block: list[str]) -> DataFormatError:
         return DataFormatError(f"model line {lo + 2}: table row after trailer")
     return DataFormatError(
         f"model line {lo + 2}: expected e<TAB>f<TAB>prob (int, int, float), got "
-        f"{_bare(block[lo])!r}"
+        f"{block[lo]!r}"
     )
-
-
-def _bare(line: str) -> str:
-    """line without its trailing newline, if it has one."""
-    return line.rstrip("\n")
 
 
 def _is_row(line: str) -> bool:
     """Whether line's first field is an integer, as a table row's is."""
-    return _is_int(_bare(line).split("\t", 1)[0])
+    return _is_int(line.split("\t", 1)[0])
 
 
 def _is_int(text: str) -> bool:

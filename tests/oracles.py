@@ -11,9 +11,10 @@ earlier step, kept as it was written, for the same reason.
 grow_diag_final_reference is the package's first grow-diag-final, kept
 as it was written: it takes and returns the package's AlignmentSet and
 raises its errors. rank_by_search and slots_by_search look ids up by
-binary search, as the package's table once did. model_text_v1 and
-model_text_v2 format a model file entry by entry, in the text format
-train wrote before v2 and in the base64 format it writes now.
+binary search, as the package's table once did. model_text_v1,
+model_text_v2 and model_bytes_v3 format a model file entry by entry, in
+the text format train wrote first, in the base64 format it wrote next
+and in the binary format it writes now.
 synth_generate_numpy is the package's synthetic-corpus generator as it
 was written on numpy's `default_rng`, the stream the package reproduces
 without numpy; it builds the package's SynthRecord. REFERENCE_RECORDS
@@ -456,6 +457,17 @@ def model_text_v2(entries, trailer=()) -> str:
     return (
         f"alignkit-ttable v2\t{len(entries)}\n" + body + "".join(line + "\n" for line in trailer)
     )
+
+
+def model_bytes_v3(entries, trailer=()) -> bytes:
+    """A v3 model file: the header line with the entry count, the packed
+    little-endian target ids, source ids and probabilities, a newline,
+    then the trailer lines."""
+    entries = list(entries)
+    codes = ("<q", "<q", "<d")
+    body = b"".join(struct.pack(code, entry[k]) for k, code in enumerate(codes) for entry in entries)
+    head = f"alignkit-ttable v3\t{len(entries)}\n".encode()
+    return head + body + "".join(["\n", *(line + "\n" for line in trailer)]).encode()
 
 
 # --------------------------------------------------------------------------

@@ -26,6 +26,19 @@ def read(path):
     return path.read_text(encoding="utf-8")
 
 
+def model_line(data: bytes, at: int) -> int:
+    """The model line of the model file data that holds byte `at`: a v3
+    file's body and the newline after it are model line 2."""
+    head, _, count = data.partition(b"\n")[0].partition(b"\t")
+    if head != HEADER.encode():
+        return data[:at].count(b"\n") + 1
+    body = len(head) + len(count) + 2  # where the body starts
+    if at < body:
+        return 1
+    end = body + 24 * int(count)  # where the body's newline is
+    return 2 if at <= end else 3 + data[end + 1 : at].count(b"\n")
+
+
 class TestSynth:
     def test_writes_reproducible_files(self, tmp_path):
         args = [
@@ -82,6 +95,20 @@ class TestSynth:
         )
         assert sorted(os.listdir()) == ["link"] and not os.path.exists("link")
 
+    def test_outputs_hard_linked_to_one_file_are_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # The second output would truncate the first, and the gold links
+        # would be lost with exit code 0.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.txt").touch()
+        os.link("s.txt", "hard")
+        args = ["synth", "--pairs", "3", "--output-bitext", "s.txt", "--output-gold", "hard"]
+        assert cli.main(args) == 1
+        assert capsys.readouterr() == (
+            "", "alignkit: error: --output-bitext and --output-gold name one file: hard\n"
+        )
+        assert sorted(os.listdir()) == ["hard", "s.txt"]
+        assert os.path.samefile("s.txt", "hard") and os.path.getsize("s.txt") == 0
+
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         code = cli.main([
             "synth", "--pairs", "3", "--seed", "-1",
@@ -105,7 +132,7 @@ class TestTrain:
     def test_writes_model_and_vocabularies(self, tmp_path):
         code, model = self.train_toy(tmp_path)
         assert code == 0
-        assert read(model).startswith(f"{HEADER}\t")
+        assert model.read_bytes().startswith(f"{HEADER}\t".encode())
         assert (tmp_path / "toy.model.source-vocab").exists()
         assert (tmp_path / "toy.model.target-vocab").exists()
 
@@ -151,8 +178,8 @@ class TestTrain:
             "train", "--bitext", str(bitext), "--output", str(m2),
             "--model", "model2", "--lambda", "0", "--p0", "0", "--iters", "4",
         ]) == 0
-        table1, _ = read_ttable(read(m1).splitlines())
-        table2 = model2.model_from(*read_ttable(read(m2).splitlines())).table
+        table1, _, _ = read_ttable(m1.read_bytes())
+        table2 = model2.model_from(*read_ttable(m2.read_bytes())).table
         assert set(table1.rows) == set(table2.rows)
         for e, row in table1.rows.items():
             for f, p in row.items():
@@ -170,7 +197,7 @@ class TestTrain:
         for extra, want in [((), config().p0), (("--p0", "0.3"), 0.3)]:
             code, model = self.train_toy(tmp_path, "--model", kind, "--iters", "1", *extra)
             assert code == 0
-            trailer = read_ttable(read(model).splitlines())[1]
+            trailer = read_ttable(model.read_bytes())[1]
             assert float(trailer[0].split("\t")[2]) == want
 
     def test_model2_rejects_null_flags(self, tmp_path, capsys):
@@ -281,12 +308,12 @@ class TestAlign:
         assert cli.main([
             "train", "--model", model_name, "--bitext", str(bitext), "--output", str(model),
         ]) == 0
-        table, trailer = read_ttable(read(model).splitlines())
+        table, trailer, _ = read_ttable(model.read_bytes())
         table = TranslationTable.from_arrays(
             np.append(table.es, 10**14), np.append(table.fs, 0), np.append(table.theta[:-2], 1.0)
         )
         huge = tmp_path / "huge.model"
-        with open(huge, "w", encoding="utf-8") as out:
+        with open(huge, "wb") as out:
             write_ttable(out, table, trailer)
         aligned = []
         for path in (model, huge):
@@ -301,10 +328,10 @@ class TestAlign:
 
     def test_row_not_summing_to_one_is_a_data_error(self, toy_model, capsys):
         bitext, model = toy_model
-        table, trailer = read_ttable(read(model).splitlines())
+        table, trailer, _ = read_ttable(model.read_bytes())
         e = int(table.es[0])
         probs = np.where(table.es == e, table.theta[:-2] / 2, table.theta[:-2])
-        with open(model, "w", encoding="utf-8") as out:
+        with open(model, "wb") as out:
             write_ttable(out, table.with_probs(probs), trailer)
         code = cli.main(["align", "--model-file", str(model), "--bitext", str(bitext)])
         assert code == 2
@@ -721,15 +748,18 @@ class TestExitCodes:
             "train", "--model", model_kind, "--bitext", str(bitext), "--output", str(model),
             "--iters", "1", "--quiet",
         ]) == 0
-        # The trained v2 file and the v1 file of its table, where `old` is.
-        table, trailer = read_ttable(read(model).splitlines())
-        texts = [read(model), oracles.model_text_v1(oracles.model_entries(table), trailer)]
-        edited = [text.replace(old, new, 1) for text in texts if old in text]
-        assert edited
-        for text in edited:
-            model.write_text(text, encoding="utf-8")
+        # The trained v3 file and the v2 and v1 files of its table, where `old` is.
+        table, trailer, _ = read_ttable(model.read_bytes())
+        entries = oracles.model_entries(table)
+        files = [model.read_bytes(), oracles.model_text_v2(entries, trailer).encode(),
+                 oracles.model_text_v1(entries, trailer).encode()]
+        old, new = old.encode(), new.encode()
+        edited = [data.replace(old, new, 1) for data in files if old in data]
+        assert len(edited) == (1 if model_kind == "model1" else 3)
+        for data in edited:
+            model.write_bytes(data)
             # The rejected row is the last line that `new` puts into the file.
-            line = text[: text.index(new) + len(new) - 1].count("\n") + 1
+            line = model_line(data, data.index(new) + len(new) - 1)
             assert cli.main(["align", "--model-file", str(model), "--bitext", str(bitext)]) == 2
             assert (
                 f"alignkit: error: {model}: model line {line}: {message}"
@@ -772,9 +802,9 @@ class TestExitCodes:
             "train", "--model", "hmm", "--bitext", str(bitext), "--output", str(model),
             "--iters", "1", "--quiet",
         ]) == 0
-        text = read(model)
-        model.write_text(text.replace("\nhmm\t5\t0.2\n", "\nhmm\t5\t1.5\n"), encoding="utf-8")
-        assert read(model) != text
+        data = model.read_bytes()
+        model.write_bytes(data.replace(b"\nhmm\t5\t0.2\n", b"\nhmm\t5\t1.5\n"))
+        assert model.read_bytes() != data
         code = cli.main(["align", "--model-file", str(model), "--bitext", str(bitext)])
         assert code == 2
         assert "'hmm' trailer" in capsys.readouterr().err
@@ -839,7 +869,7 @@ class TestConfigFile:
             "train", "--config", str(cfg), "--bitext", str(bitext),
             "--output", str(model),
         ]) == 0
-        table, _ = read_ttable(read(model).splitlines())
+        table, _, _ = read_ttable(model.read_bytes())
         assert NULL_ID not in table.rows
 
     def test_alternate_spelling_reaches_renamed_destinations(self, tmp_path):
@@ -851,7 +881,7 @@ class TestConfigFile:
             "train", "--config", str(cfg), "--bitext", str(bitext),
             "--output", str(model), "--model", "model2", "--iters", "3",
         ]) == 0
-        params = model2.model_from(*read_ttable(read(model).splitlines()))
+        params = model2.model_from(*read_ttable(model.read_bytes()))
         assert params.prior.lam == 0.0
         assert params.prior.p0 == 0.0
 
@@ -881,7 +911,7 @@ class TestDeterminism:
                 "train", "--bitext", str(bitext), "--output", str(model),
                 "--iters", "3", "--quiet",
             ]) == 0
-            outputs.append(read(model))
+            outputs.append(model.read_bytes())
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("kind", ["model1", "model2", "hmm"])
@@ -904,7 +934,7 @@ class TestDeterminism:
                 "train", "--model", kind, "--bitext", str(bitext),
                 "--output", str(model), "--iters", "2", "--quiet", "--jobs", jobs,
             ]) == 0
-            outputs.append(read(model))
+            outputs.append(model.read_bytes())
         assert outputs[0] == outputs[1]
         steps = 2 + (5 if kind == "hmm" else 0)  # the hmm warms up for --init-iters 5
         assert pools == [2] * steps

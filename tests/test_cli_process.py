@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import alignkit
-from alignkit import cli, ttable
+from alignkit import cli
 from alignkit.ttable import read_ttable
 
 SRC = str(Path(alignkit.__file__).resolve().parent.parent)
@@ -83,8 +83,7 @@ def test_the_pipeline_as_processes_matches_main_in_process(tmp_path, monkeypatch
 @pytest.mark.parametrize("model", ["model1", "model2", "hmm"])
 def test_a_model_on_stdout_is_the_file_one_writer_makes(tmp_path, monkeypatch, model):
     # stdout is a pipe, so block buffered, and a file is written through
-    # its own buffer: the bytes must not depend on which one train writes,
-    # nor on how many pieces write_ttable encodes each array in.
+    # its own buffer: the bytes must not depend on which one train writes.
     monkeypatch.chdir(tmp_path)
     assert cli.main(["synth", "--pairs", "400", "--vocab-size", "2000", "--seed", "5",
                      "--output-bitext", "corpus.txt", "--output-gold", "gold.wpt"]) == 0
@@ -92,9 +91,8 @@ def test_a_model_on_stdout_is_the_file_one_writer_makes(tmp_path, monkeypatch, m
              "--init-iters", "1", "--quiet"]
     result = alignkit_process([*train, "--output", "-", "--jobs", "2"], tmp_path)
     assert (result.returncode, result.stderr) == (0, b"")
-    monkeypatch.setattr(ttable, "_ENCODE_BYTES", 3)
     assert cli.main([*train, "--output", "one.model", "--jobs", "1"]) == 0
-    table, _ = read_ttable(result.stdout.decode().splitlines())
+    table, _, _ = read_ttable(result.stdout)
     assert len(table) > 10_000
     assert result.stdout == (tmp_path / "one.model").read_bytes()
 

@@ -332,7 +332,7 @@ def run_pipeline(root, corpus, gold, jobs: int) -> dict:
                     "--jobs", str(jobs), *reverse,
                 ]) == 0
             results[f"{name}.{direction}.trace"] = err.getvalue()
-            results[model.name] = read_ttable(model.read_text(encoding="utf-8").splitlines())
+            results[model.name] = read_ttable(model.read_bytes())[:2]
             assert cli.main([
                 "align", "--model-file", str(model), "--bitext", str(corpus),
                 "--output", str(out), *reverse,

@@ -765,15 +765,15 @@ class TestModelFile:
         rng = np.random.default_rng(76)
         bt = random_id_bitext(rng, n_pairs=20, vocab=10, max_len=5)
         params, _ = train(bt, HmmConfig(iterations=3, w=3, p0=0.25))
-        out = io.StringIO()
+        out = io.BytesIO()
         save_model(out, params)
-        loaded = model_from(*read_ttable(io.StringIO(out.getvalue())))
+        loaded = model_from(*read_ttable(out.getvalue()))
         assert loaded.use_null is True
         assert loaded.jumps.w == 3
         assert loaded.jumps.p0 == 0.25
         np.testing.assert_array_equal(loaded.jumps.probs, params.jumps.probs)
         assert loaded.table.rows == params.table.rows
-        again = io.StringIO()
+        again = io.BytesIO()
         save_model(again, loaded)
         assert again.getvalue() == out.getvalue()
 
@@ -782,61 +782,61 @@ class TestModelFile:
         bt = make_bitext([((1,), (2,))])
         params, _ = train(bt, HmmConfig(iterations=1, w=1))
         params.jumps = JumpTable(w=1, probs=np.array([0.5, 0.0, 0.5]))
-        out = io.StringIO()
+        out = io.BytesIO()
         save_model(out, params)
         with pytest.raises(DataFormatError, match="jump bucket 0 has probability 0"):
-            model_from(*read_ttable(io.StringIO(out.getvalue())))
+            model_from(*read_ttable(out.getvalue()))
 
     def test_null_usage_follows_the_table(self):
         bt = make_bitext([((1, 2), (3, 4))])
         config = HmmConfig(iterations=1, use_null=False, p0=0.0)
         params, _ = train(bt, config)
-        out = io.StringIO()
+        out = io.BytesIO()
         save_model(out, params)
-        assert model_from(*read_ttable(io.StringIO(out.getvalue()))).use_null is False
+        assert model_from(*read_ttable(out.getvalue())).use_null is False
 
     def test_malformed_files_are_rejected(self):
         bt = make_bitext([((1,), (2,))])
         params, _ = train(bt, HmmConfig(iterations=1, w=1))
-        out = io.StringIO()
+        out = io.BytesIO()
         save_model(out, params)
         good = out.getvalue()
 
         table_only = model1.init_uniform(bt, use_null=False)
-        plain = io.StringIO()
+        plain = io.BytesIO()
         model1.save_model(plain, table_only)
         with pytest.raises(DataFormatError):
-            model_from(*read_ttable(io.StringIO(plain.getvalue())))
+            model_from(*read_ttable(plain.getvalue()))
 
-        missing_bucket = "".join(
+        missing_bucket = b"".join(
             line for line in good.splitlines(keepends=True)
-            if not line.startswith("jump\t0\t")
+            if not line.startswith(b"jump\t0\t")
         )
         with pytest.raises(DataFormatError):
-            model_from(*read_ttable(io.StringIO(missing_bucket)))
+            model_from(*read_ttable(missing_bucket))
 
-        out_of_window = good.replace("jump\t1\t", "jump\t9\t")
+        out_of_window = good.replace(b"jump\t1\t", b"jump\t9\t")
         with pytest.raises(DataFormatError):
-            model_from(*read_ttable(io.StringIO(out_of_window)))
+            model_from(*read_ttable(out_of_window))
 
-        bad_float = good.replace("jump\t0\t", "jump\tzero\t", 1)
+        bad_float = good.replace(b"jump\t0\t", b"jump\tzero\t", 1)
         with pytest.raises(DataFormatError):
-            model_from(*read_ttable(io.StringIO(bad_float)))
+            model_from(*read_ttable(bad_float))
 
-        repeated = good.replace("jump\t1\t", "jump\t0\t")
+        repeated = good.replace(b"jump\t1\t", b"jump\t0\t")
         with pytest.raises(DataFormatError, match="repeated"):
-            model_from(*read_ttable(io.StringIO(repeated)))
+            model_from(*read_ttable(repeated))
 
         # Parameters the trailer carries are outside input, like the table:
         # out of range they are a data error, not a configuration error.
-        head = good[good.index("hmm\t"):]
+        head = good[good.index(b"hmm\t"):]
         for bad_head in [
-            head.replace("hmm\t1\t0.2", "hmm\t1\t1.5"),
-            head.replace("jump\t1\t0.3333333333333333", "jump\t1\t0.5"),
-            head.replace("jump\t1\t0.3333333333333333", "jump\t1\tnan"),
-            "hmm\t0\t0.2\njump\t0\t1.0\n",
-            "hmm\t-1\t0.2\n",
+            head.replace(b"hmm\t1\t0.2", b"hmm\t1\t1.5"),
+            head.replace(b"jump\t1\t0.3333333333333333", b"jump\t1\t0.5"),
+            head.replace(b"jump\t1\t0.3333333333333333", b"jump\t1\tnan"),
+            b"hmm\t0\t0.2\njump\t0\t1.0\n",
+            b"hmm\t-1\t0.2\n",
         ]:
             assert bad_head != head
             with pytest.raises(DataFormatError, match="'hmm' trailer"):
-                model_from(*read_ttable(io.StringIO(good.replace(head, bad_head))))
+                model_from(*read_ttable(good.replace(head, bad_head)))

@@ -234,7 +234,7 @@ def test_train_writes_its_model_without_a_process_module(tmp_path):
         cwd=tmp_path,
     )
     assert out == "False False\n"
-    assert (tmp_path / "m").read_text(encoding="utf-8").startswith(HEADER + "\t")
+    assert (tmp_path / "m").read_bytes().startswith(f"{HEADER}\t".encode())
 
 
 def test_every_public_name_resolves_to_its_submodule_object():

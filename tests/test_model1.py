@@ -446,11 +446,11 @@ class TestPosteriorAlign:
 class TestModelFile:
     def test_save_load_round_trip(self, toy_bitext):
         table, _ = train(toy_bitext, Model1Config(iterations=3))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         save_model(buf, table)
-        loaded, trailer = read_ttable(buf.getvalue().splitlines())
+        loaded, trailer, _ = read_ttable(buf.getvalue())
         assert trailer == []
-        buf2 = io.StringIO()
+        buf2 = io.BytesIO()
         save_model(buf2, loaded)
         assert buf2.getvalue() == buf.getvalue()
 

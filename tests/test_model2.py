@@ -320,39 +320,39 @@ class TestModelFile:
         rng = np.random.default_rng(51)
         bt = random_id_bitext(rng, n_pairs=20, vocab=10, max_len=5)
         params, _ = train(bt, Model2Config(iterations=3, lam=3.7, p0=0.11))
-        out = io.StringIO()
+        out = io.BytesIO()
         save_model(out, params)
-        loaded = model_from(*read_ttable(io.StringIO(out.getvalue())))
+        loaded = model_from(*read_ttable(out.getvalue()))
         assert loaded.prior.lam == 3.7
         assert loaded.prior.p0 == 0.11
         assert loaded.table.rows == params.table.rows
-        again = io.StringIO()
+        again = io.BytesIO()
         save_model(again, loaded)
         assert again.getvalue() == out.getvalue()
 
     def test_plain_lexical_file_is_rejected(self):
         bt = make_bitext([((1,), (2,))])
         table = model1.init_uniform(bt, use_null=False)
-        out = io.StringIO()
+        out = io.BytesIO()
         model1.save_model(out, table)
         with pytest.raises(DataFormatError):
-            model_from(*read_ttable(io.StringIO(out.getvalue())))
+            model_from(*read_ttable(out.getvalue()))
 
     def test_malformed_trailer_is_rejected(self):
         bt = make_bitext([((1,), (2,))])
         params, _ = train(bt, Model2Config(iterations=1))
-        out = io.StringIO()
+        out = io.BytesIO()
         save_model(out, params)
         good = out.getvalue()
-        bad_arity = good.replace("diag\t", "diag\t1.0\t")
+        bad_arity = good.replace(b"diag\t", b"diag\t1.0\t")
         with pytest.raises(DataFormatError):
-            model_from(*read_ttable(io.StringIO(bad_arity)))
-        bad_float = good.rsplit("\t", 1)[0] + "\tnot-a-number\n"
+            model_from(*read_ttable(bad_arity))
+        bad_float = good.rsplit(b"\t", 1)[0] + b"\tnot-a-number\n"
         with pytest.raises(DataFormatError):
-            model_from(*read_ttable(io.StringIO(bad_float)))
+            model_from(*read_ttable(bad_float))
         for bad_prior in [
             "diag\t4.0\t1.5", "diag\t-1.0\t0.08", "diag\tnan\t0.08", "diag\t1e25\t0.08"
         ]:
-            bad = good.replace("diag\t4.0\t0.08", bad_prior)
+            bad = good.replace(b"diag\t4.0\t0.08", bad_prior.encode())
             with pytest.raises(DataFormatError, match="'diag' trailer"):
-                model_from(*read_ttable(io.StringIO(bad)))
+                model_from(*read_ttable(bad))

@@ -3,15 +3,16 @@
 `train` leaves out the table entries at or below the decode floor, which
 decode exactly like missing ones, so `align` on a saved file must give
 the alignments of the in-memory parameters of the same training run.
-The v1 file of a trained table, the text format `train` wrote before v2,
-must align exactly as the v2 file does. The last test sends arbitrary
-model files of both versions through `align`, which may only succeed or
-fail with the data-error exit code.
+The v1 and v2 files of a trained table, the text formats `train` wrote
+before v3, must align exactly as its v3 file does. The last test sends
+arbitrary model files of all three versions through `align`, which may
+only succeed or fail with the data-error exit code.
 """
 
 import contextlib
 import io
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from alignkit.ttable import (
     DECODE_FLOOR,
     HEADER,
     HEADER_V1,
+    HEADER_V2,
     ROW_SUM_TOL,
     TranslationTable,
     read_ttable,
@@ -89,7 +91,7 @@ class TestTrainedFiles:
             monkeypatch, tmp_path, corpus, module, flags + direction
         )
         table = params if module is model1 else params.table
-        saved, _ = read_ttable(read(model).splitlines())
+        saved, _, _ = read_ttable(model.read_bytes())
         assert len(saved) < len(table)  # the run left entries out
         # Every entry above the floor is saved; none at or below it, unless
         # its row's low mass is past the budget and the row is kept whole.
@@ -114,19 +116,50 @@ class TestTrainedFiles:
 
 @pytest.mark.parametrize("kind", ["model1-null", "model2-null", "hmm-null", "hmm-no-null"])
 def test_the_v1_file_of_a_table_aligns_as_its_v2_file(tmp_path, corpus, kind):
-    model = tmp_path / "v2.model"
+    # ... and as its v3 file, the one `train` writes.
+    model = tmp_path / "v3.model"
     assert cli.main([
         "train", "--bitext", str(corpus), "--output", str(model), "--iters", "3",
         "--init-iters", "2", "--quiet", *MODELS[kind][1],
     ]) == 0
-    table, trailer = read_ttable(read(model).splitlines())
-    v1 = tmp_path / "v1.model"
-    v1.write_text(oracles.model_text_v1(oracles.model_entries(table), trailer), encoding="utf-8")
+    table, trailer, _ = read_ttable(model.read_bytes())
+    entries = oracles.model_entries(table)
+    assert model.read_bytes() == oracles.model_bytes_v3(entries, trailer)
+    v2, v1 = tmp_path / "v2.model", tmp_path / "v1.model"
+    v2.write_text(oracles.model_text_v2(entries, trailer), encoding="utf-8")
+    v1.write_text(oracles.model_text_v1(entries, trailer), encoding="utf-8")
     aligned = []
-    for path in (model, v1):
+    for path in (model, v2, v1):
         out = tmp_path / f"{path.name}.al"
         assert cli.main([
             "align", "--model-file", str(path), "--bitext", str(corpus), "--output", str(out),
+            "--source-vocab", f"{model}.source-vocab", "--target-vocab", f"{model}.target-vocab",
+        ]) == 0
+        aligned.append(out.read_bytes())
+    assert aligned[0] == aligned[1] == aligned[2]
+    assert aligned[0].count(b"-") > 100
+
+
+@pytest.mark.parametrize("version", ["v3", "v2", "v1"])
+def test_align_reads_a_model_from_stdin(tmp_path, corpus, monkeypatch, version):
+    model = tmp_path / "hmm.model"
+    assert cli.main([
+        "train", "--bitext", str(corpus), "--output", str(model), "--iters", "2",
+        "--init-iters", "1", "--quiet", "--model", "hmm",
+    ]) == 0
+    table, trailer, _ = read_ttable(model.read_bytes())
+    entries = oracles.model_entries(table)
+    data = {
+        "v3": model.read_bytes(),
+        "v2": oracles.model_text_v2(entries, trailer).encode(),
+        "v1": oracles.model_text_v1(entries, trailer).encode(),
+    }[version]
+    aligned = []
+    for path in (str(model), "-"):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        out = tmp_path / "out.al"
+        assert cli.main([
+            "align", "--model-file", path, "--bitext", str(corpus), "--output", str(out),
             "--source-vocab", f"{model}.source-vocab", "--target-vocab", f"{model}.target-vocab",
         ]) == 0
         aligned.append(out.read_bytes())
@@ -167,7 +200,7 @@ class TestPruning:
         bitext.write_text("a b ||| x y\n", encoding="utf-8")
         argv = ["align", "--model-file", str(tmp_path / "m"), "--bitext", str(bitext)]
         for rows, code in ((pruned.rows, 0), ({1: {1: heavy[1]}, 2: light}, 2)):
-            with open(tmp_path / "m", "w", encoding="utf-8") as out:
+            with open(tmp_path / "m", "wb") as out:
                 write_ttable(out, TranslationTable(rows))
             assert cli.main(argv) == code
 
@@ -276,7 +309,7 @@ def v2_files(draw):
     line = draw(st.integers(1, 4))
     if edit == "count":
         count = draw(st.one_of(st.integers(-1, 8).map(str), st.sampled_from(ODD_NUMBERS)))
-        lines[0] = f"{HEADER}\t{count}"
+        lines[0] = f"{HEADER_V2}\t{count}"
     elif edit == "cut":
         lines[line] = lines[line][: draw(st.integers(0, len(lines[line])))]
     elif edit == "char" and lines[line]:
@@ -288,16 +321,48 @@ def v2_files(draw):
     return "\n".join(lines)
 
 
+@st.composite
+def v3_files(draw):
+    """v3 files: rows over known ids that sum to 1, or arbitrary entries,
+    possibly with the count edited, the file cut, or a byte changed,
+    inserted or dropped."""
+    if draw(st.booleans()):
+        entries = [
+            (int(e), int(f), float(p))
+            for e, f, p in (row.split("\t") for row in draw(normalized_rows()))
+        ]
+    else:
+        entries = draw(st.lists(st.tuples(int64s, int64s, any_floats), max_size=6))
+    trailer = draw(st.one_of(valid_trailers(), trailers()))
+    data = oracles.model_bytes_v3(entries, trailer)
+    edit = draw(st.sampled_from(["none"] * 4 + ["count", "cut", "byte", "insert", "drop"]))
+    if edit == "count":
+        count = draw(st.one_of(st.integers(-1, 8).map(str), st.sampled_from(ODD_NUMBERS)))
+        return f"{HEADER}\t{count}".encode() + data[data.index(b"\n") :]
+    if edit == "none":
+        return data
+    k = draw(st.integers(0, len(data) - 1))
+    if edit == "cut":
+        return data[:k]
+    byte = bytes([draw(st.one_of(st.sampled_from(b"\n\t\xff0"), st.integers(0, 255)))])
+    if edit == "byte":
+        return data[:k] + byte + data[k + 1 :]
+    if edit == "insert":
+        return data[:k] + byte + data[k:]
+    return data[:k] + data[k + 1 :]
+
+
 # Half the files are well formed, so that they reach the decoders.
 model_files = st.one_of(
     st.builds(join_lines, st.just(HEADER_V1), normalized_rows(), valid_trailers()),
     st.builds(
         join_lines,
-        st.sampled_from([HEADER_V1] * 4 + ["", HEADER, HEADER_V1 + " "]),
+        st.sampled_from([HEADER_V1] * 4 + ["", HEADER, HEADER_V2, HEADER_V1 + " "]),
         st.one_of(normalized_rows(), raw_rows),
         trailers(),
     ),
     v2_files(),
+    v3_files(),
 )
 
 
@@ -311,10 +376,10 @@ def align_inputs(tmp_path_factory):
 
 
 @given(text=model_files)
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 def test_any_model_file_aligns_or_is_a_data_error(align_inputs, text):
     model = align_inputs / "model"
-    model.write_text(text, encoding="utf-8")
+    model.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([

@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -15,6 +15,7 @@ from alignkit import cli, ttable
 from alignkit.errors import DataFormatError
 from alignkit.ttable import (
     HEADER,
+    HEADER_V2,
     MSTEP_FLOOR,
     NULL_ID,
     TranslationTable,
@@ -43,7 +44,7 @@ TRAILERS = [
 ]
 
 
-# A small table of NULL_ID and ids far apart, and its model file's lines.
+# A small table of NULL_ID and ids far apart, and its v2 model file's lines.
 SMALL = TranslationTable({NULL_ID: {3: 0.5, 2**62: 0.5}, 7: {3: 1.0}})
 SMALL_LINES = oracles.model_text_v2(oracles.model_entries(SMALL), ["diag\t4.0\t0.08"]).splitlines()
 
@@ -55,10 +56,15 @@ def edited(line: int, text: str) -> list[str]:
     return lines
 
 
+def text_file(lines: list[str]) -> bytes:
+    """The bytes of the UTF-8 text file of lines."""
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 def roundtrip(table: TranslationTable, trailer=()):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_ttable(buf, table, trailer)
-    return buf.getvalue(), read_ttable(buf.getvalue().splitlines())
+    return buf.getvalue(), read_ttable(buf.getvalue())
 
 
 class TestTranslationTable:
@@ -84,54 +90,52 @@ class TestModelFileFormat:
         table = TranslationTable(
             {NULL_ID: {1: 1 / 3, 2: 2 / 3}, 4: {1: 0.1234567890123456789, 2: 1e-300}}
         )
-        text, (loaded, trailer) = roundtrip(table)
-        assert trailer == []
-        text2, _ = roundtrip(loaded)
-        assert text2 == text
+        data, (loaded, trailer, line_numbers) = roundtrip(table)
+        assert trailer == line_numbers == []
+        data2, _ = roundtrip(loaded)
+        assert data2 == data
 
     def test_bytes_match_a_per_entry_reference(self):
-        # More entries than one encoded piece holds, so that each body line
-        # joins several pieces; ids far apart; probabilities of every kind.
-        size = ttable._ENCODE_BYTES // 8 * 2 + 5
+        # Ids far apart; probabilities of every kind.
+        size = 20_005
         rng = np.random.default_rng(3)
         es = np.repeat(np.arange(size // 5 + 1) * 2**40 - 1, 5)[:size]
         fs = np.tile([-(2**62), NULL_ID, 0, 9, 2**62], size // 5 + 1)[:size]
         probs = rng.random(size)
         probs[::7], probs[1::7], probs[2::7] = 0.0, 1.0, 5e-324
         table = TranslationTable.from_arrays(es, fs, probs)
-        text, _ = roundtrip(table, ["diag\t4.0\t0.08"])
-        assert text == oracles.model_text_v2(oracles.model_entries(table), ["diag\t4.0\t0.08"])
-        # Two entries: each array's base64 ends in padding.
+        data, _ = roundtrip(table, ["diag\t4.0\t0.08"])
+        assert data == oracles.model_bytes_v3(oracles.model_entries(table), ["diag\t4.0\t0.08"])
         table = TranslationTable({NULL_ID: {-(2**62): 5e-324}, 2**62: {0: 1.0}})
-        text, _ = roundtrip(table, ["hmm\t1\t0.2"])
-        assert text == oracles.model_text_v2(oracles.model_entries(table), ["hmm\t1\t0.2"])
-        assert text.splitlines()[1].endswith("=")
-        assert roundtrip(TranslationTable({}))[0] == f"{HEADER}\t0\n\n\n\n"
+        data, _ = roundtrip(table, ["hmm\t1\t0.2"])
+        assert data == oracles.model_bytes_v3(oracles.model_entries(table), ["hmm\t1\t0.2"])
+        assert roundtrip(TranslationTable({}))[0] == f"{HEADER}\t0\n\n".encode()
 
     def test_header_is_required(self):
         with pytest.raises(DataFormatError, match="alignkit-ttable"):
-            read_ttable(["1\t2\t0.5"])
+            read_ttable(b"1\t2\t0.5\n")
 
     def test_trailer_lines_are_separated(self):
         table = TranslationTable({1: {2: 1.0}})
-        _, (loaded, trailer) = roundtrip(table, ["diag\t4.0\t0.08"])
+        _, (loaded, trailer, line_numbers) = roundtrip(table, ["diag\t4.0\t0.08"])
         assert trailer == ["diag\t4.0\t0.08"]
+        assert line_numbers == [3]
         assert loaded.prob(1, 2) == 1.0
 
     def test_table_rows_after_trailer_are_rejected(self):
         lines = ["alignkit-ttable v1", "1\t2\t1.0", "diag\t0.0\t0.0", "3\t4\t1.0"]
         with pytest.raises(DataFormatError):
-            read_ttable(lines)
+            read_ttable(text_file(lines))
 
     def test_probability_out_of_range_is_rejected(self):
         with pytest.raises(DataFormatError):
-            read_ttable(["alignkit-ttable v1", "1\t2\t1.5"])
+            read_ttable(text_file(["alignkit-ttable v1", "1\t2\t1.5"]))
         with pytest.raises(DataFormatError):
-            read_ttable(["alignkit-ttable v1", "1\t2\tnan"])
+            read_ttable(text_file(["alignkit-ttable v1", "1\t2\tnan"]))
 
     def test_malformed_row_is_rejected(self):
         with pytest.raises(DataFormatError):
-            read_ttable(["alignkit-ttable v1", "1\t2"])
+            read_ttable(text_file(["alignkit-ttable v1", "1\t2"]))
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -143,7 +147,7 @@ class TestModelFileFormat:
     )
     def test_rows_must_be_sorted_without_repeats(self, rows, message):
         with pytest.raises(DataFormatError, match=message):
-            read_ttable(["alignkit-ttable v1"] + rows)
+            read_ttable(text_file(["alignkit-ttable v1"] + rows))
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -162,7 +166,7 @@ class TestModelFileFormat:
         if "trailer" in message:
             lines[3:4] = ["diag\t4.0\t0.08", bad]
         with pytest.raises(DataFormatError, match=message):
-            read_ttable(lines)
+            read_ttable(text_file(lines))
 
     @pytest.mark.parametrize(
         "lines",
@@ -178,26 +182,22 @@ class TestModelFileFormat:
             SMALL_LINES,
             SMALL_LINES[:1] + ["", "", ""],
             SMALL_LINES + ["", "hmm\t1\t0.2", ""],
-            edited(1, f"{HEADER}\t2"),
+            edited(1, f"{HEADER_V2}\t2"),
             SMALL_LINES[:3],
         ],
     )
-    def test_lines_with_and_without_newlines_read_alike(self, lines):
-        # A model file's lines come split (from the CLI) or as a file
-        # yields them; the table, the trailer and every error message,
-        # model line numbers included, must not depend on which.
-        def outcome(given):
+    def test_crlf_and_lf_text_files_read_alike(self, lines):
+        # A v2 or v1 file is text: the table, the trailer, its line numbers
+        # and every error message must not depend on its line endings.
+        def outcome(data):
             try:
-                table, trailer = read_ttable(given)
+                table, *trailer = read_ttable(data)
             except DataFormatError as exc:
                 return str(exc)
             return entries(table), trailer
 
-        text = "".join(line + "\n" for line in lines)
-        expected = outcome(lines)
-        assert outcome([line + "\n" for line in lines]) == expected
-        assert outcome(io.StringIO(text)) == expected
-        assert outcome(text.splitlines()) == expected
+        data = text_file(lines)
+        assert outcome(data.replace(b"\n", b"\r\n")) == outcome(data)
 
 
 def with_a_spare_bit(lines: list[str], line: int) -> list[str]:
@@ -216,14 +216,14 @@ def encode(*values, code="<q") -> str:
     return base64.b64encode(struct.pack(f"<{len(values)}{code[1]}", *values)).decode()
 
 
-# Each case: the file's lines, and the line and words its error names.
+# Each case: the v2 file's lines, and the line and words its error names.
 MALFORMED = {
-    "no-count": ([HEADER] + SMALL_LINES[1:], 1, "entries, got ''"),
-    "bad-count": (edited(1, f"{HEADER}\tthree"), 1, "entries, got 'three'"),
-    "negative-count": (edited(1, f"{HEADER}\t-3"), 1, "entries, got '-3'"),
-    "non-ascii-count": (edited(1, f"{HEADER}\t\u0663"), 1, "entries, got"),
-    "count-below-the-body": (edited(1, f"{HEADER}\t2"), 2, "24 bytes of target ids, not the 16"),
-    "count-above-the-body": (edited(1, f"{HEADER}\t4"), 2, "24 bytes of target ids, not the 32"),
+    "no-count": ([HEADER_V2] + SMALL_LINES[1:], 1, "entries, got ''"),
+    "bad-count": (edited(1, f"{HEADER_V2}\tthree"), 1, "entries, got 'three'"),
+    "negative-count": (edited(1, f"{HEADER_V2}\t-3"), 1, "entries, got '-3'"),
+    "non-ascii-count": (edited(1, f"{HEADER_V2}\t\u0663"), 1, "entries, got"),
+    "count-below-the-body": (edited(1, f"{HEADER_V2}\t2"), 2, "24 bytes of target ids, not the 16"),
+    "count-above-the-body": (edited(1, f"{HEADER_V2}\t4"), 2, "24 bytes of target ids, not the 32"),
     "missing-line": (SMALL_LINES[:3], 4, "missing; expected the probabilities"),
     "no-body": (SMALL_LINES[:1], 2, "missing; expected the target ids"),
     "truncated-line": (edited(3, SMALL_LINES[2][:-4]), 3, "21 bytes of source ids, not the 24"),
@@ -253,6 +253,24 @@ MALFORMED = {
 }
 
 
+def check_is_an_error_naming_its_line(data: bytes, line: int, message: str, tmp_path, capsys):
+    """read_ttable and `align` both reject the model file data, naming
+    model line `line` and message; align names the path as well."""
+    with pytest.raises(DataFormatError, match=f"^model line {line}: .*{message}"):
+        read_ttable(data)
+    model = tmp_path / "model"
+    model.write_bytes(data)
+    (tmp_path / "vocab").write_text("1\ta\t1\n", encoding="utf-8")
+    (tmp_path / "bitext").write_text("a ||| a\n", encoding="utf-8")
+    assert cli.main([
+        "align", "--model-file", str(model), "--bitext", str(tmp_path / "bitext"),
+        "--source-vocab", str(tmp_path / "vocab"), "--target-vocab", str(tmp_path / "vocab"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"alignkit: error: {model}: model line {line}: "), err
+    assert err.count("\n") == 1
+
+
 class TestModelFileV2:
     @given(
         cells=st.lists(
@@ -262,43 +280,114 @@ class TestModelFileV2:
         trailer=st.sampled_from(TRAILERS),
     )
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_round_trip_is_bitwise(self, cells, data, trailer):
+    def test_reads_bitwise(self, cells, data, trailer):
         probs = data.draw(st.lists(PROB_VALUES, min_size=len(cells), max_size=len(cells)))
         es, fs = zip(*cells) if cells else ((), ())
         table = TranslationTable.from_arrays(es, fs, probs)
-        text, (loaded, loaded_trailer) = roundtrip(table, trailer)
-        assert text == oracles.model_text_v2(oracles.model_entries(table), trailer)
+        text = oracles.model_text_v2(oracles.model_entries(table), trailer)
+        loaded, loaded_trailer, line_numbers = read_ttable(text.encode())
         assert loaded.es.tobytes() == table.es.tobytes()
         assert loaded.fs.tobytes() == table.fs.tobytes()
         assert loaded.theta.tobytes() == table.theta.tobytes()
         assert loaded_trailer == list(trailer)
-
-    @pytest.mark.parametrize("encode_bytes", [3, 6, 24, 3 << 16])
-    def test_the_text_does_not_depend_on_the_encoded_piece_size(self, encode_bytes, monkeypatch):
-        rng = np.random.default_rng(4)
-        es = np.repeat(np.arange(-1, 99), 7)
-        fs = np.tile(np.arange(7), 100) * 2**40
-        table = TranslationTable.from_arrays(es, fs, rng.random(len(es)))
-        want = oracles.model_text_v2(oracles.model_entries(table), ["diag\t4.0\t0.08"])
-        monkeypatch.setattr(ttable, "_ENCODE_BYTES", encode_bytes)
-        assert roundtrip(table, ["diag\t4.0\t0.08"])[0] == want
+        assert line_numbers == list(range(5, 5 + len(trailer)))
 
     @pytest.mark.parametrize("case", MALFORMED)
     def test_a_malformed_file_is_an_error_naming_its_line(self, case, tmp_path, capsys):
         lines, line, message = MALFORMED[case]
-        with pytest.raises(DataFormatError, match=f"^model line {line}: .*{message}"):
-            read_ttable(lines)
-        model = tmp_path / "model"
-        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        (tmp_path / "vocab").write_text("1\ta\t1\n", encoding="utf-8")
-        (tmp_path / "bitext").write_text("a ||| a\n", encoding="utf-8")
-        assert cli.main([
-            "align", "--model-file", str(model), "--bitext", str(tmp_path / "bitext"),
-            "--source-vocab", str(tmp_path / "vocab"), "--target-vocab", str(tmp_path / "vocab"),
-        ]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"alignkit: error: {model}: model line {line}: "), err
-        assert err.count("\n") == 1
+        check_is_an_error_naming_its_line(text_file(lines), line, message, tmp_path, capsys)
+
+
+def v3_edited(entries=oracles.model_entries(SMALL), trailer=("diag\t4.0\t0.08",), count=None,
+              body=lambda body: body, tail=None) -> bytes:
+    """The v3 file of entries and trailer, with its count, its body (by a
+    function of the body's bytes) or the bytes after its body edited."""
+    data = oracles.model_bytes_v3(entries, trailer)
+    start = data.index(b"\n") + 1
+    end = start + 24 * len(entries)
+    head = data[:start] if count is None else f"{HEADER}\t{count}\n".encode()
+    return head + body(data[start:end]) + (data[end:] if tail is None else tail)
+
+
+def v3_entries(es, fs, probs) -> list[tuple]:
+    return list(zip(es, fs, probs))
+
+
+SMALL_ES, SMALL_FS, SMALL_PS = zip(*oracles.model_entries(SMALL))
+
+# Each case: the v3 file's bytes, and the line and words its error names.
+MALFORMED_V3 = {
+    "no-count": (HEADER.encode() + v3_edited()[len(HEADER) + 2 :], 1, "entries, got ''"),
+    "bad-count": (v3_edited(count="three"), 1, "entries, got 'three'"),
+    "negative-count": (v3_edited(count="-3"), 1, "entries, got '-3'"),
+    "non-utf8-count": (v3_edited().replace(b"\t3\n", b"\t\xff\n", 1), 1, "entries, got"),
+    "no-newline-after-the-header": (f"{HEADER}\t0".encode(), 1, "no newline after the header"),
+    "count-below-the-body": (v3_edited(count=2), 2, "more than the 48 bytes of 2 entries"),
+    "count-above-the-body": (v3_edited(count=4), 2, "87 bytes of entries, not the 96 of 4"),
+    "count-past-memory": (v3_edited(count=10**12), 2,
+                          f"87 bytes of entries, not the {24 * 10**12} of {10**12}"),
+    "body-cut-short": (v3_edited()[: len(HEADER) + 3 + 50], 2, "50 bytes of entries, not the 72"),
+    "extra-bytes": (v3_edited(body=lambda body: body + b"\0"), 2,
+                    "more than the 72 bytes of 3 entries"),
+    "no-newline-after-the-body": (v3_edited(tail=b""), 2,
+                                  "no newline after the 72 bytes of 3 entries"),
+    "unsorted-targets": (v3_edited(v3_entries((NULL_ID, 7, NULL_ID), SMALL_FS, SMALL_PS)), 2,
+                         f"entry 3: \\(-1, 3\\) is not after \\(7, {2**62}\\)"),
+    "unsorted-sources": (v3_edited(v3_entries(SMALL_ES, (2**62, 3, 3), SMALL_PS)), 2,
+                         f"entry 2: \\(-1, 3\\) is not after \\(-1, {2**62}\\)"),
+    "repeated-entry": (v3_edited(v3_entries(SMALL_ES, (3, 3, 3), SMALL_PS)), 2,
+                       "entry 2: \\(-1, 3\\) is not after \\(-1, 3\\)"),
+    "nan": (v3_edited(v3_entries(SMALL_ES, SMALL_FS, (0.5, float("nan"), 1.0))), 2,
+            "entry 2: probability nan out of range"),
+    "above-one": (v3_edited(v3_entries(SMALL_ES, SMALL_FS, (0.5, 0.5, 1.0000000000000002))), 2,
+                  "entry 3: probability 1.0000000000000002 out of range"),
+    "negative": (v3_edited(v3_entries(SMALL_ES, SMALL_FS, (-1e-300, 0.5, 1.0))), 2,
+                 "entry 1: probability -1e-300 out of range"),
+    "non-utf8-trailer": (v3_edited(tail=b"\n\xffdiag\t4.0\t0.08\n"), 3, "not UTF-8"),
+    "non-utf8-second-trailer-line": (v3_edited(tail=b"\ndiag\t4.0\t0.08\n\n\xe9\n"), 5,
+                                     "not UTF-8"),
+}
+
+
+class TestModelFileV3:
+    @given(
+        cells=st.lists(
+            st.tuples(ID_VALUES, ID_VALUES), unique=True, max_size=40
+        ).map(sorted),
+        data=st.data(),
+        trailer=st.sampled_from(TRAILERS),
+    )
+    @example(cells=[], data=None, trailer=[])
+    @example(cells=[(NULL_ID, 0), (NULL_ID, 2**62)], data=None, trailer=TRAILERS[2])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_round_trip_is_bitwise(self, cells, data, trailer):
+        if data is None:
+            probs = [1.0 / max(len(cells), 1)] * len(cells)
+        else:
+            probs = data.draw(st.lists(PROB_VALUES, min_size=len(cells), max_size=len(cells)))
+        es, fs = zip(*cells) if cells else ((), ())
+        table = TranslationTable.from_arrays(es, fs, probs)
+        written, (loaded, loaded_trailer, line_numbers) = roundtrip(table, trailer)
+        assert written == oracles.model_bytes_v3(oracles.model_entries(table), trailer)
+        assert loaded.es.tobytes() == table.es.tobytes()
+        assert loaded.fs.tobytes() == table.fs.tobytes()
+        assert loaded.theta.tobytes() == table.theta.tobytes()
+        assert loaded_trailer == list(trailer)
+        assert line_numbers == list(range(3, 3 + len(trailer)))
+
+    def test_the_table_keeps_nothing_of_the_file_alive(self):
+        _, (loaded, _, _) = roundtrip(SMALL)
+        for array in (loaded.es, loaded.fs, loaded.theta):
+            assert array.base is None and array.flags.aligned
+
+    def test_blank_trailer_lines_are_skipped_but_counted(self):
+        data = v3_edited(tail=b"\n\ndiag\t4.0\t0.08\n\n")
+        assert read_ttable(data)[1:] == (["diag\t4.0\t0.08"], [4])
+
+    @pytest.mark.parametrize("case", MALFORMED_V3)
+    def test_a_malformed_file_is_an_error_naming_its_line(self, case, tmp_path, capsys):
+        data, line, message = MALFORMED_V3[case]
+        check_is_an_error_naming_its_line(data, line, message, tmp_path, capsys)
 
 
 def pieced_table() -> TranslationTable:
@@ -310,20 +399,19 @@ def pieced_table() -> TranslationTable:
 
 
 class TestWriters:
-    # write_ttable encodes in this process, piece by piece; these pin that
-    # it needs no os.fork and starts no process, with or without threads.
+    # write_ttable writes in this process; these pin that it needs no
+    # os.fork and starts no process, with or without threads.
     def test_without_fork_one_process_writes_everything(self, tmp_path, monkeypatch):
         table, trailer = pieced_table(), ["diag\t4.0\t0.08"]
-        want = oracles.model_text_v2(oracles.model_entries(table), trailer)
-        monkeypatch.setattr(ttable, "_ENCODE_BYTES", 384)  # 48 entries a piece
+        want = oracles.model_bytes_v3(oracles.model_entries(table), trailer)
         monkeypatch.delattr(os, "fork")
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_ttable(buf, table, trailer)
         assert buf.getvalue() == want
         path = tmp_path / "model"
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "wb") as fh:
             write_ttable(fh, table, trailer)
-        assert path.read_text(encoding="utf-8") == want
+        assert path.read_bytes() == want
 
     def test_nothing_forks_while_other_threads_run(self, monkeypatch):
         forks = []
@@ -333,18 +421,17 @@ class TestWriters:
             raise AssertionError("write_ttable forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(ttable, "_ENCODE_BYTES", 384)
         table, release = pieced_table(), threading.Event()
         other = threading.Thread(target=release.wait, args=(30,))
         other.start()
         try:
             assert threading.active_count() >= 2
-            buf = io.StringIO()
+            buf = io.BytesIO()
             write_ttable(buf, table)
         finally:
             release.set()
             other.join()
-        assert buf.getvalue() == oracles.model_text_v2(oracles.model_entries(table))
+        assert buf.getvalue() == oracles.model_bytes_v3(oracles.model_entries(table))
         assert forks == []
 
 
@@ -360,7 +447,7 @@ class TestSlots:
         assert table.slots([1, 2, 2], [5, 0, 5]).tolist() == [1, 2, 3]
 
     def test_empty_table_misses_everything(self):
-        table, trailer = read_ttable(["alignkit-ttable v1"])
+        table, trailer, _ = read_ttable(b"alignkit-ttable v1\n")
         assert len(table) == 0 and trailer == []
         assert table.slots([[1], [NULL_ID]], [3, 4]).tolist() == [[0, 0]] * 2
         assert table.theta.tolist() == [0.0, 0.0]
