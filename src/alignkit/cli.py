@@ -7,7 +7,7 @@ a pure function of its flags, input files, and seed; repeated runs are
 bitwise identical, whatever --jobs is.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data/format
-error, 3 numeric failure.
+error or a train or align run out of memory, 3 numeric failure.
 
 Options may also come from a flat `key=value` config file (one pair per
 line, `#` comments); explicit flags take precedence and environment
@@ -209,6 +209,13 @@ def _resolve_use_null(args) -> bool:
     return True if args.use_null is None else args.use_null
 
 
+def _out_of_memory(bitext) -> DataFormatError:
+    """For a run on bitext that ran out of memory: the error naming its pair
+    with the most cells, m·(n + 1), which a model's arrays grow with."""
+    cells, lineno = max(zip((p.m * (p.n + 1) for p in bitext), bitext.line_numbers))
+    return DataFormatError(f"bitext line {lineno}: out of memory; its pair has {cells:,} cells")
+
+
 def cmd_train(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
@@ -234,7 +241,10 @@ def cmd_train(args) -> int:
             use_null=use_null,
             **p0,
         )
-    params, _ = model.train(bitext, config, jobs=args.jobs, log_to=log_to)
+    try:
+        params, _ = model.train(bitext, config, jobs=args.jobs, log_to=log_to)
+    except MemoryError:
+        raise _out_of_memory(bitext) from None
     # The saved table leaves out the entries that decode like missing ones.
     if args.model == "model1":  # Model 1's parameters are its table
         params = params.pruned()
@@ -315,8 +325,12 @@ def cmd_align(args) -> int:
     bitext = load_bitext(
         lines, source_vocab, target_vocab, lowercase=args.lowercase, swap=args.reverse
     )
+    try:
+        aligned = decode(bitext)
+    except MemoryError:
+        raise _out_of_memory(bitext) from None
     links = [""] * len(lines)  # a line with an empty side stays blank
-    for lineno, alignment in zip(bitext.line_numbers, decode(bitext)):
+    for lineno, alignment in zip(bitext.line_numbers, aligned):
         links[lineno - 1] = format_function_line(alignment)
     with _open_out(args.output) as out:
         out.writelines(line + "\n" for line in links)

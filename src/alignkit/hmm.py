@@ -144,6 +144,7 @@ def _transition_matrix(n: int, jumps: JumpTable, use_null: bool) -> np.ndarray:
     base = qm / z[:, None]
     if not use_null:
         return base
+    # No src/ caller passes use_null=True; criterion 1 (test_acceptance.py) checks its row sums.
     p0 = jumps.p0
     trans = np.zeros((2 * n, 2 * n))
     trans[:n, :n] = (1.0 - p0) * base

@@ -13,6 +13,11 @@ from pathlib import Path
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not POSIX
+    resource = None
+
 import alignkit
 from alignkit import cli
 from alignkit.ttable import read_ttable
@@ -119,6 +124,43 @@ def test_errors_exit_with_their_code_and_one_stderr_line(tmp_path, extra, bitext
     result = alignkit_process(args, tmp_path)
     assert (result.returncode, result.stdout) == (code, b"")
     assert result.stderr.decode() == message
+
+
+# A pair of 8,000 words per side needs 64,008,000 cells; under a 1.2 GB
+# address-space limit its first corpus-sized array does not fit.
+ADDRESS_SPACE = 1_200_000 * 1024
+BIG = " ".join(f"w{i}" for i in range(8000))
+
+
+def limit_address_space() -> None:
+    """Runs in the child before exec; if it raises, the child never runs."""
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+@pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")
+@pytest.mark.parametrize("command", [
+    ["train", "--model", "model1", "--iters", "1", "--jobs", "1", "--quiet", "--output", "m"],
+    ["train", "--model", "hmm", "--iters", "1", "--init-iters", "1", "--jobs", "1",
+     "--quiet", "--output", "m"],
+    ["align", "--model-file", "small.model"],
+])
+def test_a_pair_too_large_for_memory_exits_2_naming_its_line(tmp_path, command):
+    (tmp_path / "small.txt").write_text("a b c ||| x y z\n", encoding="utf-8")
+    (tmp_path / "big.txt").write_text(f"a b c ||| x y z\n{BIG} ||| {BIG}\n", encoding="utf-8")
+    assert cli.main(["train", "--bitext", str(tmp_path / "small.txt"),
+                     "--output", str(tmp_path / "small.model"), "--quiet"]) == 0
+    # OpenBLAS reserves address space per thread, so on a many-core
+    # machine importing numpy alone could pass the limit.
+    result = subprocess.run(
+        [sys.executable, "-m", "alignkit.cli", *command, "--bitext", "big.txt"],
+        cwd=tmp_path, env={**env(), "OPENBLAS_NUM_THREADS": "1"}, capture_output=True,
+        timeout=120, preexec_fn=limit_address_space,
+    )
+    stderr = result.stderr.decode()
+    assert (result.returncode, result.stdout) == (2, b""), stderr
+    assert "Traceback" not in stderr
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("alignkit: error: bitext line 2: "), stderr
 
 
 def test_the_oov_warning_reaches_stderr(tmp_path):
