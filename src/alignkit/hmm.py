@@ -164,7 +164,11 @@ class _Group(NamedTuple):
     NULL companions). emit is (M, B, S) and pi (B, S); scale (B, N) holds
     (1 - p0) / Z_i of each departure position i; q is the (N, N) jump
     matrix q[clamp(i' - i)] that every pair shares. Cells past a pair's own
-    m or n are 0, so they add nothing to any sum or product.
+    m or n are 0, so they add nothing to any sum or product. Without NULL,
+    emit is the group's block of chunk cells itself, and with NULL a copy
+    that _group makes. The forward pass and Viterbi only read emit;
+    Baum-Welch's backward pass overwrites it with the arrival factors, and
+    _bw_pass then overwrites the block with the posteriors.
     """
 
     layout: Group  # its pairs, their lengths and its slots
@@ -178,7 +182,7 @@ class _Group(NamedTuple):
 
 def _group(g: Group, values: np.ndarray, jumps: JumpTable, use_null: bool) -> _Group:
     """The _Group of layout group g, whose cells of theta are values; without
-    NULL its emissions are values itself."""
+    NULL its emissions are values itself, with NULL a copy."""
     m_max, b_count, columns = values.shape
     width = columns - use_null
     p0 = jumps.p0 if use_null else 0.0
@@ -235,10 +239,14 @@ def _scaled_backward(g: _Group, scales: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Scaled backward variables betas (M, B, N), one per position since a
     real state and its NULL companion share their beta; and weighted[j] =
     emit[j] * betas[j] / scales[j], the arrival factors into position j,
-    with the NULL half also times p0."""
+    with the NULL half also times p0. weighted is g.emit itself, divided
+    and multiplied in place, since nothing reads the emissions again: with
+    NULL they are _group's own copy, without it the group's block of chunk
+    cells, which _bw_pass overwrites with the posteriors only after its
+    last read of weighted."""
     m_max, b_count, states = g.emit.shape
     n = len(g.q)
-    weighted = g.emit / scales[:, :, None]
+    weighted = np.divide(g.emit, scales[:, :, None], out=g.emit)
     if g.use_null:
         weighted[:, :, n:] *= g.p0
     halves = weighted.reshape(m_max, b_count, states // n, n)
@@ -341,6 +349,10 @@ def _bw_pass(packed: PackedCorpus, layout: Group, block: np.ndarray, jumps: Jump
 
     with only arrivals at real positions counted; real and NULL-companion
     departures pool, since both jump from the same remembered position.
+    Past _group's and the forward and backward passes' arrays, the pass
+    allocates only xi: the posteriors alphas * betas are formed in alphas
+    itself. xi is taken before they are written to block, since without
+    NULL weighted is block (see _scaled_backward).
     """
     g = _group(layout, block, jumps, packed.use_null)
     alphas, inputs, scales = _scaled_forward(g)
@@ -354,14 +366,13 @@ def _bw_pass(packed: PackedCorpus, layout: Group, block: np.ndarray, jumps: Jump
     betas, weighted = _scaled_backward(g, scales)
     m_max, b_count, states = alphas.shape
     n_max = len(g.q)
-    gamma = alphas.reshape(m_max, b_count, states // n_max, n_max) * betas[:, :, None]
-    # Without NULL, g.emit is block: it is overwritten only now that
-    # weighted, the last thing read from it, exists.
+    xi = np.matmul(inputs[:-1].transpose(1, 2, 0), weighted[1:, :, :n_max].transpose(1, 0, 2))
+    xi *= g.q
+    gamma = alphas.reshape(m_max, b_count, states // n_max, n_max)
+    gamma *= betas[:, :, None]
     block[:, :, :n_max] = gamma[:, :, 0]
     if g.use_null:
         gamma[:, :, 1].sum(axis=2, out=block[:, :, n_max])
-    xi = np.matmul(inputs[:-1].transpose(1, 2, 0), weighted[1:, :, :n_max].transpose(1, 0, 2))
-    xi *= g.q
     buckets = np.bincount(
         _clip_index(n_max, jumps.w).ravel(), xi.sum(axis=0).ravel(), minlength=2 * jumps.w + 1
     )

@@ -4,8 +4,11 @@ Rows are keyed by target id e (NULL_ID = -1 for the empty target word),
 each row a distribution over the source ids f that co-occurred with e in
 training (the NULL row co-occurs with everything).
 
-The table is flat. The arrays `es`, `fs` and `theta` hold its entries in
-canonical (e, f) order; row `row_ids[r]` starts at entry `row_starts[r]`.
+The table is flat. Its entries run in canonical (e, f) order: row
+`row_ids[r]` starts at entry `row_starts[r]`, and the arrays `fs` and
+`theta` hold each entry's source id and probability. The table stores
+no target id per entry; `es` rebuilds that array from the rows whenever
+it is read, for writing a model file or pruning.
 `theta` ends with two more slots, both 0.0: the miss slot len(table),
 where `slots` maps every cell the table lacks, and the pad slot
 len(table) + 1, where a packed corpus (see _packed.py) points the cells
@@ -118,17 +121,18 @@ class TranslationTable:
         return table
 
     def _setup(self, es, fs, probs) -> None:
-        self.es = np.ascontiguousarray(es, dtype=np.int64)
+        """es is read here only: the rows are all that the table keeps of it."""
+        es = np.asarray(es, dtype=np.int64)
         self.fs = np.ascontiguousarray(fs, dtype=np.int64)
-        self.es.flags.writeable = self.fs.flags.writeable = False
-        new_row = np.ones(len(self.es), dtype=bool)
-        np.not_equal(self.es[1:], self.es[:-1], out=new_row[1:])
+        self.fs.flags.writeable = False
+        new_row = np.ones(len(es), dtype=bool)
+        np.not_equal(es[1:], es[:-1], out=new_row[1:])
         self.row_starts = np.flatnonzero(new_row)
-        self.row_ids = self.es[self.row_starts]
+        self.row_ids = es[self.row_starts]
         self._set_probs(probs)
 
     def _set_probs(self, probs) -> None:
-        self.theta = np.zeros(len(self.es) + 2)  # the miss and pad slots last
+        self.theta = np.zeros(len(self.fs) + 2)  # the miss and pad slots last
         self.theta[:-2] = probs
         self.theta.flags.writeable = False
 
@@ -147,8 +151,7 @@ class TranslationTable:
         """The same support with new probabilities, in entry order. The new
         table shares this one's support arrays but none of its cached views."""
         table = TranslationTable.__new__(TranslationTable)
-        table.es, table.fs = self.es, self.fs
-        table.row_starts, table.row_ids = self.row_starts, self.row_ids
+        table.row_starts, table.row_ids, table.fs = self.row_starts, self.row_ids, self.fs
         table._set_probs(probs)
         return table
 
@@ -207,7 +210,12 @@ class TranslationTable:
         })
 
     def __len__(self) -> int:
-        return len(self.es)
+        return len(self.fs)
+
+    @property
+    def es(self) -> np.ndarray:
+        """Each entry's target id, rebuilt from the rows on every read."""
+        return np.repeat(self.row_ids, np.diff(self.row_starts, append=len(self)))
 
     def worst_row(self) -> tuple[int | None, float]:
         """(e, row sum) of the row summing farthest from 1; (None, 1.0) if empty."""
@@ -291,11 +299,13 @@ def _read_v3(data: bytes, count: str, end: int) -> tuple[TranslationTable, list[
         raise DataFormatError(f"{where}: no newline after the {size} bytes of {n} entries")
     if data[start + size] != ord("\n"):
         raise DataFormatError(f"{where}: more than the {size} bytes of {n} entries")
-    # Copies of the ids, and a view of the probabilities, which theta copies.
+    # A copy of the source ids, which the table keeps, and views of the
+    # target ids, which it reads only to find its rows, and of the
+    # probabilities, which theta copies.
     e, f, p = (
         np.frombuffer(data, dtype, n, start + 8 * n * k) for k, (_, dtype) in enumerate(_BODY)
     )
-    e, f = e.copy(), f.copy()
+    f = f.copy()
     _check_entries(e, f, p, lambda k, _: f"{where}: entry {k + 1}")
     tail = data[start + size + 1 :]
     try:

@@ -8,6 +8,10 @@ dense per-pair decoder over every state, runs in numpy so that its sums
 are the very floats the package's group decoder adds, and exact ties
 break the same way; group_viterbi_two_argmax is the group decoder's
 earlier step, kept as it was written, for the same reason.
+bw_pass_out_of_place and scaled_backward_out_of_place are Baum-Welch's
+group pass and backward pass as they were written, each group array in
+a new buffer; they run on the package's _group and _scaled_forward, so
+that the in-place pass must match them bitwise.
 grow_diag_final_reference is the package's first grow-diag-final, kept
 as it was written: it takes and returns the package's AlignmentSet and
 raises its errors. rank_by_search and slots_by_search look ids up by
@@ -43,6 +47,7 @@ from typing import Optional
 
 import numpy as np
 
+from alignkit import hmm
 from alignkit.alignment import AlignmentSet
 from alignkit.errors import (
     ConfigError,
@@ -411,6 +416,56 @@ def group_viterbi_two_argmax(emit, pi, p0, active, ms, log_t, use_null):
                 state = int(pointers[j, b, state])
         paths.append(path)
     return paths, delta
+
+
+def scaled_backward_out_of_place(g, scales):
+    """hmm._scaled_backward as it was written, with the arrival factors
+    weighted in a new array rather than over g.emit."""
+    m_max, b_count, states = g.emit.shape
+    n = len(g.q)
+    weighted = g.emit / scales[:, :, None]
+    if g.use_null:
+        weighted[:, :, n:] *= g.p0
+    halves = weighted.reshape(m_max, b_count, states // n, n)
+    betas = np.zeros((m_max, b_count, n))
+    betas[g.layout.ms - 1, np.arange(b_count)] = 1.0
+    for j in range(m_max - 1, 0, -1):
+        b = g.layout.active[j]
+        halves[j, :b] *= betas[j, :b, None]
+        beta = betas[j - 1, :b]
+        np.matmul(weighted[j, :b, :n], g.q.T, out=beta)
+        beta *= g.scale[:b]
+        if g.use_null:
+            beta += weighted[j, :b, n:]
+    return betas, weighted
+
+
+def bw_pass_out_of_place(packed, layout, block, jumps):
+    """hmm._bw_pass as it was written, with scaled_backward_out_of_place
+    and the posteriors gamma in a new array, written to block before xi."""
+    g = hmm._group(layout, block, jumps, packed.use_null)
+    alphas, inputs, scales = hmm._scaled_forward(g)
+    bad = ~((scales > 0.0) & (scales < math.inf))
+    if bad.any():
+        first = bad.argmax(axis=0).tolist()
+        return None, [
+            (layout.pairs[b], first[b], f"forward scaling underflow at position {first[b]}")
+            for b in np.flatnonzero(bad.any(axis=0))
+        ]
+    betas, weighted = scaled_backward_out_of_place(g, scales)
+    m_max, b_count, states = alphas.shape
+    n_max = len(g.q)
+    gamma = alphas.reshape(m_max, b_count, states // n_max, n_max) * betas[:, :, None]
+    block[:, :, :n_max] = gamma[:, :, 0]
+    if g.use_null:
+        gamma[:, :, 1].sum(axis=2, out=block[:, :, n_max])
+    xi = np.matmul(inputs[:-1].transpose(1, 2, 0), weighted[1:, :, :n_max].transpose(1, 0, 2))
+    xi *= g.q
+    buckets = np.bincount(
+        hmm._clip_index(n_max, jumps.w).ravel(), xi.sum(axis=0).ravel(),
+        minlength=2 * jumps.w + 1,
+    )
+    return (float(np.log(scales).sum()), buckets, layout.ns, xi.sum(axis=2)), []
 
 
 def rank_by_search(sorted_ids, ids):

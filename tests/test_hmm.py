@@ -1,6 +1,7 @@
 import io
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -533,6 +534,55 @@ class TestGroupedPasses:
             np.testing.assert_allclose(counts, ref_counts, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(buckets, ref_buckets, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(departures, ref_departures, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("use_null, p0", [(False, 0.0), (True, 0.3), (True, 0.0)])
+    def test_matches_the_out_of_place_pass_bitwise(self, monkeypatch, use_null, p0):
+        # The pass overwrites emit and alphas in place; every value it
+        # reports or writes must be the very float the out-of-place one gave.
+        monkeypatch.setattr(_packed, "GROUP_CELLS", 300)
+        rng = np.random.default_rng(87)
+        for _ in range(5):
+            bitext, table, _, jumps = self.random_chunk(rng, use_null, p0)
+            packed = PackedCorpus(bitext, table, use_null)
+            counts, reports = _packed._chunk_counts(packed, 0, table.theta, hmm._bw_pass, jumps)
+            want_counts, want_reports = _packed._chunk_counts(
+                packed, 0, table.theta, oracles.bw_pass_out_of_place, jumps
+            )
+            assert np.array_equal(counts, want_counts)
+            assert len(reports) == len(want_reports) == len(packed.chunks[0].groups)
+            for report, want in zip(reports, want_reports):
+                assert len(report) == len(want)
+                for got_field, want_field in zip(report, want):
+                    assert np.array_equal(got_field, want_field)
+
+    def test_a_group_pass_holds_each_array_once(self):
+        # Traced peak of one chunk's E-step: its cells, plus the largest
+        # group's emissions, forward and backward variables and xi, plus
+        # 64 KiB. Without NULL the emissions are the chunk's cells, so
+        # their term leaves room for the per-pair rows and numpy's buffer
+        # for a broadcast product (64 KiB, xi *= q), but not for new copies
+        # of the arrival factors and the posteriors.
+        rng = np.random.default_rng(88)
+        id_pairs = [
+            (rng.integers(1, 11, size=m).tolist(), rng.integers(1, 11, size=n).tolist())
+            for m, n in rng.integers(20, 41, size=(40, 2))
+        ]
+        table, _ = random_table(rng, range(1, 11), range(1, 11))
+        packed = PackedCorpus(make_bitext(id_pairs), table, use_null=False)
+        (chunk,) = packed.chunks
+
+        def group_bytes(g):
+            m, b, n = g.slots.shape
+            return 8 * (4 * m * b * n + b * n * n)  # emit, alphas, inputs, betas; xi
+
+        bound = 8 * chunk.slots.size + max(map(group_bytes, chunk.groups)) + (64 << 10)
+        tracemalloc.start()
+        try:
+            _packed._chunk_counts(packed, 0, table.theta, hmm._bw_pass, uniform_jumps(5, 0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.parametrize("use_null", [False, True])
     @pytest.mark.parametrize("group_cells", [1, 1 << 16])

@@ -549,7 +549,8 @@ class TestNormalized:
         assert got.theta.shape == (len(table) + 2,)
         assert got.theta[-2:].tolist() == [0.0, 0.0]  # the miss and pad slots
         assert counts.tobytes() == before.tobytes()
-        assert got.es is table.es and got.fs is table.fs
+        assert got.row_starts is table.row_starts and got.row_ids is table.row_ids
+        assert got.fs is table.fs
         want = reference_normalized(table, counts)
         assert list(got.rows) == list(want)
         for e, row in want.items():
