@@ -16,7 +16,7 @@ _LAZY = {
         "corpus": "Bitext SentencePair Vocabulary load_bitext",
         "errors": "AlignkitError ConfigError DataFormatError DegeneratePairError "
         "DimensionMismatchError NumericError",
-        "evaluation": "EvalReport aer evaluate_corpus parse_gold precision_recall",
+        "evaluation": "EvalReport aer evaluate_corpus parse_gold",
         "hmm": "HmmConfig HmmParams",
         "model1": "Model1Config",
         "model2": "DiagonalPrior Model2Config Model2Params",

@@ -192,8 +192,6 @@ def parse_pharaoh_line(
             j, i = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise DataFormatError(f"alignment line {lineno}: bad field {field!r}") from exc
-        if j < 0 or i < 0:
-            raise DataFormatError(f"alignment line {lineno}: negative index in {field!r}")
         links.add((j, i))
         max_j = max(max_j, j)
         max_i = max(max_i, i)

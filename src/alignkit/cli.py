@@ -192,10 +192,6 @@ def _read_alignments(
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
 # --------------------------------------------------------------------------
 # train
 
@@ -556,7 +552,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument(
         "--jobs",
         type=int,
-        default=_default_jobs(),
+        default=os.cpu_count() or 1,
         help="EM threads; results do not depend on it (default: all cores)",
     )
     p.add_argument(

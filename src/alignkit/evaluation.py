@@ -64,14 +64,6 @@ def aer(a: Iterable[Link], sure: Iterable[Link], possible: Iterable[Link]) -> fl
     return LinkCounts.of(a, sure, possible).aer
 
 
-def precision_recall(
-    a: Iterable[Link], sure: Iterable[Link], possible: Iterable[Link]
-) -> tuple[float, float, float]:
-    """(precision, recall, F1) of hypothesis links a."""
-    counts = LinkCounts.of(a, sure, possible)
-    return counts.precision, counts.recall, counts.f1
-
-
 class GoldAlignment(Record):
     """Per-sentence sure and possible link sets, 0-based, keyed by the
     1-based sentence id of the gold file."""

@@ -26,7 +26,7 @@ from ._packed import (
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError
-from .ttable import NULL_ID, TranslationTable, decode_theta, write_ttable
+from .ttable import NULL_ID, TranslationTable, write_ttable
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,12 @@ def align_corpus(
         use_null = NULL_ID in table.row_ids
     packed = PackedCorpus(bitext, table, use_null, prior)
     aligned: list = [None] * len(packed)
-    for g, block in packed.blocks(decode_theta(table)):
-        real = block[:, :, : block.shape[2] - use_null]
-        best = real.argmax(axis=2)
+    for g, block in packed.blocks(table.decode_theta):
+        # NULL's column is last and argmax keeps the first maximum, so NULL
+        # wins only where it scores strictly higher than every position.
+        best = block.argmax(axis=2)
         if use_null:
-            best[block[:, :, -1] > real.max(axis=2)] = -1  # NULL
+            best[best == block.shape[2] - 1] = -1  # NULL
         for k, m, n, targets in zip(g.pairs, g.ms.tolist(), g.ns.tolist(), best.T.tolist()):
             targets = tuple(None if i < 0 else i for i in targets[:m])
             aligned[k] = AlignmentFunction(targets=targets, n=n)

@@ -13,11 +13,13 @@ it is read, for writing a model file or pruning.
 where `slots` maps every cell the table lacks, and the pad slot
 len(table) + 1, where a packed corpus (see _packed.py) points the cells
 past a pair's own m or n. So packing, training and decoding all read
-t(f | e) as one gather theta[slots]. Decoders gather from decode_theta
+t(f | e) as one gather theta[slots]. Decoders gather from `decode_theta`
 instead, which floors the entries and the miss slot at DECODE_FLOOR and
 keeps the pad slot 0, so padding adds nothing to a sum and never wins
-an argmax. EM maps tables to tables: `normalized` is the M-step, and
-the table it returns shares its support arrays with its parent.
+an argmax; the table builds that read-only copy on its first decode and
+keeps it, so decoding pair by pair floors the table once, not per call.
+EM maps tables to tables: `normalized` is the M-step, and the table it
+returns shares its support arrays with its parent.
 
 Model files, v3, the format `train` writes:
 
@@ -195,6 +197,16 @@ class TranslationTable:
         found = row_known & col_known & (cell_keys[slot] == keys)
         return np.where(found, slot, miss)
 
+    @cached_property
+    def decode_theta(self) -> np.ndarray:
+        """theta with every entry and the miss slot floored at DECODE_FLOOR,
+        as decoders score them; the pad slot stays 0. Read-only, built on
+        the first decode and kept for the next."""
+        theta = self.theta.copy()
+        np.maximum(theta[:-1], DECODE_FLOOR, out=theta[:-1])
+        theta.flags.writeable = False
+        return theta
+
     def prob(self, e: int, f: int) -> float:
         """t(f | e); 0.0 for a cell the table lacks."""
         return float(self.theta[self.slots(e, f)])
@@ -224,14 +236,6 @@ class TranslationTable:
         sums = np.add.reduceat(self.theta[:-2], self.row_starts)
         r = int(np.argmax(np.abs(sums - 1.0)))
         return int(self.row_ids[r]), float(sums[r])
-
-
-def decode_theta(table: TranslationTable) -> np.ndarray:
-    """table.theta with every entry and the miss slot floored at
-    DECODE_FLOOR, as decoders score them; the pad slot stays 0."""
-    theta = table.theta.copy()
-    np.maximum(theta[:-1], DECODE_FLOOR, out=theta[:-1])
-    return theta
 
 
 def write_ttable(out: BinaryIO, table: TranslationTable, trailer: Iterable[str] = ()) -> None:
@@ -411,12 +415,8 @@ def _first_row_error(block: list[str]) -> DataFormatError:
 
 def _is_row(line: str) -> bool:
     """Whether line's first field is an integer, as a table row's is."""
-    return _is_int(line.split("\t", 1)[0])
-
-
-def _is_int(text: str) -> bool:
     try:
-        int(text)
+        int(line.split("\t", 1)[0])
     except ValueError:
         return False
     return True

@@ -1,7 +1,8 @@
 """Shared fixtures, random-instance builders, and the acceptance report.
 
 The terminal summary prints one PASS/FAIL line per acceptance criterion
-(every test in test_acceptance.py) so the gate is readable at a glance.
+(every test in test_acceptance.py) so the gate is readable at a glance,
+and under a criterion that times itself, its call time against its budget.
 """
 
 from __future__ import annotations
@@ -134,11 +135,22 @@ POOL_GUARDS = {
 }
 _guards: dict[str, str] = {}
 
+# The criteria that time themselves, each with the name of its budget in
+# test_acceptance.py; each call's time is printed against it, so that a
+# criterion close to its budget shows before it fails.
+BUDGETS = {
+    "test_em_monotonicity": "MONOTONICITY_BUDGET_S",
+    "test_synthetic_end_to_end": "E2E_BUDGET_S",
+}
+_call_seconds: dict[str, float] = {}
+
 
 def pytest_runtest_logreport(report):
     if report.when == "call" or (report.when == "setup" and report.outcome != "passed"):
         if "test_acceptance.py" in report.nodeid:
             _acceptance[report.nodeid] = report.outcome
+            if report.when == "call":
+                _call_seconds[report.nodeid] = report.duration
         elif any(report.nodeid.startswith(g) for gs in POOL_GUARDS.values() for g in gs):
             _guards[report.nodeid] = report.outcome
 
@@ -151,6 +163,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         name = nodeid.split("::")[-1]
         verdict = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"ACCEPTANCE {name}: {verdict}")
+        if name in BUDGETS and nodeid in _call_seconds:
+            import test_acceptance
+
+            seconds, budget = _call_seconds[nodeid], getattr(test_acceptance, BUDGETS[name])
+            terminalreporter.write_line(
+                f"    call time {seconds:.1f} s of its {budget:g} s budget "
+                f"({BUDGETS[name]}): {seconds / budget:.0%}"
+            )
         for guard in POOL_GUARDS.get(name, ()):
             runs = [o for nodeid, o in _guards.items() if nodeid.startswith(guard)]
             verdict = "PASS" if all(o == "passed" for o in runs) else "FAIL"

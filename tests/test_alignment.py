@@ -222,8 +222,8 @@ class TestPharaohFormat:
         assert (a.m, a.n) == (0, 0)
 
     def test_bad_fields_name_the_line(self):
-        for bad in ("0:0", "1-", "a-b", "1-2-3"):
-            with pytest.raises(DataFormatError, match="line 4"):
+        for bad in ("0:0", "1-", "a-b", "1-2-3", "-1-0", "0--1"):
+            with pytest.raises(DataFormatError, match="line 4: bad field"):
                 parse_pharaoh_line(bad, 4)
 
     def test_explicit_dims_validate_links(self):

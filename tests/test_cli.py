@@ -355,13 +355,17 @@ class TestAlign:
     def test_vocabulary_error_names_the_sidecar(self, toy_model, tmp_path, capsys, side):
         bitext, model = toy_model
         sidecar = tmp_path / f"toy.model.{side}-vocab"
-        sidecar.write_text("1\tonly-two-fields\n", encoding="utf-8")
-        code = cli.main(["align", "--model-file", str(model), "--bitext", str(bitext)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"{sidecar}: vocabulary line 1: expected 3 tab-separated fields" in err
         other = "target" if side == "source" else "source"
-        assert f"{other}-vocab" not in err
+        for text, message in [
+            ("1\tonly-two-fields\n", "vocabulary line 1: expected 3 tab-separated fields"),
+            ("1\tdas\t2\n2\thaus\tmany\n", "vocabulary line 2: invalid literal for int()"),
+        ]:
+            sidecar.write_text(text, encoding="utf-8")
+            code = cli.main(["align", "--model-file", str(model), "--bitext", str(bitext)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"{sidecar}: {message}" in err
+            assert f"{other}-vocab" not in err
 
     def test_missing_vocabulary_sidecar_is_explained(self, toy_model, tmp_path, capsys):
         bitext, model = toy_model
@@ -729,15 +733,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("model_kind, old, new, message", [
         ("hmm", "\nhmm\t5\t", "\nhmm\tfive\t",
          "malformed 'hmm' trailer: invalid literal for int()"),
+        ("hmm", "\nhmm\t5\t", "\nhmm\t5\t1\t", "malformed 'hmm' trailer\n"),
         ("hmm", "\njump\t5\t", "\n\njump\t9\t", "jump bucket 9 outside window 5"),
+        ("hmm", "\njump\t5\t", "\njumps\t5\t", "unexpected trailer line: 'jumps\\t5\\t"),
         ("model2", "\ndiag\t4.0\t0.08\n", "\n\ndiag\t4.0\t0.08\t1\n",
          "malformed 'diag' trailer"),
         ("model2", "\ndiag\t4.0\t0.08\n", "\ndiag\t4.0\t0.08\nextra\n",
          "unexpected line after the 'diag' trailer"),
         ("model1", "alignkit-ttable v1\n", "alignkit-ttable v1\n1\tx\t0.5\n",
          "expected e<TAB>f<TAB>prob"),
-    ], ids=["hmm-head", "hmm-jump-after-a-blank-line", "diag-arity", "diag-extra-row",
-            "table-row"])
+    ], ids=["hmm-head", "hmm-head-arity", "hmm-jump-after-a-blank-line", "hmm-not-a-jump-row",
+            "diag-arity", "diag-extra-row", "table-row"])
     def test_model_file_errors_name_the_file_and_the_line(
         self, tmp_path, capsys, model_kind, old, new, message
     ):

@@ -8,7 +8,7 @@ import oracles
 from alignkit import _packed, hmm, model1, model2
 from alignkit.corpus import SentencePair
 from alignkit.errors import NumericError
-from alignkit.ttable import DECODE_FLOOR, NULL_ID, TranslationTable, decode_theta
+from alignkit.ttable import DECODE_FLOOR, NULL_ID, TranslationTable
 from conftest import leave_nan_in_freed_memory, make_bitext
 
 # The decoders score every cell at least DECODE_FLOOR; the oracles take
@@ -70,7 +70,7 @@ def test_decoders_and_emissions_match_the_references(use_null, floor):
 
             params = hmm.HmmParams(table, hmm.uniform_jumps(2, 0.2), use_null)
             packed = hmm.PackedCorpus(make_bitext([(src, tgt)]), table, use_null)
-            ((g, block),) = packed.chunks[0].blocks(packed.cells(0, decode_theta(table)))
+            ((g, block),) = packed.chunks[0].blocks(packed.cells(0, table.decode_theta))
             emit = hmm._group(g, block, params.jumps, use_null).emit[:, 0].T
             assert emit.tolist() == oracles.hmm_emissions(src, tgt, flat, use_null, floor)
 
@@ -104,7 +104,7 @@ class TestIdsTheTableLacks:
 
 
     def test_padding_scores_zero_and_misses_the_floor(self, monkeypatch):
-        # Decoders gather scores from decode_theta. A cell the table lacks
+        # Decoders gather scores from the table's decode_theta. A cell the table lacks
         # scores the floor; a cell past a pair's m or n only pads its group
         # and must score 0, as the group passes assume.
         monkeypatch.setattr(_packed, "GROUP_CELLS", 40)
@@ -113,7 +113,7 @@ class TestIdsTheTableLacks:
             packed = _packed.PackedCorpus(bitext, self.TABLE, use_null)
             (chunk,) = packed.chunks
             assert any(len(set(g.ns.tolist())) > 1 for g in chunk.groups)
-            scores = packed.cells(0, decode_theta(self.TABLE))
+            scores = packed.cells(0, self.TABLE.decode_theta)
             pad = chunk.slots == packed.n_slots + 1
             miss = chunk.slots == packed.n_slots
             assert pad.any() and miss.any()

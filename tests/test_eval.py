@@ -9,11 +9,11 @@ from alignkit.alignment import AlignmentSet
 from alignkit.errors import DataFormatError
 from alignkit.evaluation import (
     GoldAlignment,
+    LinkCounts,
     aer,
     evaluate_corpus,
     format_report,
     parse_gold,
-    precision_recall,
     write_report_tsv,
 )
 
@@ -49,30 +49,33 @@ class TestAer:
         p = {(0, 0), (1, 1)}
         # |A n S| = 1, |A n P| = 2, denom = 3
         assert aer(a, s, p) == 0.0
-        assert precision_recall(a, s, p) == (1.0, 1.0, 1.0)
+        counts = LinkCounts.of(a, s, p)
+        assert (counts.precision, counts.recall, counts.f1) == (1.0, 1.0, 1.0)
 
 
 class TestPrecisionRecall:
     def test_perfect(self):
         links = {(0, 0), (1, 1)}
-        assert precision_recall(links, links, links) == (1.0, 1.0, 1.0)
+        counts = LinkCounts.of(links, links, links)
+        assert (counts.precision, counts.recall, counts.f1) == (1.0, 1.0, 1.0)
 
     def test_disjoint(self):
-        assert precision_recall({(0, 1)}, {(1, 0)}, {(1, 0)}) == (0.0, 0.0, 0.0)
+        counts = LinkCounts.of({(0, 1)}, {(1, 0)}, {(1, 0)})
+        assert (counts.precision, counts.recall, counts.f1) == (0.0, 0.0, 0.0)
 
     def test_half_precision_full_recall(self):
         a = {(1, 1), (3, 3)}
         s = {(1, 1)}
-        p, r, f1 = precision_recall(a, s, s | {(2, 2)})
-        assert p == 0.5
-        assert r == 1.0
-        assert f1 == pytest.approx(2 * 0.5 / 1.5)
+        counts = LinkCounts.of(a, s, s | {(2, 2)})
+        assert counts.precision == 0.5
+        assert counts.recall == 1.0
+        assert counts.f1 == pytest.approx(2 * 0.5 / 1.5)
 
     def test_empty_sides_count_as_perfect(self):
-        assert precision_recall(set(), {(0, 0)}, {(0, 0)})[0] == 1.0
-        assert precision_recall({(0, 0)}, set(), set())[1] == 1.0
-        p, r, f1 = precision_recall(set(), set(), set())
-        assert (p, r, f1) == (1.0, 1.0, 1.0)
+        assert LinkCounts.of(set(), {(0, 0)}, {(0, 0)}).precision == 1.0
+        assert LinkCounts.of({(0, 0)}, set(), set()).recall == 1.0
+        counts = LinkCounts.of(set(), set(), set())
+        assert (counts.precision, counts.recall, counts.f1) == (1.0, 1.0, 1.0)
 
 
 class TestParseGold:
@@ -154,10 +157,12 @@ class TestEvaluateCorpus:
         gold = GoldAlignment({1: (frozenset(sure), frozenset(possible))})
         report = evaluate_corpus([aset({(0, 0)})], gold)
         sentence = report.per_sentence[1]
-        p, r, f1 = precision_recall({(0, 0)}, sure, possible)
+        counts = LinkCounts.of({(0, 0)}, sure, possible)
         assert (report.aer, report.precision, report.recall, report.f1) == (
             sentence.aer, sentence.precision, sentence.recall, sentence.f1
-        ) == (aer({(0, 0)}, sure, possible), p, r, f1) == (0.0, 1.0, 1.0, 1.0)
+        ) == (
+            aer({(0, 0)}, sure, possible), counts.precision, counts.recall, counts.f1
+        ) == (0.0, 1.0, 1.0, 1.0)
 
     def test_no_matches_yields_zero_denominator_defaults(self):
         gold = parse_gold(["9 1 1 S"])
@@ -177,7 +182,7 @@ class TestMetricProperties:
     @settings(max_examples=200, deadline=None)
     def test_aer_complements_f1_when_sure_equals_possible(self, a, s):
         # With S = P the AER formula collapses to 1 - F1.
-        p, r, f1 = precision_recall(a, s, s)
+        f1 = LinkCounts.of(a, s, s).f1
         value = aer(a, s, s)
         if a or s:
             assert value == pytest.approx(1.0 - f1, abs=1e-12)
