@@ -36,10 +36,12 @@ nothing is copied or pickled, and numpy releases the GIL in much of a
 chunk's array work. A pass writes only its own chunk's cells and no
 module state, so the threads share nothing mutable; an errstate a pass
 sets holds in its own thread only. Results come back one at a time, in
-ascending chunk order, and are merged as they come, so a run holds at
-most jobs chunks' counts besides their sum. The chunks never depend on
-the worker count, so the merges add the same partial sums in the same
-order and results are bitwise identical however many threads run them.
+ascending chunk order, and are merged as they come: the first chunk's
+counts become the sum and later ones are added into it, so a run holds
+the sum and at most jobs chunks' counts besides it, and no zero-filled
+vector. The chunks never depend on the worker count, so the merges add
+the same partial sums in the same order and results are bitwise
+identical however many threads run them.
 run_em is the one iteration loop: it writes the per-iteration
 log-likelihood line and warns when an iteration lowers the likelihood,
 which EM never does.
@@ -322,6 +324,17 @@ def _chunk_counts(
     return counts[: packed.n_slots], reports  # miss and pad slots dropped
 
 
+def _merge_counts(total: Optional[np.ndarray], part: np.ndarray) -> np.ndarray:
+    """Chunk counts merged as they come, in chunk order: the first chunk's
+    counts become the sum and later ones are added into it, so no
+    zero-filled vector is held beside them. Bitwise the sum from zeros,
+    since 0.0 + x == x and the additions keep their order."""
+    if total is None:
+        return part
+    total += part
+    return total
+
+
 def _lexical_pass(packed: PackedCorpus, g: Group, block: np.ndarray):
     """Group pass of Model 1 and Model 2 (see _chunk_counts): normalizes each
     source position's cells over its rows; reports the group's
@@ -367,10 +380,12 @@ def lexical_step(
 ) -> tuple[TranslationTable, float]:
     """One lexical EM step on a table of the packed corpus's support, Model 1
     without a prior and Model 2 with one: the re-estimated table and the
-    log-likelihood of the input table."""
-    counts = np.zeros(len(table))
-    ll = 0.0
+    log-likelihood of the input table. The counts are merged by
+    _merge_counts; a corpus with no chunks counts zero everywhere."""
+    counts, ll = None, 0.0
     for part_counts, reports in packed.map(_chunk_counts, table.theta, _lexical_pass):
-        counts += part_counts  # merged as they come, in chunk order
+        counts = _merge_counts(counts, part_counts)
         ll += sum(reports)
+    if counts is None:
+        counts = np.zeros(len(table))
     return table.normalized(counts), ll

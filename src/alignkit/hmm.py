@@ -65,7 +65,9 @@ from typing import BinaryIO, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
-from ._packed import Group, PackedCorpus, _chunk_counts, lexical_step, run_em, uniform_packed
+from ._packed import (
+    Group, PackedCorpus, _chunk_counts, _merge_counts, lexical_step, run_em, uniform_packed,
+)
 from .alignment import AlignmentFunction
 from .corpus import Bitext, SentencePair
 from .errors import ConfigError, NumericError, trailer_error, warn
@@ -379,17 +381,20 @@ def _bw_statistics(packed: PackedCorpus, theta, jumps: JumpTable):
     """The Baum-Welch E-step: (expected lexical counts, jump statistics, ll
     of the input). The jump statistics are (buckets, departures): expected
     jumps per bucket, and departures[n, i] the expected jumps out of
-    position i of the n-word targets."""
-    counts = np.zeros(packed.n_slots)
+    position i of the n-word targets. The counts are merged by
+    _merge_counts; a corpus with no chunks counts zero everywhere."""
+    counts = None
     buckets = np.zeros(2 * jumps.w + 1)
     departures = np.zeros((packed.max_n + 1, packed.max_n))
     ll = 0.0
     for part_counts, reports in packed.map(_chunk_counts, theta, _bw_pass, jumps):
-        counts += part_counts
+        counts = _merge_counts(counts, part_counts)
         for group_ll, group_buckets, ns, group_departures in reports:
             ll += group_ll
             buckets += group_buckets
             np.add.at(departures[:, : group_departures.shape[1]], ns, group_departures)
+    if counts is None:
+        counts = np.zeros(packed.n_slots)
     return counts, (buckets, departures), ll
 
 
@@ -471,12 +476,18 @@ def train(
     uniform jumps, then run Baum-Welch on the same packed corpus, writing
     its trace to log_to when given. With iterations=0 the warmed-up params
     are returned."""
-    table, packed = uniform_packed(bitext, config.use_null, jobs=jobs)
+    uniform, packed = uniform_packed(bitext, config.use_null, jobs=jobs)
     warm_up = lambda table: lexical_step(packed, table)
-    table, _ = run_em(warm_up, table, config.model1_iterations)
-    start = HmmParams(table, uniform_jumps(config.w, config.p0), config.use_null)
     step = lambda params: _bw_iteration(packed, params)
-    return run_em(step, start, config.iterations, log_to)
+    jumps = uniform_jumps(config.w, config.p0)
+    # No local holds the warm-up's table, so Baum-Welch's first step drops
+    # the last reference to it.
+    return run_em(
+        step,
+        HmmParams(run_em(warm_up, uniform, config.model1_iterations)[0], jumps, config.use_null),
+        config.iterations,
+        log_to,
+    )
 
 
 def align_corpus(bitext: Bitext, params: HmmParams) -> list[AlignmentFunction]:

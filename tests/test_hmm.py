@@ -1,8 +1,10 @@
+import gc
 import io
 import logging
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -644,6 +646,41 @@ class TestGroupedPasses:
         np.testing.assert_array_equal(one.table.theta, two.table.theta)
         np.testing.assert_array_equal(one.jumps.probs, two.jumps.probs)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("use_null", [False, True])
+    def test_counts_are_the_chunk_counts_summed_from_zeros(
+        self, monkeypatch, pools, jobs, use_null
+    ):
+        # Both E-steps take the first chunk's counts as their sum: bitwise
+        # the zero-filled sum of each chunk's counts, added in chunk order.
+        monkeypatch.setattr(_packed, "CHUNK_CELLS", 150)
+        rng = np.random.default_rng(86)
+        bt = random_id_bitext(rng, n_pairs=40, vocab=12, max_len=8)
+        table, _ = random_table(rng, range(1, 13), range(1, 13), include_null=use_null)
+        jumps = random_jumps(rng, w=2, p0=0.2 if use_null else 0.0)
+        packed = PackedCorpus(bt, table, use_null, jobs=jobs)
+        assert len(packed.chunks) >= 3
+        normalized = []
+        real = TranslationTable.normalized
+
+        def spy(self, counts):
+            normalized.append(counts.copy())
+            return real(self, counts)
+
+        monkeypatch.setattr(TranslationTable, "normalized", spy)
+        leave_nan_in_freed_memory()
+        _packed.lexical_step(packed, table)
+        bw_counts = _bw_statistics(packed, table.theta, jumps)[0]
+        assert pools == ([] if jobs == 1 else [2, 2])
+        for group_pass, args, got in [
+            (_packed._lexical_pass, (), normalized[0]),
+            (hmm._bw_pass, (jumps,), bw_counts),
+        ]:
+            want = np.zeros(packed.n_slots)
+            for c in range(len(packed.chunks)):
+                want += _packed._chunk_counts(packed, c, table.theta, group_pass, *args)[0]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestGroupedViterbi:
     """align_corpus decodes on the Baum-Welch groups. Pair by pair, its
@@ -754,6 +791,27 @@ class TestTrain:
             (train, HmmConfig(iterations=5)),
         ]:
             assert trainer(empty, config)[1] == [0.0] * 5
+
+    def test_the_warm_up_table_is_freed_by_the_first_baum_welch_step(self, monkeypatch):
+        # With the cyclic collector off, as in a command, reference counting
+        # alone must free it: no step past the first holds a second table.
+        inner = hmm._bw_iteration
+        first, alive = [], []
+
+        def spy(packed, params):
+            if not first:
+                first.append(weakref.ref(params.table))
+            alive.append(first[0]() is not None)
+            return inner(packed, params)
+
+        monkeypatch.setattr(hmm, "_bw_iteration", spy)
+        bt = random_id_bitext(np.random.default_rng(77), n_pairs=20, vocab=10, max_len=6)
+        gc.disable()
+        try:
+            train(bt, HmmConfig(iterations=3, model1_iterations=2))
+        finally:
+            gc.enable()
+        assert alive[0] and not alive[2]
 
     def test_zero_iterations_returns_the_initializer(self):
         rng = np.random.default_rng(75)
